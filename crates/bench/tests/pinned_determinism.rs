@@ -11,7 +11,10 @@
 use anr_bench::scenario_problem_sized;
 use anr_coverage::GridPartition;
 use anr_harmonic::{fill_holes, harmonic_map_to_disk, DiskOverlay, HarmonicConfig, Solver};
-use anr_march::{audit_piecewise_with_workers, march, MarchConfig, MarchProblem, Method};
+use anr_march::{
+    audit_piecewise_uncontracted, audit_piecewise_with_workers, march, MarchConfig, MarchProblem,
+    Method,
+};
 use anr_netgraph::{extract_triangulation, UnitDiskGraph};
 use anr_trace::Tracer;
 
@@ -95,10 +98,12 @@ fn rotation_batch_matches_serial_on_every_scenario() {
 
 /// The parallel audit report is identical — every field, every violation
 /// interval — at workers 1, 2 and 8, on real march timelines from a
-/// simply-connected scenario and a hole-detour scenario.
+/// simply-connected scenario, a hole-detour scenario, and scenario 6,
+/// whose preserved links leave two components so the contracted sweep
+/// runs.
 #[test]
 fn audit_identical_across_worker_counts() {
-    for id in [1u8, 4] {
+    for id in [1u8, 4, 6] {
         let problem = scenario_problem(id);
         let config = MarchConfig::default();
         let outcome = march(&problem, Method::MaxStableLinks, &config).unwrap();
@@ -110,6 +115,12 @@ fn audit_identical_across_worker_counts() {
         let tracer = Tracer::disabled();
         let reference =
             audit_piecewise_with_workers(rows, &times, problem.range, 1, &tracer).unwrap();
+        if id == 6 {
+            assert!(
+                reference.components > 1 && reference.swept_pairs > 0,
+                "scenario 6 no longer exercises the contracted sweep"
+            );
+        }
         for workers in [2usize, 8] {
             let report =
                 audit_piecewise_with_workers(rows, &times, problem.range, workers, &tracer)
@@ -117,6 +128,52 @@ fn audit_identical_across_worker_counts() {
             assert_eq!(
                 reference, report,
                 "scenario {id}: audit report changed at {workers} workers"
+            );
+        }
+    }
+}
+
+/// The certificate-first audit agrees with its uncontracted oracle on
+/// every scenario's real march timeline at 144 and 256 robots: `C`,
+/// `L`, the violations and the preserved links exactly, the
+/// disconnected intervals in count and to the 1e-12 event-merge
+/// tolerance. The march's own metrics are that same audit.
+#[test]
+fn audit_matches_uncontracted_oracle_on_every_scenario() {
+    for robots in [144usize, 256] {
+        for id in 1..=7u8 {
+            let problem = scenario_problem_sized(id, SEPARATION, robots).unwrap();
+            let outcome = march(&problem, Method::MaxStableLinks, &MarchConfig::default()).unwrap();
+            let rows = &outcome.timeline;
+            let times: Vec<f64> = (0..rows.len())
+                .map(|k| k as f64 / (rows.len() - 1) as f64)
+                .collect();
+            let got =
+                audit_piecewise_with_workers(rows, &times, problem.range, 0, &Tracer::disabled())
+                    .unwrap();
+            let want = audit_piecewise_uncontracted(rows, &times, problem.range, 0).unwrap();
+            let key = format!("scenario {id} at {robots} robots");
+            assert_eq!(got.global_connectivity, want.global_connectivity, "{key}");
+            assert_eq!(got.stable_link_ratio, want.stable_link_ratio, "{key}");
+            assert_eq!(got.preserved_links, want.preserved_links, "{key}");
+            assert_eq!(got.violations, want.violations, "{key}");
+            let (a, b) = (&got.disconnected_intervals, &want.disconnected_intervals);
+            assert_eq!(a.len(), b.len(), "{key}");
+            for (x, y) in a.iter().zip(b) {
+                assert!(
+                    (x.0 - y.0).abs() <= 1e-12 && (x.1 - y.1).abs() <= 1e-12,
+                    "{key}: {x:?} vs {y:?}"
+                );
+            }
+            let m = &outcome.metrics;
+            assert_eq!(
+                (m.global_connectivity, m.preserved_links, &m.violations),
+                (
+                    got.global_connectivity,
+                    got.preserved_links,
+                    &got.violations
+                ),
+                "{key}: the march's metrics are not its own audit"
             );
         }
     }

@@ -3,9 +3,9 @@
 use crate::{Command, EngineArg, MethodArg};
 use anr_geom::Point;
 use anr_march::{
-    audit_piecewise, direct_translation, hungarian_direct, march_mission, march_traced,
-    run_fault_sweep_traced, MarchConfig, MarchError, MarchOutcome, MarchProblem, Method,
-    MetricsError, Mission, SweepConfig, SweepEngine,
+    direct_translation, hungarian_direct, march_mission, march_traced, run_fault_sweep_traced,
+    MarchConfig, MarchError, MarchOutcome, MarchProblem, Method, MetricsError, Mission,
+    SweepConfig, SweepEngine,
 };
 use anr_netgraph::UnitDiskGraph;
 use anr_scenarios::{blob, build_scenario, ScenarioError, ScenarioParams};
@@ -122,17 +122,6 @@ fn scenario_problem(id: u8, separation: f64, robots: usize) -> Result<MarchProbl
     Ok(MarchProblem::with_lattice_deployment(
         s.m1, s.m2, s.robots, s.range,
     )?)
-}
-
-/// Normalized times for a timeline of `len` rows, matching the spacing
-/// `evaluate_timeline` uses when it computes the reported metrics.
-fn uniform_times(len: usize) -> Vec<f64> {
-    if len <= 1 {
-        vec![0.0]
-    } else {
-        let steps = (len - 1) as f64;
-        (0..len).map(|k| k as f64 / steps).collect()
-    }
 }
 
 fn print_outcome(name: &str, out: &MarchOutcome) {
@@ -572,9 +561,9 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
             let mut failed = Vec::new();
             for id in ids {
                 let problem = scenario_problem(id, separation, robots)?;
-                let outcome = run_method(&problem, method, &config, tracer)?;
-                let times = uniform_times(outcome.timeline.len());
-                let report = audit_piecewise(&outcome.timeline, &times, problem.range, tracer)?;
+                // The march's metrics are the exact audit of its own
+                // timeline.
+                let report = run_method(&problem, method, &config, tracer)?.metrics;
                 println!(
                     "scenario {id}: C = {}  L = {:.3}  ({}/{} initial links stable, {} violations)",
                     report.global_connectivity,

@@ -24,23 +24,37 @@
 //!   a closed condition; a supergraph of a connected graph is
 //!   connected).
 //!
-//! Motion is continuous across rows (a row is both the end of one piece
-//! and the start of the next), so the crossing instants of **all**
-//! pieces form one global event axis and connectivity is decided by a
-//! single offline dynamic-connectivity pass over it — a
-//! divide-and-conquer with a rollback union-find whose independent
-//! subtrees fan out over [`anr_par`]. The pair scan itself is batched
-//! into *epochs* of consecutive pieces: one uniform grid built at the
-//! epoch's first row prunes the `O(n²)` pair set for every piece of the
-//! epoch (robots move at most the epoch's displacement budget, so the
-//! grid stays conservative), positions and per-robot cumulative
-//! displacements are laid out as flat robot-major arrays, and each
-//! candidate pair walks the epoch with a displacement-bound skip: while
-//! the pair's distance is provably farther from `r` than the two robots
-//! can close, whole runs of pieces are skipped in `O(log)` without
-//! evaluating a single quadratic. All of this is observation-order
-//! independent — every parallel path returns byte-identical results at
-//! any worker count.
+//! The audit runs in three steps, each doing only the work its metric
+//! needs:
+//!
+//! 1. **Link pass.** Only the initial links are walked down the
+//!    timeline. Each walk depends on its own pair alone, so this already
+//!    yields every violation, the preserved links and `L` exactly.
+//! 2. **Certificate.** A preserved link is in range at every instant, so
+//!    the robots it joins stay connected throughout. Union-find over the
+//!    preserved links gives `k` components; `k = 1` certifies `C = 1`
+//!    with no further work.
+//! 3. **Contracted sweep.** Otherwise only pairs whose endpoints lie in
+//!    different components can change the answer (a pair inside one
+//!    component is a self-loop of the contracted graph). Those pairs are
+//!    walked, and their crossing instants form one global event axis —
+//!    motion is continuous across rows, so a row is both the end of one
+//!    piece and the start of the next — on which a single offline
+//!    dynamic-connectivity pass over the `k` component ids decides `C`:
+//!    a divide-and-conquer with a rollback union-find whose independent
+//!    subtrees fan out over [`anr_par`].
+//!
+//! The sweep's pair discovery is batched into *epochs* of consecutive
+//! pieces: one uniform grid built at the epoch's first row prunes the
+//! `O(n²)` pair set for every piece of the epoch (robots move at most
+//! the epoch's displacement budget, so the grid stays conservative).
+//! Positions and per-robot cumulative displacements are laid out as flat
+//! robot-major arrays, and each walked pair skips with a
+//! displacement bound: while the pair's distance is provably farther
+//! from `r` than the two robots can close, whole runs of pieces are
+//! skipped in `O(log)` without evaluating a single quadratic. All of
+//! this is observation-order independent — every parallel path returns
+//! byte-identical results at any worker count.
 //!
 //! [`audit_piecewise`] runs both checks over an explicit breakpoint
 //! timeline; [`audit_trajectories`] derives that timeline from a
@@ -51,7 +65,7 @@
 use crate::metrics::MetricsError;
 use crate::trajectory::TrajectorySet;
 use anr_geom::Point;
-use anr_netgraph::{RollbackUnionFind, UnitDiskGraph};
+use anr_netgraph::{RollbackUnionFind, UnionFind, UnitDiskGraph};
 use anr_trace::{TraceValue, Tracer};
 use std::collections::BTreeMap;
 
@@ -88,9 +102,16 @@ pub struct AuditReport {
     /// Linear motion pieces audited (timeline rows − 1).
     pub pieces: usize,
     /// Connectivity check instants examined: one per open interval
-    /// between consecutive edge-set change events on the **global**
-    /// event axis (events + 1).
+    /// between consecutive cross-component crossing events on the
+    /// contracted event axis (events + 1), or 1 when the preserved links
+    /// alone certify `C = 1`.
     pub connectivity_checks: usize,
+    /// Connected components of the preserved initial links (1 certifies
+    /// `C = 1` without a sweep).
+    pub components: usize,
+    /// Cross-component pairs the contracted sweep walked (0 when
+    /// certified).
+    pub swept_pairs: usize,
 }
 
 impl AuditReport {
@@ -126,8 +147,10 @@ pub fn audit_trajectories(
 /// every trajectory breakpoint — see
 /// [`TrajectorySet::breakpoints`]).
 ///
-/// Emits `audit_violation` / `audit_disconnect` trace events and a
-/// final `audit_summary` event.
+/// Emits `audit_violation` events inside an `audit_links` span,
+/// `audit_disconnect` events inside an `audit_sweep` span (opened only
+/// when the preserved links leave more than one component), and a final
+/// `audit_summary` event.
 ///
 /// Worker count: [`anr_par::default_workers`]. The result is
 /// byte-identical at any worker count (see
@@ -148,11 +171,12 @@ pub fn audit_piecewise(
 
 /// [`audit_piecewise`] with an explicit worker count (0 = auto).
 ///
-/// Parallel fan-out happens over three structures — link chunks of the
-/// stability maximum, piece epochs of the crossing scan, and subtrees of
-/// the offline dynamic-connectivity divide-and-conquer. Each is merged
-/// back in deterministic input order, so the report (and every trace
-/// event) is byte-identical whatever `workers` is.
+/// Parallel fan-out happens over three structures — pair chunks of the
+/// link pass and of the sweep, piece epochs of the sweep's pair
+/// discovery, and subtrees of the offline dynamic-connectivity
+/// divide-and-conquer. Each is merged back in deterministic input order,
+/// so the report (and every trace event) is byte-identical whatever
+/// `workers` is.
 ///
 /// # Errors
 ///
@@ -164,266 +188,173 @@ pub fn audit_piecewise_with_workers(
     workers: usize,
     tracer: &Tracer,
 ) -> Result<AuditReport, MetricsError> {
+    audit_contracted(rows, times, range, workers, tracer, true)
+}
+
+/// The same audit with every robot its own component: no certificate,
+/// and the sweep walks every candidate pair on the full `n`-robot axis.
+/// This is the reference [`audit_piecewise_with_workers`] is tested
+/// against: `C`, `L`, the violations and the preserved links agree
+/// exactly, the disconnected intervals in count and to the 1e-12
+/// event-merge tolerance.
+///
+/// # Errors
+///
+/// See [`audit_piecewise`].
+#[doc(hidden)]
+pub fn audit_piecewise_uncontracted(
+    rows: &[Vec<Point>],
+    times: &[f64],
+    range: f64,
+    workers: usize,
+) -> Result<AuditReport, MetricsError> {
+    audit_contracted(rows, times, range, workers, &Tracer::disabled(), false)
+}
+
+/// The three-step audit. With `certify`, the sweep runs on the
+/// components of the preserved links; without it, every robot is its
+/// own component.
+fn audit_contracted(
+    rows: &[Vec<Point>],
+    times: &[f64],
+    range: f64,
+    workers: usize,
+    tracer: &Tracer,
+    certify: bool,
+) -> Result<AuditReport, MetricsError> {
     validate(rows, times, range)?;
     let n = rows[0].len();
-    let r2 = range * range;
-
-    let initial = UnitDiskGraph::new(&rows[0], range);
-    let links = initial.links();
-    let initial_links = links.len();
-
     let pieces = rows.len() - 1;
     let (t0, t1) = (times[0], times[pieces]);
-
-    if pieces == 0 {
-        // Single instant: connectivity of the one row, no motion.
-        let mut disconnected_intervals = Vec::new();
-        if !initial.is_connected() {
-            disconnected_intervals.push((t0, t0));
-            tracer.event(
-                "audit_disconnect",
-                &[("s_lo", TraceValue::F64(t0)), ("s_hi", TraceValue::F64(t0))],
-            );
-        }
-        let stable_link_ratio = 1.0;
-        let report = AuditReport {
-            robots: n,
-            initial_links,
-            preserved_links: initial_links,
-            stable_link_ratio,
-            global_connectivity: u8::from(disconnected_intervals.is_empty()),
-            violations: Vec::new(),
-            disconnected_intervals,
-            pieces: 0,
-            connectivity_checks: 1,
-        };
-        trace_summary(tracer, &report);
-        return Ok(report);
-    }
+    let stripes = Stripes::new(rows, times, range);
 
     // ------------------------------------------------------------------
-    // Struct-of-arrays layout: positions plus a per-robot cumulative
-    // *deviation* prefix, robot-major (`arr[i * nrows + r]`). The
-    // deviation frame subtracts each piece's mean displacement over all
-    // robots: inter-robot distances are invariant under the common
-    // drift, so every skip and cutoff bound below only spends budget on
-    // how far robots move relative to the formation — for a marching
-    // swarm that is far smaller than absolute motion.
-    // ------------------------------------------------------------------
-    let nrows = pieces + 1;
-    let mut px = vec![0.0f64; n * nrows];
-    let mut py = vec![0.0f64; n * nrows];
-    for (r, row) in rows.iter().enumerate() {
-        for (i, p) in row.iter().enumerate() {
-            px[i * nrows + r] = p.x;
-            py[i * nrows + r] = p.y;
-        }
-    }
-    let inv_n = 1.0 / n as f64;
-    let mut mean_dx = vec![0.0f64; pieces];
-    let mut mean_dy = vec![0.0f64; pieces];
-    for (r, (row, next)) in rows.iter().zip(&rows[1..]).enumerate() {
-        let (mut sx, mut sy) = (0.0f64, 0.0f64);
-        for (p, q) in row.iter().zip(next) {
-            sx += q.x - p.x;
-            sy += q.y - p.y;
-        }
-        mean_dx[r] = sx * inv_n;
-        mean_dy[r] = sy * inv_n;
-    }
-    // `dmax[r]`: the largest single-robot deviation on piece r (drives
-    // the epoch budget); `cum`: per-robot deviation prefix (drives the
-    // per-pair galloping skip and the discovery cutoffs).
-    let mut cum = vec![0.0f64; n * nrows];
-    let mut dmax = vec![0.0f64; pieces];
-    for i in 0..n {
-        let base = i * nrows;
-        for r in 1..nrows {
-            let dx = px[base + r] - px[base + r - 1] - mean_dx[r - 1];
-            let dy = py[base + r] - py[base + r - 1] - mean_dy[r - 1];
-            let dev = (dx * dx + dy * dy).sqrt();
-            cum[base + r] = cum[base + r - 1] + dev;
-            dmax[r - 1] = dmax[r - 1].max(dev);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Candidate discovery, batched into epochs of consecutive pieces.
-    // One uniform grid per epoch (built at its first row) marks every
-    // pair that can come within range during that epoch: a pair must
-    // start the epoch within `range + 2·(max per-robot deviation over
-    // the epoch)`. The union across epochs (a bit-OR, order-
-    // independent) is the full candidate set; pairs never marked are
-    // provably never in range. The greedy deviation budget keeps each
-    // epoch's cutoff (and so its candidate count) bounded.
-    // ------------------------------------------------------------------
-    let budget = 0.5 * range;
-    let mut epochs: Vec<(usize, usize)> = Vec::new(); // (first piece, piece count)
-    {
-        let mut k = 0;
-        while k < pieces {
-            let mut len = 1;
-            let mut moved = dmax[k];
-            while k + len < pieces && moved + dmax[k + len] <= budget {
-                moved += dmax[k + len];
-                len += 1;
-            }
-            epochs.push((k, len));
-            k += len;
-        }
-    }
-
-    let words = (n * n).div_ceil(64);
-    let pairs: Vec<(u32, u32)> = if n < 64 {
-        (0..n as u32)
-            .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
-            .collect()
-    } else {
-        let sets: Vec<Vec<u64>> = anr_par::par_map(&epochs, workers, |&(k0, len)| {
-            discover_epoch(rows, k0, len, range, words, &cum, nrows)
-        });
-        let mut bits = vec![0u64; words];
-        for s in &sets {
-            for (w, &v) in bits.iter_mut().zip(s) {
-                *w |= v;
-            }
-        }
-        let mut pairs = Vec::new();
-        for (wi, &word) in bits.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let idx = wi * 64 + word.trailing_zeros() as usize;
-                pairs.push(((idx / n) as u32, (idx % n) as u32));
-                word &= word - 1;
-            }
-        }
-        pairs
-    };
-
-    // ------------------------------------------------------------------
-    // Crossing scan: every candidate pair walks the whole timeline once
-    // (position stripes + deviation prefix driving the galloping skip),
-    // emitting its maximal in-range spans, its crossing events on the
-    // global axis, and — when it is an initial link whose spans fail to
-    // cover the timeline — its violation record. Pair chunks are
-    // independent; concatenating chunk outputs in order keeps spans and
-    // violations sorted by pair.
-    // ------------------------------------------------------------------
-    let outs: Vec<PairScan> = anr_par::par_chunks(&pairs, 2048, workers, |chunk| {
-        let mut walk = PairWalk {
-            out: PairScan {
-                events: Vec::new(),
-                spans: Vec::new(),
-                violations: Vec::new(),
-            },
-            px: &px,
-            py: &py,
-            cum: &cum,
-            times,
-            npieces: pieces,
-            nrows,
-            range,
-            r2,
-        };
-        for &(i, j) in chunk {
-            walk.walk(i as usize, j as usize);
-        }
-        walk.out
-    });
-
-    // ------------------------------------------------------------------
-    // Global event axis: the edge set changes only at crossing instants
-    // (plus exact-at-a-row status flips, which the walker reports
-    // explicitly), so one check instant inside each open interval
-    // between consecutive events certifies the whole timeline.
-    // ------------------------------------------------------------------
-    let mut events: Vec<f64> = Vec::new();
-    for o in &outs {
-        events.extend(o.events.iter().copied().filter(|&e| e > t0 && e < t1));
-    }
-    events.sort_by(f64::total_cmp);
-    events.dedup_by(|x, y| (*x - *y).abs() < 1e-12);
-
-    let mids: Vec<f64> = (0..=events.len())
-        .map(|k| {
-            let lo = if k == 0 { t0 } else { events[k - 1] };
-            let hi = events.get(k).copied().unwrap_or(t1);
-            0.5 * (lo + hi)
-        })
-        .collect();
-    let connectivity_checks = mids.len();
-
-    // Maximal in-range spans mapped to interval-index runs.
-    let spans: Vec<(u32, u32, u32, u32)> = outs
-        .iter()
-        .flat_map(|o| o.spans.iter())
-        .filter_map(|&(i, j, elo, ehi)| {
-            let a = mids.partition_point(|&m| m < elo);
-            let b = mids.partition_point(|&m| m <= ehi);
-            (a < b).then(|| (i, j, a as u32, (b - 1) as u32))
-        })
-        .collect();
-
-    let bad = if n > 1 {
-        disconnected_leaves_par(n, mids.len(), &spans, workers)
-    } else {
-        Vec::new()
-    };
-    let mut disconnected_intervals: Vec<(f64, f64)> = Vec::new();
-    for k in bad {
-        let lo = if k == 0 { t0 } else { events[k - 1] };
-        let hi = events.get(k).copied().unwrap_or(t1);
-        merge_interval(&mut disconnected_intervals, (lo, hi));
-    }
-    for &(lo, hi) in &disconnected_intervals {
-        tracer.event(
-            "audit_disconnect",
-            &[("s_lo", TraceValue::F64(lo)), ("s_hi", TraceValue::F64(hi))],
-        );
-    }
-
-    // ------------------------------------------------------------------
-    // Violations: a violating link is exactly an initial link whose
+    // 1. Link pass. A violating link is exactly an initial link whose
     // in-range spans fail to cover [t0, t1] (d² is convex per piece, so
     // any excursion beyond range shows up as a span gap). The walker
-    // already reported each one with its first out-of-range interval
-    // and its row-maximum distance; records are sorted by pair, so the
-    // link loop below keeps the initial-graph link order.
+    // reports each one with its first out-of-range interval and its
+    // row-maximum distance, in link order.
     // ------------------------------------------------------------------
-    let mut vio: Vec<(u32, u32, f64, f64, f64)> = Vec::new();
-    for o in &outs {
-        vio.extend(o.violations.iter().copied());
-    }
-    let mut violations = Vec::new();
-    for &(i, j) in &links {
-        let Ok(k) = vio.binary_search_by(|v| (v.0 as usize, v.1 as usize).cmp(&(i, j))) else {
-            continue;
-        };
-        let (_, _, lo, hi, max_distance) = vio[k];
-        let interval = (lo, hi);
+    let links = UnitDiskGraph::new(&rows[0], range).links();
+    let link_pass = tracer.span("audit_links");
+    let link_pairs: Vec<(u32, u32)> = links.iter().map(|&(i, j)| (i as u32, j as u32)).collect();
+    let violations: Vec<LinkViolation> = stripes
+        .walk(&link_pairs, workers)
+        .violations
+        .into_iter()
+        .map(|(i, j, lo, hi, max_distance)| LinkViolation {
+            link: (i as usize, j as usize),
+            interval: (lo, hi),
+            max_distance,
+        })
+        .collect();
+    for v in &violations {
         tracer.event(
             "audit_violation",
             &[
-                ("i", TraceValue::U64(i as u64)),
-                ("j", TraceValue::U64(j as u64)),
-                ("s_lo", TraceValue::F64(interval.0)),
-                ("s_hi", TraceValue::F64(interval.1)),
-                ("max_distance", TraceValue::F64(max_distance)),
+                ("i", TraceValue::U64(v.link.0 as u64)),
+                ("j", TraceValue::U64(v.link.1 as u64)),
+                ("s_lo", TraceValue::F64(v.interval.0)),
+                ("s_hi", TraceValue::F64(v.interval.1)),
+                ("max_distance", TraceValue::F64(v.max_distance)),
             ],
         );
-        violations.push(LinkViolation {
-            link: (i, j),
-            interval,
-            max_distance,
-        });
     }
+    drop(link_pass);
+
+    // ------------------------------------------------------------------
+    // 2. Certificate. A preserved link is in range at every instant, so
+    // the robots of one component of the preserved links stay connected
+    // throughout. Component ids are numbered by lowest robot index.
+    // ------------------------------------------------------------------
+    let (comp, components): (Vec<u32>, usize) = if certify {
+        let mut uf = UnionFind::new(n);
+        let mut broken = violations.iter().map(|v| v.link).peekable();
+        for &(i, j) in &links {
+            if broken.next_if_eq(&(i, j)).is_none() {
+                uf.union(i, j);
+            }
+        }
+        let mut id = vec![u32::MAX; n];
+        let mut k = 0u32;
+        let comp = (0..n)
+            .map(|i| {
+                let root = uf.find(i);
+                if id[root] == u32::MAX {
+                    id[root] = k;
+                    k += 1;
+                }
+                id[root]
+            })
+            .collect();
+        (comp, k as usize)
+    } else {
+        ((0..n as u32).collect(), n)
+    };
+
+    // ------------------------------------------------------------------
+    // 3. Contracted sweep. Only cross-component pairs can join or split
+    // components, and the contracted graph changes only at their
+    // crossing instants (plus exact-at-a-row status flips, which the
+    // walker reports explicitly), so one check instant inside each open
+    // interval between consecutive events certifies the whole timeline.
+    // ------------------------------------------------------------------
+    let mut disconnected_intervals: Vec<(f64, f64)> = Vec::new();
+    let (mut connectivity_checks, mut swept_pairs) = (1, 0);
+    if components > 1 {
+        let _sweep = tracer.span("audit_sweep");
+        let pairs = stripes.cross_pairs(rows, &comp, workers);
+        swept_pairs = pairs.len();
+        let scan = stripes.walk(&pairs, workers);
+
+        let mut events: Vec<f64> = scan
+            .events
+            .into_iter()
+            .filter(|&e| e > t0 && e < t1)
+            .collect();
+        events.sort_by(f64::total_cmp);
+        events.dedup_by(|x, y| (*x - *y).abs() < 1e-12);
+        let interval = |k: usize| {
+            let lo = if k == 0 { t0 } else { events[k - 1] };
+            (lo, events.get(k).copied().unwrap_or(t1))
+        };
+        let mids: Vec<f64> = (0..=events.len())
+            .map(|k| {
+                let (lo, hi) = interval(k);
+                0.5 * (lo + hi)
+            })
+            .collect();
+        connectivity_checks = mids.len();
+
+        // Maximal in-range spans mapped to interval-index runs between
+        // component ids.
+        let spans: Vec<(u32, u32, u32, u32)> = scan
+            .spans
+            .iter()
+            .filter_map(|&(i, j, elo, ehi)| {
+                let a = mids.partition_point(|&m| m < elo);
+                let b = mids.partition_point(|&m| m <= ehi);
+                (a < b).then(|| (comp[i as usize], comp[j as usize], a as u32, (b - 1) as u32))
+            })
+            .collect();
+        for k in disconnected_leaves_par(components, mids.len(), &spans, workers) {
+            merge_interval(&mut disconnected_intervals, interval(k));
+        }
+        for &(lo, hi) in &disconnected_intervals {
+            tracer.event(
+                "audit_disconnect",
+                &[("s_lo", TraceValue::F64(lo)), ("s_hi", TraceValue::F64(hi))],
+            );
+        }
+    }
+
+    let initial_links = links.len();
     let preserved_links = initial_links - violations.len();
     let stable_link_ratio = if initial_links == 0 {
         1.0
     } else {
         preserved_links as f64 / initial_links as f64
     };
-
     let report = AuditReport {
         robots: n,
         initial_links,
@@ -434,6 +365,8 @@ pub fn audit_piecewise_with_workers(
         disconnected_intervals,
         pieces,
         connectivity_checks,
+        components,
+        swept_pairs,
     };
     trace_summary(tracer, &report);
     Ok(report)
@@ -464,11 +397,14 @@ fn trace_summary(tracer: &Tracer, report: &AuditReport) {
                 "connectivity_checks",
                 TraceValue::U64(report.connectivity_checks as u64),
             ),
+            ("components", TraceValue::U64(report.components as u64)),
+            ("swept_pairs", TraceValue::U64(report.swept_pairs as u64)),
         ],
     );
 }
 
-/// Candidate-pair scan output, all values on the global time axis.
+/// Pair-walk output, all values on the global time axis.
+#[derive(Default)]
 struct PairScan {
     /// Edge-set change instants (crossing roots plus exact-at-a-row
     /// status flips), unsorted, possibly including the timeline bounds.
@@ -478,8 +414,174 @@ struct PairScan {
     spans: Vec<(u32, u32, f64, f64)>,
     /// `(i, j, out_lo, out_hi, max_distance)` for every walked pair
     /// that was in range at `times[0]` but not for the whole timeline,
-    /// sorted by pair.
+    /// in walk order.
     violations: Vec<(u32, u32, f64, f64, f64)>,
+}
+
+/// Struct-of-arrays timeline layout shared by every pair walk:
+/// positions plus a per-robot cumulative *deviation* prefix, robot-major
+/// (`arr[i * nrows + r]`). The deviation frame subtracts each piece's
+/// mean displacement over all robots: inter-robot distances are
+/// invariant under the common drift, so every skip and cutoff bound
+/// only spends budget on how far robots move relative to the formation
+/// — for a marching swarm that is far smaller than absolute motion.
+struct Stripes<'a> {
+    px: Vec<f64>,
+    py: Vec<f64>,
+    /// Per-robot deviation prefix (drives the per-pair galloping skip
+    /// and the discovery cutoffs).
+    cum: Vec<f64>,
+    /// The largest single-robot deviation on each piece (drives the
+    /// epoch budget).
+    dmax: Vec<f64>,
+    times: &'a [f64],
+    pieces: usize,
+    nrows: usize,
+    range: f64,
+    r2: f64,
+}
+
+impl<'a> Stripes<'a> {
+    fn new(rows: &[Vec<Point>], times: &'a [f64], range: f64) -> Self {
+        let n = rows[0].len();
+        let pieces = rows.len() - 1;
+        let nrows = pieces + 1;
+        // Transpose a block of robots at a time: each row read is then
+        // contiguous and each stripe written sequentially, where a plain
+        // row-by-row transpose misses cache on every write.
+        const BLOCK: usize = 16;
+        let mut px = vec![0.0f64; n * nrows];
+        let mut py = vec![0.0f64; n * nrows];
+        for i0 in (0..n).step_by(BLOCK) {
+            let i1 = (i0 + BLOCK).min(n);
+            for (r, row) in rows.iter().enumerate() {
+                for (i, p) in (i0..i1).zip(&row[i0..i1]) {
+                    px[i * nrows + r] = p.x;
+                    py[i * nrows + r] = p.y;
+                }
+            }
+        }
+        let inv_n = 1.0 / n as f64;
+        let mut mean_dx = vec![0.0f64; pieces];
+        let mut mean_dy = vec![0.0f64; pieces];
+        for (r, (row, next)) in rows.iter().zip(&rows[1..]).enumerate() {
+            let (mut sx, mut sy) = (0.0f64, 0.0f64);
+            for (p, q) in row.iter().zip(next) {
+                sx += q.x - p.x;
+                sy += q.y - p.y;
+            }
+            mean_dx[r] = sx * inv_n;
+            mean_dy[r] = sy * inv_n;
+        }
+        let mut cum = vec![0.0f64; n * nrows];
+        let mut dmax = vec![0.0f64; pieces];
+        for i in 0..n {
+            let base = i * nrows;
+            for r in 1..nrows {
+                let dx = px[base + r] - px[base + r - 1] - mean_dx[r - 1];
+                let dy = py[base + r] - py[base + r - 1] - mean_dy[r - 1];
+                let dev = (dx * dx + dy * dy).sqrt();
+                cum[base + r] = cum[base + r - 1] + dev;
+                dmax[r - 1] = dmax[r - 1].max(dev);
+            }
+        }
+        Stripes {
+            px,
+            py,
+            cum,
+            dmax,
+            times,
+            pieces,
+            nrows,
+            range,
+            r2: range * range,
+        }
+    }
+
+    /// Walks every pair down the whole timeline. Pair chunks are
+    /// independent; concatenating their outputs in order keeps spans
+    /// and violations in pair order.
+    fn walk(&self, pairs: &[(u32, u32)], workers: usize) -> PairScan {
+        let outs: Vec<PairScan> = anr_par::par_chunks(pairs, 2048, workers, |chunk| {
+            let mut walk = PairWalk {
+                out: PairScan::default(),
+                s: self,
+            };
+            for &(i, j) in chunk {
+                walk.walk(i as usize, j as usize);
+            }
+            walk.out
+        });
+        let mut all = PairScan::default();
+        for o in outs {
+            all.events.extend(o.events);
+            all.spans.extend(o.spans);
+            all.violations.extend(o.violations);
+        }
+        all
+    }
+
+    /// Every pair `i < j` with `comp[i] != comp[j]` that can come within
+    /// range at some instant, in index order.
+    ///
+    /// Discovery is batched into epochs of consecutive pieces. One
+    /// uniform grid per epoch (built at its first row) marks every pair
+    /// that can come within range during that epoch: a pair must start
+    /// the epoch within `range + 2·(max per-robot deviation over the
+    /// epoch)`. The union across epochs (a bit-OR, order-independent) is
+    /// the full candidate set; pairs never marked are provably never in
+    /// range. The greedy deviation budget keeps each epoch's cutoff (and
+    /// so its candidate count) bounded.
+    fn cross_pairs(&self, rows: &[Vec<Point>], comp: &[u32], workers: usize) -> Vec<(u32, u32)> {
+        let n = comp.len();
+        let cross = |i: u32, j: u32| comp[i as usize] != comp[j as usize];
+        if n < 64 {
+            return (0..n as u32)
+                .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
+                .filter(|&(i, j)| cross(i, j))
+                .collect();
+        }
+        let budget = 0.5 * self.range;
+        // (first piece, piece count); a single row is one empty epoch.
+        let mut epochs: Vec<(usize, usize)> = Vec::new();
+        let mut k = 0;
+        while k < self.pieces {
+            let mut len = 1;
+            let mut moved = self.dmax[k];
+            while k + len < self.pieces && moved + self.dmax[k + len] <= budget {
+                moved += self.dmax[k + len];
+                len += 1;
+            }
+            epochs.push((k, len));
+            k += len;
+        }
+        if epochs.is_empty() {
+            epochs.push((0, 0));
+        }
+        let words = (n * n).div_ceil(64);
+        let sets: Vec<Vec<u64>> = anr_par::par_map(&epochs, workers, |&(k0, len)| {
+            discover_epoch(rows, k0, len, self.range, words, &self.cum, self.nrows)
+        });
+        let mut bits = vec![0u64; words];
+        for s in &sets {
+            for (w, &v) in bits.iter_mut().zip(s) {
+                *w |= v;
+            }
+        }
+        let mut pairs = Vec::new();
+        for (wi, &word) in bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let idx = wi * 64 + word.trailing_zeros() as usize;
+                let (i, j) = ((idx / n) as u32, (idx % n) as u32);
+                if cross(i, j) {
+                    pairs.push((i, j));
+                }
+                word &= word - 1;
+            }
+        }
+        pairs
+    }
 }
 
 /// Marks every pair that can come within range during pieces
@@ -510,23 +612,15 @@ fn discover_epoch(
     bits
 }
 
-/// Walks one candidate pair down the whole timeline.
+/// Walks pairs down the whole timeline, one at a time.
 ///
-/// Positions and per-robot cumulative displacements are flattened into
-/// robot-major arrays (`arr[i * nrows + r]`), so the walk touches two
-/// contiguous stripes. It skips runs of pieces in `O(log)` whenever the
+/// Each walk touches the two robots' contiguous [`Stripes`]. It skips
+/// runs of pieces in `O(log)` whenever the
 /// pair's distance to the range circle exceeds what the two robots'
 /// remaining displacement can close.
 struct PairWalk<'a> {
     out: PairScan,
-    px: &'a [f64],
-    py: &'a [f64],
-    cum: &'a [f64],
-    times: &'a [f64],
-    npieces: usize,
-    nrows: usize,
-    range: f64,
-    r2: f64,
+    s: &'a Stripes<'a>,
 }
 
 impl PairWalk<'_> {
@@ -535,43 +629,44 @@ impl PairWalk<'_> {
     }
 
     fn walk(&mut self, i: usize, j: usize) {
-        let (bi, bj) = (i * self.nrows, j * self.nrows);
+        let s = self.s;
+        let (bi, bj) = (i * s.nrows, j * s.nrows);
         let start_idx = self.out.spans.len();
         let d2 = {
-            let dx = self.px[bi] - self.px[bj];
-            let dy = self.py[bi] - self.py[bj];
+            let dx = s.px[bi] - s.px[bj];
+            let dy = s.py[bi] - s.py[bj];
             dx * dx + dy * dy
         };
-        let initial_in = d2 <= self.r2;
+        let initial_in = d2 <= s.r2;
         let mut prev_in = initial_in;
-        let mut open: Option<f64> = prev_in.then(|| self.times[0]);
+        let mut open: Option<f64> = prev_in.then(|| s.times[0]);
 
         let mut r = 0usize;
-        while r < self.npieces {
-            let dx = self.px[bi + r] - self.px[bj + r];
-            let dy = self.py[bi + r] - self.py[bj + r];
+        while r < s.pieces {
+            let dx = s.px[bi + r] - s.px[bj + r];
+            let dy = s.py[bi + r] - s.py[bj + r];
             let dist = (dx * dx + dy * dy).sqrt();
             // Small relative margin so a rounding wobble in the bound
             // can never skip over a genuine grazing crossing.
-            let gap = (dist - self.range).abs() - 1e-9 * (dist + self.range);
+            let gap = (dist - s.range).abs() - 1e-9 * (dist + s.range);
             if gap > 0.0 {
                 // Skip every piece the pair provably cannot cross: their
                 // combined displacement bound is monotone, so gallop then
                 // bisect for the farthest safe row.
-                let c0 = self.cum[bi + r] + self.cum[bj + r];
-                if self.cum[bi + r + 1] + self.cum[bj + r + 1] - c0 < gap {
+                let c0 = s.cum[bi + r] + s.cum[bj + r];
+                if s.cum[bi + r + 1] + s.cum[bj + r + 1] - c0 < gap {
                     let mut q = r + 1;
                     let mut step = 1usize;
-                    while q + step <= self.npieces
-                        && self.cum[bi + q + step] + self.cum[bj + q + step] - c0 < gap
+                    while q + step <= s.pieces
+                        && s.cum[bi + q + step] + s.cum[bj + q + step] - c0 < gap
                     {
                         q += step;
                         step *= 2;
                     }
-                    let mut hi = (q + step).min(self.npieces);
+                    let mut hi = (q + step).min(s.pieces);
                     while q < hi {
                         let m = q + (hi - q).div_ceil(2);
-                        if self.cum[bi + m] + self.cum[bj + m] - c0 < gap {
+                        if s.cum[bi + m] + s.cum[bj + m] - c0 < gap {
                             q = m;
                         } else {
                             hi = m - 1;
@@ -585,15 +680,15 @@ impl PairWalk<'_> {
             // Exact quadratic on piece r.
             let ux = dx;
             let uy = dy;
-            let wx = (self.px[bi + r + 1] - self.px[bj + r + 1]) - ux;
-            let wy = (self.py[bi + r + 1] - self.py[bj + r + 1]) - uy;
+            let wx = (s.px[bi + r + 1] - s.px[bj + r + 1]) - ux;
+            let wy = (s.py[bi + r + 1] - s.py[bj + r + 1]) - uy;
             let (qa, qb, qc) = (
                 wx * wx + wy * wy,
                 ux * wx + uy * wy,
-                ux * ux + uy * uy - self.r2,
+                ux * ux + uy * uy - s.r2,
             );
-            let piece_lo = self.times[r];
-            let piece_hi = self.times[r + 1];
+            let piece_lo = s.times[r];
+            let piece_hi = s.times[r + 1];
             let span_w = piece_hi - piece_lo;
             let mut iv: Option<(f64, f64)> = None;
             if qa <= 0.0 {
@@ -654,7 +749,7 @@ impl PairWalk<'_> {
             r += 1;
         }
         if let Some(s0) = open {
-            let end = self.times[self.npieces];
+            let end = s.times[s.pieces];
             self.emit(i, j, s0, end);
         }
 
@@ -663,15 +758,15 @@ impl PairWalk<'_> {
         // distance (d is convex per piece, so the max over the rows of
         // the pair's stripes is the exact maximum over all time).
         if initial_in {
-            let (t0, t1) = (self.times[0], self.times[self.npieces]);
+            let (t0, t1) = (s.times[0], s.times[s.pieces]);
             let spans = &self.out.spans[start_idx..];
             let fully = spans.len() == 1 && spans[0].2 == t0 && spans[0].3 == t1;
             if !fully {
                 let interval = first_out_from_spans(spans, t0, t1);
                 let mut m = 0.0f64;
-                for r in 0..self.nrows {
-                    let dx = self.px[bi + r] - self.px[bj + r];
-                    let dy = self.py[bi + r] - self.py[bj + r];
+                for r in 0..s.nrows {
+                    let dx = s.px[bi + r] - s.px[bj + r];
+                    let dy = s.py[bi + r] - s.py[bj + r];
                     m = m.max(dx * dx + dy * dy);
                 }
                 self.out
@@ -947,6 +1042,37 @@ mod tests {
         Point::new(x, y)
     }
 
+    /// The production audit of one timeline, checked against the
+    /// uncontracted oracle: `C`, `L`, the violations and the preserved
+    /// links exactly, the disconnected intervals in count and to the
+    /// 1e-12 event-merge tolerance.
+    fn checked(rows: &[Vec<Point>], times: &[f64], range: f64) -> AuditReport {
+        let got = audit_piecewise(rows, times, range, &Tracer::disabled()).unwrap();
+        let want = audit_piecewise_uncontracted(rows, times, range, 0).unwrap();
+        assert_eq!(want.components, want.robots);
+        assert_eq!(got.global_connectivity, want.global_connectivity);
+        assert_eq!(got.stable_link_ratio, want.stable_link_ratio);
+        assert_eq!(got.preserved_links, want.preserved_links);
+        assert_eq!(got.violations, want.violations);
+        let (a, b) = (&got.disconnected_intervals, &want.disconnected_intervals);
+        assert_eq!(a.len(), b.len(), "{a:?} vs {b:?}");
+        for (x, y) in a.iter().zip(b) {
+            assert!(
+                (x.0 - y.0).abs() <= 1e-12 && (x.1 - y.1).abs() <= 1e-12,
+                "{x:?} vs {y:?}"
+            );
+        }
+        got
+    }
+
+    /// [`checked`] on a trajectory set's own breakpoint timeline, as
+    /// [`audit_trajectories`] builds it.
+    fn checked_set(set: &TrajectorySet, range: f64) -> AuditReport {
+        let times = set.breakpoints();
+        let rows: Vec<Vec<Point>> = times.iter().map(|&s| set.positions_at(s)).collect();
+        checked(&rows, &times, range)
+    }
+
     #[test]
     fn near_pair_grid_covers_all_near_pairs_once() {
         // Deterministic scatter; the grid must report every pair within
@@ -998,7 +1124,7 @@ mod tests {
             })
             .collect();
         let set = TrajectorySet::new(polys.clone());
-        let r = audit_trajectories(&set, 80.0, &Tracer::disabled()).unwrap();
+        let r = checked_set(&set, 80.0);
         assert!(r.certified(), "rigid translation must certify");
         assert_eq!(r.initial_links, n - 1);
 
@@ -1006,7 +1132,7 @@ mod tests {
         // link breaks and it disconnects, invisible at the endpoints.
         polys[0] = Polyline::new(vec![p(0.0, 0.0), p(150.0, -200.0), p(300.0, 40.0)]);
         let set = TrajectorySet::new(polys);
-        let r = audit_trajectories(&set, 80.0, &Tracer::disabled()).unwrap();
+        let r = checked_set(&set, 80.0);
         assert_eq!(r.global_connectivity, 0);
         assert!(!r.violations.is_empty());
         assert!(!r.disconnected_intervals.is_empty());
@@ -1018,7 +1144,7 @@ mod tests {
             Polyline::stationary(p(0.0, 0.0)),
             Polyline::stationary(p(50.0, 0.0)),
         ]);
-        let r = audit_trajectories(&set, 80.0, &Tracer::disabled()).unwrap();
+        let r = checked_set(&set, 80.0);
         assert!(r.certified());
         assert_eq!(r.initial_links, 1);
         assert_eq!(r.preserved_links, 1);
@@ -1050,7 +1176,7 @@ mod tests {
             );
         }
 
-        let r = audit_trajectories(&set, range, &Tracer::disabled()).unwrap();
+        let r = checked_set(&set, range);
         assert!(!r.certified());
         assert_eq!(r.violations.len(), 1);
         let v = &r.violations[0];
@@ -1095,7 +1221,7 @@ mod tests {
             );
         }
         let times = vec![0.0, 1.0];
-        let r = audit_piecewise(&rows, &times, 80.0, &Tracer::disabled()).unwrap();
+        let r = checked(&rows, &times, 80.0);
         assert_eq!(r.global_connectivity, 0);
         assert_eq!(r.disconnected_intervals.len(), 1);
         let (lo, hi) = r.disconnected_intervals[0];
@@ -1115,7 +1241,7 @@ mod tests {
         let from = [p(0.0, 0.0), p(60.0, 0.0), p(30.0, 50.0)];
         let to: Vec<Point> = from.iter().map(|q| p(q.x + 900.0, q.y + 40.0)).collect();
         let set = TrajectorySet::straight(&from, &to, &[]);
-        let r = audit_trajectories(&set, 80.0, &Tracer::disabled()).unwrap();
+        let r = checked_set(&set, 80.0);
         assert!(r.certified());
         assert_eq!(r.stable_link_ratio, 1.0);
     }
@@ -1131,11 +1257,69 @@ mod tests {
         assert!(!r.certified());
         let events = tracer.events();
         assert!(events.iter().any(|e| e.name == "audit_violation"));
+        // The broken link leaves two components, so the sweep runs.
+        for span in ["audit_links", "audit_sweep"] {
+            assert!(events.iter().any(|e| e.name == span), "no {span} span");
+        }
         let summary = events.iter().find(|e| e.name == "audit_summary").unwrap();
-        assert!(summary
-            .fields
-            .iter()
-            .any(|(k, v)| *k == "violations" && *v == TraceValue::U64(1)));
+        for (key, want) in [("violations", 1), ("components", 2), ("swept_pairs", 1)] {
+            assert!(
+                summary
+                    .fields
+                    .iter()
+                    .any(|(k, v)| *k == key && *v == TraceValue::U64(want)),
+                "{key} != {want}"
+            );
+        }
+    }
+
+    /// Two 64-robot clusters, joined only by links that come and go: A
+    /// holds still while B slides up one lattice pitch (50) at a
+    /// horizontal gap of 78. Facing robots are in range only while
+    /// their vertical offset is within √(80² − 78²) = √316, so the
+    /// initial cross links break at τ = √316/50 and the next row's links
+    /// form at τ = 1 − √316/50; in between the network is split, though
+    /// both row instants are connected. The preserved links leave
+    /// exactly the two clusters, so the contracted sweep must find that
+    /// mid-piece interval on its 2-component axis.
+    #[test]
+    fn multi_component_certificate_catches_transient_partition() {
+        let row = |shift: f64| -> Vec<Point> {
+            let mut pts = Vec::new();
+            for c in 0..8 {
+                for r in 0..8 {
+                    pts.push(p(-50.0 * c as f64, 50.0 * r as f64));
+                }
+            }
+            for c in 0..8 {
+                for r in 0..8 {
+                    pts.push(p(78.0 + 50.0 * c as f64, 50.0 * r as f64 + shift));
+                }
+            }
+            pts
+        };
+        let rows = vec![row(0.0), row(50.0)];
+        for r in &rows {
+            assert!(
+                UnitDiskGraph::new(r, 80.0).is_connected(),
+                "row instants must look fine — scenario miscalibrated"
+            );
+        }
+        let r = checked(&rows, &[0.0, 1.0], 80.0);
+        assert_eq!(r.robots, 128);
+        assert_eq!(r.components, 2);
+        assert!(r.swept_pairs > 0);
+        // The 8 facing pairs are the only initial cross links.
+        assert_eq!(r.violations.len(), 8);
+        let tau = 316f64.sqrt() / 50.0;
+        for v in &r.violations {
+            assert!((v.interval.0 - tau).abs() < 1e-9 && v.interval.1 == 1.0);
+        }
+        assert_eq!(r.global_connectivity, 0);
+        assert_eq!(r.disconnected_intervals.len(), 1);
+        let (lo, hi) = r.disconnected_intervals[0];
+        assert!((lo - tau).abs() < 1e-9, "lo = {lo}, expected {tau}");
+        assert!((hi - (1.0 - tau)).abs() < 1e-9, "hi = {hi}");
     }
 
     #[test]
@@ -1176,10 +1360,10 @@ mod tests {
     #[test]
     fn single_row_connectivity() {
         let connected = vec![p(0.0, 0.0), p(50.0, 0.0)];
-        let r = audit_piecewise(&[connected], &[0.0], 80.0, &Tracer::disabled()).unwrap();
+        let r = checked(&[connected], &[0.0], 80.0);
         assert_eq!(r.global_connectivity, 1);
         let split = vec![p(0.0, 0.0), p(500.0, 0.0)];
-        let r = audit_piecewise(&[split], &[0.0], 80.0, &Tracer::disabled()).unwrap();
+        let r = checked(&[split], &[0.0], 80.0);
         assert_eq!(r.global_connectivity, 0);
         assert_eq!(r.disconnected_intervals, vec![(0.0, 0.0)]);
     }
@@ -1208,6 +1392,7 @@ mod tests {
         let set = TrajectorySet::new(polys);
         let times = set.sample_times_with_breakpoints(40);
         let rows = set.sample_at(&times);
+        checked(&rows, &times, 80.0);
         let reference =
             audit_piecewise_with_workers(&rows, &times, 80.0, 1, &Tracer::disabled()).unwrap();
         for workers in [2, 3, 8] {
@@ -1233,7 +1418,7 @@ mod tests {
             vec![p(0.0, 0.0), p(70.0, 0.0)],
         ];
         let times = vec![0.0, 0.25, 0.5, 0.75, 1.0];
-        let r = audit_piecewise(&rows, &times, 80.0, &Tracer::disabled()).unwrap();
+        let r = checked(&rows, &times, 80.0);
         assert_eq!(r.global_connectivity, 0);
         assert_eq!(r.violations.len(), 1);
         let (lo, hi) = r.violations[0].interval;

@@ -8,6 +8,7 @@ use crate::{
 };
 use anr_assign::{euclidean_costs, hungarian};
 use anr_geom::Point;
+use anr_trace::Tracer;
 
 /// Direct translation: the robots rigidly translate by the vector
 /// between the two FoI centroids, then adjust to the optimal coverage
@@ -54,7 +55,12 @@ pub fn direct_translation(
     let times = transition.sample_times_with_breakpoints(config.time_samples);
     let timeline = transition.sample_at(&times);
     let total_distance = transition.total_length();
-    let metrics = evaluate_timeline(&timeline, problem.range, total_distance)?;
+    let metrics = evaluate_timeline(
+        &timeline,
+        problem.range,
+        total_distance,
+        &Tracer::disabled(),
+    )?;
 
     Ok(MarchOutcome {
         initial: problem.positions.clone(),
@@ -94,7 +100,12 @@ pub fn hungarian_direct(
     let times = transition.sample_times_with_breakpoints(config.time_samples);
     let timeline = transition.sample_at(&times);
     let total_distance = transition.total_length();
-    let metrics = evaluate_timeline(&timeline, problem.range, total_distance)?;
+    let metrics = evaluate_timeline(
+        &timeline,
+        problem.range,
+        total_distance,
+        &Tracer::disabled(),
+    )?;
 
     Ok(MarchOutcome {
         initial: problem.positions.clone(),

@@ -106,6 +106,7 @@ mod tests {
             samples: 2,
             audit_pieces: 1,
             audit_checks: 1,
+            violations: Vec::new(),
         }
     }
 

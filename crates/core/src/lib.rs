@@ -66,7 +66,8 @@ mod resilience;
 mod trajectory;
 
 pub use audit::{
-    audit_piecewise, audit_piecewise_with_workers, audit_trajectories, AuditReport, LinkViolation,
+    audit_piecewise, audit_piecewise_uncontracted, audit_piecewise_with_workers,
+    audit_trajectories, AuditReport, LinkViolation,
 };
 pub use baselines::{direct_translation, hungarian_direct};
 pub use distributed::{

@@ -9,7 +9,7 @@
 //! the continuous auditor in [`crate::audit`]. No sampled-instant
 //! approximation remains.
 
-use crate::audit::audit_piecewise;
+use crate::audit::{audit_piecewise, LinkViolation};
 use anr_geom::Point;
 use anr_netgraph::UnitDiskGraph;
 use anr_trace::Tracer;
@@ -224,11 +224,15 @@ pub struct TransitionMetrics {
     /// Linear motion pieces the continuous audit decomposed the timeline
     /// into (`samples - 1`, or 0 for a single-row timeline).
     pub audit_pieces: usize,
-    /// Connectivity checks the audit's event sweep performed — one per
-    /// open interval between range-crossing events. Scales with how much
-    /// link churn the motion produced, hence recorded per scenario by the
+    /// Connectivity checks the audit performed: 1 when the preserved
+    /// links alone certify `C = 1`, otherwise one per open interval
+    /// between range-crossing events of pairs joining different
+    /// components of the preserved links. Recorded per scenario by the
     /// pipeline bench.
     pub audit_checks: usize,
+    /// Every broken `M1` link with its exact out-of-range interval, in
+    /// link order (`initial_links - preserved_links` entries).
+    pub violations: Vec<LinkViolation>,
 }
 
 /// Evaluates `L`, `C` and link counts over a position timeline.
@@ -242,6 +246,9 @@ pub struct TransitionMetrics {
 /// just uniform samples. `total_distance` is **not** computed here — it
 /// depends on the exact paths — and must be supplied by the caller.
 ///
+/// The audit's spans and events go to `tracer`; tracing changes no
+/// output.
+///
 /// [`TrajectorySet::breakpoints`]: crate::TrajectorySet::breakpoints
 ///
 /// # Errors
@@ -252,6 +259,7 @@ pub fn evaluate_timeline(
     timeline: &[Vec<Point>],
     range: f64,
     total_distance: f64,
+    tracer: &Tracer,
 ) -> Result<TransitionMetrics, MetricsError> {
     let times: Vec<f64> = if timeline.len() <= 1 {
         vec![0.0]
@@ -259,7 +267,7 @@ pub fn evaluate_timeline(
         let steps = (timeline.len() - 1) as f64;
         (0..timeline.len()).map(|k| k as f64 / steps).collect()
     };
-    let report = audit_piecewise(timeline, &times, range, &Tracer::disabled())?;
+    let report = audit_piecewise(timeline, &times, range, tracer)?;
 
     // New links: present in the final graph but not initially.
     let initial = UnitDiskGraph::new(&timeline[0], range);
@@ -281,6 +289,7 @@ pub fn evaluate_timeline(
         samples: timeline.len(),
         audit_pieces: report.pieces,
         audit_checks: report.connectivity_checks,
+        violations: report.violations,
     })
 }
 
@@ -296,7 +305,7 @@ mod tests {
     fn stationary_swarm_preserves_everything() {
         let row = vec![p(0.0, 0.0), p(50.0, 0.0), p(100.0, 0.0)];
         let timeline = vec![row.clone(), row.clone(), row];
-        let m = evaluate_timeline(&timeline, 80.0, 0.0).unwrap();
+        let m = evaluate_timeline(&timeline, 80.0, 0.0, &Tracer::disabled()).unwrap();
         assert_eq!(m.stable_link_ratio, 1.0);
         assert_eq!(m.global_connectivity, 1);
         assert_eq!(m.preserved_links, 2);
@@ -315,7 +324,7 @@ mod tests {
             vec![p(0.0, 0.0), p(200.0, 0.0)],
             vec![p(0.0, 0.0), p(50.0, 0.0)],
         ];
-        let m = evaluate_timeline(&timeline, 80.0, 300.0).unwrap();
+        let m = evaluate_timeline(&timeline, 80.0, 300.0, &Tracer::disabled()).unwrap();
         assert_eq!(m.stable_link_ratio, 0.0);
         assert_eq!(m.global_connectivity, 0);
         assert_eq!(m.total_distance, 300.0);
@@ -328,7 +337,7 @@ mod tests {
             vec![p(0.0, 0.0), p(500.0, 0.0)],
             vec![p(0.0, 0.0), p(50.0, 0.0)],
         ];
-        let m = evaluate_timeline(&timeline, 80.0, 450.0).unwrap();
+        let m = evaluate_timeline(&timeline, 80.0, 450.0, &Tracer::disabled()).unwrap();
         assert_eq!(m.initial_links, 0);
         assert_eq!(m.stable_link_ratio, 1.0); // vacuous: no links to lose
         assert_eq!(m.new_links, 1);
@@ -342,7 +351,7 @@ mod tests {
             vec![p(0.0, 0.0), p(60.0, 0.0), p(120.0, 0.0)],
             vec![p(0.0, 0.0), p(60.0, 0.0), p(400.0, 0.0)],
         ];
-        let m = evaluate_timeline(&timeline, 80.0, 280.0).unwrap();
+        let m = evaluate_timeline(&timeline, 80.0, 280.0, &Tracer::disabled()).unwrap();
         assert_eq!(m.initial_links, 2);
         assert_eq!(m.preserved_links, 1);
         assert!((m.stable_link_ratio - 0.5).abs() < 1e-12);
@@ -358,7 +367,7 @@ mod tests {
                 row0.iter().map(|q| p(q.x + dx, q.y)).collect()
             })
             .collect();
-        let m = evaluate_timeline(&timeline, 80.0, 3000.0).unwrap();
+        let m = evaluate_timeline(&timeline, 80.0, 3000.0, &Tracer::disabled()).unwrap();
         assert_eq!(m.stable_link_ratio, 1.0);
         assert_eq!(m.global_connectivity, 1);
         assert_eq!(m.new_links, 0);
@@ -378,7 +387,7 @@ mod tests {
             vec![p(0.0, 0.0), p(80.2, 0.0)],
             vec![p(0.0, 0.0), p(72.4, 0.0)],
         ];
-        let m = evaluate_timeline(&timeline, 80.0, 12.0).unwrap();
+        let m = evaluate_timeline(&timeline, 80.0, 12.0, &Tracer::disabled()).unwrap();
         assert_eq!(m.preserved_links, 0);
         assert_eq!(m.global_connectivity, 0);
     }
@@ -456,15 +465,15 @@ mod tests {
             Err(MetricsError::NonPositiveRange { .. })
         ));
         assert!(matches!(
-            evaluate_timeline(&[], 80.0, 0.0),
+            evaluate_timeline(&[], 80.0, 0.0, &Tracer::disabled()),
             Err(MetricsError::EmptyTimeline)
         ));
         assert!(matches!(
-            evaluate_timeline(&[a.clone(), vec![]], 80.0, 0.0),
+            evaluate_timeline(&[a.clone(), vec![]], 80.0, 0.0, &Tracer::disabled()),
             Err(MetricsError::RaggedTimeline { .. })
         ));
         assert!(matches!(
-            evaluate_timeline(&[vec![p(f64::NAN, 0.0)]], 80.0, 0.0),
+            evaluate_timeline(&[vec![p(f64::NAN, 0.0)]], 80.0, 0.0, &Tracer::disabled()),
             Err(MetricsError::NonFinitePosition { row: 0, robot: 0 })
         ));
         // Errors render a user-facing message.
@@ -475,12 +484,18 @@ mod tests {
     #[test]
     fn samples_counted() {
         let row = vec![p(0.0, 0.0)];
-        let m = evaluate_timeline(&[row.clone(), row.clone(), row.clone()], 10.0, 0.0).unwrap();
+        let m = evaluate_timeline(
+            &[row.clone(), row.clone(), row.clone()],
+            10.0,
+            0.0,
+            &Tracer::disabled(),
+        )
+        .unwrap();
         assert_eq!(m.samples, 3);
         assert_eq!(m.stable_link_ratio, 1.0); // no links at all
         assert_eq!(m.audit_pieces, 2);
 
-        let m = evaluate_timeline(&[row], 10.0, 0.0).unwrap();
+        let m = evaluate_timeline(&[row], 10.0, 0.0, &Tracer::disabled()).unwrap();
         assert_eq!(m.audit_pieces, 0);
         assert_eq!(m.audit_checks, 1);
     }

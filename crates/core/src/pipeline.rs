@@ -283,7 +283,7 @@ pub fn march_traced(
     // ------------------------------------------------------------------
     let metrics = {
         let _s = tracer.span("metrics");
-        evaluate_timeline(&timeline, range, total_distance)?
+        evaluate_timeline(&timeline, range, total_distance, tracer)?
     };
 
     Ok(MarchOutcome {

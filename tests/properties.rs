@@ -187,4 +187,58 @@ proptest! {
             prop_assert!(sampled_connected);
         }
     }
+
+    /// The certificate-first audit against its uncontracted oracle
+    /// (every robot its own component, every candidate pair swept) on
+    /// random jittered-lattice timelines. Small swarms take the dense
+    /// pair path, large ones the grid discovery; the jitter spans
+    /// certified, multi-component and disconnected timelines.
+    #[test]
+    fn contracted_audit_matches_uncontracted_oracle(
+        seed in 0u64..1_000_000,
+        n in 12usize..90,
+        jitter in 5.0..35.0f64,
+    ) {
+        use anr_marching::march::{audit_piecewise, audit_piecewise_uncontracted};
+        use anr_marching::trace::Tracer;
+
+        const ROWS: usize = 4;
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        let side = (n as f64).sqrt().ceil() as usize;
+        let mut rows: Vec<Vec<Point>> = vec![(0..n)
+            .map(|i| Point::new(60.0 * (i % side) as f64, 60.0 * (i / side) as f64))
+            .collect()];
+        for k in 1..ROWS {
+            let next = rows[k - 1]
+                .iter()
+                .map(|q| Point::new(q.x + 40.0 + jitter * unit(), q.y + jitter * unit()))
+                .collect();
+            rows.push(next);
+        }
+        let times: Vec<f64> = (0..ROWS).map(|k| k as f64 / (ROWS - 1) as f64).collect();
+        let range = 80.0;
+
+        let got = audit_piecewise(&rows, &times, range, &Tracer::disabled()).unwrap();
+        let want = audit_piecewise_uncontracted(&rows, &times, range, 0).unwrap();
+        prop_assert_eq!(got.global_connectivity, want.global_connectivity);
+        prop_assert_eq!(got.stable_link_ratio, want.stable_link_ratio);
+        prop_assert_eq!(got.preserved_links, want.preserved_links);
+        prop_assert_eq!(&got.violations, &want.violations);
+        let (a, b) = (&got.disconnected_intervals, &want.disconnected_intervals);
+        prop_assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            prop_assert!(
+                (x.0 - y.0).abs() <= 1e-12 && (x.1 - y.1).abs() <= 1e-12,
+                "interval {:?} vs oracle {:?}", x, y
+            );
+        }
+        prop_assert!(got.components >= 1 && got.components <= n);
+        prop_assert_eq!(got.swept_pairs == 0, got.components == 1);
+    }
 }
