@@ -310,7 +310,7 @@ fn run_with_sides(
     }
     let sweep = event_sweep(sweep_side)?;
     Ok(DistsimBenchReport {
-        cores: anr_par::default_workers(),
+        cores: anr_par::available_cores(),
         repeats,
         smoke: opts.smoke,
         large: opts.large,

@@ -529,7 +529,7 @@ pub fn run_pipeline_bench(opts: &BenchOptions) -> Result<PipelineBenchReport, Be
         None
     };
     Ok(PipelineBenchReport {
-        cores: anr_par::default_workers(),
+        cores: anr_par::available_cores(),
         workers: anr_par::default_workers(),
         repeats: opts.repeats,
         smoke: opts.smoke,

@@ -110,7 +110,12 @@ impl From<anr_viz::VizError> for CliError {
     }
 }
 
-fn scenario_problem(id: u8, separation: f64, robots: usize) -> Result<MarchProblem, CliError> {
+fn scenario_problem(
+    id: u8,
+    separation: f64,
+    robots: usize,
+    tracer: &Tracer,
+) -> Result<MarchProblem, CliError> {
     let s = build_scenario(
         id,
         &ScenarioParams {
@@ -119,6 +124,7 @@ fn scenario_problem(id: u8, separation: f64, robots: usize) -> Result<MarchProbl
             ..Default::default()
         },
     )?;
+    let _deploy = tracer.span("deploy");
     Ok(MarchProblem::with_lattice_deployment(
         s.m1, s.m2, s.robots, s.range,
     )?)
@@ -186,7 +192,7 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
             separation,
             robots,
         } => {
-            let problem = scenario_problem(id, separation, robots)?;
+            let problem = scenario_problem(id, separation, robots, tracer)?;
             let config = MarchConfig::default();
             println!(
                 "scenario {id}: {} robots, separation {:.0} m",
@@ -218,7 +224,7 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
             println!("scenario,separation_ranges,method,total_distance_m,stable_link_ratio,global_connectivity");
             let mut rows: Vec<(f64, &str, f64, f64)> = Vec::new();
             for &sep in &separations {
-                let problem = scenario_problem(id, sep, 144)?;
+                let problem = scenario_problem(id, sep, 144, tracer)?;
                 for (name, m) in [
                     ("ours_a", MethodArg::OursA),
                     ("ours_b", MethodArg::OursB),
@@ -267,7 +273,7 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
             out,
             separation,
         } => {
-            let problem = scenario_problem(id, separation, 144)?;
+            let problem = scenario_problem(id, separation, 144, tracer)?;
             let outcome = march_traced(
                 &problem,
                 Method::MaxStableLinks,
@@ -318,7 +324,7 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
             workers,
             out,
         } => {
-            let problem = scenario_problem(id, 10.0, robots)?;
+            let problem = scenario_problem(id, 10.0, robots, tracer)?;
             if let Some(&c) = crashes.iter().find(|&&c| c >= problem.num_robots()) {
                 return Err(CliError::BadParameter(format!(
                     "--crashes {c} but the deployment has {} robots",
@@ -555,7 +561,7 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
             let config = MarchConfig::default();
             let mut failed = Vec::new();
             for id in ids {
-                let problem = scenario_problem(id, separation, robots)?;
+                let problem = scenario_problem(id, separation, robots, tracer)?;
                 // The march's metrics are the exact audit of its own
                 // timeline.
                 let report = run_method(&problem, method, &config, tracer)?.metrics;
@@ -811,6 +817,7 @@ mod tests {
         .unwrap();
         let events = tracer.events();
         for stage in [
+            "deploy",
             "march",
             "triangulate",
             "harmonic_m1",

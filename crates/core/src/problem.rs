@@ -40,9 +40,10 @@ impl MarchProblem {
             });
         }
         assert!(range > 0.0, "communication range must be positive");
-        let graph = UnitDiskGraph::new(&positions, range);
-        let components = graph.connected_components().len();
-        if components != 1 {
+        if !UnitDiskGraph::connected(&positions, range) {
+            let components = UnitDiskGraph::new(&positions, range)
+                .connected_components()
+                .len();
             return Err(MarchError::DisconnectedDeployment { components });
         }
         Ok(MarchProblem {

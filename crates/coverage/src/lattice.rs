@@ -12,7 +12,10 @@ use anr_geom::{Point, PolygonWithHoles};
 /// `region` (holes excluded).
 ///
 /// Rows are `spacing·√3/2` apart with odd rows offset by half a spacing,
-/// so nearest neighbors are exactly `spacing` apart.
+/// so nearest neighbors are exactly `spacing` apart. Each row is
+/// classified in one sweep ([`PolygonWithHoles::extend_row_inside`]),
+/// with the same points as testing each with
+/// [`PolygonWithHoles::contains`].
 ///
 /// # Panics
 ///
@@ -40,14 +43,8 @@ pub fn triangular_lattice(region: &PolygonWithHoles, spacing: f64) -> Vec<Point>
     let mut y = bb.min.y + row_height / 2.0;
     while y < bb.max.y {
         let offset = if row % 2 == 1 { spacing / 2.0 } else { 0.0 };
-        let mut x = bb.min.x + spacing / 2.0 + offset;
-        while x < bb.max.x {
-            let p = Point::new(x, y);
-            if region.contains(p) && !region.in_hole(p) {
-                pts.push(p);
-            }
-            x += spacing;
-        }
+        let x0 = bb.min.x + spacing / 2.0 + offset;
+        region.extend_row_inside(y, x0, spacing, bb.max.x, &mut pts);
         y += row_height;
         row += 1;
     }

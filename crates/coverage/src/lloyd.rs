@@ -180,7 +180,7 @@ pub fn run_lloyd_guarded_traced(
             }
             // Nobody moves at this fraction: the topology is exactly the
             // current one, so there is nothing to re-check.
-            if !moved || UnitDiskGraph::new(&candidate, range).is_connected() {
+            if !moved || UnitDiskGraph::connected(&candidate, range) {
                 accepted = true;
                 break;
             }

@@ -184,11 +184,17 @@ impl Polygon {
     /// Crossing-number algorithm, orientation-agnostic. Points within a
     /// small tolerance of the boundary are reported as contained.
     pub fn contains(&self, p: Point) -> bool {
-        let scale = self.bbox().diagonal().max(1.0);
-        if self.distance_to_boundary(p) <= EPS * scale * 10.0 {
+        if self.distance_to_boundary(p) <= self.boundary_tolerance() {
             return true;
         }
         self.contains_strict(p)
+    }
+
+    /// Distance within which [`Polygon::contains`] counts a point as on
+    /// the boundary: `1e-8` of the bounding-box diagonal (at least 1).
+    pub(crate) fn boundary_tolerance(&self) -> f64 {
+        let scale = self.bbox().diagonal().max(1.0);
+        EPS * scale * 10.0
     }
 
     /// Point-in-polygon by crossing number, with no boundary tolerance.
@@ -200,16 +206,64 @@ impl Polygon {
         let mut inside = false;
         let mut j = n - 1;
         for i in 0..n {
-            let vi = self.vertices[i];
-            let vj = self.vertices[j];
-            if ((vi.y > p.y) != (vj.y > p.y))
-                && (p.x < (vj.x - vi.x) * (p.y - vi.y) / (vj.y - vi.y) + vi.x)
-            {
+            if crossing_x(self.vertices[i], self.vertices[j], p.y).is_some_and(|x| p.x < x) {
                 inside = !inside;
             }
             j = i;
         }
         inside
+    }
+
+    /// One row of a sweep over the polygon at height `y`, for
+    /// [`crate::PolygonWithHoles::extend_row_inside`].
+    ///
+    /// Pushes onto `crossings` the crossing abscissa of every edge that
+    /// [`Polygon::contains_strict`] counts at this height, computed by
+    /// the same [`crossing_x`], so for any `x` the parity of
+    /// `#{c : x < c}` is `contains_strict((x, y))` bit for bit. Pushes
+    /// onto `bands` an x-interval around every edge that comes within
+    /// `half_width` of the row: every row point within `half_width` of
+    /// the boundary lies in one of them.
+    pub(crate) fn row_sweep(
+        &self,
+        y: f64,
+        half_width: f64,
+        crossings: &mut Vec<f64>,
+        bands: &mut Vec<(f64, f64)>,
+    ) {
+        let n = self.vertices.len();
+        let mut j = n - 1;
+        for i in 0..n {
+            let (a, b) = (self.vertices[i], self.vertices[j]);
+            if let Some(x) = crossing_x(a, b, y) {
+                // A NaN crossing never satisfies `x < c`: leave it out.
+                if !x.is_nan() {
+                    crossings.push(x);
+                }
+            }
+            if a.y.min(b.y) - half_width <= y && y <= a.y.max(b.y) + half_width {
+                // The part of the edge inside the slab |y' - y| <= half_width,
+                // widened by half_width: the nearest edge point of any row
+                // point within half_width of the edge lies in that part.
+                let dy = b.y - a.y;
+                let (t0, t1) = if dy == 0.0 {
+                    (0.0, 1.0)
+                } else {
+                    let lo = (y - half_width - a.y) / dy;
+                    let hi = (y + half_width - a.y) / dy;
+                    (lo.min(hi).max(0.0), lo.max(hi).min(1.0))
+                };
+                let xa = a.x + (b.x - a.x) * t0;
+                let xb = a.x + (b.x - a.x) * t1;
+                let band = (xa.min(xb) - half_width, xa.max(xb) + half_width);
+                bands.push(if band.0.is_nan() || band.1.is_nan() {
+                    (f64::NEG_INFINITY, f64::INFINITY)
+                } else {
+                    band
+                });
+            }
+            j = i;
+        }
     }
 
     /// Distance from `p` to the nearest boundary point (0 on the boundary).
@@ -358,6 +412,14 @@ impl Polygon {
         }
         Polygon::new(out).ok()
     }
+}
+
+/// Where the edge `vi`–`vj` crosses the horizontal line at height `y`,
+/// when the crossing-number test counts it there (one endpoint strictly
+/// above `y`, the other not).
+#[inline]
+fn crossing_x(vi: Point, vj: Point, y: f64) -> Option<f64> {
+    ((vi.y > y) != (vj.y > y)).then(|| (vj.x - vi.x) * (y - vi.y) / (vj.y - vi.y) + vi.x)
 }
 
 #[cfg(test)]

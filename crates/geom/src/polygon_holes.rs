@@ -5,7 +5,7 @@
 //! [`PolygonWithHoles`] is an outer simple polygon minus a set of
 //! disjoint hole polygons strictly inside it.
 
-use crate::{Aabb, GeomError, Point, Polygon, Segment, Vector, EPS};
+use crate::{Aabb, GeomError, Point, Polygon, Segment, Vector};
 
 /// An outer boundary polygon minus zero or more disjoint holes.
 ///
@@ -113,12 +113,10 @@ impl PolygonWithHoles {
         if !self.outer.contains(p) {
             return false;
         }
-        !self.holes.iter().any(|h| {
-            h.contains_strict(p) && {
-                let scale = h.bbox().diagonal().max(1.0);
-                h.distance_to_boundary(p) > EPS * scale * 10.0
-            }
-        })
+        !self
+            .holes
+            .iter()
+            .any(|h| h.contains_strict(p) && h.distance_to_boundary(p) > h.boundary_tolerance())
     }
 
     /// Is `p` strictly inside a hole (hole boundary excluded)?
@@ -129,10 +127,7 @@ impl PolygonWithHoles {
     /// Index of the hole strictly containing `p`, if any.
     pub fn hole_containing(&self, p: Point) -> Option<usize> {
         self.holes.iter().position(|h| {
-            h.contains_strict(p) && {
-                let scale = h.bbox().diagonal().max(1.0);
-                h.distance_to_boundary(p) > EPS * scale * 10.0
-            }
+            h.contains_strict(p) && h.distance_to_boundary(p) > h.boundary_tolerance()
         })
     }
 
@@ -205,17 +200,87 @@ impl PolygonWithHoles {
         let mut pts = Vec::new();
         let mut y = bb.min.y + spacing / 2.0;
         while y < bb.max.y {
-            let mut x = bb.min.x + spacing / 2.0;
-            while x < bb.max.x {
-                let p = Point::new(x, y);
-                if self.contains(p) {
-                    pts.push(p);
-                }
-                x += spacing;
-            }
+            self.extend_row_inside(y, bb.min.x + spacing / 2.0, spacing, bb.max.x, &mut pts);
             y += spacing;
         }
         pts
+    }
+
+    /// Appends to `out`, in row order, the points of the row
+    /// `(x0, y), (x0 + step, y), …` (x accumulated by repeated addition,
+    /// while `x < x_end`) that [`PolygonWithHoles::contains`] accepts.
+    ///
+    /// The result is exactly that of testing each point with
+    /// [`PolygonWithHoles::contains`], at a cost of one pass over the
+    /// edges per row instead of several per point. Each polygon's
+    /// crossings of the row are computed once, with
+    /// [`Polygon::contains_strict`]'s own expression, and swept in
+    /// order, so the parity at every point is that test's answer bit
+    /// for bit. Only points inside a conservative band around an edge
+    /// that comes within the containment tolerance of the row, where
+    /// the boundary-distance test could decide, call
+    /// [`PolygonWithHoles::contains`] itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `step <= 0`.
+    pub fn extend_row_inside(&self, y: f64, x0: f64, step: f64, x_end: f64, out: &mut Vec<Point>) {
+        assert!(step > 0.0, "row step must be positive");
+        // The outer polygon's tolerance is the largest (holes lie inside
+        // it); the band also absorbs rounding at the coordinates' scale.
+        let bb = self.bbox();
+        let magnitude = bb
+            .min
+            .x
+            .abs()
+            .max(bb.max.x.abs())
+            .max(bb.min.y.abs())
+            .max(bb.max.y.abs());
+        let half_width = 2.0 * self.outer.boundary_tolerance() + 1e-9 * magnitude;
+
+        let mut bands = Vec::new();
+        let mut parities: Vec<RowParity> = Vec::with_capacity(1 + self.holes.len());
+        for poly in std::iter::once(&self.outer).chain(&self.holes) {
+            let mut crossings = Vec::new();
+            poly.row_sweep(y, half_width, &mut crossings, &mut bands);
+            crossings.sort_unstable_by(f64::total_cmp);
+            parities.push(RowParity {
+                crossings,
+                passed: 0,
+            });
+        }
+        bands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut merged: Vec<(f64, f64)> = Vec::with_capacity(bands.len());
+        for (lo, hi) in bands {
+            match merged.last_mut() {
+                Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
+                _ => merged.push((lo, hi)),
+            }
+        }
+
+        let mut band = 0usize;
+        let mut x = x0;
+        while x < x_end {
+            while band < merged.len() && merged[band].1 < x {
+                band += 1;
+            }
+            let p = Point::new(x, y);
+            let inside = if band < merged.len() && merged[band].0 <= x {
+                self.contains(p)
+            } else {
+                // Off every band the boundary tolerance cannot apply:
+                // inside the outer polygon and strictly inside no hole.
+                let mut inside = parities[0].odd_at(x);
+                for hole in &mut parities[1..] {
+                    inside &= !hole.odd_at(x);
+                }
+                inside
+            };
+            if inside {
+                out.push(p);
+            }
+            x += step;
+        }
     }
 
     /// Returns the region translated by `v`.
@@ -224,6 +289,24 @@ impl PolygonWithHoles {
             outer: self.outer.translated(v),
             holes: self.holes.iter().map(|h| h.translated(v)).collect(),
         }
+    }
+}
+
+/// A row's sorted crossing abscissae for one polygon and how many of
+/// them lie at or left of the sweep position.
+struct RowParity {
+    crossings: Vec<f64>,
+    passed: usize,
+}
+
+impl RowParity {
+    /// Parity of the crossings strictly right of `x` — the crossing-number
+    /// answer at `x`. Calls must come with non-decreasing `x`.
+    fn odd_at(&mut self, x: f64) -> bool {
+        while self.passed < self.crossings.len() && self.crossings[self.passed] <= x {
+            self.passed += 1;
+        }
+        (self.crossings.len() - self.passed) % 2 == 1
     }
 }
 
@@ -369,6 +452,159 @@ mod tests {
         }
         // Roughly area / spacing^2 points.
         assert!((pts.len() as f64 - r.area()).abs() / r.area() < 0.15);
+    }
+
+    /// The per-point loop [`PolygonWithHoles::extend_row_inside`]
+    /// replaces: the oracle it must match exactly.
+    fn row_by_point(r: &PolygonWithHoles, y: f64, x0: f64, step: f64, x_end: f64) -> Vec<Point> {
+        let mut out = Vec::new();
+        let mut x = x0;
+        while x < x_end {
+            let q = Point::new(x, y);
+            if r.contains(q) {
+                out.push(q);
+            }
+            x += step;
+        }
+        out
+    }
+
+    fn assert_rows_match(r: &PolygonWithHoles, ys: &[f64], x0: f64, step: f64, x_end: f64) {
+        for &y in ys {
+            let mut swept = Vec::new();
+            r.extend_row_inside(y, x0, step, x_end, &mut swept);
+            assert_eq!(swept, row_by_point(r, y, x0, step, x_end), "row y = {y}");
+        }
+    }
+
+    /// Deterministic uniform draws in [0, 1) (LCG).
+    fn lcg(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A star-shaped polygon: `n` vertices at increasing angles with
+    /// random radii in `[0.4, 1] × radius`.
+    fn star(next: &mut impl FnMut() -> f64, c: Point, radius: f64, n: usize) -> Polygon {
+        let verts = (0..n)
+            .map(|k| {
+                let theta = std::f64::consts::TAU * (k as f64 + 0.8 * next()) / n as f64;
+                let rho = radius * (0.4 + 0.6 * next());
+                p(c.x + rho * theta.cos(), c.y + rho * theta.sin())
+            })
+            .collect();
+        Polygon::new(verts).unwrap()
+    }
+
+    #[test]
+    fn row_sweep_matches_per_point_contains_on_random_regions() {
+        let mut next = lcg(0x5eed);
+        let mut regions = 0;
+        for trial in 0..60 {
+            let c = p(next() * 2000.0 - 1000.0, next() * 2000.0 - 1000.0);
+            let radius = 50.0 + next() * 500.0;
+            let outer = star(&mut next, c, radius, 5 + trial % 40);
+            let holes: Vec<Polygon> = (0..trial % 4)
+                .map(|_| {
+                    let hc = p(
+                        c.x + (next() - 0.5) * 0.5 * radius,
+                        c.y + (next() - 0.5) * 0.5 * radius,
+                    );
+                    let hr = radius * (0.05 + 0.1 * next());
+                    star(&mut next, hc, hr, 3 + trial % 9)
+                })
+                .collect();
+            let Ok(region) = PolygonWithHoles::new(outer, holes) else {
+                continue;
+            };
+            regions += 1;
+            let bb = region.bbox();
+            let step = bb.width() / (5.0 + next() * 120.0);
+            let x0 = bb.min.x - step * next();
+            let mut ys: Vec<f64> = (0..25).map(|_| bb.min.y + next() * bb.height()).collect();
+            // Rows through every vertex: crossings there are decided by
+            // the strict `>` of the crossing-number test.
+            for poly in std::iter::once(region.outer()).chain(region.holes()) {
+                ys.extend(poly.vertices().iter().map(|v| v.y));
+            }
+            assert_rows_match(&region, &ys, x0, step, bb.max.x + step);
+            assert_eq!(
+                region.grid_points(step),
+                {
+                    let mut pts = Vec::new();
+                    let mut y = bb.min.y + step / 2.0;
+                    while y < bb.max.y {
+                        pts.extend(row_by_point(
+                            &region,
+                            y,
+                            bb.min.x + step / 2.0,
+                            step,
+                            bb.max.x,
+                        ));
+                        y += step;
+                    }
+                    pts
+                },
+                "grid_points, trial {trial}"
+            );
+        }
+        assert!(regions > 40, "only {regions} valid random regions");
+    }
+
+    #[test]
+    fn row_sweep_matches_on_rows_along_edges_and_through_vertices() {
+        // Rectangle with a hole whose edges lie on sample rows and whose
+        // corners are sample points: every boundary case lands on a row.
+        let outer = Polygon::rectangle(Point::ORIGIN, 10.0, 10.0);
+        let hole = Polygon::rectangle(p(4.0, 4.0), 2.0, 2.0);
+        let r = PolygonWithHoles::new(outer, vec![hole]).unwrap();
+        let ys: Vec<f64> = (-2..=22).map(|k| k as f64 * 0.5).collect();
+        assert_rows_match(&r, &ys, -1.0, 0.5, 11.0);
+        assert_rows_match(&r, &ys, -1.0, 0.25, 11.0);
+        assert!(r.grid_points(1.0).len() > 80);
+
+        // Staircase outer boundary and a diamond hole with every vertex
+        // on the half-unit lattice the rows and samples use.
+        let stairs = Polygon::new(vec![
+            p(0.0, 0.0),
+            p(8.0, 0.0),
+            p(8.0, 2.0),
+            p(6.0, 2.0),
+            p(6.0, 4.0),
+            p(4.0, 4.0),
+            p(4.0, 6.0),
+            p(2.0, 6.0),
+            p(2.0, 8.0),
+            p(0.0, 8.0),
+        ])
+        .unwrap();
+        let diamond =
+            Polygon::new(vec![p(2.0, 1.0), p(3.0, 2.0), p(2.0, 3.0), p(1.0, 2.0)]).unwrap();
+        let r = PolygonWithHoles::new(stairs, vec![diamond]).unwrap();
+        let ys: Vec<f64> = (-1..=17).map(|k| k as f64 * 0.5).collect();
+        assert_rows_match(&r, &ys, -0.5, 0.5, 8.5);
+        assert_rows_match(&r, &ys, -0.5, 0.1, 8.5);
+
+        // Far from the origin, where the tolerance band must absorb the
+        // coordinates' rounding.
+        let far = r.translated(Vector::new(3.0e7, -4.0e7));
+        let ys: Vec<f64> = ys.iter().map(|y| y - 4.0e7).collect();
+        assert_rows_match(&far, &ys, 3.0e7 - 0.5, 0.5, 3.0e7 + 8.5);
+    }
+
+    #[test]
+    fn row_sweep_handles_empty_and_outside_rows() {
+        let r = region();
+        let mut out = Vec::new();
+        r.extend_row_inside(5.0, 3.0, 1.0, 3.0, &mut out); // x0 == x_end: no samples
+        r.extend_row_inside(-5.0, 0.0, 1.0, 10.0, &mut out); // below the region
+        r.extend_row_inside(5.0, 20.0, 1.0, 30.0, &mut out); // right of it
+        assert!(out.is_empty());
     }
 
     #[test]

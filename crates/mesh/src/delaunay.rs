@@ -9,6 +9,11 @@ use anr_geom::{in_circle, orient2d, Aabb, Point};
 /// inserted by removing every triangle whose circumcircle contains it and
 /// re-triangulating the resulting cavity.
 ///
+/// The triangles whose circumcircle may contain a point are looked up in
+/// a bucket grid of their circumcircles over the input's bounding box
+/// rather than found by scanning every live triangle; the cavity, the
+/// new triangles and their order are exactly those of the scan.
+///
 /// The output indices match the input point order. Near-duplicate points
 /// (closer than `1e-9` times the bounding-box diagonal) are rejected via
 /// [`MeshError::DegenerateTriangle`]-free construction — they simply
@@ -71,16 +76,17 @@ pub fn delaunay(points: &[Point]) -> Result<TriMesh, MeshError> {
     let mut ccy: Vec<f64> = vec![c0y];
     let mut cr2: Vec<f64> = vec![c0r];
     let mut dead = 0usize;
+    let mut index = CircleIndex::new(&bb, n);
+    index.file(0, c0x, c0y, c0r);
 
+    let mut bad: Vec<usize> = Vec::new();
     for pi in 0..n {
         let p = verts[pi];
 
-        // Find all "bad" triangles whose circumcircle contains p.
-        let mut bad: Vec<usize> = Vec::new();
-        for ti in 0..tris.len() {
-            if !alive[ti] {
-                continue;
-            }
+        // Find all "bad" triangles whose circumcircle contains p. Every
+        // triangle the prefilter can pass is among the candidates.
+        bad.clear();
+        index.for_each_candidate(p, &alive, |ti| {
             let dx = p.x - ccx[ti];
             let dy = p.y - ccy[ti];
             let d2 = dx * dx + dy * dy;
@@ -89,7 +95,7 @@ pub fn delaunay(points: &[Point]) -> Result<TriMesh, MeshError> {
             // error of the cached center (degenerate triangles cache an
             // infinite radius and always fall through to the exact test).
             if d2 > r2 + 1e-6 * (d2 + r2) {
-                continue;
+                return;
             }
             let t = tris[ti];
             let (a, b, c) = (verts[t[0]], verts[t[1]], verts[t[2]]);
@@ -104,7 +110,9 @@ pub fn delaunay(points: &[Point]) -> Result<TriMesh, MeshError> {
             if in_circle(a, b, c, p) > 1e-12 * scale {
                 bad.push(ti);
             }
-        }
+        });
+        // Slot order, as a scan over the triangle list finds them.
+        bad.sort_unstable();
 
         // Boundary of the cavity: edges of bad triangles not shared by
         // two bad triangles.
@@ -148,6 +156,7 @@ pub fn delaunay(points: &[Point]) -> Result<TriMesh, MeshError> {
                 continue;
             }
             let (cx, cy, r2) = circumcircle(verts[t[0]], verts[t[1]], verts[t[2]]);
+            index.file(tris.len(), cx, cy, r2);
             tris.push(t);
             alive.push(true);
             ccx.push(cx);
@@ -160,9 +169,11 @@ pub fn delaunay(points: &[Point]) -> Result<TriMesh, MeshError> {
         // identical to the never-compacted scan.
         dead += bad.len();
         if dead * 2 > tris.len() && tris.len() > 64 {
+            let mut slot: Vec<Option<usize>> = vec![None; tris.len()];
             let mut w = 0usize;
             for r in 0..tris.len() {
                 if alive[r] {
+                    slot[r] = Some(w);
                     tris[w] = tris[r];
                     ccx[w] = ccx[r];
                     ccy[w] = ccy[r];
@@ -176,6 +187,7 @@ pub fn delaunay(points: &[Point]) -> Result<TriMesh, MeshError> {
             cr2.truncate(w);
             alive.truncate(w);
             alive.fill(true);
+            index.remap(&slot);
             dead = 0;
         }
     }
@@ -194,6 +206,137 @@ pub fn delaunay(points: &[Point]) -> Result<TriMesh, MeshError> {
 
     verts.truncate(n);
     TriMesh::new(verts, final_tris)
+}
+
+/// Largest number of grid cells a circle is filed under; wider circles
+/// (the super-triangle's fan) go to the overflow list.
+const MAX_FILED_CELLS: usize = 64;
+
+/// The triangles' cached circumcircles filed in a uniform bucket grid
+/// over the input's bounding box (about one input point per cell).
+///
+/// Each circle is widened well past the prefilter's slack and filed
+/// under every cell its bounding box overlaps; circles that are not
+/// finite or overlap more than [`MAX_FILED_CELLS`] cells go to an
+/// overflow list. A point's cell, computed by the same monotone map,
+/// therefore lists every triangle whose circle the prefilter could let
+/// the point into, and the overflow list holds the rest. Dead triangles
+/// are dropped lazily when a list is visited and on compaction.
+struct CircleIndex {
+    x0: f64,
+    y0: f64,
+    inv_cell: f64,
+    nx: usize,
+    ny: usize,
+    /// Absolute widening: rounding at the coordinates' magnitude.
+    slack: f64,
+    cells: Vec<Vec<usize>>,
+    overflow: Vec<usize>,
+}
+
+impl CircleIndex {
+    fn new(bb: &Aabb, n: usize) -> Self {
+        let (w, h) = (bb.width(), bb.height());
+        let magnitude = bb
+            .min
+            .x
+            .abs()
+            .max(bb.max.x.abs())
+            .max(bb.min.y.abs())
+            .max(bb.max.y.abs());
+        let cell = (w * h / n as f64).sqrt().max(bb.diagonal() / n as f64);
+        // Beyond ~1e100 the prefilter's squared distances could overflow
+        // and stop being conservative: one cell then lists every filed
+        // triangle, which is the plain scan.
+        let (nx, ny) = if cell > 0.0 && cell.is_finite() && magnitude < 1e100 {
+            (
+                ((w / cell).ceil() as usize).clamp(1, n),
+                ((h / cell).ceil() as usize).clamp(1, n),
+            )
+        } else {
+            (1, 1)
+        };
+        CircleIndex {
+            x0: bb.min.x,
+            y0: bb.min.y,
+            inv_cell: 1.0 / cell,
+            nx,
+            ny,
+            slack: 1e-9 * magnitude,
+            cells: vec![Vec::new(); nx * ny],
+            overflow: Vec::new(),
+        }
+    }
+
+    /// Cell column or row of coordinate `v`: monotone in `v`, clamped
+    /// to the grid (NaN lands in cell 0).
+    fn bucket(v: f64, origin: f64, inv_cell: f64, count: usize) -> usize {
+        ((v - origin) * inv_cell)
+            .floor()
+            .max(0.0)
+            .min((count - 1) as f64) as usize
+    }
+
+    fn cell_of(&self, x: f64, y: f64) -> (usize, usize) {
+        (
+            Self::bucket(x, self.x0, self.inv_cell, self.nx),
+            Self::bucket(y, self.y0, self.inv_cell, self.ny),
+        )
+    }
+
+    /// Files triangle `ti` with cached circle `(cx, cy, r2)`.
+    fn file(&mut self, ti: usize, cx: f64, cy: f64, r2: f64) {
+        if !(cx.is_finite() && cy.is_finite() && r2.is_finite()) {
+            self.overflow.push(ti);
+            return;
+        }
+        // The prefilter passes only points within ~(1 + 3e-6)·r of the
+        // cached center; 1e-3 more keeps the box edges' rounding inside.
+        let r = r2.sqrt() * (1.0 + 1e-3) + self.slack;
+        let (ix0, iy0) = self.cell_of(cx - r, cy - r);
+        let (ix1, iy1) = self.cell_of(cx + r, cy + r);
+        if (ix1 - ix0 + 1) * (iy1 - iy0 + 1) > MAX_FILED_CELLS {
+            self.overflow.push(ti);
+            return;
+        }
+        for iy in iy0..=iy1 {
+            for ix in ix0..=ix1 {
+                self.cells[iy * self.nx + ix].push(ti);
+            }
+        }
+    }
+
+    /// Calls `visit` once for every live triangle filed under `p`'s cell
+    /// or in the overflow list, dropping the dead entries it meets.
+    fn for_each_candidate(&mut self, p: Point, alive: &[bool], mut visit: impl FnMut(usize)) {
+        let (ix, iy) = self.cell_of(p.x, p.y);
+        for list in [&mut self.cells[iy * self.nx + ix], &mut self.overflow] {
+            list.retain(|&ti| {
+                if alive[ti] {
+                    visit(ti);
+                }
+                alive[ti]
+            });
+        }
+    }
+
+    /// Renames filed triangles after compaction (`slot[old]` is the new
+    /// index, `None` for a dropped dead triangle).
+    fn remap(&mut self, slot: &[Option<usize>]) {
+        for list in self
+            .cells
+            .iter_mut()
+            .chain(std::iter::once(&mut self.overflow))
+        {
+            list.retain_mut(|ti| match slot[*ti] {
+                Some(new) => {
+                    *ti = new;
+                    true
+                }
+                None => false,
+            });
+        }
+    }
 }
 
 /// Circumcircle of triangle `abc` as `(center_x, center_y, radius²)`.

@@ -120,50 +120,7 @@ impl FoiMesher {
     ///   coarse to resolve a hole or a neck).
     /// * Any error from the underlying Delaunay step.
     pub fn mesh(&self, region: &PolygonWithHoles) -> Result<FoiMesh, MeshError> {
-        let mut points: Vec<Point> = Vec::new();
-
-        // Boundary samples are jittered tangentially-agnostically by the
-        // same magnitude as grid points: exactly collinear runs along
-        // polygon edges are a worst case for the incremental Delaunay
-        // cavity and the offset is far below the mesh resolution.
-        let bjit = self.jitter * self.spacing * 0.1;
-        let mut bk = 0xB0D5u64;
-
-        // Outer boundary samples.
-        for p in region
-            .outer()
-            .resample_boundary(self.spacing, self.min_boundary_points)
-        {
-            bk += 1;
-            points.push(if bjit > 0.0 { jittered(p, bk, bjit) } else { p });
-        }
-
-        // Hole boundary samples.
-        for h in region.holes() {
-            for p in h.resample_boundary(self.spacing, 8.max(self.min_boundary_points / 2)) {
-                bk += 1;
-                points.push(if bjit > 0.0 { jittered(p, bk, bjit) } else { p });
-            }
-        }
-
-        let n_boundary = points.len();
-
-        // Interior grid, inset from all boundaries to avoid slivers.
-        let inset = 0.45 * self.spacing;
-        let mut k = 0u64;
-        for p in region.grid_points(self.spacing) {
-            k += 1;
-            if region.distance_to_boundary(p) <= inset {
-                continue;
-            }
-            let q = if self.jitter > 0.0 {
-                jittered(p, k, self.jitter * self.spacing)
-            } else {
-                p
-            };
-            points.push(q);
-        }
-
+        let points = self.points(region);
         if points.len() < 3 {
             return Err(MeshError::EmptyMesh);
         }
@@ -177,7 +134,7 @@ impl FoiMesher {
         for (ti, t) in dt.triangles().iter().enumerate() {
             let tri = dt.triangle(ti);
             let c = tri.centroid();
-            if !region.contains(c) || region.in_hole(c) {
+            if !region.contains(c) {
                 continue;
             }
             // Reject slivers spanning a concave notch of the *outer*
@@ -210,7 +167,6 @@ impl FoiMesher {
             }
             tris.push(nt);
         }
-        let _ = n_boundary;
 
         let mesh = TriMesh::new(verts, tris)?;
         let loops = mesh.boundary_loops();
@@ -235,6 +191,55 @@ impl FoiMesher {
             outer_loop,
             hole_loops,
         })
+    }
+
+    /// The points [`FoiMesher::mesh`] triangulates: jittered samples of
+    /// the outer boundary, then of each hole boundary, then the jittered
+    /// interior grid points farther than `0.45·spacing` from every
+    /// boundary.
+    pub fn points(&self, region: &PolygonWithHoles) -> Vec<Point> {
+        let mut points: Vec<Point> = Vec::new();
+
+        // Boundary samples are jittered tangentially-agnostically by the
+        // same magnitude as grid points: exactly collinear runs along
+        // polygon edges are a worst case for the incremental Delaunay
+        // cavity and the offset is far below the mesh resolution.
+        let bjit = self.jitter * self.spacing * 0.1;
+        let mut bk = 0xB0D5u64;
+
+        // Outer boundary samples.
+        for p in region
+            .outer()
+            .resample_boundary(self.spacing, self.min_boundary_points)
+        {
+            bk += 1;
+            points.push(if bjit > 0.0 { jittered(p, bk, bjit) } else { p });
+        }
+
+        // Hole boundary samples.
+        for h in region.holes() {
+            for p in h.resample_boundary(self.spacing, 8.max(self.min_boundary_points / 2)) {
+                bk += 1;
+                points.push(if bjit > 0.0 { jittered(p, bk, bjit) } else { p });
+            }
+        }
+
+        // Interior grid, inset from all boundaries to avoid slivers.
+        let inset = 0.45 * self.spacing;
+        let mut k = 0u64;
+        for p in region.grid_points(self.spacing) {
+            k += 1;
+            if region.distance_to_boundary(p) <= inset {
+                continue;
+            }
+            let q = if self.jitter > 0.0 {
+                jittered(p, k, self.jitter * self.spacing)
+            } else {
+                p
+            };
+            points.push(q);
+        }
+        points
     }
 }
 

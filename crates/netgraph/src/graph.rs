@@ -85,6 +85,122 @@ impl UnitDiskGraph {
         }
     }
 
+    /// Is the unit-disk graph of `positions` connected? The same answer
+    /// as `UnitDiskGraph::new(positions, range).is_connected()`, without
+    /// building the adjacency.
+    ///
+    /// Robots are bucketed into half-range sub-cells nested in the
+    /// constructor's range cells: the fractional part of `x / range`
+    /// picks the half of the range cell `floor(x / range)`. Robots
+    /// sharing a sub-cell are within `range·√2/2` of each other, so each
+    /// sub-cell starts as one set, checked with one distance per robot
+    /// against its first robot (a robot that fails the check, possible
+    /// only at coordinates beyond ~10¹⁴ ranges, makes its sub-cell test
+    /// every pair). Two sub-cells whose range cells are neighbours are
+    /// then joined by their first pair within range, and only while they
+    /// are still apart. Every union is a link of the constructor's graph
+    /// and every link it finds ends in one set, so the components agree.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `range <= 0` or a position is non-finite.
+    pub fn connected(positions: &[Point], range: f64) -> bool {
+        assert!(range > 0.0, "communication range must be positive");
+        assert!(
+            positions.iter().all(|p| p.is_finite()),
+            "positions must be finite"
+        );
+        let r2 = range * range;
+        let within = |i: usize, j: usize| positions[i].distance_sq(positions[j]) <= r2;
+
+        // Robots sorted by (range cell, sub-cell quadrant): sub-cells and
+        // range cells are runs.
+        let split = |v: f64| {
+            let q = v / range;
+            (q.floor() as i64, u8::from(q - q.floor() >= 0.5))
+        };
+        let mut keyed: Vec<((i64, i64), u8, usize)> = positions
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let ((kx, hx), (ky, hy)) = (split(p.x), split(p.y));
+                ((kx, ky), hx | (hy << 1), i)
+            })
+            .collect();
+        keyed.sort_unstable();
+
+        struct SubCell {
+            cell: (i64, i64),
+            robots: Vec<usize>,
+            /// Every robot is linked to the first.
+            whole: bool,
+        }
+        let mut uf = UnionFind::new(positions.len());
+        let mut subcells: Vec<SubCell> = Vec::new();
+        for run in keyed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let robots: Vec<usize> = run.iter().map(|e| e.2).collect();
+            let mut whole = true;
+            for &m in &robots[1..] {
+                if within(m, robots[0]) {
+                    uf.union(m, robots[0]);
+                } else {
+                    whole = false;
+                }
+            }
+            if !whole {
+                for (k, &a) in robots.iter().enumerate() {
+                    for &b in &robots[k + 1..] {
+                        if within(a, b) {
+                            uf.union(a, b);
+                        }
+                    }
+                }
+            }
+            subcells.push(SubCell {
+                cell: run[0].0,
+                robots,
+                whole,
+            });
+        }
+
+        let mut join = |a: &SubCell, b: &SubCell| {
+            let whole = a.whole && b.whole;
+            if whole && uf.connected(a.robots[0], b.robots[0]) {
+                return;
+            }
+            for &i in &a.robots {
+                for &j in &b.robots {
+                    if within(i, j) {
+                        uf.union(i, j);
+                        if whole {
+                            return;
+                        }
+                    }
+                }
+            }
+        };
+        for (s, a) in subcells.iter().enumerate() {
+            // Later sub-cells of the same range cell, then those of the
+            // range cells at (kx, ky + 1) and (kx + 1, ky - 1 ..= ky + 1):
+            // each neighbouring pair once, as in the constructor's 3 × 3
+            // scan.
+            for b in subcells[s + 1..].iter().take_while(|b| b.cell == a.cell) {
+                join(a, b);
+            }
+            let (kx, ky) = a.cell;
+            for (dx, dy) in [(0, 1), (1, -1), (1, 0), (1, 1)] {
+                let (Some(nx), Some(ny)) = (kx.checked_add(dx), ky.checked_add(dy)) else {
+                    continue;
+                };
+                let first = subcells.partition_point(|b| b.cell < (nx, ny));
+                for b in subcells[first..].iter().take_while(|b| b.cell == (nx, ny)) {
+                    join(a, b);
+                }
+            }
+        }
+        uf.num_sets() <= 1
+    }
+
     /// Number of robots.
     #[inline]
     pub fn len(&self) -> usize {
@@ -343,6 +459,75 @@ mod tests {
                 assert_eq!(g.has_link(i, j), expect, "link ({i}, {j})");
             }
         }
+    }
+
+    #[test]
+    fn connected_matches_the_built_graph() {
+        // Random sets around the connectivity threshold; a fifth of them
+        // snap coordinates onto range-cell and sub-cell boundaries.
+        let mut seed: u64 = 0xC0FFEE;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut connected_sets = 0;
+        for trial in 0..4000 {
+            let range = [80.0, 1.0, 0.3, 1e-3][trial % 4];
+            let n = 1 + (next() * 60.0) as usize;
+            let side = range * (n as f64).sqrt() * (0.3 + 1.2 * next());
+            let origin = p((next() - 0.5) * 1e3 * range, (next() - 0.5) * 1e3 * range);
+            let snap = trial % 5 == 0;
+            let pts: Vec<Point> = (0..n)
+                .map(|_| {
+                    let q = p(origin.x + next() * side, origin.y + next() * side);
+                    if snap {
+                        let h = range / 2.0;
+                        p((q.x / h).round() * h, (q.y / h).round() * h)
+                    } else {
+                        q
+                    }
+                })
+                .collect();
+            let expect = UnitDiskGraph::new(&pts, range).is_connected();
+            assert_eq!(
+                UnitDiskGraph::connected(&pts, range),
+                expect,
+                "trial {trial}: {pts:?} at range {range}"
+            );
+            connected_sets += usize::from(expect);
+        }
+        assert!(
+            (800..3200).contains(&connected_sets),
+            "{connected_sets} of 4000 sets connected"
+        );
+    }
+
+    #[test]
+    fn connected_handles_degenerate_sets() {
+        assert!(UnitDiskGraph::connected(&[], 10.0));
+        assert!(UnitDiskGraph::connected(&[p(3.0, 4.0)], 10.0));
+        // Coincident robots share every cell.
+        assert!(UnitDiskGraph::connected(&[p(1.0, 1.0); 5], 10.0));
+        // Links exactly at the range and just beyond it.
+        assert!(UnitDiskGraph::connected(&line(6, 80.0), 80.0));
+        assert!(!UnitDiskGraph::connected(&line(6, 80.000001), 80.0));
+        // Near 2⁶³ robots 1024 apart share `x / range` (its ulp is 1024
+        // there), so one sub-cell holds robots beyond range of each other
+        // and must test them pairwise.
+        let range = 1.9;
+        let mut far: Vec<Point> = (0..8)
+            .map(|i| p(2f64.powi(63) - 4096.0 - 1024.0 * i as f64, 5.0))
+            .collect();
+        assert!(far
+            .windows(2)
+            .any(|w| w[0].x / range == w[1].x / range && w[0].distance(w[1]) > range));
+        assert!(!UnitDiskGraph::connected(&far, range));
+        assert!(!UnitDiskGraph::new(&far, range).is_connected());
+        far.truncate(1);
+        far.push(far[0]);
+        assert!(UnitDiskGraph::connected(&far, range));
     }
 
     #[test]

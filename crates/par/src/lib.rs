@@ -57,6 +57,15 @@ pub fn default_workers() -> usize {
             }
         }
     }
+    available_cores()
+}
+
+/// The machine's logical cores ([`std::thread::available_parallelism`],
+/// 1 when unknown). Unlike [`default_workers`] it ignores
+/// `ANR_WORKERS`: it says where a measurement ran, not how wide it fanned
+/// out.
+#[must_use]
+pub fn available_cores() -> usize {
     thread::available_parallelism().map_or(1, usize::from)
 }
 
@@ -223,5 +232,14 @@ mod tests {
     #[test]
     fn default_workers_is_at_least_one() {
         assert!(default_workers() >= 1);
+    }
+
+    #[test]
+    fn available_cores_is_the_machines_parallelism() {
+        let cores = available_cores();
+        assert!(cores >= 1);
+        if let Ok(n) = thread::available_parallelism() {
+            assert_eq!(cores, usize::from(n));
+        }
     }
 }

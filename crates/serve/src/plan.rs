@@ -66,8 +66,9 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Builds the marching problem a request describes.
-fn build_problem(req: &PlanRequest) -> Result<MarchProblem, PlanError> {
+/// Builds the marching problem a request describes; the lattice
+/// deployment runs under a `deploy` span.
+fn build_problem(req: &PlanRequest, tracer: &Tracer) -> Result<MarchProblem, PlanError> {
     let robots = req.robots as usize;
     let (m1, m2, range) = match &req.target {
         PlanTarget::Scenario(id) => {
@@ -97,6 +98,7 @@ fn build_problem(req: &PlanRequest) -> Result<MarchProblem, PlanError> {
             (m1, m2, SERVE_RANGE)
         }
     };
+    let _deploy = tracer.span("deploy");
     MarchProblem::with_lattice_deployment(m1, m2, robots, range)
         .map_err(|e| PlanError::BadRequest(format!("cannot deploy {robots} robots: {e}")))
 }
@@ -131,7 +133,7 @@ fn clamp_u32(v: usize) -> u32 {
 ///
 /// A typed [`PlanError`]; the caller turns it into a wire error frame.
 pub fn execute_plan(req: &PlanRequest, tracer: &Tracer) -> Result<Vec<u8>, PlanError> {
-    let problem = build_problem(req)?;
+    let problem = build_problem(req, tracer)?;
     let config = build_config(req);
     let method = match req.method {
         PlanMethod::MaxStableLinks => Method::MaxStableLinks,

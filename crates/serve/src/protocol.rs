@@ -44,6 +44,16 @@ pub const CHUNK_POINTS: usize = 4096;
 /// Largest polygon a request may carry.
 pub const MAX_POLYGON_VERTICES: usize = 4096;
 
+/// Largest swarm a request may ask for: the largest any benchmark tier
+/// marches. Deploying it already means bisecting a lattice of that size
+/// dozens of times, and one plan holds a worker for its whole march.
+pub const MAX_ROBOTS: u32 = 10_000;
+
+/// Largest `time_samples` override a request may carry (20× the default
+/// of 50). The march allocates the sample instants up front, so an
+/// unbounded count could exhaust memory and abort the whole server.
+pub const MAX_TIME_SAMPLES: u32 = 1_000;
+
 /// Hard ceiling on any frame a client accepts (header, chunk, end or
 /// error); far above the `CHUNK_POINTS` bound, far below "trust the
 /// peer's length word".
@@ -324,7 +334,8 @@ impl<'a> Cursor<'a> {
 
 /// Decodes a canonical request payload, rejecting anything the encoder
 /// cannot produce (unknown version/enum values, NaN floats, oversized
-/// polygons, trailing bytes).
+/// polygons, trailing bytes) and any plan the server will not take on
+/// (more than [`MAX_ROBOTS`] robots or [`MAX_TIME_SAMPLES`] samples).
 ///
 /// # Errors
 ///
@@ -358,6 +369,9 @@ pub fn decode_request(payload: &[u8]) -> Result<PlanRequest, WireError> {
         _ => return Err(WireError::Malformed("unknown target kind")),
     };
     let robots = c.u32()?;
+    if robots > MAX_ROBOTS {
+        return Err(WireError::Malformed("more robots than MAX_ROBOTS"));
+    }
     let seed = c.u64()?;
     let method = match c.u8()? {
         0 => PlanMethod::MaxStableLinks,
@@ -369,6 +383,11 @@ pub fn decode_request(payload: &[u8]) -> Result<PlanRequest, WireError> {
         return Err(WireError::Malformed("separation must be positive"));
     }
     let time_samples = c.u32()?;
+    if time_samples > MAX_TIME_SAMPLES {
+        return Err(WireError::Malformed(
+            "more time samples than MAX_TIME_SAMPLES",
+        ));
+    }
     let refine_coverage = match c.u8()? {
         0 => false,
         1 => true,
@@ -606,6 +625,34 @@ mod tests {
         let mut req = PlanRequest::scenario(1);
         req.separation_ranges = f64::NAN;
         assert!(decode_request(&encode_request(&req)).is_err());
+    }
+
+    #[test]
+    fn swarm_and_sample_counts_are_bounded() {
+        let mut req = PlanRequest::scenario(1);
+        req.robots = MAX_ROBOTS;
+        req.time_samples = MAX_TIME_SAMPLES;
+        assert_eq!(decode_request(&encode_request(&req)).unwrap(), req);
+        for robots in [MAX_ROBOTS + 1, u32::MAX] {
+            let over = PlanRequest {
+                robots,
+                ..req.clone()
+            };
+            assert!(matches!(
+                decode_request(&encode_request(&over)),
+                Err(WireError::Malformed(_))
+            ));
+        }
+        for time_samples in [MAX_TIME_SAMPLES + 1, u32::MAX] {
+            let over = PlanRequest {
+                time_samples,
+                ..req.clone()
+            };
+            assert!(matches!(
+                decode_request(&encode_request(&over)),
+                Err(WireError::Malformed(_))
+            ));
+        }
     }
 
     #[test]

@@ -10,12 +10,13 @@ use anr_serve::{
     PlanReply, PlanRequest, PlanTarget, ServeConfig, CHUNK_POINTS, ERR_BAD_REQUEST, ERR_INTERNAL,
     ERR_MALFORMED, ERR_OVERSIZED, ERR_UNKNOWN_SCENARIO, KIND_PLAN_REQUEST, KIND_RESP_BUSY,
     KIND_RESP_CHUNK, KIND_RESP_END, KIND_RESP_ERROR, KIND_RESP_HEADER, MAX_POLYGON_VERTICES,
-    MAX_RESPONSE_FRAME, MAX_TIMELINE_POINTS, SERVE_RANGE,
+    MAX_RESPONSE_FRAME, MAX_ROBOTS, MAX_TIMELINE_POINTS, MAX_TIME_SAMPLES, SERVE_RANGE,
 };
 use anr_trace::Tracer;
 use common::{cheap_request, with_server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 fn small_config() -> ServeConfig {
@@ -218,6 +219,46 @@ fn typed_errors_never_take_the_server_down() {
     }
 }
 
+/// Sends `over`, expects a malformed-request error, then checks that a
+/// normal request on the same server still gets a plan.
+fn rejected_at_decode_then_served(over: &PlanRequest) {
+    let tracer = Tracer::disabled();
+    let (.., report) = with_server(small_config(), &tracer, |server| {
+        match request_plan(server.port(), over).expect("reply") {
+            PlanReply::ServerError { code, .. } => assert_eq!(code, ERR_MALFORMED),
+            other => panic!("expected a malformed error, got {other:?}"),
+        }
+        match request_plan(server.port(), &cheap_request(1)).expect("healthy request") {
+            PlanReply::Plan(_) => {}
+            other => panic!("server should still serve plans, got {other:?}"),
+        }
+    });
+    assert_eq!(report.stats.protocol_errors, 1);
+    assert_eq!(report.stats.plan_errors, 0);
+    assert_eq!(report.stats.served, 1);
+    assert_eq!(report.stats.worker_panics, 0);
+}
+
+#[test]
+fn swarms_beyond_max_robots_are_malformed() {
+    for robots in [MAX_ROBOTS + 1, u32::MAX] {
+        rejected_at_decode_then_served(&PlanRequest {
+            robots,
+            ..cheap_request(1)
+        });
+    }
+}
+
+#[test]
+fn time_samples_beyond_max_are_malformed() {
+    for time_samples in [MAX_TIME_SAMPLES + 1, u32::MAX] {
+        rejected_at_decode_then_served(&PlanRequest {
+            time_samples,
+            ..cheap_request(1)
+        });
+    }
+}
+
 /// Reads one frame and asserts it is an error frame, returning its code.
 fn read_error_code(stream: &mut TcpStream) -> u8 {
     stream
@@ -240,25 +281,58 @@ fn admission_backpressure_sends_busy() {
         queue_capacity: 1,
         ..ServeConfig::default()
     };
+    let busy_seen = AtomicBool::new(false);
     let (.., report) = with_server(config, &tracer, |server| {
         let port = server.port();
-        // Two concurrent roles: a hog occupying the single worker with
-        // a slow (default-config) march, and a probe that fills the
-        // queue and collects the Busy refusal while the hog is in
-        // flight.
+        let wait_for = |what: &str, ready: &dyn Fn() -> bool| {
+            for _ in 0..6000 {
+                if ready() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            panic!("timed out waiting for {what}");
+        };
+        // Two concurrent roles: a hog occupying the single worker, and a
+        // probe that fills the queue and collects the Busy refusal while
+        // the hog is in flight. The hog holds the worker by withholding
+        // its request bytes until the probe has read the Busy frame (the
+        // worker's 30 s read timeout bounds the wait), so the test does
+        // not depend on how long a march takes.
         let roles = [true, false]; // true = hog, false = probe
         let outcomes = anr_par::par_map(&roles, roles.len(), |&hogging| {
             if hogging {
-                match request_plan(port, &PlanRequest::scenario(1)) {
-                    Ok(PlanReply::Plan(_)) => true,
-                    other => panic!("slow request should complete, got {other:?}"),
+                let mut hog = TcpStream::connect(("127.0.0.1", port)).expect("hog conn");
+                wait_for("the Busy refusal", &|| busy_seen.load(Ordering::SeqCst));
+                write_frame(
+                    &mut hog,
+                    KIND_PLAN_REQUEST,
+                    &encode_request(&cheap_request(1)),
+                )
+                .expect("hog request");
+                hog.set_read_timeout(Some(Duration::from_secs(120)))
+                    .expect("timeout");
+                // The hog's request completes: header, chunks, end.
+                let (kind, _) = read_frame(&mut hog, MAX_RESPONSE_FRAME).expect("hog reply");
+                assert_eq!(kind, KIND_RESP_HEADER, "the hog's request should complete");
+                loop {
+                    let (kind, _) = read_frame(&mut hog, MAX_RESPONSE_FRAME).expect("hog stream");
+                    if kind == KIND_RESP_END {
+                        break;
+                    }
+                    assert_eq!(kind, KIND_RESP_CHUNK, "the hog's request should complete");
                 }
+                true
             } else {
-                std::thread::sleep(Duration::from_millis(300));
+                // The hog's connection is accepted, and the idle worker
+                // takes it off the queue (the server exposes no queue
+                // depth, so allow it a moment)...
+                wait_for("the hog's connection", &|| server.stats().accepted >= 1);
+                std::thread::sleep(Duration::from_millis(200));
 
-                // Fill the queue with a second connection...
+                // ...a second connection fills the queue...
                 let mut queued = TcpStream::connect(("127.0.0.1", port)).expect("queued conn");
-                std::thread::sleep(Duration::from_millis(100));
+                wait_for("the queued connection", &|| server.stats().accepted >= 2);
 
                 // ...so the third is refused with an explicit Busy
                 // frame before its request is even read.
@@ -271,6 +345,7 @@ fn admission_backpressure_sends_busy() {
                 let mut body = vec![0u8; u32::from_be_bytes(lenb) as usize];
                 refused.read_exact(&mut body).expect("busy body");
                 assert_eq!(body, vec![KIND_RESP_BUSY], "expected a bare Busy frame");
+                busy_seen.store(true, Ordering::SeqCst);
 
                 // The queued connection still gets served once the hog
                 // finishes: send its request now.
