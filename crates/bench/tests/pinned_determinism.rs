@@ -12,8 +12,8 @@ use anr_bench::scenario_problem_sized;
 use anr_coverage::GridPartition;
 use anr_harmonic::{fill_holes, harmonic_map_to_disk, DiskOverlay, HarmonicConfig, Solver};
 use anr_march::{
-    audit_piecewise_uncontracted, audit_piecewise_with_workers, march, MarchConfig, MarchProblem,
-    Method,
+    audit_knots, audit_piecewise, audit_piecewise_with_workers, march, AuditReport, KnotTimeline,
+    MarchConfig, MarchOutcome, MarchProblem, Method,
 };
 use anr_netgraph::{extract_triangulation, UnitDiskGraph};
 use anr_trace::Tracer;
@@ -96,85 +96,180 @@ fn rotation_batch_matches_serial_on_every_scenario() {
     }
 }
 
-/// The parallel audit report is identical — every field, every violation
-/// interval — at workers 1, 2 and 8, on real march timelines from a
+/// The march's own knots: its transition waypoints, then the Lloyd
+/// rows at the end of its dense timeline.
+fn knots_of(outcome: &MarchOutcome) -> KnotTimeline {
+    let lloyd = &outcome.timeline[outcome.timeline.len() - outcome.lloyd_iterations..];
+    KnotTimeline::from_trajectories(&outcome.transition, lloyd).unwrap()
+}
+
+/// The true instants of the march's dense rows: the transition's
+/// samples on `s ∈ [0, 1]`, then Lloyd iterate `k` at `s = 1 + k`.
+fn true_instants(outcome: &MarchOutcome, config: &MarchConfig) -> Vec<f64> {
+    let mut times = outcome
+        .transition
+        .sample_times_with_breakpoints(config.time_samples);
+    times.extend((1..=outcome.lloyd_iterations).map(|k| 1.0 + k as f64));
+    assert_eq!(times.len(), outcome.timeline.len());
+    times
+}
+
+/// The knot audit of a march, checked against the march's own metrics
+/// and against the dense reference run on the march's dense rows at
+/// their true instants: `C`, `L`, the preserved links and the violating
+/// links exactly, interval endpoints and maximum distances within 1e-9.
+fn knot_audit_checked(problem: &MarchProblem, method: Method, key: &str) -> AuditReport {
+    let config = MarchConfig::default();
+    let outcome = march(problem, method, &config).unwrap();
+    let initial = UnitDiskGraph::new(&problem.positions, problem.range);
+    let got = audit_knots(&knots_of(&outcome), &initial, 0, &Tracer::disabled()).unwrap();
+    let m = &outcome.metrics;
+    assert_eq!(
+        (m.global_connectivity, m.preserved_links, &m.violations),
+        (
+            got.global_connectivity,
+            got.preserved_links,
+            &got.violations
+        ),
+        "{key}: the march's metrics are not its own audit"
+    );
+    let times = true_instants(&outcome, &config);
+    let want = audit_piecewise(
+        &outcome.timeline,
+        &times,
+        problem.range,
+        &Tracer::disabled(),
+    )
+    .unwrap();
+    assert_eq!(got.global_connectivity, want.global_connectivity, "{key}");
+    assert_eq!(got.stable_link_ratio, want.stable_link_ratio, "{key}");
+    assert_eq!(got.preserved_links, want.preserved_links, "{key}");
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9;
+    let links = |r: &AuditReport| r.violations.iter().map(|v| v.link).collect::<Vec<_>>();
+    assert_eq!(links(&got), links(&want), "{key}");
+    for (g, w) in got.violations.iter().zip(&want.violations) {
+        assert!(
+            close(g.interval.0, w.interval.0)
+                && close(g.interval.1, w.interval.1)
+                && close(g.max_distance, w.max_distance),
+            "{key}: {g:?} vs {w:?}"
+        );
+    }
+    let (a, b) = (&got.disconnected_intervals, &want.disconnected_intervals);
+    assert_eq!(a.len(), b.len(), "{key}: {a:?} vs {b:?}");
+    for (x, y) in a.iter().zip(b) {
+        assert!(close(x.0, y.0) && close(x.1, y.1), "{key}: {x:?} vs {y:?}");
+    }
+    got
+}
+
+/// The knot audit report is identical — every field, every violation
+/// interval — at workers 1, 2 and 8, on real marches of a
 /// simply-connected scenario, a hole-detour scenario, and scenario 6,
 /// whose preserved links leave two components so the contracted sweep
-/// runs.
+/// runs. The dense reference is pinned the same way.
 #[test]
 fn audit_identical_across_worker_counts() {
     for id in [1u8, 4, 6] {
         let problem = scenario_problem(id);
         let config = MarchConfig::default();
         let outcome = march(&problem, Method::MaxStableLinks, &config).unwrap();
-        let rows = &outcome.timeline;
-        assert!(rows.len() >= 2, "scenario {id}: march produced no motion");
-        let times: Vec<f64> = (0..rows.len())
-            .map(|k| k as f64 / (rows.len() - 1) as f64)
-            .collect();
+        let knots = knots_of(&outcome);
+        let initial = UnitDiskGraph::new(&problem.positions, problem.range);
         let tracer = Tracer::disabled();
-        let reference =
-            audit_piecewise_with_workers(rows, &times, problem.range, 1, &tracer).unwrap();
+        let reference = audit_knots(&knots, &initial, 1, &tracer).unwrap();
         if id == 6 {
             assert!(
                 reference.components > 1 && reference.swept_pairs > 0,
                 "scenario 6 no longer exercises the contracted sweep"
             );
         }
+        let rows = &outcome.timeline;
+        let times = true_instants(&outcome, &config);
+        let dense = audit_piecewise_with_workers(rows, &times, problem.range, 1, &tracer).unwrap();
         for workers in [2usize, 8] {
+            let report = audit_knots(&knots, &initial, workers, &tracer).unwrap();
+            assert_eq!(
+                reference, report,
+                "scenario {id}: knot audit changed at {workers} workers"
+            );
             let report =
                 audit_piecewise_with_workers(rows, &times, problem.range, workers, &tracer)
                     .unwrap();
             assert_eq!(
-                reference, report,
-                "scenario {id}: audit report changed at {workers} workers"
+                dense, report,
+                "scenario {id}: dense audit changed at {workers} workers"
             );
         }
     }
 }
 
-/// The certificate-first audit agrees with its uncontracted oracle on
-/// every scenario's real march timeline at 144 and 256 robots: `C`,
-/// `L`, the violations and the preserved links exactly, the
-/// disconnected intervals in count and to the 1e-12 event-merge
-/// tolerance. The march's own metrics are that same audit.
+/// The knot audit agrees with the dense reference on every scenario's
+/// real march, methods (a) and (b), at 144, 400 and 1296 robots.
 #[test]
-fn audit_matches_uncontracted_oracle_on_every_scenario() {
-    for robots in [144usize, 256] {
+fn knot_audit_matches_dense_reference_on_every_scenario() {
+    for robots in [144usize, 400, 1296] {
         for id in 1..=7u8 {
             let problem = scenario_problem_sized(id, SEPARATION, robots).unwrap();
-            let outcome = march(&problem, Method::MaxStableLinks, &MarchConfig::default()).unwrap();
-            let rows = &outcome.timeline;
-            let times: Vec<f64> = (0..rows.len())
-                .map(|k| k as f64 / (rows.len() - 1) as f64)
-                .collect();
-            let got =
-                audit_piecewise_with_workers(rows, &times, problem.range, 0, &Tracer::disabled())
-                    .unwrap();
-            let want = audit_piecewise_uncontracted(rows, &times, problem.range, 0).unwrap();
-            let key = format!("scenario {id} at {robots} robots");
-            assert_eq!(got.global_connectivity, want.global_connectivity, "{key}");
-            assert_eq!(got.stable_link_ratio, want.stable_link_ratio, "{key}");
-            assert_eq!(got.preserved_links, want.preserved_links, "{key}");
-            assert_eq!(got.violations, want.violations, "{key}");
-            let (a, b) = (&got.disconnected_intervals, &want.disconnected_intervals);
-            assert_eq!(a.len(), b.len(), "{key}");
-            for (x, y) in a.iter().zip(b) {
-                assert!(
-                    (x.0 - y.0).abs() <= 1e-12 && (x.1 - y.1).abs() <= 1e-12,
-                    "{key}: {x:?} vs {y:?}"
-                );
+            for method in [Method::MaxStableLinks, Method::MinMovingDistance] {
+                let key = format!("scenario {id}, {method:?}, {robots} robots");
+                knot_audit_checked(&problem, method, &key);
             }
-            let m = &outcome.metrics;
-            assert_eq!(
-                (m.global_connectivity, m.preserved_links, &m.violations),
-                (
-                    got.global_connectivity,
-                    got.preserved_links,
-                    &got.violations
-                ),
-                "{key}: the march's metrics are not its own audit"
-            );
         }
     }
+}
+
+/// The three known marches that lose connectivity during the
+/// transition (ROADMAP item 1): each audit reports `C = 0` with the
+/// preserved-link count `anr scenario` prints for it, and agrees with
+/// the dense reference.
+fn assert_connectivity_lost(
+    id: u8,
+    separation: f64,
+    method: Method,
+    (preserved, initial): (usize, usize),
+) {
+    let problem = scenario_problem_sized(id, separation, 100).unwrap();
+    let key = format!("scenario {id}, separation {separation}, {method:?}");
+    let r = knot_audit_checked(&problem, method, &key);
+    assert_eq!(r.global_connectivity, 0, "{key}");
+    assert!(!r.disconnected_intervals.is_empty(), "{key}");
+    assert_eq!(
+        (r.preserved_links, r.initial_links),
+        (preserved, initial),
+        "{key}"
+    );
+}
+
+#[test]
+fn scenario3_method_a_separation_100_loses_connectivity() {
+    assert_connectivity_lost(3, 100.0, Method::MaxStableLinks, (201, 263));
+}
+
+#[test]
+fn scenario3_method_b_separation_30_loses_connectivity() {
+    assert_connectivity_lost(3, 30.0, Method::MinMovingDistance, (176, 263));
+}
+
+#[test]
+fn scenario6_method_b_separation_5_loses_connectivity() {
+    assert_connectivity_lost(6, 5.0, Method::MinMovingDistance, (176, 252));
+}
+
+/// A hole scenario's whole dense timeline, pinned by the FNV-1a 64 of
+/// its coordinates' bits: the transition rows filled block by block and
+/// the Lloyd rows after them stay byte-identical.
+#[test]
+fn hole_scenario_timeline_is_pinned() {
+    let problem = scenario_problem(4);
+    let outcome = march(&problem, Method::MaxStableLinks, &MarchConfig::default()).unwrap();
+    let mut bytes = Vec::new();
+    for p in outcome.timeline.iter().flatten() {
+        bytes.extend_from_slice(&p.x.to_bits().to_be_bytes());
+        bytes.extend_from_slice(&p.y.to_bits().to_be_bytes());
+    }
+    assert_eq!(
+        (outcome.timeline.len(), anr_serve::fnv1a64(&bytes)),
+        (349, 0xb754_3959_204d_804c)
+    );
 }

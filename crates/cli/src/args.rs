@@ -299,8 +299,10 @@ GLOBAL FLAGS:
                          fault-sweep cells) as JSON Lines
 
 `anr audit` re-checks the continuous-time connectivity guarantee with
-the closed-form per-link extremum (no sampling) and exits non-zero if
-any audited transition ever disconnects.
+the closed-form per-link extremum (no sampling) over each robot's own
+breakpoints, and exits non-zero if any audited march ever disconnects.
+Its intervals are on the march's time axis s: the transition runs over
+s in [0, 1] and Lloyd iteration k over [k, k + 1].
 
 `anr fault-sweep` runs the grid on the discrete-event engine, which
 steps only the robots with work to do, so dormant robots cost nothing

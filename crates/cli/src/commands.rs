@@ -823,6 +823,8 @@ mod tests {
             "harmonic_m1",
             "harmonic_m2",
             "lloyd",
+            "metrics",
+            "new_links",
         ] {
             assert!(
                 events.iter().any(|e| e.name == stage),

@@ -1,10 +1,11 @@
 //! Continuous-time invariant audit: exact link stability and global
 //! connectivity over piecewise-linear motion (Definitions 1 and 2).
 //!
-//! The paper's definitions quantify over **every instant** `t ∈ [0, T]`.
-//! For synchronized piecewise-linear motion the squared inter-robot
-//! distance on one linear piece is a convex quadratic in the time
-//! parameter,
+//! The paper's definitions quantify over **every instant** of the march.
+//! Under Eqn. 2 every robot moves in straight lines between its own
+//! breakpoints (its *knots*, see [`KnotTimeline`]), so on each piece of
+//! the merge of two robots' knots both move linearly and their squared
+//! distance is a convex quadratic in the time parameter,
 //!
 //! ```text
 //! d²(τ) = ‖u + τ·w‖² = ‖w‖² τ² + 2(u·w) τ + ‖u‖²,
@@ -14,8 +15,8 @@
 //! displacement over the piece), so no sampling is ever needed:
 //!
 //! * the **maximum** of `d` over a piece is attained at a piece endpoint
-//!   (convexity) — a link is stable on `[0, T]` iff it is within range
-//!   at every piece breakpoint;
+//!   (convexity) — a link is stable on the whole axis iff it is within
+//!   range at every merged knot;
 //! * the instants where a pair **crosses** the range `r` are the roots
 //!   of `d²(τ) = r²` — the unit-disk edge set only changes at those
 //!   roots, so connectivity is certified by checking one instant inside
@@ -27,9 +28,10 @@
 //! The audit runs in three steps, each doing only the work its metric
 //! needs:
 //!
-//! 1. **Link pass.** Only the initial links are walked down the
-//!    timeline. Each walk depends on its own pair alone, so this already
-//!    yields every violation, the preserved links and `L` exactly.
+//! 1. **Link pass.** Only the initial links are walked, each over the
+//!    merge of its two robots' knots. Each walk depends on its own pair
+//!    alone, so this already yields every violation, the preserved links
+//!    and `L` exactly.
 //! 2. **Certificate.** A preserved link is in range at every instant, so
 //!    the robots it joins stay connected throughout. Union-find over the
 //!    preserved links gives `k` components; `k = 1` certifies `C = 1`
@@ -37,47 +39,49 @@
 //! 3. **Contracted sweep.** Otherwise only pairs whose endpoints lie in
 //!    different components can change the answer (a pair inside one
 //!    component is a self-loop of the contracted graph). Those pairs are
-//!    walked, and their crossing instants form one global event axis —
-//!    motion is continuous across rows, so a row is both the end of one
-//!    piece and the start of the next — on which a single offline
-//!    dynamic-connectivity pass over the `k` component ids decides `C`:
-//!    a divide-and-conquer with a rollback union-find whose independent
-//!    subtrees fan out over [`anr_par`].
+//!    walked the same way, and their crossing instants form one global
+//!    event axis on which a single offline dynamic-connectivity pass over
+//!    the `k` component ids decides `C`: a divide-and-conquer with a
+//!    rollback union-find whose independent subtrees fan out over
+//!    [`anr_par`].
 //!
-//! The sweep's pair discovery is batched into *epochs* of consecutive
-//! pieces: one uniform grid built at the epoch's first row prunes the
-//! `O(n²)` pair set for every piece of the epoch (robots move at most
-//! the epoch's displacement budget, so the grid stays conservative).
-//! Positions and per-robot cumulative displacements are laid out as flat
-//! robot-major arrays, and each walked pair skips with a
-//! displacement bound: while the pair's distance is provably farther
-//! from `r` than the two robots can close, whole runs of pieces are
-//! skipped in `O(log)` without evaluating a single quadratic. All of
-//! this is observation-order independent — every parallel path returns
+//! The sweep's pair discovery is batched into *epochs* of the time axis:
+//! one uniform grid built at the epoch's start prunes the `O(n²)` pair
+//! set for the whole epoch. Each robot's deviation over an epoch is
+//! bounded by summing `|Δp − v·Δs|` over its own pieces, with `v` one
+//! drift velocity shared by all robots (inter-robot distances are
+//! invariant under a common drift, so any shared `v` keeps the bound
+//! valid; the swarm's mean keeps it tight), and a pair must start the
+//! epoch within `range` plus both robots' deviations. All of this is
+//! observation-order independent — every parallel path returns
 //! byte-identical results at any worker count.
 //!
-//! [`audit_piecewise`] runs both checks over an explicit breakpoint
-//! timeline; [`audit_trajectories`] derives that timeline from a
-//! [`TrajectorySet`]'s own polyline waypoints. Violations are reported
-//! with the offending link, the exact out-of-range interval, and the
-//! maximum distance reached, and are mirrored as `anr-trace` events.
+//! [`audit_knots`] is the production audit; [`audit_trajectories`]
+//! builds the knots of a [`TrajectorySet`] and runs it. The dense
+//! [`audit_piecewise`] runs the same three steps over an explicit
+//! timeline with every robot at every row, and is the reference the knot
+//! audit is tested against. Violations are reported with the offending
+//! link, the exact out-of-range interval, and the maximum distance
+//! reached, and are mirrored as `anr-trace` events.
 
+use crate::knots::{lerp_piece, KnotTimeline};
 use crate::metrics::MetricsError;
 use crate::trajectory::TrajectorySet;
 use anr_geom::Point;
 use anr_netgraph::{RollbackUnionFind, UnionFind, UnitDiskGraph};
 use anr_trace::{TraceValue, Tracer};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-/// An initial link that left communication range during the transition.
+/// An initial link that left communication range during the march.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkViolation {
     /// The offending link `(i, j)`, `i < j`.
     pub link: (usize, usize),
-    /// First maximal normalized-time interval during which the pair was
-    /// out of range (exact roots of `d²(s) = r²`, not samples).
+    /// First maximal interval of the audited time axis during which the
+    /// pair was out of range (exact roots of `d²(s) = r²`, not samples).
     pub interval: (f64, f64),
-    /// Maximum distance the pair reached over the whole transition.
+    /// Maximum distance the pair reached over the whole axis.
     pub max_distance: f64,
 }
 
@@ -96,11 +100,17 @@ pub struct AuditReport {
     pub global_connectivity: u8,
     /// Every broken initial link, with its exact violation interval.
     pub violations: Vec<LinkViolation>,
-    /// Maximal normalized-time intervals during which the network was
-    /// disconnected (empty iff `global_connectivity == 1`).
+    /// Maximal intervals of the audited time axis during which the
+    /// network was disconnected (empty iff `global_connectivity == 1`).
     pub disconnected_intervals: Vec<(f64, f64)>,
-    /// Linear motion pieces audited (timeline rows − 1).
+    /// Linear motion pieces audited: every robot's own pieces summed
+    /// (`knots − robots`) for [`audit_knots`]; timeline rows − 1 for the
+    /// dense [`audit_piecewise`], whose row steps move every robot at
+    /// once.
     pub pieces: usize,
+    /// Knots audited: every robot's own breakpoints summed
+    /// (`robots × rows` for a dense timeline).
+    pub knots: usize,
     /// Connectivity check instants examined: one per open interval
     /// between consecutive cross-component crossing events on the
     /// contracted event axis (events + 1), or 1 when the preserved links
@@ -122,35 +132,73 @@ impl AuditReport {
     }
 }
 
-/// Audits a [`TrajectorySet`] continuously over `s ∈ [0, 1]`.
-///
-/// The breakpoint timeline is the union of every polyline's waypoint
-/// instants, so each piece is exactly linear and the audit is exact.
+/// Audits a [`TrajectorySet`] continuously over `s ∈ [0, 1]`: the
+/// [`audit_knots`] of its waypoints, with the links of the unit-disk
+/// graph at `s = 0`.
 ///
 /// # Errors
 ///
-/// [`MetricsError`] on empty sets, non-positive range, or non-finite
-/// positions.
+/// [`MetricsError`] on non-positive range or non-finite positions.
 pub fn audit_trajectories(
     set: &TrajectorySet,
     range: f64,
     tracer: &Tracer,
 ) -> Result<AuditReport, MetricsError> {
-    let times = set.breakpoints();
-    let rows: Vec<Vec<Point>> = times.iter().map(|&s| set.positions_at(s)).collect();
-    audit_piecewise(&rows, &times, range, tracer)
+    check_range(range)?;
+    let knots = KnotTimeline::from_trajectories(set, &[])?;
+    let initial = UnitDiskGraph::new(&knots.initial_positions(), range);
+    audit_knots(&knots, &initial, 0, tracer)
 }
 
-/// Audits an explicit piecewise-linear timeline: `rows[k]` holds every
-/// robot's position at normalized time `times[k]`, and every robot moves
-/// **linearly** between consecutive rows (rows must therefore include
-/// every trajectory breakpoint — see
-/// [`TrajectorySet::breakpoints`]).
+/// Audits each robot's own piecewise-linear motion: the initial links
+/// are `initial`'s (the unit-disk graph of every robot's first knot, at
+/// `initial.range()`), and every instant of `knots.bounds()` counts.
 ///
 /// Emits `audit_violation` events inside an `audit_links` span,
 /// `audit_disconnect` events inside an `audit_sweep` span (opened only
 /// when the preserved links leave more than one component), and a final
 /// `audit_summary` event.
+///
+/// Pair chunks of the link pass and of the sweep, discovery epochs and
+/// subtrees of the offline dynamic connectivity fan out over `workers`
+/// threads (0 = auto). Each is merged back in deterministic input order,
+/// so the report (and every trace event) is byte-identical whatever
+/// `workers` is.
+///
+/// # Errors
+///
+/// [`MetricsError::LengthMismatch`] when `initial` covers a different
+/// number of robots than `knots`.
+pub fn audit_knots(
+    knots: &KnotTimeline,
+    initial: &UnitDiskGraph,
+    workers: usize,
+    tracer: &Tracer,
+) -> Result<AuditReport, MetricsError> {
+    if initial.len() != knots.robots() {
+        return Err(MetricsError::LengthMismatch {
+            expected: knots.robots(),
+            got: initial.len(),
+        });
+    }
+    let motion = KnotMotion::new(knots, initial.range());
+    Ok(run_audit(
+        &motion,
+        &initial.links(),
+        workers,
+        tracer,
+        true,
+        (knots.len() - knots.robots(), knots.len()),
+    ))
+}
+
+/// Audits an explicit piecewise-linear timeline: `rows[k]` holds every
+/// robot's position at normalized time `times[k]`, and every robot moves
+/// **linearly** between consecutive rows (rows must therefore include
+/// every trajectory breakpoint — see [`TrajectorySet::breakpoints`]).
+///
+/// This dense form is the reference [`audit_knots`] is tested against;
+/// it emits the same spans and events.
 ///
 /// Worker count: [`anr_par::default_workers`]. The result is
 /// byte-identical at any worker count (see
@@ -211,9 +259,8 @@ pub fn audit_piecewise_uncontracted(
     audit_contracted(rows, times, range, workers, &Tracer::disabled(), false)
 }
 
-/// The three-step audit. With `certify`, the sweep runs on the
-/// components of the preserved links; without it, every robot is its
-/// own component.
+/// The dense audit. With `certify`, the sweep runs on the components of
+/// the preserved links; without it, every robot is its own component.
 fn audit_contracted(
     rows: &[Vec<Point>],
     times: &[f64],
@@ -222,24 +269,64 @@ fn audit_contracted(
     tracer: &Tracer,
     certify: bool,
 ) -> Result<AuditReport, MetricsError> {
-    validate(rows, times, range)?;
-    let n = rows[0].len();
-    let pieces = rows.len() - 1;
-    let (t0, t1) = (times[0], times[pieces]);
+    check_range(range)?;
+    validate_rows(rows, times)?;
     let stripes = Stripes::new(rows, times, range);
+    let links = UnitDiskGraph::new(&rows[0], range).links();
+    let counts = (rows.len() - 1, rows.len() * rows[0].len());
+    Ok(run_audit(
+        &stripes, &links, workers, tracer, certify, counts,
+    ))
+}
+
+/// A motion the three audit steps can walk: pair by pair over its
+/// pieces, and epoch by epoch for the sweep's pair discovery.
+trait Motion: Sync {
+    /// One grid pass of the sweep's pair discovery.
+    type Epoch: Sync;
+
+    /// Number of robots.
+    fn robots(&self) -> usize;
+
+    /// The audited time axis.
+    fn bounds(&self) -> (f64, f64);
+
+    /// Walks pair `(i, j)` over every piece on which both move
+    /// linearly, recording its spans, events and violation in `out`.
+    fn walk_pair(&self, out: &mut PairScan, i: usize, j: usize);
+
+    /// Discovery epochs covering the whole axis.
+    fn epochs(&self) -> Vec<Self::Epoch>;
+
+    /// The robots' positions at the epoch's start, and a cutoff: every
+    /// pair that comes within range during the epoch starts it within
+    /// the cutoff.
+    fn epoch_grid(&self, epoch: &Self::Epoch) -> (Cow<'_, [Point]>, f64);
+}
+
+/// The three audit steps over `motion`, whose initial links are `links`
+/// (in index order). `counts` is the report's `(pieces, knots)`.
+fn run_audit<M: Motion>(
+    motion: &M,
+    links: &[(usize, usize)],
+    workers: usize,
+    tracer: &Tracer,
+    certify: bool,
+    counts: (usize, usize),
+) -> AuditReport {
+    let n = motion.robots();
+    let (t0, t1) = motion.bounds();
 
     // ------------------------------------------------------------------
     // 1. Link pass. A violating link is exactly an initial link whose
     // in-range spans fail to cover [t0, t1] (d² is convex per piece, so
     // any excursion beyond range shows up as a span gap). The walker
     // reports each one with its first out-of-range interval and its
-    // row-maximum distance, in link order.
+    // maximum distance, in link order.
     // ------------------------------------------------------------------
-    let links = UnitDiskGraph::new(&rows[0], range).links();
     let link_pass = tracer.span("audit_links");
     let link_pairs: Vec<(u32, u32)> = links.iter().map(|&(i, j)| (i as u32, j as u32)).collect();
-    let violations: Vec<LinkViolation> = stripes
-        .walk(&link_pairs, workers)
+    let violations: Vec<LinkViolation> = walk(motion, &link_pairs, workers)
         .violations
         .into_iter()
         .map(|(i, j, lo, hi, max_distance)| LinkViolation {
@@ -270,7 +357,7 @@ fn audit_contracted(
     let (comp, components): (Vec<u32>, usize) = if certify {
         let mut uf = UnionFind::new(n);
         let mut broken = violations.iter().map(|v| v.link).peekable();
-        for &(i, j) in &links {
+        for &(i, j) in links {
             if broken.next_if_eq(&(i, j)).is_none() {
                 uf.union(i, j);
             }
@@ -295,17 +382,17 @@ fn audit_contracted(
     // ------------------------------------------------------------------
     // 3. Contracted sweep. Only cross-component pairs can join or split
     // components, and the contracted graph changes only at their
-    // crossing instants (plus exact-at-a-row status flips, which the
+    // crossing instants (plus exact-at-a-knot status flips, which the
     // walker reports explicitly), so one check instant inside each open
-    // interval between consecutive events certifies the whole timeline.
+    // interval between consecutive events certifies the whole axis.
     // ------------------------------------------------------------------
     let mut disconnected_intervals: Vec<(f64, f64)> = Vec::new();
     let (mut connectivity_checks, mut swept_pairs) = (1, 0);
     if components > 1 {
         let _sweep = tracer.span("audit_sweep");
-        let pairs = stripes.cross_pairs(rows, &comp, workers);
+        let pairs = cross_pairs(motion, &comp, workers);
         swept_pairs = pairs.len();
-        let scan = stripes.walk(&pairs, workers);
+        let scan = walk(motion, &pairs, workers);
 
         let mut events: Vec<f64> = scan
             .events
@@ -363,13 +450,14 @@ fn audit_contracted(
         global_connectivity: u8::from(disconnected_intervals.is_empty()),
         violations,
         disconnected_intervals,
-        pieces,
+        pieces: counts.0,
+        knots: counts.1,
         connectivity_checks,
         components,
         swept_pairs,
     };
     trace_summary(tracer, &report);
-    Ok(report)
+    report
 }
 
 fn trace_summary(tracer: &Tracer, report: &AuditReport) {
@@ -399,6 +487,7 @@ fn trace_summary(tracer: &Tracer, report: &AuditReport) {
             ),
             ("components", TraceValue::U64(report.components as u64)),
             ("swept_pairs", TraceValue::U64(report.swept_pairs as u64)),
+            ("knots", TraceValue::U64(report.knots as u64)),
         ],
     );
 }
@@ -406,26 +495,411 @@ fn trace_summary(tracer: &Tracer, report: &AuditReport) {
 /// Pair-walk output, all values on the global time axis.
 #[derive(Default)]
 struct PairScan {
-    /// Edge-set change instants (crossing roots plus exact-at-a-row
-    /// status flips), unsorted, possibly including the timeline bounds.
+    /// Edge-set change instants (crossing roots plus exact-at-a-knot
+    /// status flips), unsorted, possibly including the axis bounds.
     events: Vec<f64>,
     /// Maximal closed in-range intervals, grouped by pair and
     /// time-sorted within a pair.
     spans: Vec<(u32, u32, f64, f64)>,
     /// `(i, j, out_lo, out_hi, max_distance)` for every walked pair
-    /// that was in range at `times[0]` but not for the whole timeline,
+    /// that was in range at the axis start but not for the whole axis,
     /// in walk order.
     violations: Vec<(u32, u32, f64, f64, f64)>,
 }
 
-/// Struct-of-arrays timeline layout shared by every pair walk:
-/// positions plus a per-robot cumulative *deviation* prefix, robot-major
-/// (`arr[i * nrows + r]`). The deviation frame subtracts each piece's
-/// mean displacement over all robots: inter-robot distances are
-/// invariant under the common drift, so every skip and cutoff bound
+/// Walks every pair over the whole axis. Pair chunks are independent;
+/// concatenating their outputs in order keeps spans and violations in
+/// pair order.
+fn walk<M: Motion>(motion: &M, pairs: &[(u32, u32)], workers: usize) -> PairScan {
+    let outs: Vec<PairScan> = anr_par::par_chunks(pairs, 2048, workers, |chunk| {
+        let mut out = PairScan::default();
+        for &(i, j) in chunk {
+            motion.walk_pair(&mut out, i as usize, j as usize);
+        }
+        out
+    });
+    let mut all = PairScan::default();
+    for o in outs {
+        all.events.extend(o.events);
+        all.spans.extend(o.spans);
+        all.violations.extend(o.violations);
+    }
+    all
+}
+
+/// Every pair `i < j` with `comp[i] != comp[j]` that can come within
+/// range at some instant, in index order.
+///
+/// One uniform grid per discovery epoch marks every pair that can come
+/// within range during that epoch. The union across epochs (a bit-OR,
+/// order-independent) is the full candidate set; pairs never marked are
+/// provably never in range.
+fn cross_pairs<M: Motion>(motion: &M, comp: &[u32], workers: usize) -> Vec<(u32, u32)> {
+    let n = comp.len();
+    let cross = |i: u32, j: u32| comp[i as usize] != comp[j as usize];
+    if n < 64 {
+        return (0..n as u32)
+            .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
+            .filter(|&(i, j)| cross(i, j))
+            .collect();
+    }
+    let words = (n * n).div_ceil(64);
+    // One bitset per chunk of epochs, not per epoch: the OR is the same
+    // either way, and fewer live bitsets keep the peak memory down.
+    let sets: Vec<Vec<u64>> = anr_par::par_chunks(&motion.epochs(), 8, workers, |chunk| {
+        let mut bits = vec![0u64; words];
+        for epoch in chunk {
+            let (start, cutoff) = motion.epoch_grid(epoch);
+            for_each_near_pair(&start, cutoff, &mut |i, j| {
+                let idx = i * n + j;
+                bits[idx >> 6] |= 1 << (idx & 63);
+            });
+        }
+        bits
+    });
+    let mut bits = vec![0u64; words];
+    for s in &sets {
+        for (w, &v) in bits.iter_mut().zip(s) {
+            *w |= v;
+        }
+    }
+    let mut pairs = Vec::new();
+    for (wi, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            let idx = wi * 64 + word.trailing_zeros() as usize;
+            let (i, j) = ((idx / n) as u32, (idx % n) as u32);
+            if cross(i, j) {
+                pairs.push((i, j));
+            }
+            word &= word - 1;
+        }
+    }
+    pairs
+}
+
+/// One pair's walk over consecutive linear pieces: whether the pair is
+/// in range at the current breakpoint, and when its open in-range span
+/// began. Both walkers feed it the same per-piece quadratic.
+struct PairState {
+    i: u32,
+    j: u32,
+    initial_in: bool,
+    prev_in: bool,
+    open: Option<f64>,
+    first_span: usize,
+}
+
+impl PairState {
+    /// Starts a walk at `t0`, where the pair's squared distance is `d2`.
+    fn start(out: &PairScan, i: usize, j: usize, d2: f64, r2: f64, t0: f64) -> Self {
+        let initial_in = d2 <= r2;
+        PairState {
+            i: i as u32,
+            j: j as u32,
+            initial_in,
+            prev_in: initial_in,
+            open: initial_in.then_some(t0),
+            first_span: out.spans.len(),
+        }
+    }
+
+    /// One linear piece `[piece_lo, piece_hi]` over which the pair's
+    /// relative position moves from `(ux, uy)` by `(wx, wy)`: the exact
+    /// roots of `d² = r²` become events and span ends.
+    fn piece(
+        &mut self,
+        out: &mut PairScan,
+        (ux, uy): (f64, f64),
+        (wx, wy): (f64, f64),
+        piece_lo: f64,
+        piece_hi: f64,
+        r2: f64,
+    ) {
+        let (qa, qb, qc) = (wx * wx + wy * wy, ux * wx + uy * wy, ux * ux + uy * uy - r2);
+        let span_w = piece_hi - piece_lo;
+        let mut iv: Option<(f64, f64)> = None;
+        if qa <= 0.0 {
+            if qc <= 0.0 {
+                iv = Some((0.0, 1.0));
+            }
+        } else {
+            let disc = qb * qb - qa * qc;
+            if disc <= 0.0 {
+                if qc <= 0.0 {
+                    iv = Some((0.0, 1.0));
+                }
+            } else {
+                let sq = disc.sqrt();
+                let (root1, root2) = ((-qb - sq) / qa, (-qb + sq) / qa);
+                if root2 > 0.0 && root1 < 1.0 {
+                    for root in [root1, root2] {
+                        if root > 0.0 && root < 1.0 {
+                            out.events.push(piece_lo + root * span_w);
+                        }
+                    }
+                    let (lo, hi) = (root1.max(0.0), root2.min(1.0));
+                    if hi > lo {
+                        iv = Some((lo, hi));
+                    }
+                }
+            }
+        }
+
+        // A status flip exactly at the piece start has no interior
+        // root; the global axis still needs the event.
+        let in_start = matches!(iv, Some((lo, _)) if lo == 0.0);
+        if in_start != self.prev_in {
+            out.events.push(piece_lo);
+            if self.prev_in {
+                let s0 = self.open.take().unwrap_or(piece_lo);
+                out.spans.push((self.i, self.j, s0, piece_lo));
+            } else {
+                self.open = Some(piece_lo);
+            }
+        }
+        match iv {
+            None => self.prev_in = false,
+            Some((lo, hi)) => {
+                if lo > 0.0 {
+                    self.open = Some(piece_lo + lo * span_w);
+                }
+                if hi < 1.0 {
+                    let s0 = self.open.take().unwrap_or(piece_lo);
+                    out.spans.push((self.i, self.j, s0, piece_lo + hi * span_w));
+                    self.prev_in = false;
+                } else {
+                    self.prev_in = true;
+                }
+            }
+        }
+    }
+
+    /// Closes the walk at `t1`. An initial link whose spans don't cover
+    /// `[t0, t1]` broke: it is reported with its first out-of-range
+    /// interval and its maximum distance, the square root of
+    /// `max_d2()` (d is convex per piece, so the maximum over the
+    /// breakpoints is the exact maximum over all time).
+    fn finish(self, out: &mut PairScan, (t0, t1): (f64, f64), max_d2: impl FnOnce() -> f64) {
+        if let Some(s0) = self.open {
+            out.spans.push((self.i, self.j, s0, t1));
+        }
+        if self.initial_in {
+            let spans = &out.spans[self.first_span..];
+            let fully = spans.len() == 1 && spans[0].2 == t0 && spans[0].3 == t1;
+            if !fully {
+                let interval = first_out_from_spans(spans, t0, t1);
+                let m = max_d2().sqrt();
+                out.violations
+                    .push((self.i, self.j, interval.0, interval.1, m));
+            }
+        }
+    }
+}
+
+/// The knot motion: every robot on its own knots.
+struct KnotMotion<'a> {
+    knots: &'a KnotTimeline,
+    range: f64,
+    r2: f64,
+}
+
+impl<'a> KnotMotion<'a> {
+    fn new(knots: &'a KnotTimeline, range: f64) -> Self {
+        KnotMotion {
+            knots,
+            range,
+            r2: range * range,
+        }
+    }
+
+    /// Each own piece's deviation from the shared drift, `|Δp − v·Δs|`,
+    /// aligned with the packed knots (the entry of a robot's last knot
+    /// is unused). `v` is the swarm's mean velocity between consecutive
+    /// instants where every robot knots, so no piece straddles a change
+    /// of `v`.
+    fn deviations(&self) -> Vec<f64> {
+        let knots = self.knots;
+        let (n, shared) = (knots.robots(), knots.shared());
+        let mut drift = vec![(0.0f64, 0.0f64); shared.len().saturating_sub(1)];
+        for i in 0..n {
+            let (s, p) = knots.knots(i);
+            let (mut m, mut from) = (0, p[0]);
+            for (&t, &q) in s.iter().zip(p).skip(1) {
+                if t == shared[m + 1] {
+                    drift[m].0 += q.x - from.x;
+                    drift[m].1 += q.y - from.y;
+                    from = q;
+                    m += 1;
+                }
+            }
+        }
+        let velocity: Vec<(f64, f64)> = drift
+            .iter()
+            .zip(shared.windows(2))
+            .map(|(&(dx, dy), w)| {
+                let scale = 1.0 / (n as f64 * (w[1] - w[0]));
+                (dx * scale, dy * scale)
+            })
+            .collect();
+        let mut dev = vec![0.0f64; knots.len()];
+        for i in 0..n {
+            let (s, p) = knots.knots(i);
+            let base = knots.offset(i);
+            let mut m = 0;
+            for k in 0..s.len().saturating_sub(1) {
+                while s[k] >= shared[m + 1] {
+                    m += 1;
+                }
+                let dt = s[k + 1] - s[k];
+                let dx = p[k + 1].x - p[k].x - velocity[m].0 * dt;
+                let dy = p[k + 1].y - p[k].y - velocity[m].1 * dt;
+                dev[base + k] = (dx * dx + dy * dy).sqrt();
+            }
+        }
+        dev
+    }
+}
+
+/// A knot discovery epoch: its start and its grid cutoff.
+struct KnotEpoch {
+    start: f64,
+    cutoff: f64,
+}
+
+impl Motion for KnotMotion<'_> {
+    type Epoch = KnotEpoch;
+
+    fn robots(&self) -> usize {
+        self.knots.robots()
+    }
+
+    fn bounds(&self) -> (f64, f64) {
+        self.knots.bounds()
+    }
+
+    /// Walks the merge of the two robots' knots. At a merged knot that
+    /// is one robot's own, that robot sits exactly on its knot; the
+    /// other is interpolated on its current piece.
+    fn walk_pair(&self, out: &mut PairScan, i: usize, j: usize) {
+        let (sa, pa) = self.knots.knots(i);
+        let (sb, pb) = self.knots.knots(j);
+        let bounds = self.knots.bounds();
+        let rel = |p: Point, q: Point| (p.x - q.x, p.y - q.y);
+        let mut u = rel(pa[0], pb[0]);
+        let mut max_d2 = u.0 * u.0 + u.1 * u.1;
+        let mut state = PairState::start(out, i, j, max_d2, self.r2, bounds.0);
+        let (mut a, mut b, mut t) = (0, 0, bounds.0);
+        while a + 1 < sa.len() && b + 1 < sb.len() {
+            let (na, nb) = (sa[a + 1], sb[b + 1]);
+            let next = na.min(nb);
+            let qa = if na == next {
+                pa[a + 1]
+            } else {
+                lerp_piece(sa, pa, a, next)
+            };
+            let qb = if nb == next {
+                pb[b + 1]
+            } else {
+                lerp_piece(sb, pb, b, next)
+            };
+            let v = rel(qa, qb);
+            state.piece(out, u, (v.0 - u.0, v.1 - u.1), t, next, self.r2);
+            max_d2 = max_d2.max(v.0 * v.0 + v.1 * v.1);
+            a += usize::from(na == next);
+            b += usize::from(nb == next);
+            (u, t) = (v, next);
+        }
+        state.finish(out, bounds, || max_d2);
+    }
+
+    /// Greedy epochs: each ends where the first robot's deviation since
+    /// the epoch start reaches half the range (or at the next knot of
+    /// any robot, if that comes first in floating point). The cutoff is
+    /// `range + 2·(largest deviation over the epoch)`, with a relative
+    /// slack for rounding in the interpolated starts.
+    fn epochs(&self) -> Vec<KnotEpoch> {
+        let knots = self.knots;
+        let n = knots.robots();
+        let (t0, t1) = knots.bounds();
+        let slack = 1.0 + 1e-9;
+        if t1 <= t0 {
+            return vec![KnotEpoch {
+                start: t0,
+                cutoff: self.range * slack,
+            }];
+        }
+        let dev = self.deviations();
+        // Deviation of robot i's piece k over [x, y] within it.
+        let part = |i: usize, s: &[f64], k: usize, x: f64, y: f64| {
+            dev[knots.offset(i) + k] * ((y - x) / (s[k + 1] - s[k]))
+        };
+        let budget = 0.5 * self.range;
+        // Robot i is on piece cursor[i] at the epoch start `a`.
+        let mut cursor = vec![0usize; n];
+        let mut epochs = Vec::new();
+        let mut a = t0;
+        while a < t1 {
+            let mut b = t1;
+            let mut next_knot = t1;
+            for (i, &k0) in cursor.iter().enumerate() {
+                let s = knots.knots(i).0;
+                next_knot = next_knot.min(s[k0 + 1]);
+                let (mut k, mut x, mut acc) = (k0, a, 0.0);
+                while k + 1 < s.len() && x < b {
+                    let d = part(i, s, k, x, s[k + 1]);
+                    if acc + d > budget {
+                        b = b.min(x + (s[k + 1] - x) * ((budget - acc) / d));
+                        break;
+                    }
+                    acc += d;
+                    x = s[k + 1];
+                    k += 1;
+                }
+            }
+            if b <= a {
+                b = next_knot;
+            }
+            let mut worst = 0.0f64;
+            for (i, k) in cursor.iter_mut().enumerate() {
+                let s = knots.knots(i).0;
+                let (mut x, mut acc) = (a, 0.0);
+                while *k + 1 < s.len() && s[*k + 1] <= b {
+                    acc += part(i, s, *k, x, s[*k + 1]);
+                    x = s[*k + 1];
+                    *k += 1;
+                }
+                if *k + 1 < s.len() && x < b {
+                    acc += part(i, s, *k, x, b);
+                }
+                worst = worst.max(acc);
+            }
+            epochs.push(KnotEpoch {
+                start: a,
+                cutoff: (self.range + 2.0 * worst) * slack,
+            });
+            a = b;
+        }
+        epochs
+    }
+
+    fn epoch_grid(&self, epoch: &KnotEpoch) -> (Cow<'_, [Point]>, f64) {
+        let start = (0..self.knots.robots())
+            .map(|i| self.knots.position_at(i, epoch.start))
+            .collect();
+        (Cow::Owned(start), epoch.cutoff)
+    }
+}
+
+/// Struct-of-arrays layout of a dense timeline shared by every pair
+/// walk: positions plus a per-robot cumulative *deviation* prefix,
+/// robot-major (`arr[i * nrows + r]`). The deviation frame subtracts
+/// each piece's mean displacement over all robots: inter-robot distances
+/// are invariant under the common drift, so every skip and cutoff bound
 /// only spends budget on how far robots move relative to the formation
 /// — for a marching swarm that is far smaller than absolute motion.
 struct Stripes<'a> {
+    rows: &'a [Vec<Point>],
     px: Vec<f64>,
     py: Vec<f64>,
     /// Per-robot deviation prefix (drives the per-pair galloping skip
@@ -442,7 +916,7 @@ struct Stripes<'a> {
 }
 
 impl<'a> Stripes<'a> {
-    fn new(rows: &[Vec<Point>], times: &'a [f64], range: f64) -> Self {
+    fn new(rows: &'a [Vec<Point>], times: &'a [f64], range: f64) -> Self {
         let n = rows[0].len();
         let pieces = rows.len() - 1;
         let nrows = pieces + 1;
@@ -486,6 +960,7 @@ impl<'a> Stripes<'a> {
             }
         }
         Stripes {
+            rows,
             px,
             py,
             cum,
@@ -497,52 +972,98 @@ impl<'a> Stripes<'a> {
             r2: range * range,
         }
     }
+}
 
-    /// Walks every pair down the whole timeline. Pair chunks are
-    /// independent; concatenating their outputs in order keeps spans
-    /// and violations in pair order.
-    fn walk(&self, pairs: &[(u32, u32)], workers: usize) -> PairScan {
-        let outs: Vec<PairScan> = anr_par::par_chunks(pairs, 2048, workers, |chunk| {
-            let mut walk = PairWalk {
-                out: PairScan::default(),
-                s: self,
-            };
-            for &(i, j) in chunk {
-                walk.walk(i as usize, j as usize);
-            }
-            walk.out
-        });
-        let mut all = PairScan::default();
-        for o in outs {
-            all.events.extend(o.events);
-            all.spans.extend(o.spans);
-            all.violations.extend(o.violations);
-        }
-        all
+impl Motion for Stripes<'_> {
+    /// `(first piece, piece count)`.
+    type Epoch = (usize, usize);
+
+    fn robots(&self) -> usize {
+        self.rows[0].len()
     }
 
-    /// Every pair `i < j` with `comp[i] != comp[j]` that can come within
-    /// range at some instant, in index order.
-    ///
-    /// Discovery is batched into epochs of consecutive pieces. One
-    /// uniform grid per epoch (built at its first row) marks every pair
-    /// that can come within range during that epoch: a pair must start
-    /// the epoch within `range + 2·(max per-robot deviation over the
-    /// epoch)`. The union across epochs (a bit-OR, order-independent) is
-    /// the full candidate set; pairs never marked are provably never in
-    /// range. The greedy deviation budget keeps each epoch's cutoff (and
-    /// so its candidate count) bounded.
-    fn cross_pairs(&self, rows: &[Vec<Point>], comp: &[u32], workers: usize) -> Vec<(u32, u32)> {
-        let n = comp.len();
-        let cross = |i: u32, j: u32| comp[i as usize] != comp[j as usize];
-        if n < 64 {
-            return (0..n as u32)
-                .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
-                .filter(|&(i, j)| cross(i, j))
-                .collect();
+    fn bounds(&self) -> (f64, f64) {
+        (self.times[0], self.times[self.pieces])
+    }
+
+    /// Walks the pair down the whole timeline, touching the two robots'
+    /// contiguous stripes. It skips runs of pieces in `O(log)` whenever
+    /// the pair's distance to the range circle exceeds what the two
+    /// robots' remaining displacement can close.
+    fn walk_pair(&self, out: &mut PairScan, i: usize, j: usize) {
+        let (bi, bj) = (i * self.nrows, j * self.nrows);
+        let d2 = {
+            let dx = self.px[bi] - self.px[bj];
+            let dy = self.py[bi] - self.py[bj];
+            dx * dx + dy * dy
+        };
+        let mut state = PairState::start(out, i, j, d2, self.r2, self.times[0]);
+
+        let mut r = 0usize;
+        while r < self.pieces {
+            let dx = self.px[bi + r] - self.px[bj + r];
+            let dy = self.py[bi + r] - self.py[bj + r];
+            let dist = (dx * dx + dy * dy).sqrt();
+            // Small relative margin so a rounding wobble in the bound
+            // can never skip over a genuine grazing crossing.
+            let gap = (dist - self.range).abs() - 1e-9 * (dist + self.range);
+            if gap > 0.0 {
+                // Skip every piece the pair provably cannot cross: their
+                // combined displacement bound is monotone, so gallop then
+                // bisect for the farthest safe row.
+                let c0 = self.cum[bi + r] + self.cum[bj + r];
+                if self.cum[bi + r + 1] + self.cum[bj + r + 1] - c0 < gap {
+                    let mut q = r + 1;
+                    let mut step = 1usize;
+                    while q + step <= self.pieces
+                        && self.cum[bi + q + step] + self.cum[bj + q + step] - c0 < gap
+                    {
+                        q += step;
+                        step *= 2;
+                    }
+                    let mut hi = (q + step).min(self.pieces);
+                    while q < hi {
+                        let m = q + (hi - q).div_ceil(2);
+                        if self.cum[bi + m] + self.cum[bj + m] - c0 < gap {
+                            q = m;
+                        } else {
+                            hi = m - 1;
+                        }
+                    }
+                    r = q;
+                    continue;
+                }
+            }
+
+            // Exact quadratic on piece r.
+            let wx = (self.px[bi + r + 1] - self.px[bj + r + 1]) - dx;
+            let wy = (self.py[bi + r + 1] - self.py[bj + r + 1]) - dy;
+            state.piece(
+                out,
+                (dx, dy),
+                (wx, wy),
+                self.times[r],
+                self.times[r + 1],
+                self.r2,
+            );
+            r += 1;
         }
+        state.finish(out, self.bounds(), || {
+            let mut m = 0.0f64;
+            for r in 0..self.nrows {
+                let dx = self.px[bi + r] - self.px[bj + r];
+                let dy = self.py[bi + r] - self.py[bj + r];
+                m = m.max(dx * dx + dy * dy);
+            }
+            m
+        });
+    }
+
+    /// Epochs of consecutive pieces, grown greedily while the sum of the
+    /// pieces' largest single-robot deviation stays within half the
+    /// range (a single row is one empty epoch).
+    fn epochs(&self) -> Vec<(usize, usize)> {
         let budget = 0.5 * self.range;
-        // (first piece, piece count); a single row is one empty epoch.
         let mut epochs: Vec<(usize, usize)> = Vec::new();
         let mut k = 0;
         while k < self.pieces {
@@ -558,222 +1079,18 @@ impl<'a> Stripes<'a> {
         if epochs.is_empty() {
             epochs.push((0, 0));
         }
-        let words = (n * n).div_ceil(64);
-        let sets: Vec<Vec<u64>> = anr_par::par_map(&epochs, workers, |&(k0, len)| {
-            discover_epoch(rows, k0, len, self.range, words, &self.cum, self.nrows)
-        });
-        let mut bits = vec![0u64; words];
-        for s in &sets {
-            for (w, &v) in bits.iter_mut().zip(s) {
-                *w |= v;
-            }
-        }
-        let mut pairs = Vec::new();
-        for (wi, &word) in bits.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let idx = wi * 64 + word.trailing_zeros() as usize;
-                let (i, j) = ((idx / n) as u32, (idx % n) as u32);
-                if cross(i, j) {
-                    pairs.push((i, j));
-                }
-                word &= word - 1;
-            }
-        }
-        pairs
-    }
-}
-
-/// Marks every pair that can come within range during pieces
-/// `k0 .. k0 + npieces` in a bitset (`bit i·n + j`): the pair must start
-/// the epoch within `range + 2·(max per-robot deviation over the
-/// epoch)`, and the uniform grid enumerates exactly those starts.
-fn discover_epoch(
-    rows: &[Vec<Point>],
-    k0: usize,
-    npieces: usize,
-    range: f64,
-    words: usize,
-    cum: &[f64],
-    nrows: usize,
-) -> Vec<u64> {
-    let n = rows[0].len();
-    let mut move_max = 0.0f64;
-    for i in 0..n {
-        let base = i * nrows;
-        move_max = move_max.max(cum[base + k0 + npieces] - cum[base + k0]);
-    }
-    let cutoff = range + 2.0 * move_max;
-    let mut bits = vec![0u64; words];
-    for_each_near_pair(&rows[k0], cutoff, &mut |i, j| {
-        let idx = i * n + j;
-        bits[idx >> 6] |= 1 << (idx & 63);
-    });
-    bits
-}
-
-/// Walks pairs down the whole timeline, one at a time.
-///
-/// Each walk touches the two robots' contiguous [`Stripes`]. It skips
-/// runs of pieces in `O(log)` whenever the
-/// pair's distance to the range circle exceeds what the two robots'
-/// remaining displacement can close.
-struct PairWalk<'a> {
-    out: PairScan,
-    s: &'a Stripes<'a>,
-}
-
-impl PairWalk<'_> {
-    fn emit(&mut self, i: usize, j: usize, s_lo: f64, s_hi: f64) {
-        self.out.spans.push((i as u32, j as u32, s_lo, s_hi));
+        epochs
     }
 
-    fn walk(&mut self, i: usize, j: usize) {
-        let s = self.s;
-        let (bi, bj) = (i * s.nrows, j * s.nrows);
-        let start_idx = self.out.spans.len();
-        let d2 = {
-            let dx = s.px[bi] - s.px[bj];
-            let dy = s.py[bi] - s.py[bj];
-            dx * dx + dy * dy
-        };
-        let initial_in = d2 <= s.r2;
-        let mut prev_in = initial_in;
-        let mut open: Option<f64> = prev_in.then(|| s.times[0]);
-
-        let mut r = 0usize;
-        while r < s.pieces {
-            let dx = s.px[bi + r] - s.px[bj + r];
-            let dy = s.py[bi + r] - s.py[bj + r];
-            let dist = (dx * dx + dy * dy).sqrt();
-            // Small relative margin so a rounding wobble in the bound
-            // can never skip over a genuine grazing crossing.
-            let gap = (dist - s.range).abs() - 1e-9 * (dist + s.range);
-            if gap > 0.0 {
-                // Skip every piece the pair provably cannot cross: their
-                // combined displacement bound is monotone, so gallop then
-                // bisect for the farthest safe row.
-                let c0 = s.cum[bi + r] + s.cum[bj + r];
-                if s.cum[bi + r + 1] + s.cum[bj + r + 1] - c0 < gap {
-                    let mut q = r + 1;
-                    let mut step = 1usize;
-                    while q + step <= s.pieces
-                        && s.cum[bi + q + step] + s.cum[bj + q + step] - c0 < gap
-                    {
-                        q += step;
-                        step *= 2;
-                    }
-                    let mut hi = (q + step).min(s.pieces);
-                    while q < hi {
-                        let m = q + (hi - q).div_ceil(2);
-                        if s.cum[bi + m] + s.cum[bj + m] - c0 < gap {
-                            q = m;
-                        } else {
-                            hi = m - 1;
-                        }
-                    }
-                    r = q;
-                    continue;
-                }
-            }
-
-            // Exact quadratic on piece r.
-            let ux = dx;
-            let uy = dy;
-            let wx = (s.px[bi + r + 1] - s.px[bj + r + 1]) - ux;
-            let wy = (s.py[bi + r + 1] - s.py[bj + r + 1]) - uy;
-            let (qa, qb, qc) = (
-                wx * wx + wy * wy,
-                ux * wx + uy * wy,
-                ux * ux + uy * uy - s.r2,
-            );
-            let piece_lo = s.times[r];
-            let piece_hi = s.times[r + 1];
-            let span_w = piece_hi - piece_lo;
-            let mut iv: Option<(f64, f64)> = None;
-            if qa <= 0.0 {
-                if qc <= 0.0 {
-                    iv = Some((0.0, 1.0));
-                }
-            } else {
-                let disc = qb * qb - qa * qc;
-                if disc <= 0.0 {
-                    if qc <= 0.0 {
-                        iv = Some((0.0, 1.0));
-                    }
-                } else {
-                    let sq = disc.sqrt();
-                    let (root1, root2) = ((-qb - sq) / qa, (-qb + sq) / qa);
-                    if root2 > 0.0 && root1 < 1.0 {
-                        for root in [root1, root2] {
-                            if root > 0.0 && root < 1.0 {
-                                self.out.events.push(piece_lo + root * span_w);
-                            }
-                        }
-                        let (lo, hi) = (root1.max(0.0), root2.min(1.0));
-                        if hi > lo {
-                            iv = Some((lo, hi));
-                        }
-                    }
-                }
-            }
-
-            // A status flip exactly at the row instant has no interior
-            // root; the global axis still needs the event (the old
-            // per-piece interval axis restarted at every row).
-            let in_start = matches!(iv, Some((lo, _)) if lo == 0.0);
-            if in_start != prev_in {
-                self.out.events.push(piece_lo);
-                if prev_in {
-                    let s0 = open.take().unwrap_or(piece_lo);
-                    self.emit(i, j, s0, piece_lo);
-                } else {
-                    open = Some(piece_lo);
-                }
-            }
-            match iv {
-                None => prev_in = false,
-                Some((lo, hi)) => {
-                    if lo > 0.0 {
-                        open = Some(piece_lo + lo * span_w);
-                    }
-                    if hi < 1.0 {
-                        let s0 = open.take().unwrap_or(piece_lo);
-                        self.emit(i, j, s0, piece_lo + hi * span_w);
-                        prev_in = false;
-                    } else {
-                        prev_in = true;
-                    }
-                }
-            }
-            r += 1;
+    /// The epoch's first row; a pair must start the epoch within
+    /// `range + 2·(max per-robot deviation over the epoch)`.
+    fn epoch_grid(&self, &(k0, npieces): &(usize, usize)) -> (Cow<'_, [Point]>, f64) {
+        let mut move_max = 0.0f64;
+        for i in 0..self.rows[0].len() {
+            let base = i * self.nrows;
+            move_max = move_max.max(self.cum[base + k0 + npieces] - self.cum[base + k0]);
         }
-        if let Some(s0) = open {
-            let end = s.times[s.pieces];
-            self.emit(i, j, s0, end);
-        }
-
-        // An initial link whose spans don't cover the timeline broke:
-        // report its first out-of-range interval plus its maximum
-        // distance (d is convex per piece, so the max over the rows of
-        // the pair's stripes is the exact maximum over all time).
-        if initial_in {
-            let (t0, t1) = (s.times[0], s.times[s.pieces]);
-            let spans = &self.out.spans[start_idx..];
-            let fully = spans.len() == 1 && spans[0].2 == t0 && spans[0].3 == t1;
-            if !fully {
-                let interval = first_out_from_spans(spans, t0, t1);
-                let mut m = 0.0f64;
-                for r in 0..s.nrows {
-                    let dx = s.px[bi + r] - s.px[bj + r];
-                    let dy = s.py[bi + r] - s.py[bj + r];
-                    m = m.max(dx * dx + dy * dy);
-                }
-                self.out
-                    .violations
-                    .push((i as u32, j as u32, interval.0, interval.1, m.sqrt()));
-            }
-        }
+        (Cow::Borrowed(&self.rows[k0]), self.range + 2.0 * move_max)
     }
 }
 
@@ -807,10 +1124,17 @@ fn first_out_from_spans(in_spans: &[(u32, u32, f64, f64)], t0: f64, t1: f64) -> 
     (start, end)
 }
 
-fn validate(rows: &[Vec<Point>], times: &[f64], range: f64) -> Result<(), MetricsError> {
+fn check_range(range: f64) -> Result<(), MetricsError> {
     if range.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
         return Err(MetricsError::NonPositiveRange { range });
     }
+    Ok(())
+}
+
+/// Checks a dense timeline: at least one row, one instant per row,
+/// every row covering row 0's robots with finite positions, and finite
+/// strictly increasing instants.
+pub(crate) fn validate_rows(rows: &[Vec<Point>], times: &[f64]) -> Result<(), MetricsError> {
     if rows.is_empty() {
         return Err(MetricsError::EmptyTimeline);
     }
@@ -1042,19 +1366,45 @@ mod tests {
         Point::new(x, y)
     }
 
-    /// The production audit of one timeline, checked against the
-    /// uncontracted oracle: `C`, `L`, the violations and the preserved
-    /// links exactly, the disconnected intervals in count and to the
-    /// 1e-12 event-merge tolerance.
-    fn checked(rows: &[Vec<Point>], times: &[f64], range: f64) -> AuditReport {
-        let got = audit_piecewise(rows, times, range, &Tracer::disabled()).unwrap();
-        let want = audit_piecewise_uncontracted(rows, times, range, 0).unwrap();
-        assert_eq!(want.components, want.robots);
+    /// The knot audit agrees with the dense reference on the same
+    /// motion: `C`, `L`, the preserved links and the violating links
+    /// exactly, interval endpoints and maximum distances within 1e-9.
+    fn assert_matches_reference(got: &AuditReport, want: &AuditReport) {
         assert_eq!(got.global_connectivity, want.global_connectivity);
         assert_eq!(got.stable_link_ratio, want.stable_link_ratio);
         assert_eq!(got.preserved_links, want.preserved_links);
-        assert_eq!(got.violations, want.violations);
+        assert_eq!(got.components, want.components);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9;
+        assert_eq!(got.violations.len(), want.violations.len());
+        for (g, w) in got.violations.iter().zip(&want.violations) {
+            assert_eq!(g.link, w.link);
+            assert!(
+                close(g.interval.0, w.interval.0) && close(g.interval.1, w.interval.1),
+                "{g:?} vs {w:?}"
+            );
+            assert!(close(g.max_distance, w.max_distance), "{g:?} vs {w:?}");
+        }
         let (a, b) = (&got.disconnected_intervals, &want.disconnected_intervals);
+        assert_eq!(a.len(), b.len(), "{a:?} vs {b:?}");
+        for (x, y) in a.iter().zip(b) {
+            assert!(close(x.0, y.0) && close(x.1, y.1), "{x:?} vs {y:?}");
+        }
+    }
+
+    /// The dense audit of one timeline checked against its uncontracted
+    /// oracle (`C`, `L`, the violations and the preserved links exactly,
+    /// the disconnected intervals in count and to the 1e-12 event-merge
+    /// tolerance), and the knot audit of the same rows against it.
+    /// Returns the knot audit.
+    fn checked(rows: &[Vec<Point>], times: &[f64], range: f64) -> AuditReport {
+        let dense = audit_piecewise(rows, times, range, &Tracer::disabled()).unwrap();
+        let want = audit_piecewise_uncontracted(rows, times, range, 0).unwrap();
+        assert_eq!(want.components, want.robots);
+        assert_eq!(dense.global_connectivity, want.global_connectivity);
+        assert_eq!(dense.stable_link_ratio, want.stable_link_ratio);
+        assert_eq!(dense.preserved_links, want.preserved_links);
+        assert_eq!(dense.violations, want.violations);
+        let (a, b) = (&dense.disconnected_intervals, &want.disconnected_intervals);
         assert_eq!(a.len(), b.len(), "{a:?} vs {b:?}");
         for (x, y) in a.iter().zip(b) {
             assert!(
@@ -1062,15 +1412,23 @@ mod tests {
                 "{x:?} vs {y:?}"
             );
         }
+        let knots = KnotTimeline::from_rows(rows, times).unwrap();
+        let initial = UnitDiskGraph::new(&rows[0], range);
+        let got = audit_knots(&knots, &initial, 0, &Tracer::disabled()).unwrap();
+        assert_matches_reference(&got, &dense);
+        assert_eq!(got.knots, rows.len() * rows[0].len());
         got
     }
 
-    /// [`checked`] on a trajectory set's own breakpoint timeline, as
-    /// [`audit_trajectories`] builds it.
+    /// The knot audit of a trajectory set's own waypoints, checked
+    /// against the dense reference on the union of every robot's
+    /// breakpoints at their true instants.
     fn checked_set(set: &TrajectorySet, range: f64) -> AuditReport {
         let times = set.breakpoints();
-        let rows: Vec<Vec<Point>> = times.iter().map(|&s| set.positions_at(s)).collect();
-        checked(&rows, &times, range)
+        let dense = checked(&set.sample_at(&times), &times, range);
+        let got = audit_trajectories(set, range, &Tracer::disabled()).unwrap();
+        assert_matches_reference(&got, &dense);
+        got
     }
 
     #[test]
@@ -1136,6 +1494,8 @@ mod tests {
         assert_eq!(r.global_connectivity, 0);
         assert!(!r.violations.is_empty());
         assert!(!r.disconnected_intervals.is_empty());
+        // Robot 0 knots three times, every other robot twice.
+        assert_eq!((r.knots, r.pieces), (2 * n + 1, n + 1));
     }
 
     #[test]
@@ -1201,6 +1561,80 @@ mod tests {
         assert_eq!(r.stable_link_ratio, 0.0);
     }
 
+    /// Two moving robots whose knots interleave: the pair is walked over
+    /// the merge of both knot lists, each robot interpolated at the
+    /// other's knots. A leaves range of B in the open middle of B's
+    /// pieces and comes back at one of A's own knots.
+    #[test]
+    fn interleaved_knots_walk_the_merged_pieces() {
+        let set = TrajectorySet::new(vec![
+            Polyline::new(vec![p(0.0, 0.0), p(30.0, 40.0), p(60.0, 0.0)]),
+            Polyline::new(vec![
+                p(70.0, 0.0),
+                p(70.0, 10.0),
+                p(160.0, 10.0),
+                p(130.0, 0.0),
+            ]),
+        ]);
+        let r = checked_set(&set, 80.0);
+        assert_eq!(r.violations.len(), 1);
+        let (lo, hi) = r.violations[0].interval;
+        assert!(lo > 0.0 && hi < 1.0 && lo < hi, "{lo}, {hi}");
+        assert_eq!(r.knots, 7);
+    }
+
+    /// Knots that coincide, or lie under 1e-12 apart, leave a piece too
+    /// short to matter: the walk neither stalls nor loses the crossing.
+    /// (The dense reference merges the two instants into one row.)
+    #[test]
+    fn coincident_and_near_coincident_knots() {
+        let set = TrajectorySet::new(vec![
+            // Turns exactly at s = 0.5.
+            Polyline::new(vec![p(0.0, 0.0), p(10.0, 0.0), p(10.0, 10.0)]),
+            // Turns at s = 0.5 + 2.5e-13.
+            Polyline::new(vec![
+                p(50.0, 0.0),
+                p(60.0 + 1e-11, 0.0),
+                p(60.0 + 1e-11, -10.0),
+            ]),
+            // Turns at exactly s = 0.5, like robot 0.
+            Polyline::new(vec![p(0.0, 40.0), p(0.0, 50.0), p(-10.0, 50.0)]),
+        ]);
+        let (s0, s1) = (
+            set.paths()[0].breakpoints()[1],
+            set.paths()[1].breakpoints()[1],
+        );
+        assert!(s1 > s0 && s1 - s0 < 1e-12, "{s0} vs {s1}");
+        let r = checked_set(&set, 80.0);
+        assert_eq!(r.initial_links, 3);
+        assert_eq!(r.violations.len(), 1);
+        assert_eq!(r.violations[0].link, (1, 2));
+        assert_eq!(r.global_connectivity, 1);
+        assert_eq!(r.knots, 9);
+    }
+
+    /// A detour whose turning point sits exactly on the range circle
+    /// flips the link's status exactly at the robot's own knot.
+    #[test]
+    fn status_flip_exactly_at_a_knot() {
+        let set = TrajectorySet::new(vec![
+            Polyline::stationary(p(0.0, 0.0)),
+            Polyline::new(vec![
+                p(70.0, 0.0),
+                p(80.0, 0.0),
+                p(90.0, 0.0),
+                p(80.0, 0.0),
+                p(70.0, 0.0),
+            ]),
+        ]);
+        let r = checked_set(&set, 80.0);
+        assert_eq!(r.global_connectivity, 0);
+        assert_eq!(r.violations.len(), 1);
+        assert_eq!(r.violations[0].interval, (0.25, 0.75));
+        assert_eq!(r.violations[0].max_distance, 90.0);
+        assert_eq!(r.disconnected_intervals, vec![(0.25, 0.75)]);
+    }
+
     #[test]
     fn transient_partition_between_rows_is_caught() {
         // Bridge handover: A and B are 140 apart (never linked). Relay
@@ -1262,7 +1696,12 @@ mod tests {
             assert!(events.iter().any(|e| e.name == span), "no {span} span");
         }
         let summary = events.iter().find(|e| e.name == "audit_summary").unwrap();
-        for (key, want) in [("violations", 1), ("components", 2), ("swept_pairs", 1)] {
+        for (key, want) in [
+            ("violations", 1),
+            ("components", 2),
+            ("swept_pairs", 1),
+            ("knots", 5),
+        ] {
             assert!(
                 summary
                     .fields
@@ -1352,8 +1791,29 @@ mod tests {
             Err(MetricsError::LengthMismatch { .. })
         ));
         assert!(matches!(
-            audit_piecewise(&[row.clone(), row], &[0.5, 0.5], 80.0, &Tracer::disabled()),
+            audit_piecewise(
+                &[row.clone(), row.clone()],
+                &[0.5, 0.5],
+                80.0,
+                &Tracer::disabled()
+            ),
             Err(MetricsError::NonMonotonicTimes { .. })
+        ));
+        let set = TrajectorySet::new(vec![Polyline::stationary(p(0.0, 0.0))]);
+        assert!(matches!(
+            audit_trajectories(&set, f64::NAN, &Tracer::disabled()),
+            Err(MetricsError::NonPositiveRange { .. })
+        ));
+        let nan = TrajectorySet::new(vec![Polyline::stationary(p(f64::NAN, 0.0))]);
+        assert!(matches!(
+            audit_trajectories(&nan, 80.0, &Tracer::disabled()),
+            Err(MetricsError::NonFinitePosition { row: 0, robot: 0 })
+        ));
+        let knots = KnotTimeline::from_rows(&[row.clone(), row.clone()], &[0.0, 1.0]).unwrap();
+        let two = UnitDiskGraph::new(&[p(0.0, 0.0), p(1.0, 0.0)], 80.0);
+        assert!(matches!(
+            audit_knots(&knots, &two, 0, &Tracer::disabled()),
+            Err(MetricsError::LengthMismatch { .. })
         ));
     }
 
@@ -1400,6 +1860,76 @@ mod tests {
                 .unwrap();
             assert_eq!(r, reference, "workers = {workers} diverged");
         }
+        let knot_reference = checked_set(&set, 80.0);
+        assert!(knot_reference.swept_pairs > 0, "the sweep must run");
+        let knots = KnotTimeline::from_trajectories(&set, &[]).unwrap();
+        let initial = UnitDiskGraph::new(&knots.initial_positions(), 80.0);
+        for workers in [1, 2, 8] {
+            let r = audit_knots(&knots, &initial, workers, &Tracer::disabled()).unwrap();
+            assert_eq!(
+                r, knot_reference,
+                "knot audit diverged at {workers} workers"
+            );
+        }
+    }
+
+    /// Knot discovery must stay conservative — a missed pair can give a
+    /// wrong `C`. With every robot its own component all pairs are
+    /// cross pairs, so every pair that is in range at some instant
+    /// (walked by brute force over all pairs) must be a candidate, while
+    /// the grid still prunes far pairs.
+    #[test]
+    fn knot_discovery_keeps_every_pair_that_comes_within_range() {
+        let n = 90;
+        let polys: Vec<Polyline> = (0..n)
+            .map(|i| {
+                let (x, y) = ((i % 15) as f64 * 60.0, (i / 15) as f64 * 60.0);
+                match i % 7 {
+                    // Detours of different lengths: different speeds and
+                    // knots at different instants.
+                    0 => Polyline::new(vec![
+                        p(x, y),
+                        p(x + 200.0, y - 250.0),
+                        p(x + 900.0, y + 50.0),
+                    ]),
+                    3 => Polyline::new(vec![
+                        p(x, y),
+                        p(x + 450.0, y + 30.0),
+                        p(x + 500.0, y + 300.0),
+                        p(x + 900.0, y + 60.0),
+                    ]),
+                    _ => Polyline::new(vec![p(x, y), p(x + 900.0, y + 40.0)]),
+                }
+            })
+            .collect();
+        let set = TrajectorySet::new(polys);
+        let end = set.positions_at(1.0);
+        let lloyd: Vec<Vec<Point>> = (1..=3)
+            .map(|k| {
+                let t = f64::from(k) * 7.0;
+                end.iter()
+                    .enumerate()
+                    .map(|(i, q)| p(q.x + t * (i as f64).sin(), q.y + t * (i as f64).cos()))
+                    .collect()
+            })
+            .collect();
+        let knots = KnotTimeline::from_trajectories(&set, &lloyd).unwrap();
+        let motion = KnotMotion::new(&knots, 80.0);
+        let comp: Vec<u32> = (0..n as u32).collect();
+        let found: std::collections::HashSet<(u32, u32)> =
+            cross_pairs(&motion, &comp, 0).into_iter().collect();
+        let all: Vec<(u32, u32)> = (0..n as u32)
+            .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
+            .collect();
+        let scan = walk(&motion, &all, 1);
+        assert!(!scan.spans.is_empty());
+        for &(i, j, lo, hi) in &scan.spans {
+            assert!(
+                found.contains(&(i, j)),
+                "pair ({i}, {j}) in range on [{lo}, {hi}] was never a candidate"
+            );
+        }
+        assert!(found.len() < all.len(), "the grid pruned no pair");
     }
 
     /// A status flip exactly at a row instant (the peak of a detour

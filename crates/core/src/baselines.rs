@@ -3,11 +3,12 @@
 //! positions in `M2` were computed before the transition.
 
 use crate::{
-    evaluate_timeline, optimal_coverage_positions, MarchConfig, MarchError, MarchOutcome,
-    MarchProblem, RepairReport, TrajectorySet,
+    evaluate_timeline, optimal_coverage_positions, KnotTimeline, MarchConfig, MarchError,
+    MarchOutcome, MarchProblem, RepairReport, TrajectorySet, TransitionMetrics,
 };
 use anr_assign::{euclidean_costs, hungarian};
 use anr_geom::Point;
+use anr_netgraph::UnitDiskGraph;
 use anr_trace::Tracer;
 
 /// Direct translation: the robots rigidly translate by the vector
@@ -52,15 +53,7 @@ pub fn direct_translation(
         })
         .collect();
     let transition = TrajectorySet::new(paths);
-    let times = transition.sample_times_with_breakpoints(config.time_samples);
-    let timeline = transition.sample_at(&times);
-    let total_distance = transition.total_length();
-    let metrics = evaluate_timeline(
-        &timeline,
-        problem.range,
-        total_distance,
-        &Tracer::disabled(),
-    )?;
+    let (timeline, metrics) = transition_metrics(problem, &transition, config)?;
 
     Ok(MarchOutcome {
         initial: problem.positions.clone(),
@@ -97,15 +90,7 @@ pub fn hungarian_direct(
     let finals: Vec<Point> = (0..n).map(|i| coverage[assignment.target_of(i)]).collect();
 
     let transition = TrajectorySet::straight(&problem.positions, &finals, &problem.obstacles());
-    let times = transition.sample_times_with_breakpoints(config.time_samples);
-    let timeline = transition.sample_at(&times);
-    let total_distance = transition.total_length();
-    let metrics = evaluate_timeline(
-        &timeline,
-        problem.range,
-        total_distance,
-        &Tracer::disabled(),
-    )?;
+    let (timeline, metrics) = transition_metrics(problem, &transition, config)?;
 
     Ok(MarchOutcome {
         initial: problem.positions.clone(),
@@ -118,6 +103,26 @@ pub fn hungarian_direct(
         repair: RepairReport::default(),
         lloyd_iterations: 0,
     })
+}
+
+/// A baseline's dense rendering timeline and the exact audit of its
+/// knots (no Lloyd leg: the transition ends on the coverage positions).
+fn transition_metrics(
+    problem: &MarchProblem,
+    transition: &TrajectorySet,
+    config: &MarchConfig,
+) -> Result<(Vec<Vec<Point>>, TransitionMetrics), MarchError> {
+    let times = transition.sample_times_with_breakpoints(config.time_samples);
+    let timeline = transition.sample_at(&times);
+    let knots = KnotTimeline::from_trajectories(transition, &[])?;
+    let metrics = evaluate_timeline(
+        &knots,
+        &UnitDiskGraph::new(&problem.positions, problem.range),
+        timeline.len(),
+        transition.total_length(),
+        &Tracer::disabled(),
+    )?;
+    Ok((timeline, metrics))
 }
 
 #[cfg(test)]

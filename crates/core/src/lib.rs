@@ -56,6 +56,7 @@ mod distributed;
 mod energy;
 mod error;
 mod faultsweep;
+mod knots;
 mod metrics;
 mod mission;
 mod pipeline;
@@ -66,7 +67,7 @@ mod resilience;
 mod trajectory;
 
 pub use audit::{
-    audit_piecewise, audit_piecewise_uncontracted, audit_piecewise_with_workers,
+    audit_knots, audit_piecewise, audit_piecewise_uncontracted, audit_piecewise_with_workers,
     audit_trajectories, AuditReport, LinkViolation,
 };
 pub use baselines::{direct_translation, hungarian_direct};
@@ -80,6 +81,7 @@ pub use faultsweep::{
     run_fault_sweep, run_fault_sweep_traced, FaultSweepReport, ProtocolGrid, SurvivalStats,
     SweepConfig, SweepProtocols,
 };
+pub use knots::KnotTimeline;
 pub use metrics::{
     edge_stretch_stats, evaluate_timeline, MetricsError, StretchStats, TransitionMetrics,
 };

@@ -1,15 +1,15 @@
 //! Transition metrics: total moving distance `D`, total stable link
 //! ratio `L` (Definition 1) and global connectivity `C` (Definition 2).
 //!
-//! Both `L` and `C` quantify over **every instant** of the transition.
-//! [`evaluate_timeline`] therefore treats its timeline rows as the
-//! breakpoints of piecewise-linear motion and evaluates exactly — link
-//! maxima from the convexity of the per-piece distance quadratic,
-//! connectivity by sweeping the quadratic's range-crossing roots — via
-//! the continuous auditor in [`crate::audit`]. No sampled-instant
-//! approximation remains.
+//! Both `L` and `C` quantify over **every instant** of the march.
+//! [`evaluate_timeline`] therefore audits each robot's own
+//! piecewise-linear motion, its [`KnotTimeline`], exactly — link maxima
+//! from the convexity of the per-piece distance quadratic, connectivity
+//! by sweeping the quadratic's range-crossing roots — via the continuous
+//! auditor in [`crate::audit`]. No sampled-instant approximation remains.
 
-use crate::audit::{audit_piecewise, LinkViolation};
+use crate::audit::{audit_knots, LinkViolation};
+use crate::knots::KnotTimeline;
 use anr_geom::Point;
 use anr_netgraph::UnitDiskGraph;
 use anr_trace::Tracer;
@@ -219,10 +219,11 @@ pub struct TransitionMetrics {
     /// Links present at the end that did not exist in `M1` ("red edges"
     /// in the paper's figures).
     pub new_links: usize,
-    /// Number of timeline rows (piecewise-linear breakpoints) evaluated.
+    /// Rows of the dense timeline the march keeps for rendering
+    /// ([`crate::MarchOutcome::timeline`]); the audit does not read them.
     pub samples: usize,
-    /// Linear motion pieces the continuous audit decomposed the timeline
-    /// into (`samples - 1`, or 0 for a single-row timeline).
+    /// Linear motion pieces the continuous audit walked: every robot's
+    /// own pieces summed (knots − robots).
     pub audit_pieces: usize,
     /// Connectivity checks the audit performed: 1 when the preserved
     /// links alone certify `C = 1`, otherwise one per open interval
@@ -235,49 +236,42 @@ pub struct TransitionMetrics {
     pub violations: Vec<LinkViolation>,
 }
 
-/// Evaluates `L`, `C` and link counts over a position timeline.
+/// Evaluates `L`, `C` and link counts over every robot's own motion.
 ///
-/// `timeline[k][i]` is robot `i`'s position at breakpoint `k`;
-/// `timeline[0]` must be the initial `M1` deployment (whose unit-disk
-/// graph defines the links being tracked). Robots are taken to move
-/// **linearly** between consecutive rows, and both metrics are evaluated
-/// exactly over that continuous motion — the rows must therefore include
-/// every trajectory waypoint (see [`TrajectorySet::breakpoints`]), not
-/// just uniform samples. `total_distance` is **not** computed here — it
-/// depends on the exact paths — and must be supplied by the caller.
+/// `initial` is the unit-disk graph of the `M1` deployment — every
+/// robot's first knot — whose links are the ones tracked; the audit
+/// reads its range. Robots move **linearly** between their own knots,
+/// and both metrics are evaluated exactly over that continuous motion
+/// on the knots' time axis. `samples` is reported as-is (the row count
+/// of the caller's dense rendering timeline), and `total_distance` is
+/// **not** computed here — it depends on the exact paths — and must be
+/// supplied by the caller.
 ///
-/// The audit's spans and events go to `tracer`; tracing changes no
-/// output.
-///
-/// [`TrajectorySet::breakpoints`]: crate::TrajectorySet::breakpoints
+/// The audit's spans and events go to `tracer`, followed by a
+/// `new_links` span around the final graph; tracing changes no output.
 ///
 /// # Errors
 ///
-/// [`MetricsError`] when the timeline is empty, rows have inconsistent
-/// lengths, a position is non-finite, or `range <= 0`.
+/// [`MetricsError::LengthMismatch`] when `initial` covers a different
+/// number of robots than `knots`.
 pub fn evaluate_timeline(
-    timeline: &[Vec<Point>],
-    range: f64,
+    knots: &KnotTimeline,
+    initial: &UnitDiskGraph,
+    samples: usize,
     total_distance: f64,
     tracer: &Tracer,
 ) -> Result<TransitionMetrics, MetricsError> {
-    let times: Vec<f64> = if timeline.len() <= 1 {
-        vec![0.0]
-    } else {
-        let steps = (timeline.len() - 1) as f64;
-        (0..timeline.len()).map(|k| k as f64 / steps).collect()
-    };
-    let report = audit_piecewise(timeline, &times, range, tracer)?;
+    let report = audit_knots(knots, initial, 0, tracer)?;
 
     // New links: present in the final graph but not initially.
-    let initial = UnitDiskGraph::new(&timeline[0], range);
-    let last = timeline.last().ok_or(MetricsError::EmptyTimeline)?;
-    let final_graph = UnitDiskGraph::new(last, range);
-    let new_links = final_graph
-        .links()
-        .iter()
-        .filter(|&&(i, j)| !initial.has_link(i, j))
-        .count();
+    let new_links = {
+        let _s = tracer.span("new_links");
+        UnitDiskGraph::new(&knots.final_positions(), initial.range())
+            .links()
+            .iter()
+            .filter(|&&(i, j)| !initial.has_link(i, j))
+            .count()
+    };
 
     Ok(TransitionMetrics {
         total_distance,
@@ -286,7 +280,7 @@ pub fn evaluate_timeline(
         preserved_links: report.preserved_links,
         initial_links: report.initial_links,
         new_links,
-        samples: timeline.len(),
+        samples,
         audit_pieces: report.pieces,
         audit_checks: report.connectivity_checks,
         violations: report.violations,
@@ -301,17 +295,26 @@ mod tests {
         Point::new(x, y)
     }
 
+    /// Evaluates a dense timeline, row `k` at instant `k`.
+    fn eval(rows: &[Vec<Point>], range: f64, d: f64) -> Result<TransitionMetrics, MetricsError> {
+        let times: Vec<f64> = (0..rows.len()).map(|k| k as f64).collect();
+        let knots = KnotTimeline::from_rows(rows, &times)?;
+        let initial = UnitDiskGraph::new(&knots.initial_positions(), range);
+        evaluate_timeline(&knots, &initial, rows.len(), d, &Tracer::disabled())
+    }
+
     #[test]
     fn stationary_swarm_preserves_everything() {
         let row = vec![p(0.0, 0.0), p(50.0, 0.0), p(100.0, 0.0)];
         let timeline = vec![row.clone(), row.clone(), row];
-        let m = evaluate_timeline(&timeline, 80.0, 0.0, &Tracer::disabled()).unwrap();
+        let m = eval(&timeline, 80.0, 0.0).unwrap();
         assert_eq!(m.stable_link_ratio, 1.0);
         assert_eq!(m.global_connectivity, 1);
         assert_eq!(m.preserved_links, 2);
         assert_eq!(m.initial_links, 2);
         assert_eq!(m.new_links, 0);
-        assert_eq!(m.audit_pieces, 2);
+        // Each of the 3 robots has 2 pieces of its own.
+        assert_eq!(m.audit_pieces, 6);
         assert!(m.audit_checks >= 1);
     }
 
@@ -324,7 +327,7 @@ mod tests {
             vec![p(0.0, 0.0), p(200.0, 0.0)],
             vec![p(0.0, 0.0), p(50.0, 0.0)],
         ];
-        let m = evaluate_timeline(&timeline, 80.0, 300.0, &Tracer::disabled()).unwrap();
+        let m = eval(&timeline, 80.0, 300.0).unwrap();
         assert_eq!(m.stable_link_ratio, 0.0);
         assert_eq!(m.global_connectivity, 0);
         assert_eq!(m.total_distance, 300.0);
@@ -337,7 +340,7 @@ mod tests {
             vec![p(0.0, 0.0), p(500.0, 0.0)],
             vec![p(0.0, 0.0), p(50.0, 0.0)],
         ];
-        let m = evaluate_timeline(&timeline, 80.0, 450.0, &Tracer::disabled()).unwrap();
+        let m = eval(&timeline, 80.0, 450.0).unwrap();
         assert_eq!(m.initial_links, 0);
         assert_eq!(m.stable_link_ratio, 1.0); // vacuous: no links to lose
         assert_eq!(m.new_links, 1);
@@ -351,7 +354,7 @@ mod tests {
             vec![p(0.0, 0.0), p(60.0, 0.0), p(120.0, 0.0)],
             vec![p(0.0, 0.0), p(60.0, 0.0), p(400.0, 0.0)],
         ];
-        let m = evaluate_timeline(&timeline, 80.0, 280.0, &Tracer::disabled()).unwrap();
+        let m = eval(&timeline, 80.0, 280.0).unwrap();
         assert_eq!(m.initial_links, 2);
         assert_eq!(m.preserved_links, 1);
         assert!((m.stable_link_ratio - 0.5).abs() < 1e-12);
@@ -367,7 +370,7 @@ mod tests {
                 row0.iter().map(|q| p(q.x + dx, q.y)).collect()
             })
             .collect();
-        let m = evaluate_timeline(&timeline, 80.0, 3000.0, &Tracer::disabled()).unwrap();
+        let m = eval(&timeline, 80.0, 3000.0).unwrap();
         assert_eq!(m.stable_link_ratio, 1.0);
         assert_eq!(m.global_connectivity, 1);
         assert_eq!(m.new_links, 0);
@@ -387,7 +390,7 @@ mod tests {
             vec![p(0.0, 0.0), p(80.2, 0.0)],
             vec![p(0.0, 0.0), p(72.4, 0.0)],
         ];
-        let m = evaluate_timeline(&timeline, 80.0, 12.0, &Tracer::disabled()).unwrap();
+        let m = eval(&timeline, 80.0, 12.0).unwrap();
         assert_eq!(m.preserved_links, 0);
         assert_eq!(m.global_connectivity, 0);
     }
@@ -465,16 +468,27 @@ mod tests {
             Err(MetricsError::NonPositiveRange { .. })
         ));
         assert!(matches!(
-            evaluate_timeline(&[], 80.0, 0.0, &Tracer::disabled()),
+            eval(&[], 80.0, 0.0),
             Err(MetricsError::EmptyTimeline)
         ));
         assert!(matches!(
-            evaluate_timeline(&[a.clone(), vec![]], 80.0, 0.0, &Tracer::disabled()),
+            eval(&[a.clone(), vec![]], 80.0, 0.0),
             Err(MetricsError::RaggedTimeline { .. })
         ));
         assert!(matches!(
-            evaluate_timeline(&[vec![p(f64::NAN, 0.0)]], 80.0, 0.0, &Tracer::disabled()),
+            eval(&[vec![p(f64::NAN, 0.0)]], 80.0, 0.0),
             Err(MetricsError::NonFinitePosition { row: 0, robot: 0 })
+        ));
+        let knots = KnotTimeline::from_rows(std::slice::from_ref(&a), &[0.0]).unwrap();
+        assert!(matches!(
+            evaluate_timeline(
+                &knots,
+                &UnitDiskGraph::new(&b, 80.0),
+                1,
+                0.0,
+                &Tracer::disabled()
+            ),
+            Err(MetricsError::LengthMismatch { .. })
         ));
         // Errors render a user-facing message.
         let msg = MetricsError::NonPositiveRange { range: -1.0 }.to_string();
@@ -484,18 +498,12 @@ mod tests {
     #[test]
     fn samples_counted() {
         let row = vec![p(0.0, 0.0)];
-        let m = evaluate_timeline(
-            &[row.clone(), row.clone(), row.clone()],
-            10.0,
-            0.0,
-            &Tracer::disabled(),
-        )
-        .unwrap();
+        let m = eval(&[row.clone(), row.clone(), row.clone()], 10.0, 0.0).unwrap();
         assert_eq!(m.samples, 3);
         assert_eq!(m.stable_link_ratio, 1.0); // no links at all
         assert_eq!(m.audit_pieces, 2);
 
-        let m = evaluate_timeline(&[row], 10.0, 0.0, &Tracer::disabled()).unwrap();
+        let m = eval(&[row], 10.0, 0.0).unwrap();
         assert_eq!(m.audit_pieces, 0);
         assert_eq!(m.audit_checks, 1);
     }

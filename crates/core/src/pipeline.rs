@@ -1,8 +1,8 @@
 //! The optimal-marching pipeline (paper Sec. III).
 
 use crate::{
-    evaluate_timeline, repair_connectivity_strict, MarchConfig, MarchError, MarchProblem,
-    RepairReport, TrajectorySet, TransitionMetrics,
+    evaluate_timeline, repair_connectivity_strict, KnotTimeline, MarchConfig, MarchError,
+    MarchProblem, RepairReport, TrajectorySet, TransitionMetrics,
 };
 use anr_coverage::{run_lloyd_guarded_traced, GridPartition};
 use anr_geom::Point;
@@ -37,8 +37,10 @@ pub struct MarchOutcome {
     pub rotation: f64,
     /// The transition trajectories `M1 → M2`.
     pub transition: TrajectorySet,
-    /// The sampled position timeline (transition samples followed by one
-    /// row per Lloyd iteration) the metrics were computed on.
+    /// The dense position timeline for rendering: every robot at the
+    /// uniform samples and every robot's breakpoints of the transition,
+    /// then one row per Lloyd iteration. The metrics audit each robot's
+    /// own knots instead ([`KnotTimeline`]).
     pub timeline: Vec<Vec<Point>>,
     /// `D`, `L`, `C` and link accounting.
     pub metrics: TransitionMetrics,
@@ -72,7 +74,8 @@ pub fn march(
 
 /// [`march`] with structured tracing: every pipeline stage runs inside a
 /// span (`triangulate`, `harmonic_m1`, `harmonic_m2`, `rotation`,
-/// `repair`, `lloyd`, plus `trajectories` and `metrics`), rotation
+/// `repair`, `lloyd`, plus `trajectories` and `metrics`, which holds the
+/// audit's spans and `new_links`), rotation
 /// evaluations and solver iterations are emitted as events, and the
 /// produced outcome is **byte-identical** to the untraced run — tracing
 /// observes, never steers (pinned by a test below).
@@ -152,9 +155,11 @@ pub fn march_traced(
     // For synchronized straight-line motion the inter-robot distance is
     // convex in t, so a link survives the whole transition iff it holds
     // at both endpoints; the link objective therefore only needs the
-    // mapped endpoint positions.
+    // mapped endpoint positions. The same initial graph later gives the
+    // audit its links.
     // ------------------------------------------------------------------
-    let links = UnitDiskGraph::new(positions, range).links();
+    let initial_graph = UnitDiskGraph::new(positions, range);
+    let links = initial_graph.links();
     // The point locator over the target disk mesh is built once for the
     // whole sweep; rebuilding it per angle used to dominate this stage.
     let disk_locator = PointLocator::new(overlay.disk_mesh());
@@ -234,10 +239,9 @@ pub fn march_traced(
     };
 
     // ------------------------------------------------------------------
-    // 6. Transition trajectories (Eqn. 2) with hole avoidance. The
-    //    timeline samples the uniform instants PLUS every trajectory
-    //    breakpoint, so motion between rows is exactly linear and the
-    //    metrics below are continuous-time exact.
+    // 6. Transition trajectories (Eqn. 2) with hole avoidance, and the
+    //    dense rendering timeline: the uniform instants plus every
+    //    trajectory breakpoint.
     // ------------------------------------------------------------------
     let _trajectories_span = tracer.span("trajectories");
     let obstacles = problem.obstacles();
@@ -251,7 +255,7 @@ pub fn march_traced(
     // ------------------------------------------------------------------
     // 7. Minor local adjustment: connectivity-guarded Lloyd (Sec. III-C).
     // ------------------------------------------------------------------
-    let (final_positions, lloyd_iterations) = if config.refine_coverage {
+    let (final_positions, lloyd_iterations, lloyd_rows) = if config.refine_coverage {
         let _s = tracer.span("lloyd");
         // Fine partition: ≥ ~50 samples per robot cell, so the weighted
         // centroids resolve the density gradient instead of locking into
@@ -272,18 +276,26 @@ pub fn march_traced(
         );
         total_distance += lloyd.total_movement;
         timeline.extend(lloyd.history.iter().cloned());
-        (lloyd.sites, lloyd.iterations)
+        (lloyd.sites, lloyd.iterations, lloyd.history)
     } else {
-        (targets, 0)
+        (targets, 0, Vec::new())
     };
 
     // ------------------------------------------------------------------
-    // 8. Metrics (Definitions 1 and 2), exact over the piecewise-linear
-    //    timeline (transition breakpoints + Lloyd iteration rows).
+    // 8. Metrics (Definitions 1 and 2), exact over each robot's own
+    //    piecewise-linear motion: its transition waypoints on s ∈ [0, 1],
+    //    then its Lloyd iterates at s = 2, 3, ….
     // ------------------------------------------------------------------
     let metrics = {
         let _s = tracer.span("metrics");
-        evaluate_timeline(&timeline, range, total_distance, tracer)?
+        let knots = KnotTimeline::from_trajectories(&transition, &lloyd_rows)?;
+        evaluate_timeline(
+            &knots,
+            &initial_graph,
+            timeline.len(),
+            total_distance,
+            tracer,
+        )?
     };
 
     Ok(MarchOutcome {
@@ -435,6 +447,7 @@ mod tests {
             "trajectories",
             "lloyd",
             "metrics",
+            "new_links",
         ] {
             assert!(
                 events

@@ -105,33 +105,39 @@ impl Polyline {
     /// only ever lags, never overshoots, for non-decreasing times; a
     /// decreasing time restarts the scan from segment 0).
     pub fn positions_at_sorted(&self, times: &[f64]) -> Vec<Point> {
-        let len = self.length();
-        let m = self.waypoints.len();
         let mut idx = 0usize;
         times
             .iter()
-            .map(|&s| {
-                if len == 0.0 {
-                    return self.waypoints[0];
-                }
-                let target = s.clamp(0.0, 1.0) * len;
-                if self.cumulative[idx] > target {
-                    idx = 0;
-                }
-                while idx + 1 < m && self.cumulative[idx + 1] <= target {
-                    idx += 1;
-                }
-                if idx + 1 >= m {
-                    return self.end();
-                }
-                let seg_len = self.cumulative[idx + 1] - self.cumulative[idx];
-                if seg_len <= 0.0 {
-                    return self.waypoints[idx];
-                }
-                let t = (target - self.cumulative[idx]) / seg_len;
-                self.waypoints[idx].lerp(self.waypoints[idx + 1], t)
-            })
+            .map(|&s| self.position_at_cursor(&mut idx, s))
             .collect()
+    }
+
+    /// One query of [`Polyline::positions_at_sorted`]: `idx` is the
+    /// segment the previous query ended on (0 to start). For
+    /// non-decreasing queries the result depends only on `s`, whatever
+    /// segment the cursor starts from at or before it.
+    fn position_at_cursor(&self, idx: &mut usize, s: f64) -> Point {
+        let len = self.length();
+        let m = self.waypoints.len();
+        if len == 0.0 {
+            return self.waypoints[0];
+        }
+        let target = s.clamp(0.0, 1.0) * len;
+        if self.cumulative[*idx] > target {
+            *idx = 0;
+        }
+        while *idx + 1 < m && self.cumulative[*idx + 1] <= target {
+            *idx += 1;
+        }
+        if *idx + 1 >= m {
+            return self.end();
+        }
+        let seg_len = self.cumulative[*idx + 1] - self.cumulative[*idx];
+        if seg_len <= 0.0 {
+            return self.waypoints[*idx];
+        }
+        let t = (target - self.cumulative[*idx]) / seg_len;
+        self.waypoints[*idx].lerp(self.waypoints[*idx + 1], t)
     }
 
     /// Normalized times `s` of the waypoints — the breakpoints of the
@@ -229,18 +235,33 @@ impl TrajectorySet {
     ///
     /// Sorted time lists (the common case — [`TrajectorySet::breakpoints`]
     /// and [`TrajectorySet::sample_times_with_breakpoints`] are sorted)
-    /// are sampled with one monotone cursor walk per path, fanned out
-    /// over worker threads; the rows are bit-identical to the per-query
-    /// path at any worker count.
+    /// are sampled in blocks of rows fanned out over worker threads: each
+    /// path walks one monotone cursor down its block, writing straight
+    /// into the rows, so no robot-major copy of the timeline is ever
+    /// held. The rows are bit-identical to [`Polyline::positions_at_sorted`]
+    /// and to the per-query path at any worker count.
     pub fn sample_at(&self, times: &[f64]) -> Vec<Vec<Point>> {
+        self.sample_rows(times, 0)
+    }
+
+    /// [`TrajectorySet::sample_at`] on `workers` threads (0 = auto).
+    fn sample_rows(&self, times: &[f64], workers: usize) -> Vec<Vec<Point>> {
         if !times.windows(2).all(|w| w[1] >= w[0]) {
             return times.iter().map(|&s| self.positions_at(s)).collect();
         }
-        let per_path: Vec<Vec<Point>> =
-            anr_par::par_map(&self.paths, 0, |p| p.positions_at_sorted(times));
-        (0..times.len())
-            .map(|r| per_path.iter().map(|c| c[r]).collect())
-            .collect()
+        let blocks = anr_par::par_chunks(times, 32, workers, |block| {
+            let mut rows: Vec<Vec<Point>> = (0..block.len())
+                .map(|_| Vec::with_capacity(self.paths.len()))
+                .collect();
+            for path in &self.paths {
+                let mut idx = 0;
+                for (row, &s) in rows.iter_mut().zip(block) {
+                    row.push(path.position_at_cursor(&mut idx, s));
+                }
+            }
+            rows
+        });
+        blocks.into_iter().flatten().collect()
     }
 
     /// The union of every path's waypoint instants — sorted, deduped,
@@ -259,9 +280,9 @@ impl TrajectorySet {
 
     /// `samples + 1` uniform instants **augmented with every trajectory
     /// breakpoint**: a timeline sampled at these times is genuinely
-    /// piecewise-linear row-to-row, so [`crate::evaluate_timeline`] and
-    /// the continuous auditor are exact on it. The uniform instants keep
-    /// the timeline's visual resolution for rendering.
+    /// piecewise-linear row-to-row, so the dense audit
+    /// ([`crate::audit_piecewise`]) is exact on it. The uniform instants
+    /// keep the timeline's visual resolution for rendering.
     ///
     /// # Panics
     ///
@@ -619,6 +640,22 @@ mod tests {
         let rows = set.sample_at(&times);
         for (r, &s) in times.iter().enumerate() {
             assert_eq!(rows[r], set.positions_at(s), "row {r} at s={s}");
+        }
+        // Row blocks give every worker count the per-path cursor walk's
+        // rows, bit for bit (more rows than one block, so blocks split).
+        let many: Vec<f64> = (0..=200).map(|k| f64::from(k) / 200.0).collect();
+        let per_path: Vec<Vec<Point>> = set
+            .paths()
+            .iter()
+            .map(|p| p.positions_at_sorted(&many))
+            .collect();
+        for workers in [1, 2, 8] {
+            let rows = set.sample_rows(&many, workers);
+            assert_eq!(rows.len(), many.len());
+            for (r, row) in rows.iter().enumerate() {
+                let want: Vec<Point> = per_path.iter().map(|c| c[r]).collect();
+                assert_eq!(row, &want, "row {r} at {workers} workers");
+            }
         }
         // Unsorted queries fall back to per-query sampling.
         let unsorted = [0.9, 0.1, 0.5, 0.5, 0.0];

@@ -6,11 +6,11 @@
 //! byte-equality statement tests can (and do) pin.
 
 use crate::protocol::{
-    encode_header, fnv1a64, frame_into, request_hash, PlanMethod, PlanRequest, PlanTarget,
+    encode_header, frame_into, request_hash, Fnv1a64, PlanMethod, PlanRequest, PlanTarget,
     ResponseHeader, CHUNK_POINTS, ERR_BAD_REQUEST, ERR_INTERNAL, ERR_UNKNOWN_SCENARIO,
     KIND_RESP_CHUNK, KIND_RESP_END, KIND_RESP_HEADER,
 };
-use anr_geom::{Point, Polygon, PolygonWithHoles, Vector};
+use anr_geom::{Polygon, PolygonWithHoles, Vector};
 use anr_march::{march_traced, MarchConfig, MarchProblem, Method};
 use anr_scenarios::{build_scenario, ScenarioError, ScenarioParams};
 use anr_trace::Tracer;
@@ -164,31 +164,30 @@ pub fn execute_plan(req: &PlanRequest, tracer: &Tracer) -> Result<Vec<u8>, PlanE
     let header_payload = encode_header(&header);
 
     let mut out = Vec::with_capacity(16 * total_points + 128);
-    let mut stream_hash_input = header_payload.clone();
+    let mut stream_hash = Fnv1a64::new();
+    stream_hash.update(&header_payload);
     frame_into(&mut out, KIND_RESP_HEADER, &header_payload);
 
-    let points: Vec<Point> = outcome.timeline.iter().flatten().copied().collect();
-    for (index, chunk) in points.chunks(CHUNK_POINTS.max(1)).enumerate() {
-        let mut payload = Vec::with_capacity(8 + 16 * chunk.len());
+    // Chunks are encoded straight from the timeline rows into one
+    // reused payload buffer, hashed as they are produced.
+    let mut points = outcome.timeline.iter().flatten();
+    let mut payload = Vec::with_capacity(8 + 16 * CHUNK_POINTS.min(total_points));
+    for index in 0..chunk_count {
+        let len = CHUNK_POINTS.min(total_points - index * CHUNK_POINTS);
+        payload.clear();
         payload.extend_from_slice(&clamp_u32(index).to_be_bytes());
-        payload.extend_from_slice(&clamp_u32(chunk.len()).to_be_bytes());
-        for p in chunk {
+        payload.extend_from_slice(&clamp_u32(len).to_be_bytes());
+        for p in points.by_ref().take(len) {
             payload.extend_from_slice(&p.x.to_bits().to_be_bytes());
             payload.extend_from_slice(&p.y.to_bits().to_be_bytes());
         }
-        stream_hash_input.extend_from_slice(&payload);
-        frame_into(&mut out, KIND_RESP_CHUNK, &payload);
-    }
-    if points.is_empty() {
-        // Keep the promised chunk count even for an empty timeline.
-        let payload = [0u8; 8];
-        stream_hash_input.extend_from_slice(&payload);
+        stream_hash.update(&payload);
         frame_into(&mut out, KIND_RESP_CHUNK, &payload);
     }
 
     let mut end = Vec::with_capacity(12);
     end.extend_from_slice(&clamp_u32(chunk_count).to_be_bytes());
-    end.extend_from_slice(&fnv1a64(&stream_hash_input).to_be_bytes());
+    end.extend_from_slice(&stream_hash.finish().to_be_bytes());
     frame_into(&mut out, KIND_RESP_END, &end);
     Ok(out)
 }
@@ -196,6 +195,7 @@ pub fn execute_plan(req: &PlanRequest, tracer: &Tracer) -> Result<Vec<u8>, PlanE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anr_geom::Point;
 
     #[test]
     fn unknown_scenario_is_typed() {
@@ -219,6 +219,40 @@ mod tests {
         match execute_plan(&req, &Tracer::disabled()) {
             Err(PlanError::BadRequest(_)) => {}
             other => panic!("expected BadRequest, got {other:?}"),
+        }
+    }
+
+    /// The full reply bytes — header, every chunk, end frame — of one
+    /// hole-scenario request and one polygon request, pinned by their
+    /// FNV-1a 64 so that how a reply is encoded cannot move a byte.
+    #[test]
+    fn reply_bytes_are_pinned() {
+        let polygon = PlanRequest {
+            target: PlanTarget::Polygon(vec![
+                Point::new(0.0, 0.0),
+                Point::new(600.0, 0.0),
+                Point::new(600.0, 300.0),
+                Point::new(300.0, 300.0),
+                Point::new(300.0, 600.0),
+                Point::new(0.0, 600.0),
+            ]),
+            ..PlanRequest::scenario(1)
+        };
+        for (req, len, hash) in [
+            (
+                PlanRequest::scenario(6),
+                1_221_450,
+                0xc5d1_bbe2_5928_6373u64,
+            ),
+            (polygon, 161_402, 0xe593_5107_19e2_accf),
+        ] {
+            let bytes = execute_plan(&req, &Tracer::disabled()).unwrap();
+            assert_eq!(
+                (bytes.len(), crate::protocol::fnv1a64(&bytes)),
+                (len, hash),
+                "{:?}",
+                req.target
+            );
         }
     }
 

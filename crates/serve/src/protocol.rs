@@ -85,12 +85,30 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// checkpoints use; endianness-free and dependency-free.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut h = Fnv1a64::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// [`fnv1a64`] fed in pieces: FNV-1a folds one byte at a time, so the
+/// hash of the pieces is the hash of their concatenation.
+pub(crate) struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    pub(crate) fn new() -> Self {
+        Fnv1a64(FNV_OFFSET)
     }
-    h
+
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// What a plan request marches toward.
