@@ -159,7 +159,7 @@ pub enum Command {
     /// `anr lint [--root DIR] [--baseline FILE] [--jsonl FILE]
     /// [--graph FILE] [--panics FILE] [--capabilities FILE]
     /// [--models FILE] [--report panics|caps|taint|locks|models]
-    /// [--workers N] [--deny] [--write-baseline] [--list-rules]`
+    /// [--workers N] [--deny] [--list-rules]`
     Lint {
         /// Workspace root to scan.
         root: PathBuf,
@@ -183,8 +183,6 @@ pub enum Command {
         workers: usize,
         /// Exit non-zero on any non-baselined finding.
         deny: bool,
-        /// Regenerate the baseline file instead of reporting.
-        write_baseline: bool,
         /// Print the rule table instead of scanning.
         list_rules: bool,
     },
@@ -289,7 +287,7 @@ COMMANDS:
   anr lint     [--root <dir>] [--baseline <file>] [--jsonl <file>]
                [--graph <file>] [--panics <file>] [--capabilities <file>]
                [--models <file>] [--report panics|caps|taint|locks|models]
-               [--workers <n>] [--deny] [--write-baseline] [--list-rules]
+               [--workers <n>] [--deny] [--list-rules]
   anr info
   anr help
 
@@ -327,7 +325,7 @@ byte-identity to BENCH_serve.json.
 `--deny` it exits non-zero on any non-baselined finding. `--graph` and
 `--panics` write the cross-crate call graph and pub-surface panic
 reachability as JSONL; `--report panics` prints the latter instead of
-the findings; `--write-baseline` regenerates the baseline in place.
+the findings.
 ";
 
 struct Cursor {
@@ -746,7 +744,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Ar
             let mut report = None;
             let mut workers = 1;
             let mut deny = false;
-            let mut write_baseline = false;
             let mut list_rules = false;
             while let Some(flag) = cur.next() {
                 match flag.as_str() {
@@ -782,7 +779,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Ar
                         })?;
                     }
                     "--deny" => deny = true,
-                    "--write-baseline" => write_baseline = true,
                     "--list-rules" => list_rules = true,
                     other => {
                         return Err(ArgError::UnknownFlag {
@@ -802,7 +798,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Ar
                 report,
                 workers,
                 deny,
-                write_baseline,
                 list_rules,
             })
         }
@@ -1309,7 +1304,6 @@ mod tests {
                 report: None,
                 workers: 1,
                 deny: false,
-                write_baseline: false,
                 list_rules: false,
             }
         );
@@ -1335,7 +1329,6 @@ mod tests {
                 "--workers",
                 "4",
                 "--deny",
-                "--write-baseline",
                 "--list-rules",
             ])
             .unwrap(),
@@ -1350,7 +1343,6 @@ mod tests {
                 report: Some("caps".to_string()),
                 workers: 4,
                 deny: true,
-                write_baseline: true,
                 list_rules: true,
             }
         );

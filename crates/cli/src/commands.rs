@@ -601,7 +601,6 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
             report: aux_report,
             workers,
             deny,
-            write_baseline,
             list_rules,
         } => {
             if list_rules {
@@ -617,19 +616,10 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
             }
             let _span = tracer.span("lint");
             let options = anr_lint::LintOptions {
-                root: root.clone(),
-                baseline: baseline.clone(),
+                root,
+                baseline,
                 workers,
             };
-            if write_baseline {
-                let baseline_path = baseline.unwrap_or_else(|| root.join("lint.allow.toml"));
-                let existing = std::fs::read_to_string(&baseline_path).unwrap_or_default();
-                let rendered =
-                    anr_lint::write_baseline(&options, &existing).map_err(CliError::Lint)?;
-                std::fs::write(&baseline_path, rendered)?;
-                println!("baseline written to {}", baseline_path.display());
-                return Ok(());
-            }
             let report = anr_lint::lint_workspace(&options).map_err(CliError::Lint)?;
             tracer.counter_add("lint_files", report.files_scanned as u64);
             tracer.counter_add("lint_findings", report.findings.len() as u64);
@@ -867,7 +857,6 @@ mod tests {
             report: None,
             workers: 1,
             deny: true,
-            write_baseline: false,
             list_rules: false,
         })
         .unwrap();
@@ -886,7 +875,6 @@ mod tests {
             report: None,
             workers: 1,
             deny: false,
-            write_baseline: false,
             list_rules: true,
         })
         .unwrap();

@@ -3,16 +3,20 @@
 //! maximum count so entries survive line churn but ratchet down as
 //! violations are fixed.
 //!
-//! Only the tiny TOML subset the baseline needs is parsed: `[[allow]]`
-//! array-of-tables with string and integer values, `#` comments.
+//! The file goes through the reader all three manifests share:
+//! `[[allow]]` tables with string and integer values, `#` comments.
+//! Entries are written by hand, each with its own justification.
 //!
 //! Interprocedural findings (S1/S2) carry a call chain; their entries
 //! may pin a `path` — a substring the finding's chain must contain —
 //! so a justification stays attached to *that* panic path and stops
 //! matching if the chain is rerouted.
 
+use crate::manifest::{quoted, read_tables, ManifestError};
 use crate::rules::{rule_info, Finding};
-use std::fmt::Write as _;
+
+/// The baseline's default file name, at the workspace root.
+pub(crate) const ALLOW_FILE: &str = "lint.allow.toml";
 
 /// One baseline entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,32 +36,6 @@ pub struct AllowEntry {
     pub path: Option<String>,
 }
 
-/// Baseline file problems.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineError {
-    /// 1-based line of the problem (0 = whole file).
-    pub line: usize,
-    /// What is wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for BaselineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.line > 0 {
-            write!(f, "lint.allow.toml:{}: {}", self.line, self.message)
-        } else {
-            write!(f, "lint.allow.toml: {}", self.message)
-        }
-    }
-}
-
-fn err(line: usize, message: impl Into<String>) -> BaselineError {
-    BaselineError {
-        line,
-        message: message.into(),
-    }
-}
-
 #[derive(Default)]
 struct Partial {
     rule: Option<String>,
@@ -65,25 +43,40 @@ struct Partial {
     count: Option<usize>,
     reason: Option<String>,
     path: Option<String>,
-    start_line: usize,
 }
 
-fn finish(p: Partial) -> Result<AllowEntry, BaselineError> {
-    let line = p.start_line;
-    let rule = p.rule.ok_or_else(|| err(line, "entry missing `rule`"))?;
-    let file = p.file.ok_or_else(|| err(line, "entry missing `file`"))?;
-    let count = p.count.ok_or_else(|| err(line, "entry missing `count`"))?;
-    let reason = p
-        .reason
-        .ok_or_else(|| err(line, "entry missing `reason`"))?;
+fn set(p: &mut Partial, key: &str, value: &str) -> Result<(), String> {
+    match key {
+        "rule" => p.rule = Some(quoted(value, "rule must be a quoted string")?),
+        "file" => p.file = Some(quoted(value, "file must be a quoted string")?),
+        "reason" => p.reason = Some(quoted(value, "reason must be a quoted string")?),
+        "count" => {
+            p.count = Some(
+                value
+                    .parse()
+                    .map_err(|_| "count must be an integer".to_string())?,
+            );
+        }
+        "path" => p.path = Some(quoted(value, "path must be a quoted string")?),
+        other => return Err(format!("unknown key `{other}`")),
+    }
+    Ok(())
+}
+
+fn finish(p: Partial) -> Result<AllowEntry, String> {
+    let missing = |key: &str| format!("entry missing `{key}`");
+    let rule = p.rule.ok_or_else(|| missing("rule"))?;
+    let file = p.file.ok_or_else(|| missing("file"))?;
+    let count = p.count.ok_or_else(|| missing("count"))?;
+    let reason = p.reason.ok_or_else(|| missing("reason"))?;
     if rule_info(&rule).is_none() {
-        return Err(err(line, format!("unknown rule id `{rule}`")));
+        return Err(format!("unknown rule id `{rule}`"));
     }
     if count == 0 {
-        return Err(err(line, "count must be ≥ 1 (delete the entry instead)"));
+        return Err("count must be ≥ 1 (delete the entry instead)".to_string());
     }
     if reason.trim().is_empty() {
-        return Err(err(line, "reason must be a non-empty justification"));
+        return Err("reason must be a non-empty justification".to_string());
     }
     Ok(AllowEntry {
         rule,
@@ -99,119 +92,15 @@ fn finish(p: Partial) -> Result<AllowEntry, BaselineError> {
 ///
 /// # Errors
 ///
-/// [`BaselineError`] on malformed syntax, unknown keys or rules,
+/// [`ManifestError`] on malformed syntax, unknown keys or rules,
 /// missing justifications, or zero counts.
-pub fn parse_baseline(text: &str) -> Result<Vec<AllowEntry>, BaselineError> {
+pub fn parse_baseline(text: &str) -> Result<Vec<AllowEntry>, ManifestError> {
     let mut entries = Vec::new();
-    let mut current: Option<Partial> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line == "[[allow]]" {
-            if let Some(p) = current.take() {
-                entries.push(finish(p)?);
-            }
-            current = Some(Partial {
-                start_line: lineno,
-                ..Partial::default()
-            });
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(err(lineno, format!("expected `key = value`, got `{line}`")));
-        };
-        let Some(p) = current.as_mut() else {
-            return Err(err(lineno, "key outside any [[allow]] entry"));
-        };
-        let key = key.trim();
-        let value = value.trim();
-        match key {
-            "rule" => {
-                p.rule = Some(
-                    parse_string(value)
-                        .ok_or_else(|| err(lineno, "rule must be a quoted string"))?,
-                )
-            }
-            "file" => {
-                p.file = Some(
-                    parse_string(value)
-                        .ok_or_else(|| err(lineno, "file must be a quoted string"))?,
-                )
-            }
-            "reason" => {
-                p.reason = Some(
-                    parse_string(value)
-                        .ok_or_else(|| err(lineno, "reason must be a quoted string"))?,
-                )
-            }
-            "count" => {
-                p.count = Some(
-                    value
-                        .parse()
-                        .map_err(|_| err(lineno, "count must be an integer"))?,
-                )
-            }
-            "path" => {
-                p.path = Some(
-                    parse_string(value)
-                        .ok_or_else(|| err(lineno, "path must be a quoted string"))?,
-                )
-            }
-            other => return Err(err(lineno, format!("unknown key `{other}`"))),
-        }
-    }
-    if let Some(p) = current.take() {
+    read_tables(ALLOW_FILE, "allow", text, set, |_, p| {
         entries.push(finish(p)?);
-    }
+        Ok(())
+    })?;
     Ok(entries)
-}
-
-/// Strips a `#` comment that is outside any quoted string.
-pub(crate) fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '\\' if in_str && !escaped => {
-                escaped = true;
-                continue;
-            }
-            '"' if !escaped => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-        escaped = false;
-    }
-    line
-}
-
-pub(crate) fn parse_string(value: &str) -> Option<String> {
-    let inner = value.strip_prefix('"')?.strip_suffix('"')?;
-    let mut out = String::with_capacity(inner.len());
-    let mut escaped = false;
-    for c in inner.chars() {
-        if escaped {
-            out.push(match c {
-                'n' => '\n',
-                't' => '\t',
-                other => other,
-            });
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            return None; // unescaped quote mid-string
-        } else {
-            out.push(c);
-        }
-    }
-    if escaped {
-        return None;
-    }
-    Some(out)
 }
 
 /// Marks findings covered by the baseline (`finding.baselined`) and
@@ -237,48 +126,6 @@ pub fn apply_baseline(findings: &mut [Finding], entries: &mut [AllowEntry]) {
             f.baselined = true;
         }
     }
-}
-
-/// Renders a baseline deterministically: entries sorted by
-/// `(rule, file, path)`, one `[[allow]]` table each, stable key order.
-/// [`crate::write_baseline`] uses this to regenerate `lint.allow.toml`.
-#[must_use]
-pub fn render_baseline(entries: &[AllowEntry]) -> String {
-    let mut sorted: Vec<&AllowEntry> = entries.iter().collect();
-    sorted.sort_by(|a, b| (&a.rule, &a.file, &a.path).cmp(&(&b.rule, &b.file, &b.path)));
-    let mut out = String::from(
-        "# anr-lint baseline — every entry needs a one-line justification.\n\
-         # Regenerate with `anr-lint --write-baseline`; counts only ratchet down.\n",
-    );
-    for e in sorted {
-        out.push_str("\n[[allow]]\n");
-        let _ = write!(out, "rule = ");
-        toml_str(&mut out, &e.rule);
-        let _ = write!(out, "\nfile = ");
-        toml_str(&mut out, &e.file);
-        if let Some(p) = &e.path {
-            let _ = write!(out, "\npath = ");
-            toml_str(&mut out, p);
-        }
-        let _ = write!(out, "\ncount = {}\nreason = ", e.count);
-        toml_str(&mut out, &e.reason);
-        out.push('\n');
-    }
-    out
-}
-
-fn toml_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Entries whose `count` exceeds the findings they absorbed — the

@@ -6,10 +6,10 @@
 //! The effect lattice is a small fixed set — `net`, `fs`, `time`,
 //! `thread`, `rng`, `env` — chosen to cover everything that can make a
 //! run nondeterministic or touch the world outside the process. Direct
-//! effect *sites* are recognized syntactically (the same cheap token
-//! patterns the D-rules use); reachability is the same reverse BFS the
-//! S-rules run, so every finding carries a concrete shortest call chain
-//! from the offending crate to the effect site.
+//! effect *sites* come from the site table the D-rules read, and each
+//! effect's reachability is one of the shared call-graph walks (which
+//! M2 reads too), so every finding carries a concrete shortest call
+//! chain from the offending crate to the effect site.
 //!
 //! Both directions are enforced: an effect the crate reaches but does
 //! not declare is an error (the manifest must widen in the same diff),
@@ -17,15 +17,15 @@
 //! manifest must ratchet down). A missing manifest file disables C1
 //! entirely — fixture workspaces opt in by shipping their own manifest.
 
-use crate::baseline::{parse_string, strip_comment, BaselineError};
-use crate::context::FileCtx;
 use crate::graph::CallGraph;
-use crate::lexer::TokKind;
-use crate::parser::ParsedFile;
+use crate::manifest::{quoted, read_tables, ManifestError};
 use crate::report::json_string as json_str;
 use crate::rules::Finding;
-use crate::semantic::{chain, distances, mk_finding, Sink};
+use crate::semantic::{chain, mk_finding, Reach};
 use std::collections::BTreeMap;
+
+/// The manifest's file name, at the workspace root.
+pub(crate) const CAPS_FILE: &str = "lint.capabilities.toml";
 
 /// The effect lattice, in report order.
 pub const EFFECTS: &[&str] = &["env", "fs", "net", "rng", "thread", "time"];
@@ -150,205 +150,98 @@ impl CapsManifest {
     }
 }
 
-/// Parses the minimal TOML subset the manifest uses: `[[crate]]`
-/// tables with a `name` string and an `effects` string array (one
-/// line). Comments and blank lines are free.
+/// Parses the manifest: `[[crate]]` tables with a `name` string and an
+/// `effects` string array (one line). Comments and blank lines are
+/// free.
 ///
 /// # Errors
 ///
-/// [`BaselineError`] (line + message) on any malformed construct,
-/// unknown effect name, or duplicate crate entry.
-pub fn parse_capabilities(text: &str) -> Result<CapsManifest, BaselineError> {
+/// [`ManifestError`] on any malformed construct, unknown effect name,
+/// or duplicate crate entry.
+pub fn parse_capabilities(text: &str) -> Result<CapsManifest, ManifestError> {
     let mut manifest = CapsManifest::default();
-    let mut current: Option<(u32, Option<String>, Option<Vec<String>>)> = None;
-    let err = |line: usize, message: &str| BaselineError {
-        line,
-        message: message.to_string(),
-    };
-    let finish = |cur: Option<(u32, Option<String>, Option<Vec<String>>)>,
-                  line: usize,
-                  manifest: &mut CapsManifest|
-     -> Result<(), BaselineError> {
-        if let Some((at, name, effects)) = cur {
-            let name = name.ok_or_else(|| err(line, "[[crate]] entry missing `name`"))?;
-            let effects = effects.ok_or_else(|| err(line, "[[crate]] entry missing `effects`"))?;
-            if manifest
-                .entries
-                .insert(name.clone(), (at, effects))
-                .is_some()
-            {
-                return Err(err(
-                    line,
-                    &format!("duplicate [[crate]] entry for `{name}`"),
-                ));
-            }
+    let set = |entry: &mut (Option<String>, Option<Vec<String>>), key: &str, value: &str| {
+        match key {
+            "name" => entry.0 = Some(quoted(value, "bad string for `name`")?),
+            "effects" => entry.1 = Some(effect_list(value)?),
+            other => return Err(format!("unknown key `{other}`")),
         }
         Ok(())
     };
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
+    read_tables(CAPS_FILE, "crate", text, set, |line, (name, effects)| {
+        let name = name.ok_or("[[crate]] entry missing `name`")?;
+        let effects = effects.ok_or("[[crate]] entry missing `effects`")?;
+        if manifest
+            .entries
+            .insert(name.clone(), (line as u32, effects))
+            .is_some()
+        {
+            return Err(format!("duplicate [[crate]] entry for `{name}`"));
         }
-        if line == "[[crate]]" {
-            finish(current.take(), lineno, &mut manifest)?;
-            current = Some((lineno as u32, None, None));
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(err(lineno, "expected `key = value` or `[[crate]]`"));
-        };
-        let (key, value) = (key.trim(), value.trim());
-        let Some((_, name, effects)) = current.as_mut() else {
-            return Err(err(lineno, "key outside a [[crate]] entry"));
-        };
-        match key {
-            "name" => {
-                let v = parse_string(value).ok_or_else(|| err(lineno, "bad string for `name`"))?;
-                *name = Some(v);
-            }
-            "effects" => {
-                let inner = value
-                    .strip_prefix('[')
-                    .and_then(|v| v.strip_suffix(']'))
-                    .ok_or_else(|| err(lineno, "`effects` must be a one-line string array"))?;
-                let mut list = Vec::new();
-                let inner = inner.trim();
-                if !inner.is_empty() {
-                    for part in inner.split(',') {
-                        let part = part.trim();
-                        if part.is_empty() {
-                            continue; // trailing comma
-                        }
-                        let eff = parse_string(part)
-                            .ok_or_else(|| err(lineno, "bad string in `effects` array"))?;
-                        if !EFFECTS.contains(&eff.as_str()) {
-                            return Err(err(lineno, &format!("unknown effect `{eff}`")));
-                        }
-                        if list.contains(&eff) {
-                            return Err(err(lineno, &format!("duplicate effect `{eff}`")));
-                        }
-                        list.push(eff);
-                    }
-                }
-                list.sort();
-                *effects = Some(list);
-            }
-            other => return Err(err(lineno, &format!("unknown key `{other}`"))),
-        }
-    }
-    let last = text.lines().count();
-    finish(current.take(), last, &mut manifest)?;
+        Ok(())
+    })?;
     Ok(manifest)
 }
 
-/// Scans one body token range for the first direct site of each effect.
-/// Shared with the M2 handler-purity rule, which holds protocol
-/// handlers to "no reachable effect at all" rather than a per-crate
-/// declaration.
-pub(crate) fn effect_sites(ctx: &FileCtx, body: (usize, usize)) -> BTreeMap<&'static str, Sink> {
-    let toks = &ctx.tokens;
-    let mut found: BTreeMap<&'static str, Sink> = BTreeMap::new();
-    let mut add = |effect: &'static str, label: String, line: u32| {
-        found.entry(effect).or_insert(Sink { label, line });
-    };
-    for i in body.0..body.1.min(toks.len()) {
-        if toks[i].kind != TokKind::Ident {
-            continue;
+/// A one-line `["effect", …]` array: known effects, no duplicates,
+/// sorted.
+fn effect_list(value: &str) -> Result<Vec<String>, String> {
+    let inner = value
+        .strip_prefix('[')
+        .and_then(|v| v.strip_suffix(']'))
+        .ok_or("`effects` must be a one-line string array")?;
+    let mut list = Vec::new();
+    for part in inner.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let eff = quoted(part, "bad string in `effects` array")?;
+        if !EFFECTS.contains(&eff.as_str()) {
+            return Err(format!("unknown effect `{eff}`"));
         }
-        let name = toks[i].text.as_str();
-        let line = toks[i].line;
-        // `head :: …` — a qualified path rooted at `head`.
-        let path_root = |head: &str| {
-            toks[i].is_ident(head)
-                && toks.get(i + 1).is_some_and(|t| t.is_punct(":"))
-                && toks.get(i + 2).is_some_and(|t| t.is_punct(":"))
-        };
-        let prev_dot = i > 0 && toks[i - 1].is_punct(".");
-        let next_open = toks.get(i + 1).is_some_and(|t| t.is_punct("("));
-        let path_tail = |head: &str| {
-            i >= 3
-                && toks[i - 1].is_punct(":")
-                && toks[i - 2].is_punct(":")
-                && toks[i - 3].is_ident(head)
-        };
-        match name {
-            "TcpListener" | "TcpStream" | "UdpSocket" => {
-                add("net", format!("`{name}`"), line);
-            }
-            "fs" if path_root("fs") => add("fs", "`fs::`".to_string(), line),
-            "OpenOptions" => add("fs", "`OpenOptions`".to_string(), line),
-            "File" if path_root("File") => add("fs", "`File::`".to_string(), line),
-            "SystemTime" => add("time", "`SystemTime`".to_string(), line),
-            "now" if path_tail("Instant") => add("time", "`Instant::now()`".to_string(), line),
-            "elapsed" if prev_dot && next_open => {
-                add("time", "`.elapsed()`".to_string(), line);
-            }
-            "thread" if path_root("thread") => add("thread", "`thread::`".to_string(), line),
-            "from_entropy" | "thread_rng" | "OsRng" => {
-                add("rng", format!("`{name}`"), line);
-            }
-            "random" if path_tail("rand") => add("rng", "`rand::random`".to_string(), line),
-            "env" if path_root("env") => add("env", "`env::`".to_string(), line),
-            _ => {}
+        if list.contains(&eff) {
+            return Err(format!("duplicate effect `{eff}`"));
         }
+        list.push(eff);
     }
-    found
+    list.sort();
+    Ok(list)
 }
 
-/// Computes the per-crate effect surface and, when a manifest is
-/// present, the C1 findings for both disagreement directions.
+/// Computes the per-crate effect surface from the shared effect walks
+/// (one per [`EFFECTS`] entry) and, when a manifest is present, the C1
+/// findings for both disagreement directions.
 pub(crate) fn analyze_capabilities(
     graph: &CallGraph,
-    files: &[(FileCtx, ParsedFile)],
+    effects: &[Reach],
     manifest: Option<&CapsManifest>,
-    manifest_file: &str,
 ) -> (Vec<Finding>, CapsReport) {
-    // Direct effect sites per node (shipping code only — tests and
-    // benches may use anything).
-    let mut per_effect: BTreeMap<&'static str, BTreeMap<usize, Sink>> = BTreeMap::new();
-    for (i, n) in graph.nodes.iter().enumerate() {
-        if n.in_test {
-            continue;
-        }
-        let Some(body) = n.body else { continue };
-        let ctx = &files[n.file_idx].0;
-        for (effect, sink) in effect_sites(ctx, body) {
-            per_effect.entry(effect).or_default().insert(i, sink);
-        }
-    }
-
-    // Reverse-BFS reachability per effect, then fold into per-crate
-    // surfaces: for each (crate, effect) keep the crate-local node with
-    // the shortest chain (node index as tie-break).
+    let manifest_file = CAPS_FILE;
+    // Fold each effect's walk into per-crate surfaces: for each
+    // (crate, effect) keep the crate-local node with the shortest chain
+    // (node index as tie-break).
     let mut surfaces: BTreeMap<String, BTreeMap<&'static str, EffectUse>> = BTreeMap::new();
     for n in &graph.nodes {
         if !n.in_test {
             surfaces.entry(n.crate_name.clone()).or_default();
         }
     }
-    for (&effect, sinks) in &per_effect {
-        let dist = distances(graph, sinks);
-        let mut best: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+    for (&effect, walk) in EFFECTS.iter().zip(effects) {
+        let mut best: BTreeMap<&str, usize> = BTreeMap::new();
         for (i, n) in graph.nodes.iter().enumerate() {
-            if n.in_test || dist[i] == usize::MAX {
+            if n.in_test || !walk.reaches(i) {
                 continue;
             }
-            let entry = best.entry(n.crate_name.as_str()).or_insert((dist[i], i));
-            if (dist[i], i) < *entry {
-                *entry = (dist[i], i);
+            let head = best.entry(n.crate_name.as_str()).or_insert(i);
+            if walk.dist[i] < walk.dist[*head] {
+                *head = i;
             }
         }
-        for (crate_name, (_, start)) in best {
-            let (via, sink_idx) = chain(graph, &dist, start);
-            let sink = &sinks[&sink_idx];
+        for (crate_name, start) in best {
+            let (via, _) = chain(graph, &walk.dist, start);
             let head = &graph.nodes[start];
             surfaces.entry(crate_name.to_string()).or_default().insert(
                 effect,
                 EffectUse {
                     effect,
-                    sink: sink.label.clone(),
+                    sink: walk.label(start).to_string(),
                     file: head.file.clone(),
                     line: head.line,
                     via,

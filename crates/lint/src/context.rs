@@ -1,7 +1,9 @@
 //! Per-file analysis context: what kind of target a file belongs to,
-//! which token spans are test code, and where functions live.
+//! which token spans are test code, which tokens are sites, and where
+//! functions live.
 
 use crate::lexer::{TokKind, Token};
+use crate::sites::{classify as classify_sites, Site};
 
 /// What compilation target a source file belongs to, derived from its
 /// workspace-relative path.
@@ -33,6 +35,8 @@ pub struct FileCtx {
     /// `in_test[i]` — token `i` is inside `#[cfg(test)]` / `#[test]` /
     /// proptest-macro code.
     pub in_test: Vec<bool>,
+    /// The file's site table, sorted by token.
+    pub(crate) sites: Vec<Site>,
 }
 
 impl FileCtx {
@@ -42,6 +46,7 @@ impl FileCtx {
         let rel_path = rel_path.replace('\\', "/");
         let tokens = crate::lexer::lex(src);
         let in_test = mark_test_regions(&tokens);
+        let sites = classify_sites(&tokens);
         let (crate_name, kind) = classify(&rel_path);
         FileCtx {
             rel_path,
@@ -49,7 +54,25 @@ impl FileCtx {
             kind,
             tokens,
             in_test,
+            sites,
         }
+    }
+
+    /// The sites inside a token range (a function body).
+    #[must_use]
+    pub(crate) fn sites_in(&self, (start, end): (usize, usize)) -> &[Site] {
+        let from = self.sites.partition_point(|s| s.tok < start);
+        let to = self.sites.partition_point(|s| s.tok < end);
+        &self.sites[from..to.max(from)]
+    }
+
+    /// The site at token `i`, if it is one.
+    #[must_use]
+    pub(crate) fn site_at(&self, i: usize) -> Option<&Site> {
+        self.sites
+            .binary_search_by_key(&i, |s| s.tok)
+            .ok()
+            .map(|k| &self.sites[k])
     }
 
     /// Library code outside any test region?

@@ -17,7 +17,7 @@
 //! | D1 | `HashMap`/`HashSet` in shipping code (nondeterministic iteration) |
 //! | D2 | wall-clock reads outside `anr-trace`'s wall module |
 //! | D3 | raw `std::thread` use outside `anr-par` |
-//! | D4 | unseeded RNG construction (`from_entropy`, `thread_rng`, `rand::random`) |
+//! | D4 | unseeded RNG (`from_entropy`, `thread_rng`, `OsRng`, `rand::random`) |
 //! | P1 | `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!` in library code |
 //! | F1 | `partial_cmp(..).unwrap()` float comparisons (NaN panics) |
 //! | T1 | trace hygiene: dropped span guards; `_traced` twins that mutate |
@@ -32,10 +32,13 @@
 //! | M2 | protocol handler purity: `on_start`/`on_round`/`idle` reach no effect sink |
 //! | M3 | model manifest wiring: coverage both directions + a real runtime accounting hook |
 //!
-//! The S-rules run over a cross-crate call graph built from an
-//! item-level parse of every file (see [`build_graph`] and [`analyze`]);
-//! the graph serializes as the `anr-lint-graph/1` JSONL artifact and
-//! panic reachability for the whole `pub` surface as
+//! Which tokens are panic, hash-order, clock, RNG, net, fs, thread, env
+//! or read sites is decided once per file, in one site table that
+//! every rule reads. The call-graph rules run over a cross-crate call
+//! graph built from an item-level parse of every file (see
+//! [`build_graph`]), sharing one reachability walk per distinct sink
+//! set; the graph serializes as the `anr-lint-graph/1` JSONL artifact
+//! and panic reachability for the whole `pub` surface as
 //! `anr-lint-panics/1`.
 //!
 //! Findings are suppressible only via the checked-in `lint.allow.toml`
@@ -60,17 +63,19 @@ mod context;
 mod graph;
 mod lexer;
 mod locks;
+mod manifest;
 mod models;
 mod parser;
 mod report;
 mod rules;
 mod semantic;
+mod sites;
 mod taint;
 mod walk;
 
-pub use baseline::{
-    apply_baseline, parse_baseline, render_baseline, stale_entries, AllowEntry, BaselineError,
-};
+use baseline::ALLOW_FILE;
+pub use baseline::{apply_baseline, parse_baseline, stale_entries, AllowEntry};
+use capabilities::CAPS_FILE;
 pub use capabilities::{
     parse_capabilities, CapsManifest, CapsReport, CrateCaps, EffectUse, EFFECTS,
 };
@@ -78,6 +83,8 @@ pub use context::{FileCtx, FileKind};
 pub use graph::{build_graph, CallGraph, FnNode};
 pub use lexer::{lex, TokKind, Token};
 pub use locks::{LockEdge, LockReport, LockSite};
+pub use manifest::ManifestError;
+use models::MODELS_FILE;
 pub use models::{
     parse_models, BitBound, ModelEntry, ModelsManifest, ModelsReport, ProtocolSurface,
     MODEL_CLASSES,
@@ -85,7 +92,8 @@ pub use models::{
 pub use parser::{parse_file, FnDef, ItemDef, ParsedFile, UseDef, Visibility};
 pub use report::LintReport;
 pub use rules::{scan_file, Finding, RuleInfo, Severity, RULES};
-pub use semantic::{analyze, PanicEntry, PanicsReport, SemanticOutput, ENTRY_POINTS};
+use semantic::Walks;
+pub use semantic::{PanicEntry, PanicsReport, ENTRY_POINTS};
 pub use taint::{TaintFlow, TaintReport};
 pub use walk::workspace_files;
 
@@ -116,7 +124,7 @@ impl LintOptions {
     }
 }
 
-/// A lint run failure (I/O or a malformed baseline) — distinct from
+/// A lint run failure (I/O or a malformed manifest) — distinct from
 /// findings, which are data, not errors.
 #[derive(Debug)]
 pub enum LintError {
@@ -127,21 +135,16 @@ pub enum LintError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// `lint.allow.toml` is malformed.
-    Baseline(BaselineError),
-    /// `lint.capabilities.toml` is malformed.
-    Capabilities(BaselineError),
-    /// `lint.models.toml` is malformed.
-    Models(BaselineError),
+    /// `lint.allow.toml`, `lint.capabilities.toml` or `lint.models.toml`
+    /// is malformed; the error names the file.
+    Manifest(ManifestError),
 }
 
 impl std::fmt::Display for LintError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LintError::Io { path, source } => write!(f, "{}: {source}", path.display()),
-            LintError::Baseline(e) => write!(f, "lint.allow.toml: {e}"),
-            LintError::Capabilities(e) => write!(f, "lint.capabilities.toml: {e}"),
-            LintError::Models(e) => write!(f, "lint.models.toml: {e}"),
+            LintError::Manifest(e) => write!(f, "{e}"),
         }
     }
 }
@@ -165,52 +168,32 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Finding> {
 ///
 /// # Errors
 ///
-/// [`LintError`] on unreadable files or a malformed baseline file.
+/// [`LintError`] on unreadable files or a malformed manifest.
 /// Findings — baselined or not — are part of the report, never an error.
 pub fn lint_workspace(options: &LintOptions) -> Result<LintReport, LintError> {
     let (mut findings, built, files_scanned) = scan_and_parse(options)?;
     let graph = build_graph(&options.root, &built);
-    let sem = analyze(&graph, &built);
+    let walks = Walks::new(&graph, &built);
+    let sem = semantic::analyze(&graph, &built, &walks);
     findings.extend(sem.findings);
 
     // The dataflow layer: capability manifests, untrusted-input taint,
     // and lock discipline. A missing manifest file disables C1 only.
-    let manifest_path = options.root.join("lint.capabilities.toml");
-    let manifest = if manifest_path.is_file() {
-        let text = std::fs::read_to_string(&manifest_path).map_err(|source| LintError::Io {
-            path: manifest_path.clone(),
-            source,
-        })?;
-        Some(parse_capabilities(&text).map_err(LintError::Capabilities)?)
-    } else {
-        None
-    };
-    let (cap_findings, caps) = capabilities::analyze_capabilities(
-        &graph,
-        &built,
-        manifest.as_ref(),
-        "lint.capabilities.toml",
-    );
+    let manifest = read_manifest(&options.root.join(CAPS_FILE), parse_capabilities)?;
+    let (cap_findings, caps) =
+        capabilities::analyze_capabilities(&graph, &walks.effects, manifest.as_ref());
     findings.extend(cap_findings);
-    let (taint_findings, taint) = taint::analyze_taint(&graph, &built, manifest.as_ref());
+    let (taint_findings, taint) =
+        taint::analyze_taint(&graph, &built, &walks.reads, manifest.as_ref());
     findings.extend(taint_findings);
-    let (lock_findings, locks) = locks::analyze_locks(&graph, &built);
+    let (lock_findings, locks) = locks::analyze_locks(&graph, &built, &walks.panic);
     findings.extend(lock_findings);
 
     // The model-conformance layer (M1–M3). Like C1, a missing manifest
     // file disables the family — fixture workspaces opt in.
-    let models_path = options.root.join("lint.models.toml");
-    let models_manifest = if models_path.is_file() {
-        let text = std::fs::read_to_string(&models_path).map_err(|source| LintError::Io {
-            path: models_path.clone(),
-            source,
-        })?;
-        Some(parse_models(&text).map_err(LintError::Models)?)
-    } else {
-        None
-    };
+    let models_manifest = read_manifest(&options.root.join(MODELS_FILE), parse_models)?;
     let (model_findings, models) =
-        models::analyze_models(&graph, &built, models_manifest.as_ref(), "lint.models.toml");
+        models::analyze_models(&graph, &built, &walks.effects, models_manifest.as_ref());
     findings.extend(model_findings);
 
     findings
@@ -219,16 +202,8 @@ pub fn lint_workspace(options: &LintOptions) -> Result<LintReport, LintError> {
     let baseline_path = options
         .baseline
         .clone()
-        .unwrap_or_else(|| options.root.join("lint.allow.toml"));
-    let mut entries = if baseline_path.is_file() {
-        let text = std::fs::read_to_string(&baseline_path).map_err(|source| LintError::Io {
-            path: baseline_path.clone(),
-            source,
-        })?;
-        parse_baseline(&text).map_err(LintError::Baseline)?
-    } else {
-        Vec::new()
-    };
+        .unwrap_or_else(|| options.root.join(ALLOW_FILE));
+    let mut entries = read_manifest(&baseline_path, parse_baseline)?.unwrap_or_default();
     apply_baseline(&mut findings, &mut entries);
 
     Ok(LintReport {
@@ -242,6 +217,21 @@ pub fn lint_workspace(options: &LintOptions) -> Result<LintReport, LintError> {
         locks,
         models,
     })
+}
+
+/// Reads and parses a manifest; a missing file is `None`.
+fn read_manifest<T>(
+    path: &Path,
+    parse: fn(&str) -> Result<T, ManifestError>,
+) -> Result<Option<T>, LintError> {
+    if !path.is_file() {
+        return Ok(None);
+    }
+    let text = std::fs::read_to_string(path).map_err(|source| LintError::Io {
+        path: path.to_path_buf(),
+        source,
+    })?;
+    parse(&text).map(Some).map_err(LintError::Manifest)
 }
 
 /// Reads, lexes, parses, and token-scans every workspace file,
@@ -275,67 +265,4 @@ fn scan_and_parse(
         built.push((ctx, parsed));
     }
     Ok((findings, built, files.len()))
-}
-
-/// Regenerates the baseline from the workspace's *current* findings:
-/// one entry per `(rule, file)` (plus the call chain as `path` for
-/// S1/S2), counts set to what is actually present, reasons carried
-/// over from `existing` where an old entry still matches, and
-/// `UNJUSTIFIED` placeholders on genuinely new entries. Output is
-/// deterministic — byte-identical across runs and worker counts.
-///
-/// # Errors
-///
-/// [`LintError`] on unreadable files (the existing baseline is taken
-/// as text, not read here).
-pub fn write_baseline(options: &LintOptions, existing: &str) -> Result<String, LintError> {
-    let old = parse_baseline(existing).unwrap_or_default();
-    // Lint against an empty baseline so every finding is open.
-    let mut opts = options.clone();
-    opts.baseline = Some(PathBuf::from("/nonexistent/lint.allow.toml"));
-    let report = lint_workspace(&opts)?;
-
-    // Group: S1/S2 findings keep their chain as the pinned path; all
-    // other rules aggregate per (rule, file).
-    let mut grouped: std::collections::BTreeMap<(String, String, Option<String>), usize> =
-        std::collections::BTreeMap::new();
-    for f in &report.findings {
-        let path = if matches!(f.rule, "S1" | "S2") {
-            f.path.clone()
-        } else {
-            None
-        };
-        *grouped
-            .entry((f.rule.to_string(), f.file.clone(), path))
-            .or_insert(0) += 1;
-    }
-    let entries: Vec<AllowEntry> = grouped
-        .into_iter()
-        .map(|((rule, file, path), count)| {
-            let reason = old
-                .iter()
-                .find(|e| {
-                    e.rule == rule
-                        && e.file == file
-                        && match (&e.path, &path) {
-                            (None, _) => true,
-                            (Some(op), Some(np)) => np.contains(op.as_str()),
-                            (Some(_), None) => false,
-                        }
-                })
-                .map_or_else(
-                    || "UNJUSTIFIED: write a one-line justification".to_string(),
-                    |e| e.reason.clone(),
-                );
-            AllowEntry {
-                rule,
-                file,
-                count,
-                reason,
-                used: 0,
-                path,
-            }
-        })
-        .collect();
-    Ok(render_baseline(&entries))
 }

@@ -11,8 +11,8 @@
 //!   `while`/`loop` block cannot re-check its predicate after a
 //!   spurious wakeup.
 //! * **Guard held across a panic path** — a call made while a guard is
-//!   live that can reach a panic site (S1's sink set) poisons the lock
-//!   for every other thread.
+//!   live that can reach a panic site (S1's walk) poisons the lock for
+//!   every other thread.
 //! * **`.lock().unwrap()` in library code** — a poisoning panic in one
 //!   thread cascades into every later locker; recover with
 //!   `PoisonError::into_inner` or surface a typed error.
@@ -26,7 +26,8 @@ use crate::graph::CallGraph;
 use crate::lexer::{TokKind, Token};
 use crate::parser::ParsedFile;
 use crate::rules::Finding;
-use crate::semantic::{distances, mk_finding, panic_sink, Sink};
+use crate::semantic::{mk_finding, Reach};
+use crate::sites::SiteKind;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One lock-acquisition site.
@@ -209,10 +210,9 @@ fn body_acquisitions(ctx: &FileCtx, body: (usize, usize), self_ty: Option<&str>)
         } else {
             None
         };
-        let unwrapped = toks.get(i + 3).is_some_and(|t| t.is_punct("."))
-            && toks
-                .get(i + 4)
-                .is_some_and(|t| t.is_ident("unwrap") || t.is_ident("expect"));
+        let unwrapped = ctx
+            .site_at(i + 4)
+            .is_some_and(|s| s.kind == SiteKind::Panic);
         out.push(Acq {
             key,
             tok: i,
@@ -259,20 +259,8 @@ fn loop_blocks(toks: &[Token], body: (usize, usize)) -> Vec<(usize, usize)> {
 pub(crate) fn analyze_locks(
     graph: &CallGraph,
     files: &[(FileCtx, ParsedFile)],
+    panic: &Reach,
 ) -> (Vec<Finding>, LockReport) {
-    // Panic reachability, for guards held across panic-capable calls.
-    let mut panic_sinks: BTreeMap<usize, Sink> = BTreeMap::new();
-    for (i, n) in graph.nodes.iter().enumerate() {
-        if n.in_test || n.kind != FileKind::Lib {
-            continue;
-        }
-        let Some(body) = n.body else { continue };
-        if let Some(s) = panic_sink(&files[n.file_idx].0, body) {
-            panic_sinks.insert(i, s);
-        }
-    }
-    let panic_dist = distances(graph, &panic_sinks);
-
     // Direct acquisitions per node.
     let mut acqs: BTreeMap<usize, Vec<Acq>> = BTreeMap::new();
     for (i, n) in graph.nodes.iter().enumerate() {
@@ -443,7 +431,7 @@ pub(crate) fn analyze_locks(
                                 .or_insert((n.file.clone(), toks[j].line));
                         }
                     }
-                    if panic_dist[c] != usize::MAX && n.kind == FileKind::Lib {
+                    if panic.reaches(c) && n.kind == FileKind::Lib {
                         findings.push(mk_finding(
                             "L1",
                             &n.file,

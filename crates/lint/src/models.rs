@@ -19,7 +19,7 @@
 //!
 //! **M2 (handler purity)** requires protocol handlers (`on_start`,
 //! `on_round`, `idle`) to be pure functions of state + inbox + seeded
-//! RNG: the same reverse BFS C1 runs proves no handler transitively
+//! RNG: C1's per-effect call-graph walks prove no handler transitively
 //! reaches a wall-clock/fs/net/env/thread/unseeded-RNG effect site.
 //!
 //! **M3 (budget wiring)** keeps the manifest honest in both directions
@@ -32,17 +32,20 @@
 //! same opt-in contract as C1 — fixture workspaces ship their own
 //! manifest.
 
-use crate::baseline::{parse_string, strip_comment, BaselineError};
-use crate::capabilities::effect_sites;
+use crate::capabilities::EFFECTS;
 use crate::context::{matching, FileCtx};
 use crate::graph::CallGraph;
 use crate::lexer::{TokKind, Token};
+use crate::manifest::{quoted, read_tables, ManifestError};
 use crate::parser::{impl_header, ParsedFile};
 use crate::report::json_string as json_str;
 use crate::rules::Finding;
-use crate::semantic::{chain, distances, mk_finding, Sink};
+use crate::semantic::{chain, mk_finding, Reach};
 use crate::taint::names_a_bound;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The manifest's file name, at the workspace root.
+pub(crate) const MODELS_FILE: &str = "lint.models.toml";
 
 /// The model classes the manifest may declare.
 pub const MODEL_CLASSES: &[&str] = &["CONGEST", "LOCAL"];
@@ -76,19 +79,17 @@ pub struct ModelsManifest {
     pub entries: BTreeMap<String, ModelEntry>,
 }
 
-/// Parses the minimal TOML subset the model manifest uses:
-/// `[[protocol]]` tables with one `key = value` per line. Comments and
-/// blank lines are free.
+/// Parses the model manifest: `[[protocol]]` tables with one
+/// `key = value` per line. Comments and blank lines are free.
 ///
 /// # Errors
 ///
-/// [`BaselineError`] (line + message) on any malformed construct,
-/// unknown key or model class, a CONGEST entry without `bits`, or a
-/// duplicate protocol entry.
-pub fn parse_models(text: &str) -> Result<ModelsManifest, BaselineError> {
+/// [`ManifestError`] on any malformed construct, unknown key or model
+/// class, a CONGEST entry without `bits`, or a duplicate protocol
+/// entry.
+pub fn parse_models(text: &str) -> Result<ModelsManifest, ManifestError> {
     #[derive(Default)]
     struct Partial {
-        at: u32,
         name: Option<String>,
         crate_name: Option<String>,
         model: Option<String>,
@@ -97,43 +98,47 @@ pub fn parse_models(text: &str) -> Result<ModelsManifest, BaselineError> {
         rounds: Option<u64>,
         hook: Option<String>,
     }
-    let mut manifest = ModelsManifest::default();
-    let mut current: Option<Partial> = None;
-    let err = |line: usize, message: &str| BaselineError {
-        line,
-        message: message.to_string(),
+    let set = |p: &mut Partial, key: &str, value: &str| {
+        let want_str = |what: &str| quoted(value, &format!("bad string for `{what}`"));
+        let want_int = |what: &str| {
+            value
+                .parse::<u64>()
+                .map_err(|_| format!("`{what}` must be a bare integer"))
+        };
+        match key {
+            "name" => p.name = Some(want_str("name")?),
+            "crate" => p.crate_name = Some(want_str("crate")?),
+            "model" => {
+                let v = want_str("model")?;
+                if !MODEL_CLASSES.contains(&v.as_str()) {
+                    return Err(format!("unknown model class `{v}`"));
+                }
+                p.model = Some(v);
+            }
+            "message" => p.message = Some(want_str("message")?),
+            "bits" => p.bits = Some(want_int("bits")?),
+            "rounds" => p.rounds = Some(want_int("rounds")?),
+            "hook" => p.hook = Some(want_str("hook")?),
+            other => return Err(format!("unknown key `{other}`")),
+        }
+        Ok(())
     };
-    let finish = |cur: Option<Partial>,
-                  line: usize,
-                  manifest: &mut ModelsManifest|
-     -> Result<(), BaselineError> {
-        let Some(p) = cur else { return Ok(()) };
-        let name = p
-            .name
-            .ok_or_else(|| err(line, "[[protocol]] entry missing `name`"))?;
-        let crate_name = p
-            .crate_name
-            .ok_or_else(|| err(line, "[[protocol]] entry missing `crate`"))?;
-        let model = p
-            .model
-            .ok_or_else(|| err(line, "[[protocol]] entry missing `model`"))?;
-        let message = p
-            .message
-            .ok_or_else(|| err(line, "[[protocol]] entry missing `message`"))?;
-        let rounds = p
-            .rounds
-            .ok_or_else(|| err(line, "[[protocol]] entry missing `rounds`"))?;
-        let hook = p
-            .hook
-            .ok_or_else(|| err(line, "[[protocol]] entry missing `hook`"))?;
+    let mut manifest = ModelsManifest::default();
+    read_tables(MODELS_FILE, "protocol", text, set, |line, p: Partial| {
+        let missing = |key: &str| format!("[[protocol]] entry missing `{key}`");
+        let name = p.name.ok_or_else(|| missing("name"))?;
+        let crate_name = p.crate_name.ok_or_else(|| missing("crate"))?;
+        let model = p.model.ok_or_else(|| missing("model"))?;
+        let message = p.message.ok_or_else(|| missing("message"))?;
+        let rounds = p.rounds.ok_or_else(|| missing("rounds"))?;
+        let hook = p.hook.ok_or_else(|| missing("hook"))?;
         if model == "CONGEST" && p.bits.is_none() {
-            return Err(err(
-                line,
-                &format!("CONGEST entry `{name}` missing `bits` (per-message bit budget)"),
+            return Err(format!(
+                "CONGEST entry `{name}` missing `bits` (per-message bit budget)"
             ));
         }
         let entry = ModelEntry {
-            line: p.at,
+            line: line as u32,
             name: name.clone(),
             crate_name,
             model,
@@ -143,61 +148,10 @@ pub fn parse_models(text: &str) -> Result<ModelsManifest, BaselineError> {
             hook,
         };
         if manifest.entries.insert(name.clone(), entry).is_some() {
-            return Err(err(
-                line,
-                &format!("duplicate [[protocol]] entry for `{name}`"),
-            ));
+            return Err(format!("duplicate [[protocol]] entry for `{name}`"));
         }
         Ok(())
-    };
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line == "[[protocol]]" {
-            finish(current.take(), lineno, &mut manifest)?;
-            current = Some(Partial {
-                at: lineno as u32,
-                ..Partial::default()
-            });
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(err(lineno, "expected `key = value` or `[[protocol]]`"));
-        };
-        let (key, value) = (key.trim(), value.trim());
-        let Some(p) = current.as_mut() else {
-            return Err(err(lineno, "key outside a [[protocol]] entry"));
-        };
-        let want_str = |what: &str| -> Result<String, BaselineError> {
-            parse_string(value).ok_or_else(|| err(lineno, &format!("bad string for `{what}`")))
-        };
-        let want_int = |what: &str| -> Result<u64, BaselineError> {
-            value
-                .parse::<u64>()
-                .map_err(|_| err(lineno, &format!("`{what}` must be a bare integer")))
-        };
-        match key {
-            "name" => p.name = Some(want_str("name")?),
-            "crate" => p.crate_name = Some(want_str("crate")?),
-            "model" => {
-                let v = want_str("model")?;
-                if !MODEL_CLASSES.contains(&v.as_str()) {
-                    return Err(err(lineno, &format!("unknown model class `{v}`")));
-                }
-                p.model = Some(v);
-            }
-            "message" => p.message = Some(want_str("message")?),
-            "bits" => p.bits = Some(want_int("bits")?),
-            "rounds" => p.rounds = Some(want_int("rounds")?),
-            "hook" => p.hook = Some(want_str("hook")?),
-            other => return Err(err(lineno, &format!("unknown key `{other}`"))),
-        }
-    }
-    let last = text.lines().count();
-    finish(current.take(), last, &mut manifest)?;
+    })?;
     Ok(manifest)
 }
 
@@ -930,9 +884,10 @@ const HANDLERS: &[&str] = &["idle", "on_round", "on_start"];
 pub(crate) fn analyze_models(
     graph: &CallGraph,
     files: &[(FileCtx, ParsedFile)],
+    effects: &[Reach],
     manifest: Option<&ModelsManifest>,
-    manifest_file: &str,
 ) -> (Vec<Finding>, ModelsReport) {
+    let manifest_file = MODELS_FILE;
     // Discover every shipping protocol impl, grouped by self type.
     let mut impls: BTreeMap<String, Vec<ProtoImpl>> = BTreeMap::new();
     for (idx, (ctx, _)) in files.iter().enumerate() {
@@ -1152,21 +1107,11 @@ pub(crate) fn analyze_models(
         }
     }
 
-    // M2: handler purity — no handler reaches any effect sink.
-    let mut per_effect: BTreeMap<&'static str, BTreeMap<usize, Sink>> = BTreeMap::new();
-    for (i, n) in graph.nodes.iter().enumerate() {
-        if n.in_test {
-            continue;
-        }
-        let Some(body) = n.body else { continue };
-        for (effect, sink) in effect_sites(&files[n.file_idx].0, body) {
-            per_effect.entry(effect).or_default().insert(i, sink);
-        }
-    }
-    for (&effect, sinks) in &per_effect {
-        let dist = distances(graph, sinks);
+    // M2: handler purity — no handler reaches any effect sink, on the
+    // same per-effect walks C1 reads.
+    for (&effect, walk) in EFFECTS.iter().zip(effects) {
         for (i, n) in graph.nodes.iter().enumerate() {
-            if n.in_test || dist[i] == usize::MAX {
+            if n.in_test || !walk.reaches(i) {
                 continue;
             }
             let Some(self_ty) = n.self_ty.as_deref() else {
@@ -1175,14 +1120,15 @@ pub(crate) fn analyze_models(
             if !protocols.contains_key(self_ty) || !HANDLERS.contains(&n.name.as_str()) {
                 continue;
             }
-            let (via, sink_idx) = chain(graph, &dist, i);
+            let (via, _) = chain(graph, &walk.dist, i);
             findings.push(mk_finding(
                 "M2",
                 &n.file,
                 n.line,
                 format!(
                     "protocol `{self_ty}` handler `{}` reaches effect `{effect}` (sink {}): round handlers must be pure functions of state + inbox + seeded RNG",
-                    n.name, sinks[&sink_idx].label,
+                    n.name,
+                    walk.label(i),
                 ),
                 Some(via),
             ));

@@ -4,6 +4,7 @@
 //! low-false-positive on this workspace's idiom.
 
 use crate::context::{call_names, functions, matching, FileCtx, FileKind};
+use crate::sites::{SiteKind, WALL_MODULE};
 
 /// Finding severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,14 +191,6 @@ fn finding(ctx: &FileCtx, rule: &'static str, i: usize, message: String) -> Find
     }
 }
 
-/// Does `Ident(a) :: Ident(b)` start at token `i`?
-fn path2(ctx: &FileCtx, i: usize, a: &str, b: &str) -> bool {
-    ctx.tokens[i].is_ident(a)
-        && ctx.tokens.get(i + 1).is_some_and(|t| t.is_punct(":"))
-        && ctx.tokens.get(i + 2).is_some_and(|t| t.is_punct(":"))
-        && ctx.tokens.get(i + 3).is_some_and(|t| t.is_ident(b))
-}
-
 /// Is token `i` a method call `.name(`?
 fn method_call(ctx: &FileCtx, i: usize, name: &str) -> bool {
     ctx.tokens[i].is_ident(name)
@@ -206,20 +199,11 @@ fn method_call(ctx: &FileCtx, i: usize, name: &str) -> bool {
         && ctx.tokens.get(i + 1).is_some_and(|t| t.is_punct("("))
 }
 
-/// Is token `i` a macro invocation `name!`?
-fn macro_call(ctx: &FileCtx, i: usize, name: &str) -> bool {
-    ctx.tokens[i].is_ident(name) && ctx.tokens.get(i + 1).is_some_and(|t| t.is_punct("!"))
-}
-
 /// Runs every rule over one file.
 #[must_use]
 pub fn scan_file(ctx: &FileCtx) -> Vec<Finding> {
     let mut out = Vec::new();
-    rule_d1(ctx, &mut out);
-    rule_d2(ctx, &mut out);
-    rule_d3(ctx, &mut out);
-    rule_d4(ctx, &mut out);
-    rule_p1(ctx, &mut out);
+    rule_sites(ctx, &mut out);
     rule_f1(ctx, &mut out);
     rule_t1(ctx, &mut out);
     rule_h1(ctx, &mut out);
@@ -227,130 +211,58 @@ pub fn scan_file(ctx: &FileCtx) -> Vec<Finding> {
     out
 }
 
-/// D1 — `HashMap`/`HashSet` in shipping (lib or bin, non-test) code.
-/// Iteration order of the std hash collections varies run to run, so a
-/// single use in an output path breaks byte-identical traces.
-fn rule_d1(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    for i in 0..ctx.tokens.len() {
-        if !ctx.is_shipping_code(i) {
-            continue;
-        }
-        let t = &ctx.tokens[i];
-        if t.is_ident("HashMap") || t.is_ident("HashSet") {
-            out.push(finding(
-                ctx,
+/// D1–D4 and P1, one pass over the file's site table:
+///
+/// * **D1** — `HashMap`/`HashSet` in shipping (lib or bin, non-test)
+///   code. Iteration order of the std hash collections varies run to
+///   run, so a single use in an output path breaks byte-identical
+///   traces.
+/// * **D2** — wall-clock reads anywhere but the dedicated wall module
+///   of `anr-trace`. Logical timestamps keep traces byte-identical
+///   across machines.
+/// * **D3** — raw `thread::{spawn,scope,Builder}` outside `anr-par`,
+///   whose fork/join helpers pin deterministic output order regardless
+///   of worker count.
+/// * **D4** — unseeded RNGs. Every random stream in the repo must be
+///   reproducible from a logged seed.
+/// * **P1** — panic paths in library (non-test, non-bin) code. Library
+///   crates surface typed errors; panicking is reserved for documented
+///   preconditions (`assert!`) and binaries.
+fn rule_sites(ctx: &FileCtx, out: &mut Vec<Finding>) {
+    let wall = ctx.rel_path == WALL_MODULE;
+    let par = ctx.crate_name == "par";
+    for s in &ctx.sites {
+        let (rule, message) = match s.kind {
+            SiteKind::Hash if ctx.is_shipping_code(s.tok) => (
                 "D1",
-                i,
                 format!(
-                    "`{}` in shipping code (nondeterministic iteration order)",
-                    t.text
+                    "{} in shipping code (nondeterministic iteration order)",
+                    s.label
                 ),
-            ));
-        }
-    }
-}
-
-/// D2 — wall-clock reads (`Instant::now`, `SystemTime`, `.elapsed()`)
-/// anywhere but the dedicated wall module of `anr-trace`. Logical
-/// timestamps keep traces byte-identical across machines.
-fn rule_d2(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    if ctx.rel_path == "crates/trace/src/wall.rs" {
-        return;
-    }
-    for i in 0..ctx.tokens.len() {
-        if path2(ctx, i, "Instant", "now") {
-            out.push(finding(
-                ctx,
+            ),
+            SiteKind::Clock { read } if !wall => (
                 "D2",
-                i,
-                "`Instant::now()` wall-clock read".to_string(),
-            ));
-        } else if ctx.tokens[i].is_ident("SystemTime") {
-            out.push(finding(
-                ctx,
-                "D2",
-                i,
-                "`SystemTime` wall-clock use".to_string(),
-            ));
-        } else if method_call(ctx, i, "elapsed") {
-            out.push(finding(
-                ctx,
-                "D2",
-                i,
-                "`.elapsed()` wall-clock read".to_string(),
-            ));
-        }
-    }
-}
-
-/// D3 — raw `std::thread` spawning outside `anr-par`. The par crate's
-/// fork/join helpers are the only sanctioned parallelism: they pin
-/// deterministic output order regardless of worker count.
-fn rule_d3(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    if ctx.crate_name == "par" {
-        return;
-    }
-    for i in 0..ctx.tokens.len() {
-        for target in ["spawn", "scope", "Builder"] {
-            if path2(ctx, i, "thread", target) {
-                out.push(finding(
-                    ctx,
-                    "D3",
-                    i,
-                    format!("`thread::{target}` outside anr-par"),
-                ));
+                format!(
+                    "{} wall-clock {}",
+                    s.label,
+                    if read { "read" } else { "use" }
+                ),
+            ),
+            SiteKind::Thread { spawn: Some(tail) } if !par => {
+                ("D3", format!("`thread::{tail}` outside anr-par"))
             }
-        }
-    }
-}
-
-/// D4 — unseeded RNG construction. Every random stream in the repo
-/// must be reproducible from a logged seed.
-fn rule_d4(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    for i in 0..ctx.tokens.len() {
-        let t = &ctx.tokens[i];
-        if t.is_ident("from_entropy") || t.is_ident("thread_rng") {
-            out.push(finding(
-                ctx,
-                "D4",
-                i,
-                format!("`{}` constructs an unseeded RNG", t.text),
-            ));
-        } else if path2(ctx, i, "rand", "random") {
-            out.push(finding(
-                ctx,
-                "D4",
-                i,
-                "`rand::random` uses the thread RNG".to_string(),
-            ));
-        }
-    }
-}
-
-/// P1 — panic paths in library (non-test, non-bin) code: `unwrap`,
-/// `expect`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`.
-/// Library crates surface typed errors; panicking is reserved for
-/// documented preconditions (`assert!`) and binaries.
-fn rule_p1(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    for i in 0..ctx.tokens.len() {
-        if !ctx.is_lib_code(i) {
-            continue;
-        }
-        for name in ["unwrap", "expect"] {
-            if method_call(ctx, i, name) {
-                out.push(finding(
-                    ctx,
-                    "P1",
-                    i,
-                    format!("`.{name}()` in library code"),
-                ));
+            SiteKind::Rng { constructs: true } => {
+                ("D4", format!("{} constructs an unseeded RNG", s.label))
             }
-        }
-        for name in ["panic", "unreachable", "todo", "unimplemented"] {
-            if macro_call(ctx, i, name) {
-                out.push(finding(ctx, "P1", i, format!("`{name}!` in library code")));
+            SiteKind::Rng { constructs: false } => {
+                ("D4", format!("{} uses the thread RNG", s.label))
             }
-        }
+            SiteKind::Panic if ctx.is_lib_code(s.tok) => {
+                ("P1", format!("{} in library code", s.label))
+            }
+            _ => continue,
+        };
+        out.push(finding(ctx, rule, s.tok, message));
     }
 }
 

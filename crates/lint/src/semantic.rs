@@ -1,20 +1,24 @@
-//! Interprocedural rules over the cross-crate call graph.
+//! Interprocedural rules over the cross-crate call graph, and the
+//! reachability walks every call-graph rule shares.
 //!
-//! A reverse breadth-first fixed point from sink functions computes,
-//! for every node, the minimum number of call edges to a sink; paths
-//! are then reconstructed deterministically (smallest distance first,
-//! node index as tie-break), so the reported chain for a given
+//! [`Walks`] builds the reverse call graph once per run and runs one
+//! reverse breadth-first search per distinct sink set: panic sites,
+//! nondeterminism sites, each effect, and primitive reads. A node's
+//! direct sites are its body's slice of the file's site table. Each
+//! walk gives every node the minimum number of call edges to a sink;
+//! paths are then reconstructed deterministically (smallest distance
+//! first, node index as tie-break), so the reported chain for a given
 //! workspace is byte-identical across runs and worker counts.
 //!
 //! * **S1 — panic reachability.** Sinks are library functions whose
-//!   bodies contain a panic pattern (`.unwrap()` / `.expect()` /
+//!   bodies contain a panic site (`.unwrap()` / `.expect()` /
 //!   `panic!` / `unreachable!` / `todo!` / `unimplemented!`). Every
 //!   pipeline entry point that can reach one is reported with its
 //!   shortest chain; the chain doubles as the `path` a baseline entry
 //!   must pin to justify it.
-//! * **S2 — determinism taint.** Sinks are functions touching
-//!   wall-clock, unseeded RNG, or std hash collections (the D1/D2/D4
-//!   patterns), excluding the sanctioned `anr-trace` wall module.
+//! * **S2 — determinism taint.** Sinks are functions with a hash-order,
+//!   clock or unseeded-RNG site (the D1/D2/D4 kinds), excluding the
+//!   sanctioned `anr-trace` wall module.
 //! * **S3 — cross-crate dead `pub`.** A `pub` item in library code
 //!   that no *other* workspace crate, no bin target, no test, and no
 //!   exported API surface (`pub fn` signature / `pub` item definition)
@@ -23,11 +27,13 @@
 //!   result types flow to consumers through type inference without
 //!   ever being named by them.
 
+use crate::capabilities::EFFECTS;
 use crate::context::{FileCtx, FileKind};
-use crate::graph::CallGraph;
+use crate::graph::{CallGraph, FnNode};
 use crate::lexer::TokKind;
 use crate::parser::{ParsedFile, Visibility};
 use crate::rules::{rule_info, Finding};
+use crate::sites::{Site, SiteKind, WALL_MODULE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -149,122 +155,141 @@ impl PanicsReport {
 
 /// Everything the interprocedural pass produces.
 #[derive(Debug, Default)]
-pub struct SemanticOutput {
+pub(crate) struct SemanticOutput {
     /// S1/S2/S3 findings, unsorted (the caller merges and sorts).
-    pub findings: Vec<Finding>,
+    pub(crate) findings: Vec<Finding>,
     /// Panic reachability for the whole `pub` library surface.
-    pub panics: PanicsReport,
+    pub(crate) panics: PanicsReport,
 }
 
-/// A sink function: which pattern fires inside it, and where.
-pub(crate) struct Sink {
-    /// Pattern label (`` `.unwrap()` ``, `` `thread_rng` ``, …).
-    pub(crate) label: String,
-    /// 1-based line of the first occurrence.
-    pub(crate) line: u32,
+/// The call graph's effect facts, built once per run: the reverse
+/// adjacency and each node's direct sites (its body's sub-slice of the
+/// file's site table).
+struct Effects<'a> {
+    nodes: &'a [FnNode],
+    /// Callee → callers, ascending.
+    rev: Vec<Vec<usize>>,
+    /// Each node's body sites, in token order.
+    sites: Vec<&'a [Site]>,
 }
 
-/// Scans one body token range for the first panic pattern.
-pub(crate) fn panic_sink(ctx: &FileCtx, body: (usize, usize)) -> Option<Sink> {
-    let toks = &ctx.tokens;
-    for i in body.0..body.1.min(toks.len()) {
-        if toks[i].kind != TokKind::Ident {
-            continue;
+impl<'a> Effects<'a> {
+    fn new(graph: &'a CallGraph, files: &'a [(FileCtx, ParsedFile)]) -> Effects<'a> {
+        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); graph.nodes.len()];
+        for &(caller, callee) in &graph.edges {
+            rev[callee].push(caller);
         }
-        let name = toks[i].text.as_str();
-        let next_open = toks.get(i + 1).is_some_and(|t| t.is_punct("("));
-        let prev_dot = i > 0 && toks[i - 1].is_punct(".");
-        if matches!(name, "unwrap" | "expect") && prev_dot && next_open {
-            return Some(Sink {
-                label: format!("`.{name}()`"),
-                line: toks[i].line,
-            });
-        }
-        if matches!(name, "panic" | "unreachable" | "todo" | "unimplemented")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct("!"))
-        {
-            return Some(Sink {
-                label: format!("`{name}!`"),
-                line: toks[i].line,
-            });
+        let sites = graph
+            .nodes
+            .iter()
+            .map(|n| n.body.map_or(&[][..], |b| files[n.file_idx].0.sites_in(b)))
+            .collect();
+        Effects {
+            nodes: &graph.nodes,
+            rev,
+            sites,
         }
     }
-    None
-}
 
-/// Scans one body token range for the first determinism sink: the
-/// D1/D2/D4 patterns (hash collections, wall clock, unseeded RNG).
-fn determinism_sink(ctx: &FileCtx, body: (usize, usize)) -> Option<Sink> {
-    if ctx.rel_path == "crates/trace/src/wall.rs" {
-        return None; // the one sanctioned wall-clock module
-    }
-    let toks = &ctx.tokens;
-    for i in body.0..body.1.min(toks.len()) {
-        if toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        let name = toks[i].text.as_str();
-        let path_tail = |head: &str| {
-            i >= 3
-                && toks[i - 1].is_punct(":")
-                && toks[i - 2].is_punct(":")
-                && toks[i - 3].is_ident(head)
-        };
-        let label = match name {
-            "HashMap" | "HashSet" => Some(format!("`{name}` iteration order")),
-            "SystemTime" => Some("`SystemTime` wall-clock".to_string()),
-            "from_entropy" | "thread_rng" => Some(format!("`{name}` unseeded RNG")),
-            "now" if path_tail("Instant") => Some("`Instant::now()` wall-clock".to_string()),
-            "elapsed"
-                if i > 0
-                    && toks[i - 1].is_punct(".")
-                    && toks.get(i + 1).is_some_and(|t| t.is_punct("(")) =>
-            {
-                Some("`.elapsed()` wall-clock".to_string())
+    /// Reverse breadth-first search from the sink set: every node that
+    /// passes `node` and has a site passing `site` is a sink (its first
+    /// such site is the one reported). The frontier is walked in node
+    /// order, so a caller inherits the sink of its smallest-index
+    /// nearest callee — the same callee [`chain`] steps to.
+    fn reach(&self, node: impl Fn(&FnNode) -> bool, site: impl Fn(&Site) -> bool) -> Reach {
+        let n = self.nodes.len();
+        let mut dist = vec![usize::MAX; n];
+        let mut sink = vec![None; n];
+        let mut frontier = Vec::new();
+        for (i, fnode) in self.nodes.iter().enumerate() {
+            if !node(fnode) {
+                continue;
             }
-            "random" if path_tail("rand") => Some("`rand::random` thread RNG".to_string()),
-            _ => None,
-        };
-        if let Some(label) = label {
-            return Some(Sink {
-                label,
-                line: toks[i].line,
-            });
+            if let Some(s) = self.sites[i].iter().find(|s| site(s)) {
+                dist[i] = 0;
+                sink[i] = Some((i, *s));
+                frontier.push(i);
+            }
         }
-    }
-    None
-}
-
-/// Reverse BFS from the sink set: `dist[n]` = minimum call edges from
-/// `n` to any sink (sinks are 0). `usize::MAX` = unreachable.
-pub(crate) fn distances(graph: &CallGraph, sinks: &BTreeMap<usize, Sink>) -> Vec<usize> {
-    let n = graph.nodes.len();
-    // Reverse adjacency: callee → callers.
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(caller, callee) in &graph.edges {
-        rev[callee].push(caller);
-    }
-    let mut dist = vec![usize::MAX; n];
-    let mut frontier: Vec<usize> = sinks.keys().copied().collect();
-    for &s in &frontier {
-        dist[s] = 0;
-    }
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &node in &frontier {
-            let d = dist[node] + 1;
-            for &caller in &rev[node] {
-                if dist[caller] > d {
-                    dist[caller] = d;
-                    next.push(caller);
+        let mut d = 0;
+        while !frontier.is_empty() {
+            d += 1;
+            let mut next = Vec::new();
+            for &callee in &frontier {
+                for &caller in &self.rev[callee] {
+                    if dist[caller] > d {
+                        dist[caller] = d;
+                        sink[caller] = sink[callee];
+                        next.push(caller);
+                    }
                 }
             }
+            next.sort_unstable();
+            frontier = next;
         }
-        next.sort_unstable();
-        next.dedup();
-        frontier = next;
+        Reach { dist, sink }
     }
-    dist
+}
+
+/// One reachability walk over the call graph.
+pub(crate) struct Reach {
+    /// Minimum call edges from each node to a sink (sinks are 0);
+    /// `usize::MAX` = unreachable.
+    pub(crate) dist: Vec<usize>,
+    /// The sink node and site each reachable node's [`chain`] ends at.
+    pub(crate) sink: Vec<Option<(usize, Site)>>,
+}
+
+impl Reach {
+    /// Can node `i` reach a sink?
+    pub(crate) fn reaches(&self, i: usize) -> bool {
+        self.dist[i] != usize::MAX
+    }
+
+    /// The label of the site node `i` leads to.
+    pub(crate) fn label(&self, i: usize) -> &'static str {
+        self.sink[i].map_or("?", |(_, s)| s.label)
+    }
+}
+
+/// The walks the call-graph rules share, one per distinct sink set.
+pub(crate) struct Walks {
+    /// Panic sites in non-test library code: S1, the panics report, L1.
+    pub(crate) panic: Reach,
+    /// Hash-order, clock and RNG sites in non-test library and binary
+    /// code outside the wall module: S2.
+    pub(crate) determinism: Reach,
+    /// One walk per effect, in [`EFFECTS`] order, over non-test code:
+    /// C1 and M2.
+    pub(crate) effects: Vec<Reach>,
+    /// Primitive reads anywhere: U1's tainted-return summary.
+    pub(crate) reads: Reach,
+}
+
+impl Walks {
+    /// Builds the reverse call graph once and runs every walk on it.
+    pub(crate) fn new(graph: &CallGraph, files: &[(FileCtx, ParsedFile)]) -> Walks {
+        let fx = Effects::new(graph, files);
+        Walks {
+            panic: fx.reach(
+                |n| n.kind == FileKind::Lib && !n.in_test,
+                |s| s.kind == SiteKind::Panic,
+            ),
+            determinism: fx.reach(
+                |n| {
+                    !n.in_test
+                        && matches!(n.kind, FileKind::Lib | FileKind::Bin)
+                        && n.file != WALL_MODULE
+                },
+                |s| s.kind.is_nondeterministic(),
+            ),
+            effects: EFFECTS
+                .iter()
+                .map(|&e| fx.reach(|n| !n.in_test, |s| s.kind.effect() == Some(e)))
+                .collect(),
+            reads: fx.reach(|_| true, |s| s.kind == SiteKind::Read),
+        }
+    }
 }
 
 /// Reconstructs the shortest chain from `start` to a sink: at each hop
@@ -317,42 +342,35 @@ fn is_lib_node(graph: &CallGraph, i: usize) -> bool {
     n.kind == FileKind::Lib && !n.in_test
 }
 
+/// S2's wording for a nondeterminism site.
+fn nondeterminism(s: &Site) -> String {
+    let why = match s.kind {
+        SiteKind::Hash => "iteration order",
+        SiteKind::Clock { .. } => "wall-clock",
+        SiteKind::Rng { constructs: false } => "thread RNG",
+        _ => "unseeded RNG",
+    };
+    format!("{} {why}", s.label)
+}
+
 /// Runs the interprocedural S-rules over the call graph.
 #[must_use]
-pub fn analyze(graph: &CallGraph, files: &[(FileCtx, ParsedFile)]) -> SemanticOutput {
+pub(crate) fn analyze(
+    graph: &CallGraph,
+    files: &[(FileCtx, ParsedFile)],
+    walks: &Walks,
+) -> SemanticOutput {
     let mut out = SemanticOutput::default();
+    let (panic, det) = (&walks.panic, &walks.determinism);
 
-    // Sink sets. Panic sinks are library-only (binaries may panic);
-    // determinism sinks count everywhere but the wall module.
-    let mut panic_sinks: BTreeMap<usize, Sink> = BTreeMap::new();
-    let mut det_sinks: BTreeMap<usize, Sink> = BTreeMap::new();
-    for (i, n) in graph.nodes.iter().enumerate() {
-        let Some(body) = n.body else { continue };
-        if n.in_test {
-            continue;
-        }
-        let ctx = &files[n.file_idx].0;
-        if n.kind == FileKind::Lib {
-            if let Some(s) = panic_sink(ctx, body) {
-                panic_sinks.insert(i, s);
-            }
-        }
-        if matches!(n.kind, FileKind::Lib | FileKind::Bin) {
-            if let Some(s) = determinism_sink(ctx, body) {
-                det_sinks.insert(i, s);
-            }
-        }
-    }
-
-    let panic_dist = distances(graph, &panic_sinks);
-    let det_dist = distances(graph, &det_sinks);
-
-    let sink_note = |sinks: &BTreeMap<usize, Sink>, node: usize| -> String {
-        sinks.get(&node).map_or_else(
+    // `<site> at file:line` for the sink node `i` leads to.
+    let sink_note = |reach: &Reach, i: usize, what: fn(&Site) -> String| -> String {
+        reach.sink[i].map_or_else(
             || "?".to_string(),
-            |s| format!("{} at {}:{}", s.label, graph.nodes[node].file, s.line),
+            |(node, s)| format!("{} at {}:{}", what(&s), graph.nodes[node].file, s.line),
         )
     };
+    let label = |s: &Site| s.label.to_string();
 
     // S1 + S2: the pipeline entry points.
     for (i, n) in graph.nodes.iter().enumerate() {
@@ -360,8 +378,8 @@ pub fn analyze(graph: &CallGraph, files: &[(FileCtx, ParsedFile)]) -> SemanticOu
         {
             continue;
         }
-        if panic_dist[i] != usize::MAX {
-            let (path, sink) = chain(graph, &panic_dist, i);
+        if panic.reaches(i) {
+            let (path, _) = chain(graph, &panic.dist, i);
             out.findings.push(mk_finding(
                 "S1",
                 &n.file,
@@ -369,13 +387,13 @@ pub fn analyze(graph: &CallGraph, files: &[(FileCtx, ParsedFile)]) -> SemanticOu
                 format!(
                     "entry point `{}` can reach a panic: {}",
                     n.display,
-                    sink_note(&panic_sinks, sink),
+                    sink_note(panic, i, label),
                 ),
                 Some(path),
             ));
         }
-        if det_dist[i] != usize::MAX {
-            let (path, sink) = chain(graph, &det_dist, i);
+        if det.reaches(i) {
+            let (path, _) = chain(graph, &det.dist, i);
             out.findings.push(mk_finding(
                 "S2",
                 &n.file,
@@ -383,7 +401,7 @@ pub fn analyze(graph: &CallGraph, files: &[(FileCtx, ParsedFile)]) -> SemanticOu
                 format!(
                     "entry point `{}` reaches a nondeterminism sink: {}",
                     n.display,
-                    sink_note(&det_sinks, sink),
+                    sink_note(det, i, nondeterminism),
                 ),
                 Some(path),
             ));
@@ -395,15 +413,15 @@ pub fn analyze(graph: &CallGraph, files: &[(FileCtx, ParsedFile)]) -> SemanticOu
         if !is_lib_node(graph, i) || n.vis != Visibility::Pub {
             continue;
         }
-        let (dist, path, sink) = if panic_dist[i] == usize::MAX {
-            (None, None, None)
-        } else {
-            let (path, sink) = chain(graph, &panic_dist, i);
+        let (dist, path, sink) = if panic.reaches(i) {
+            let (path, _) = chain(graph, &panic.dist, i);
             (
-                Some(u32::try_from(panic_dist[i]).unwrap_or(u32::MAX)),
+                Some(u32::try_from(panic.dist[i]).unwrap_or(u32::MAX)),
                 Some(path),
-                Some(sink_note(&panic_sinks, sink)),
+                Some(sink_note(panic, i, label)),
             )
+        } else {
+            (None, None, None)
         };
         out.panics.entries.push(PanicEntry {
             display: n.display.clone(),
@@ -549,7 +567,7 @@ mod tests {
             })
             .collect();
         let graph = build_graph(Path::new("/nonexistent-root"), &built);
-        analyze(&graph, &built)
+        analyze(&graph, &built, &Walks::new(&graph, &built))
     }
 
     fn rules_of(out: &SemanticOutput) -> Vec<&'static str> {
@@ -576,6 +594,43 @@ mod tests {
         assert_eq!(path, "alpha::march -> beta::step -> beta::deep");
         assert!(s1.message.contains("`.unwrap()`"));
         assert!(s1.message.contains("crates/beta/src/lib.rs:2"));
+    }
+
+    #[test]
+    fn sink_note_names_the_end_of_the_reported_chain() {
+        // Both entry points reach two panic sites at the same distance.
+        // The note must name the site the chain ends at (the smallest
+        // node index wins each tie), directly and one level up.
+        let out = run(&[(
+            "crates/alpha/src/lib.rs",
+            "pub fn march() { leaf_a(); leaf_b(); }\n\
+             pub fn audit_piecewise() { mid_a(); mid_b(); }\n\
+             fn mid_a() { leaf_b(); }\nfn mid_b() { leaf_a(); }\n\
+             fn leaf_a(x: Option<u32>) { x.unwrap(); }\n\
+             fn leaf_b(x: Option<u32>) { x.expect(\"b\"); }",
+        )]);
+        let s1 = |entry: &str| {
+            out.findings
+                .iter()
+                .find(|f| f.rule == "S1" && f.message.contains(entry))
+                .expect("S1")
+        };
+        let direct = s1("`alpha::march`");
+        assert_eq!(
+            direct.path.as_deref(),
+            Some("alpha::march -> alpha::leaf_a")
+        );
+        assert!(direct
+            .message
+            .ends_with("`.unwrap()` at crates/alpha/src/lib.rs:5"));
+        let nested = s1("`alpha::audit_piecewise`");
+        assert_eq!(
+            nested.path.as_deref(),
+            Some("alpha::audit_piecewise -> alpha::mid_a -> alpha::leaf_b")
+        );
+        assert!(nested
+            .message
+            .ends_with("`.expect()` at crates/alpha/src/lib.rs:6"));
     }
 
     #[test]
@@ -614,6 +669,21 @@ mod tests {
         let s2 = out.findings.iter().find(|f| f.rule == "S2").expect("S2");
         assert!(s2.message.contains("thread_rng"));
         assert_eq!(s2.path.as_deref(), Some("alpha::march -> alpha::helper"));
+    }
+
+    #[test]
+    fn s2_flags_os_rng() {
+        let out = run(&[(
+            "crates/alpha/src/lib.rs",
+            "pub fn march() -> u64 { nonce() }\nfn nonce() -> u64 { OsRng.next_u64() }",
+        )]);
+        let s2 = out.findings.iter().find(|f| f.rule == "S2").expect("S2");
+        assert_eq!(
+            s2.message,
+            "entry point `alpha::march` reaches a nondeterminism sink: \
+             `OsRng` unseeded RNG at crates/alpha/src/lib.rs:2"
+        );
+        assert_eq!(s2.path.as_deref(), Some("alpha::march -> alpha::nonce"));
     }
 
     #[test]

@@ -27,7 +27,8 @@ use crate::graph::CallGraph;
 use crate::lexer::{TokKind, Token};
 use crate::parser::ParsedFile;
 use crate::rules::Finding;
-use crate::semantic::{distances, mk_finding, Sink};
+use crate::semantic::{mk_finding, Reach};
+use crate::sites::{Site, SiteKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One observed source→sink flow, bounded or not — the `--report
@@ -71,25 +72,6 @@ impl TaintReport {
         }
         out
     }
-}
-
-/// Is this token a primitive-read method name at `i` (`.name(` with a
-/// non-empty argument list — `.read()` with no args is `RwLock::read`)?
-fn primitive_read_at(toks: &[Token], i: usize) -> bool {
-    if toks[i].kind != TokKind::Ident {
-        return false;
-    }
-    let name = toks[i].text.as_str();
-    if !matches!(
-        name,
-        "read_exact" | "read_to_end" | "read" | "recv" | "recv_from"
-    ) {
-        return false;
-    }
-    i > 0
-        && toks[i - 1].is_punct(".")
-        && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
-        && !toks.get(i + 2).is_some_and(|t| t.is_punct(")"))
 }
 
 /// `UPPER_SNAKE` constant, or an identifier that *names* a bound.
@@ -186,7 +168,7 @@ struct TaintedFns {
 
 /// The tainted-variable state of one body walk.
 struct Walk<'a> {
-    toks: &'a [Token],
+    ctx: &'a FileCtx,
     body: (usize, usize),
     /// var → provenance chain (`source -> … -> var`).
     tainted: BTreeMap<String, String>,
@@ -194,11 +176,16 @@ struct Walk<'a> {
 }
 
 impl Walk<'_> {
+    /// Is token `i` a primitive read?
+    fn read_at(&self, i: usize) -> Option<&Site> {
+        self.ctx.site_at(i).filter(|s| s.kind == SiteKind::Read)
+    }
+
     /// Does `range` *produce* a tainted value? Returns the provenance
     /// of the first taint source found, unless the range also bounds it
     /// via `.min(…)`/`.clamp(…)` against a named limit.
     fn range_taint(&self, range: (usize, usize)) -> Option<String> {
-        let toks = self.toks;
+        let toks = &self.ctx.tokens;
         let end = range.1.min(toks.len());
         let mut source = None;
         for i in range.0..end {
@@ -215,8 +202,8 @@ impl Walk<'_> {
             if let Some(prov) = self.tainted.get(text) {
                 source.get_or_insert_with(|| prov.clone());
             }
-            if primitive_read_at(toks, i) {
-                source.get_or_insert_with(|| format!("`.{text}()`"));
+            if let Some(read) = self.read_at(i) {
+                source.get_or_insert_with(|| read.label.to_string());
             }
             // A call to a function that returns tainted data. The
             // call form must match how the function is defined.
@@ -254,7 +241,7 @@ impl Walk<'_> {
     /// Marks every ident inside a primitive read's argument list
     /// tainted (`r.read_exact(&mut lenb)` taints `lenb`).
     fn taint_read_args(&mut self, i: usize) {
-        let toks = self.toks;
+        let toks = &self.ctx.tokens;
         let Some(close) = matching(toks, i + 1, "(", ")") else {
             return;
         };
@@ -274,29 +261,12 @@ impl Walk<'_> {
 pub(crate) fn analyze_taint(
     graph: &CallGraph,
     files: &[(FileCtx, ParsedFile)],
+    reads: &Reach,
     manifest: Option<&CapsManifest>,
 ) -> (Vec<Finding>, TaintReport) {
-    // Summary 1: functions that transitively perform a primitive read.
-    let mut read_sinks: BTreeMap<usize, Sink> = BTreeMap::new();
-    for (i, n) in graph.nodes.iter().enumerate() {
-        let Some(body) = n.body else { continue };
-        let toks = &files[n.file_idx].0.tokens;
-        for j in body.0..body.1.min(toks.len()) {
-            if primitive_read_at(toks, j) {
-                read_sinks.insert(
-                    i,
-                    Sink {
-                        label: format!("`.{}()`", toks[j].text),
-                        line: toks[j].line,
-                    },
-                );
-                break;
-            }
-        }
-    }
-    let read_dist = distances(graph, &read_sinks);
-
-    // Summary 2: byte-slice parameters in net-manifest crates.
+    // The two summaries: a function that reaches a primitive read (the
+    // shared `reads` walk) returns tainted data, and byte-slice
+    // parameters in net-manifest crates are tainted in their own body.
     let mut tainted_fns = TaintedFns::default();
     let mark = |n: &crate::graph::FnNode, fns: &mut TaintedFns| match &n.self_ty {
         Some(ty) => {
@@ -309,7 +279,7 @@ pub(crate) fn analyze_taint(
     };
     let mut param_taint: BTreeMap<usize, Vec<String>> = BTreeMap::new();
     for (i, n) in graph.nodes.iter().enumerate() {
-        if read_dist[i] != usize::MAX {
+        if reads.reaches(i) {
             mark(n, &mut tainted_fns);
         }
         let in_net_crate = manifest.is_some_and(|m| m.declares(&n.crate_name, "net"));
@@ -344,7 +314,7 @@ pub(crate) fn analyze_taint(
         let Some(body) = n.body else { continue };
         let ctx = &files[n.file_idx].0;
         let mut walk = Walk {
-            toks: &ctx.tokens,
+            ctx,
             body,
             tainted: BTreeMap::new(),
             tainted_fns: &tainted_fns,
@@ -392,7 +362,7 @@ fn scan_body(
     flows: &mut Vec<TaintFlow>,
 ) {
     let (start, body_end) = walk.body;
-    let toks = walk.toks;
+    let toks = &walk.ctx.tokens;
     let end = body_end.min(toks.len());
     let mut i = start;
     while i < end {
@@ -402,7 +372,7 @@ fn scan_body(
             continue;
         }
         // Primitive reads taint their `&mut` buffer arguments.
-        if primitive_read_at(toks, i) {
+        if walk.read_at(i).is_some() {
             walk.taint_read_args(i);
             i += 1;
             continue;
@@ -564,7 +534,7 @@ fn scan_body(
 /// Is the tainted identifier at `i` feeding a sink? Returns the sink
 /// label.
 fn sink_at(walk: &Walk<'_>, i: usize) -> Option<String> {
-    let toks = walk.toks;
+    let toks = &walk.ctx.tokens;
     let end = walk.body.1.min(toks.len());
     // Enclosing-call detection: walk back over balanced groups to find
     // `with_capacity (` / `vec ! [` whose argument list contains `i`.

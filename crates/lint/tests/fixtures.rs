@@ -68,6 +68,19 @@ fn d4_unseeded_rng() {
 }
 
 #[test]
+fn d4_os_rng_is_unseeded() {
+    check_pair(
+        "D4",
+        LIB,
+        include_str!("fixtures/d4_os_rng_bad.rs"),
+        include_str!("fixtures/d4_ok.rs"),
+    );
+    let hits = scan_source(LIB, include_str!("fixtures/d4_os_rng_bad.rs"));
+    assert_eq!(hits.len(), 1);
+    assert_eq!(hits[0].message, "`OsRng` constructs an unseeded RNG");
+}
+
+#[test]
 fn p1_library_panics() {
     let bad = include_str!("fixtures/p1_bad.rs");
     check_pair("P1", LIB, bad, include_str!("fixtures/p1_ok.rs"));

@@ -1,12 +1,9 @@
 //! Integration tests for the interprocedural layer: the cross-crate
 //! call graph against its golden artifact, S1 panic-reachability on an
-//! injected entry-point chain, panic-report determinism on the real
-//! workspace, and `--write-baseline` regeneration.
+//! injected entry-point chain, and panic-report determinism on the
+//! real workspace.
 
-use anr_lint::{
-    lint_workspace, render_baseline, write_baseline, AllowEntry, LintOptions, LintReport,
-    ENTRY_POINTS,
-};
+use anr_lint::{lint_workspace, LintOptions, LintReport, ENTRY_POINTS};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -147,88 +144,4 @@ fn panics_report_is_deterministic_on_this_workspace() {
             "panics report missing entry point {entry}"
         );
     }
-}
-
-/// `--write-baseline` output is byte-identical across two runs, keeps
-/// existing justifications, and marks new entries UNJUSTIFIED.
-#[test]
-fn write_baseline_is_deterministic_and_keeps_reasons() {
-    let scratch = std::env::temp_dir().join(format!("anr-lint-wb-{}", std::process::id()));
-    let src_dir = scratch.join("crates/demo/src");
-    fs::create_dir_all(&src_dir).expect("scratch dirs");
-    fs::write(
-        src_dir.join("lib.rs"),
-        "#![forbid(unsafe_code)]\n#![deny(unreachable_pub)]\n\
-         //! Scratch crate.\n\
-         pub fn march(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    )
-    .expect("scratch lib.rs");
-
-    let options = LintOptions {
-        root: scratch.clone(),
-        baseline: None,
-        workers: 1,
-    };
-    let first = write_baseline(&options, "").expect("write-baseline");
-    let second = write_baseline(&options, "").expect("write-baseline again");
-    assert_eq!(first, second, "regeneration must be byte-identical");
-    assert!(first.contains("UNJUSTIFIED"), "new entries need reasons");
-    assert!(first.contains("rule = \"P1\""));
-    assert!(first.contains("rule = \"S1\""));
-    assert!(
-        first.contains("path = "),
-        "S1 entries are pinned to their chain"
-    );
-
-    // Write a justification; regeneration preserves it and drops
-    // nothing else.
-    let justified = first.replace(
-        "UNJUSTIFIED: write a one-line justification",
-        "fixture: documented panic",
-    );
-    let third = write_baseline(&options, &justified).expect("write-baseline keeps reasons");
-    assert!(third.contains("fixture: documented panic"));
-    assert!(!third.contains("UNJUSTIFIED"));
-
-    fs::remove_dir_all(&scratch).expect("scratch cleanup");
-}
-
-/// `render_baseline` is the deterministic serializer behind
-/// `--write-baseline`: entries come out sorted by (rule, file, path)
-/// with reasons escaped, regardless of input order.
-#[test]
-fn render_baseline_sorts_and_round_trips() {
-    let entries = vec![
-        AllowEntry {
-            rule: "S1".to_string(),
-            file: "crates/b/src/lib.rs".to_string(),
-            count: 1,
-            reason: "chain justified".to_string(),
-            used: 0,
-            path: Some("par::par_map".to_string()),
-        },
-        AllowEntry {
-            rule: "P1".to_string(),
-            file: "crates/a/src/lib.rs".to_string(),
-            count: 2,
-            reason: "documented \"fail-fast\"".to_string(),
-            used: 0,
-            path: None,
-        },
-    ];
-    let mut reversed = entries.clone();
-    reversed.reverse();
-    let rendered = render_baseline(&entries);
-    assert_eq!(rendered, render_baseline(&reversed), "order-insensitive");
-    let p1 = rendered.find("rule = \"P1\"").expect("P1 entry");
-    let s1 = rendered.find("rule = \"S1\"").expect("S1 entry");
-    assert!(p1 < s1, "entries sorted by rule");
-    assert!(rendered.contains("path = \"par::par_map\""));
-    assert!(rendered.contains("\\\"fail-fast\\\""), "reasons escaped");
-    // The rendered text parses back to the same entries.
-    let parsed = anr_lint::parse_baseline(&rendered).expect("round trip");
-    assert_eq!(parsed.len(), 2);
-    assert_eq!(parsed[0].rule, "P1");
-    assert_eq!(parsed[0].reason, "documented \"fail-fast\"");
-    assert_eq!(parsed[1].path.as_deref(), Some("par::par_map"));
 }
