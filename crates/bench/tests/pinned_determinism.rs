@@ -273,3 +273,116 @@ fn hole_scenario_timeline_is_pinned() {
         (349, 0xb754_3959_204d_804c)
     );
 }
+
+/// FNV-1a 64 of a run of points' coordinate bits, big-endian.
+fn extend_points(bytes: &mut Vec<u8>, points: &[anr_geom::Point]) {
+    for p in points {
+        bytes.extend_from_slice(&p.x.to_bits().to_be_bytes());
+        bytes.extend_from_slice(&p.y.to_bits().to_be_bytes());
+    }
+}
+
+/// Every march's Lloyd stage, pinned by the FNV-1a 64 of its rows, its
+/// final positions, its iteration count and the march's total distance:
+/// the seven scenarios at 144 robots with methods (a) and (b) and at 400
+/// robots with method (a). The digests were taken before the Lloyd
+/// kernels were rewritten, so any change to an assignment, a centroid
+/// or a guarded step shows here.
+#[test]
+fn lloyd_stage_is_pinned_on_every_scenario() {
+    let mut got = Vec::new();
+    for (robots, methods) in [
+        (
+            144usize,
+            &[Method::MaxStableLinks, Method::MinMovingDistance][..],
+        ),
+        (400, &[Method::MaxStableLinks][..]),
+    ] {
+        for id in 1..=7u8 {
+            let problem = scenario_problem_sized(id, SEPARATION, robots).unwrap();
+            for &method in methods {
+                let outcome = march(&problem, method, &MarchConfig::default()).unwrap();
+                let rows = &outcome.timeline[outcome.timeline.len() - outcome.lloyd_iterations..];
+                let mut bytes = Vec::new();
+                for row in rows {
+                    extend_points(&mut bytes, row);
+                }
+                extend_points(&mut bytes, &outcome.final_positions);
+                bytes.extend_from_slice(&(outcome.lloyd_iterations as u64).to_be_bytes());
+                bytes.extend_from_slice(&outcome.metrics.total_distance.to_bits().to_be_bytes());
+                let tag = if method == Method::MaxStableLinks {
+                    'a'
+                } else {
+                    'b'
+                };
+                got.push((id, tag, robots, anr_serve::fnv1a64(&bytes)));
+            }
+        }
+    }
+    let want: Vec<(u8, char, usize, u64)> = vec![
+        (1, 'a', 144, 0xb59c_8963_49b2_7124),
+        (1, 'b', 144, 0x2546_3090_6817_f711),
+        (2, 'a', 144, 0xf330_ad5a_64bf_549f),
+        (2, 'b', 144, 0x61cb_f70d_f2e2_3ec4),
+        (3, 'a', 144, 0xd403_56bf_c48c_b426),
+        (3, 'b', 144, 0xd0f9_79c8_c154_99ca),
+        (4, 'a', 144, 0xc862_e23c_7658_d551),
+        (4, 'b', 144, 0x9723_6bec_c3f9_35f4),
+        (5, 'a', 144, 0xf154_7264_560a_074b),
+        (5, 'b', 144, 0x27f1_22ec_0195_ac7b),
+        (6, 'a', 144, 0x1f51_7cd2_ce1f_7b12),
+        (6, 'b', 144, 0x8e38_4bb7_45dd_e78c),
+        (7, 'a', 144, 0xf22f_af21_9c9f_1ec5),
+        (7, 'b', 144, 0xfe6c_3e83_054d_3b0c),
+        (1, 'a', 400, 0x43ee_7009_6292_6a4b),
+        (2, 'a', 400, 0x9e3d_b44c_11b1_8213),
+        (3, 'a', 400, 0xd38a_2e84_b0a5_33fe),
+        (4, 'a', 400, 0xe84f_9a50_c663_d7f4),
+        (5, 'a', 400, 0x0c5c_1441_dd92_2df6),
+        (6, 'a', 400, 0x3704_5373_dad9_780d),
+        (7, 'a', 400, 0x4585_b226_643e_40b6),
+    ];
+    assert_eq!(got, want);
+}
+
+/// The plain-Lloyd coverage positions every problem starts from
+/// (`optimal_coverage_positions` on each scenario's `M1`), pinned the
+/// same way at 144 and 400 robots.
+#[test]
+fn coverage_positions_are_pinned_on_every_scenario() {
+    let mut got = Vec::new();
+    for robots in [144usize, 400] {
+        for id in 1..=7u8 {
+            let s = anr_scenarios::build_scenario(
+                id,
+                &anr_scenarios::ScenarioParams {
+                    robots,
+                    separation_ranges: SEPARATION,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let positions = anr_march::optimal_coverage_positions(&s.m1, robots).unwrap();
+            let mut bytes = Vec::new();
+            extend_points(&mut bytes, &positions);
+            got.push((id, robots, anr_serve::fnv1a64(&bytes)));
+        }
+    }
+    let want: Vec<(u8, usize, u64)> = vec![
+        (1, 144, 0x4705_b355_c162_d590),
+        (2, 144, 0x4705_b355_c162_d590),
+        (3, 144, 0x4705_b355_c162_d590),
+        (4, 144, 0x4705_b355_c162_d590),
+        (5, 144, 0x4705_b355_c162_d590),
+        (6, 144, 0xed2c_5477_1535_4b28),
+        (7, 144, 0xa0b6_a9c8_05b2_5513),
+        (1, 400, 0xb624_87d7_17f6_b3bf),
+        (2, 400, 0xb624_87d7_17f6_b3bf),
+        (3, 400, 0xb624_87d7_17f6_b3bf),
+        (4, 400, 0xb624_87d7_17f6_b3bf),
+        (5, 400, 0xb624_87d7_17f6_b3bf),
+        (6, 400, 0xfdfe_bf34_a97f_222b),
+        (7, 400, 0x9f56_da10_b21c_1775),
+    ];
+    assert_eq!(got, want);
+}
