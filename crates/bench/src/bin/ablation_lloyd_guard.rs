@@ -14,6 +14,7 @@ use anr_coverage::{
 };
 use anr_march::{march, MarchConfig, Method};
 use anr_netgraph::UnitDiskGraph;
+use anr_trace::Tracer;
 
 fn main() -> Result<(), BenchError> {
     println!("scenario,variant,iterations,adjustment_distance_m,refinement_connected_throughout,coverage_fraction");
@@ -49,6 +50,7 @@ fn main() -> Result<(), BenchError> {
                     &Density::Uniform,
                     &lloyd_cfg,
                     problem.range,
+                    &Tracer::disabled(),
                 ),
             ),
         ] {

@@ -365,6 +365,7 @@ fn bench_scenario(
             &config.density,
             &lloyd_cfg,
             problem.range,
+            &Tracer::disabled(),
         )
     })?;
 

@@ -4,7 +4,7 @@ use crate::{
     evaluate_timeline, repair_connectivity_strict, KnotTimeline, MarchConfig, MarchError,
     MarchProblem, RepairReport, TrajectorySet, TransitionMetrics,
 };
-use anr_coverage::{run_lloyd_guarded_traced, GridPartition};
+use anr_coverage::{run_lloyd_guarded, GridPartition};
 use anr_geom::Point;
 use anr_harmonic::{fill_holes, harmonic_map_to_disk_traced, DiskOverlay};
 use anr_mesh::{FoiMesher, PointLocator};
@@ -266,7 +266,7 @@ pub fn march_traced(
             record_history: true,
             ..config.lloyd
         };
-        let lloyd = run_lloyd_guarded_traced(
+        let lloyd = run_lloyd_guarded(
             &targets,
             &partition,
             &config.density,

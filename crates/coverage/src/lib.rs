@@ -45,7 +45,7 @@ mod partition;
 pub use analytic::{voronoi_cell, voronoi_cells};
 pub use density::Density;
 pub use lattice::{deploy_exactly, triangular_lattice};
-pub use lloyd::{run_lloyd, run_lloyd_guarded, run_lloyd_guarded_traced, LloydConfig, LloydResult};
+pub use lloyd::{run_lloyd, run_lloyd_guarded, LloydConfig, LloydResult};
 pub use local::local_centroids;
 pub use metrics::{covered_fraction, min_pairwise_distance};
 pub use partition::GridPartition;

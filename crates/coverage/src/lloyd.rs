@@ -2,7 +2,7 @@
 //! with the connectivity-guarded step rule of Sec. III-D-1.
 
 use crate::{Density, GridPartition};
-use anr_geom::{Point, Segment};
+use anr_geom::Point;
 use anr_netgraph::UnitDiskGraph;
 use anr_trace::{TraceValue, Tracer};
 
@@ -107,37 +107,19 @@ pub fn run_lloyd(
 /// robot checks whether it is safe to move to half of the distance to
 /// the centroid position and so on").
 ///
+/// Every iteration emits a `lloyd_iter` event on `tracer` carrying the
+/// iteration number, the accepted step fraction (1.0 for an unguarded
+/// full step, 0.0 when even the smallest step would disconnect), the
+/// largest single-site move, `exact_steps` (the robots whose accepted
+/// step took the exact polygon tests of
+/// [`GridPartition::guarded_step`]; 0 when no step is accepted) and
+/// `candidates` (the assignment's work count). Tracing is observation
+/// only: a disabled tracer gives the same result.
+///
 /// # Panics
 ///
 /// Panics when `sites` is empty or `range <= 0`.
 pub fn run_lloyd_guarded(
-    sites: &[Point],
-    partition: &GridPartition,
-    density: &Density,
-    config: &LloydConfig,
-    range: f64,
-) -> LloydResult {
-    run_lloyd_guarded_traced(
-        sites,
-        partition,
-        density,
-        config,
-        range,
-        &Tracer::disabled(),
-    )
-}
-
-/// [`run_lloyd_guarded`] with per-iteration observability: every
-/// iteration emits a `lloyd_iter` event on `tracer` carrying the
-/// iteration number, the accepted step fraction (1.0 for an unguarded
-/// full step, 0.0 when even the smallest step would disconnect), and the
-/// largest single-site move. Tracing is observation only — results are
-/// bit-identical to [`run_lloyd_guarded`].
-///
-/// # Panics
-///
-/// Panics when `sites` is empty or `range <= 0`.
-pub fn run_lloyd_guarded_traced(
     sites: &[Point],
     partition: &GridPartition,
     density: &Density,
@@ -152,31 +134,34 @@ pub fn run_lloyd_guarded_traced(
     let mut iterations = 0;
     let mut converged = false;
     let mut history = Vec::new();
-    // One candidate buffer for the whole run, mutated in place for each
-    // halved fraction instead of re-collected.
     let mut candidate = cur.clone();
 
     while iterations < config.max_iterations {
         iterations += 1;
-        let targets = partition.centroids(&cur, density);
+        let (targets, candidates) = partition.centroids_with_work(&cur, density);
+        let moves: Vec<(Point, Point)> = cur.iter().copied().zip(targets).collect();
 
         // Find the largest fraction of the step that keeps the network
         // connected. Full step first, then halve.
         let mut fraction = 1.0f64;
         let mut accepted = false;
+        let mut exact_steps = 0usize;
         for _ in 0..7 {
+            // Do not step across a hole: a robot whose straight segment
+            // is blocked stays in place this round. Robots are
+            // independent, so the fan-out changes nothing.
+            let steps = anr_par::par_chunks(&moves, 64, 0, |chunk| {
+                chunk
+                    .iter()
+                    .map(|&(s, t)| partition.guarded_step(s, s.lerp(t, fraction)))
+                    .collect::<Vec<_>>()
+            });
             let mut moved = false;
-            for ((c, s), t) in candidate.iter_mut().zip(&cur).zip(&targets) {
-                let p = s.lerp(*t, fraction);
-                // Do not step across a hole: if the straight segment
-                // is blocked, keep this robot in place this round.
-                let clamped = if partition.region().segment_blocked(Segment::new(*s, p)) {
-                    *s
-                } else {
-                    partition.region().clamp_inside(p)
-                };
-                moved |= clamped != *s;
-                *c = clamped;
+            exact_steps = 0;
+            for ((c, s), (end, exact)) in candidate.iter_mut().zip(&cur).zip(steps.concat()) {
+                moved |= end != *s;
+                exact_steps += usize::from(exact);
+                *c = end;
             }
             // Nobody moves at this fraction: the topology is exactly the
             // current one, so there is nothing to re-check.
@@ -190,6 +175,7 @@ pub fn run_lloyd_guarded_traced(
         if !accepted {
             // Even tiny steps disconnect: freeze this iteration.
             candidate.copy_from_slice(&cur);
+            exact_steps = 0;
         }
 
         let mut max_move = 0.0f64;
@@ -208,6 +194,8 @@ pub fn run_lloyd_guarded_traced(
                         TraceValue::F64(if accepted { fraction } else { 0.0 }),
                     ),
                     ("max_move", TraceValue::F64(max_move)),
+                    ("exact_steps", TraceValue::U64(exact_steps as u64)),
+                    ("candidates", TraceValue::U64(candidates)),
                 ],
             );
         }
@@ -361,7 +349,14 @@ mod tests {
             max_iterations: 8,
             ..Default::default()
         };
-        let quiet = run_lloyd_guarded(&sites, &part, &Density::Uniform, &cfg, 80.0);
+        let quiet = run_lloyd_guarded(
+            &sites,
+            &part,
+            &Density::Uniform,
+            &cfg,
+            80.0,
+            &Tracer::disabled(),
+        );
         assert!(quiet.history.is_empty());
         let recorded = run_lloyd_guarded(
             &sites,
@@ -372,6 +367,7 @@ mod tests {
                 ..cfg
             },
             80.0,
+            &Tracer::disabled(),
         );
         assert_eq!(recorded.history.len(), recorded.iterations);
         assert_eq!(quiet.sites, recorded.sites);
@@ -389,19 +385,42 @@ mod tests {
             max_iterations: 8,
             ..Default::default()
         };
-        let plain = run_lloyd_guarded(&sites, &part, &Density::Uniform, &cfg, 80.0);
+        let plain = run_lloyd_guarded(
+            &sites,
+            &part,
+            &Density::Uniform,
+            &cfg,
+            80.0,
+            &Tracer::disabled(),
+        );
         let tracer = Tracer::ring(4096);
-        let traced =
-            run_lloyd_guarded_traced(&sites, &part, &Density::Uniform, &cfg, 80.0, &tracer);
+        let traced = run_lloyd_guarded(&sites, &part, &Density::Uniform, &cfg, 80.0, &tracer);
         assert_eq!(plain.sites, traced.sites);
         assert_eq!(plain.iterations, traced.iterations);
         assert_eq!(plain.total_movement, traced.total_movement);
-        let iters = tracer
-            .events()
-            .iter()
-            .filter(|e| e.name == "lloyd_iter")
-            .count();
-        assert_eq!(iters, traced.iterations, "one lloyd_iter per iteration");
+        let events = tracer.events();
+        let iters: Vec<_> = events.iter().filter(|e| e.name == "lloyd_iter").collect();
+        assert_eq!(
+            iters.len(),
+            traced.iterations,
+            "one lloyd_iter per iteration"
+        );
+        let keys: Vec<&str> = iters[0].fields.iter().map(|&(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            ["iter", "fraction", "max_move", "exact_steps", "candidates"]
+        );
+        for e in &iters {
+            // Every tile lists at least one candidate.
+            assert!(
+                matches!(e.fields[4].1, TraceValue::U64(c) if c > 0),
+                "{e:?}"
+            );
+            assert!(
+                matches!(e.fields[3].1, TraceValue::U64(x) if x <= 9),
+                "{e:?}"
+            );
+        }
     }
 
     #[test]
@@ -430,6 +449,7 @@ mod tests {
                     ..cfg
                 },
                 range,
+                &Tracer::disabled(),
             );
             assert!(
                 UnitDiskGraph::new(&r.sites, range).is_connected(),
@@ -450,7 +470,14 @@ mod tests {
             ..Default::default()
         };
         let free = run_lloyd(&sites, &part, &Density::Uniform, &cfg);
-        let guarded = run_lloyd_guarded(&sites, &part, &Density::Uniform, &cfg, 80.0);
+        let guarded = run_lloyd_guarded(
+            &sites,
+            &part,
+            &Density::Uniform,
+            &cfg,
+            80.0,
+            &Tracer::disabled(),
+        );
         // The free run disconnects the 80 m network; the guarded run must
         // not, at the price of staying more compact.
         assert!(!UnitDiskGraph::new(&free.sites, 80.0).is_connected());

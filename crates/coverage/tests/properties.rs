@@ -42,16 +42,15 @@ proptest! {
         let foi = PolygonWithHoles::without_holes(Polygon::rectangle(Point::ORIGIN, side, side));
         let part = GridPartition::new(&foi, 5.0);
         let sites: Vec<Point> = sites.into_iter().map(|(x, y)| Point::new(x, y)).collect();
-        let regions = part.assign(&sites);
-        let total: usize = regions.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, part.samples().len());
-        for (i, region) in regions.iter().enumerate() {
-            for &k in region {
-                let s = part.samples()[k];
-                for (j, &other) in sites.iter().enumerate() {
-                    if j != i {
-                        prop_assert!(s.distance(sites[i]) <= s.distance(other) + 1e-9);
-                    }
+        let labels = part.assign(&sites);
+        // One label per sample, each naming a site.
+        prop_assert_eq!(labels.len(), part.samples().len());
+        for (&s, &i) in part.samples().iter().zip(&labels) {
+            let i = i as usize;
+            prop_assert!(i < sites.len());
+            for (j, &other) in sites.iter().enumerate() {
+                if j != i {
+                    prop_assert!(s.distance(sites[i]) <= s.distance(other) + 1e-9);
                 }
             }
         }

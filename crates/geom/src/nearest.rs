@@ -178,6 +178,41 @@ impl NearestGrid {
         }
         best
     }
+
+    /// Fills `out` with the index of every point whose `distance_sq` to
+    /// `q` is at most `r²`, in ascending order.
+    ///
+    /// Only the cells overlapping the square of half-side `r` around `q`
+    /// are visited, widened by one cell on each side so that rounding in
+    /// the cell map cannot drop a point at the square's edge. A negative
+    /// or NaN `r` selects nothing, and points with a NaN coordinate are
+    /// never selected. `points` must be the slice the grid was built over.
+    pub fn within(&self, points: &[Point], q: Point, r: f64, out: &mut Vec<u32>) {
+        out.clear();
+        if r.is_nan() || r < 0.0 {
+            return;
+        }
+        let r2 = r * r;
+        let span = |lo: f64, hi: f64, origin: f64, n: usize| {
+            let last = n as i64 - 1;
+            let a = (((lo - origin) / self.h).floor() as i64).saturating_sub(1);
+            let b = (((hi - origin) / self.h).floor() as i64).saturating_add(1);
+            (a.clamp(0, last) as usize, b.clamp(0, last) as usize)
+        };
+        let (a0, a1) = span(q.x - r, q.x + r, self.x0, self.nx);
+        let (b0, b1) = span(q.y - r, q.y + r, self.y0, self.ny);
+        for b in b0..=b1 {
+            let row = b * self.nx;
+            let cells = self.starts[row + a0] as usize..self.starts[row + a1 + 1] as usize;
+            // The cells of one row are contiguous in `order`.
+            for &j in &self.order[cells] {
+                if points[j as usize].distance_sq(q) <= r2 {
+                    out.push(j);
+                }
+            }
+        }
+        out.sort_unstable();
+    }
 }
 
 #[cfg(test)]
@@ -223,6 +258,52 @@ mod tests {
         // duplicate pair).
         for &q in &pts {
             assert_eq!(grid.nearest(&pts, q), brute(&pts, q));
+        }
+    }
+
+    /// The brute-force `within`: ascending indices at `distance_sq ≤ r²`.
+    fn brute_within(points: &[Point], q: Point, r: f64) -> Vec<u32> {
+        (0..points.len() as u32)
+            .filter(|&j| r >= 0.0 && points[j as usize].distance_sq(q) <= r * r)
+            .collect()
+    }
+
+    #[test]
+    fn within_matches_brute_force() {
+        let mut seed = 0x51_7cc1_b727_220au64;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as f64 / (1u64 << 31) as f64
+        };
+        let mut pts: Vec<Point> = (0..400)
+            .map(|_| Point::new(next() * 100.0, next() * 30.0))
+            .collect();
+        pts.push(pts[5]); // duplicate
+        pts.push(Point::new(-900.0, 4000.0)); // outlier
+        pts.push(Point::new(f64::NAN, 3.0)); // never selected
+                                             // A point exactly on a query circle.
+        pts.push(Point::new(50.0, 18.0));
+        let grid = NearestGrid::new(&pts);
+        let mut out = vec![7u32]; // stale contents are cleared
+        let mut queries: Vec<(Point, f64)> = (0..300)
+            .map(|_| {
+                let q = Point::new(next() * 160.0 - 30.0, next() * 90.0 - 30.0);
+                (q, next() * next() * 60.0)
+            })
+            .collect();
+        queries.extend([
+            (Point::new(50.0, 15.0), 3.0),
+            (pts[5], 0.0),
+            (Point::new(10.0, 10.0), f64::INFINITY),
+            (Point::new(10.0, 10.0), f64::NAN),
+            (Point::new(10.0, 10.0), -4.0),
+            (Point::new(1e6, -1e6), 5.0),
+        ]);
+        for (q, r) in queries {
+            grid.within(&pts, q, r, &mut out);
+            assert_eq!(out, brute_within(&pts, q, r), "query {q}, r {r}");
         }
     }
 

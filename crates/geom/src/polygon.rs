@@ -182,12 +182,11 @@ impl Polygon {
     /// Point-in-polygon test (boundary counts as inside).
     ///
     /// Crossing-number algorithm, orientation-agnostic. Points within a
-    /// small tolerance of the boundary are reported as contained.
+    /// small tolerance of the boundary are reported as contained. The
+    /// parity is tested first: both tests are pure, so the answer is the
+    /// same either way, and interior points skip the distance pass.
     pub fn contains(&self, p: Point) -> bool {
-        if self.distance_to_boundary(p) <= self.boundary_tolerance() {
-            return true;
-        }
-        self.contains_strict(p)
+        self.contains_strict(p) || self.distance_to_boundary(p) <= self.boundary_tolerance()
     }
 
     /// Distance within which [`Polygon::contains`] counts a point as on
@@ -502,6 +501,76 @@ mod tests {
         assert!(l.contains(p(0.5, 1.5)));
         assert!(l.contains(p(1.5, 0.5)));
         assert!(!l.contains(p(1.5, 1.5))); // the notch
+    }
+
+    #[test]
+    fn contains_matches_the_distance_first_expression() {
+        // The expression `contains` had before it tested parity first.
+        let old = |poly: &Polygon, q: Point| {
+            poly.distance_to_boundary(q) <= poly.boundary_tolerance() || poly.contains_strict(q)
+        };
+        let mut state = 0x0dd_c0ffeeu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut checked = 0usize;
+        for trial in 0..40 {
+            // A star-shaped polygon with random radii, far from the
+            // origin on every fourth trial.
+            let c = if trial % 4 == 3 {
+                p(3.0e6, -2.0e6)
+            } else {
+                p(next() * 200.0 - 100.0, next() * 200.0 - 100.0)
+            };
+            let n = 3 + trial % 17;
+            let radius = 1.0 + next() * 300.0;
+            let verts: Vec<Point> = (0..n)
+                .map(|k| {
+                    let theta = std::f64::consts::TAU * (k as f64 + 0.8 * next()) / n as f64;
+                    let rho = radius * (0.3 + 0.7 * next());
+                    p(c.x + rho * theta.cos(), c.y + rho * theta.sin())
+                })
+                .collect();
+            let Ok(poly) = Polygon::new(verts) else {
+                continue;
+            };
+            let mut queries: Vec<Point> = (0..200)
+                .map(|_| {
+                    p(
+                        c.x + (next() * 2.4 - 1.2) * radius,
+                        c.y + (next() * 2.4 - 1.2) * radius,
+                    )
+                })
+                .collect();
+            for e in poly.edges() {
+                for t in [0.0, 0.25, 0.5, 1.0, next()] {
+                    let on = e.at(t);
+                    queries.push(on);
+                    // Within 1e-12 of the edge or vertex, on both sides.
+                    for (dx, dy) in [(1e-12, 0.0), (-1e-12, 0.0), (0.0, 1e-12), (0.0, -1e-12)] {
+                        queries.push(p(on.x + dx, on.y + dy));
+                    }
+                }
+            }
+            queries.extend([
+                p(f64::NAN, c.y),
+                p(c.x, f64::NAN),
+                p(f64::NAN, f64::NAN),
+                p(f64::INFINITY, c.y),
+            ]);
+            for q in queries {
+                assert_eq!(
+                    poly.contains(q),
+                    old(&poly, q),
+                    "trial {trial}, query {q:?}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 10_000, "only {checked} queries");
     }
 
     #[test]

@@ -186,6 +186,23 @@ impl PolygonWithHoles {
         !self.contains(seg.midpoint())
     }
 
+    /// A distance past which no containment answer depends on the
+    /// boundary tolerance or on rounding: twice the outer polygon's
+    /// tolerance (the largest, since holes lie inside it) plus `1e-9` of
+    /// the coordinates' magnitude. A point farther than this from every
+    /// edge is inside exactly when the crossing-number parities say so.
+    pub fn containment_slack(&self) -> f64 {
+        let bb = self.bbox();
+        let magnitude = bb
+            .min
+            .x
+            .abs()
+            .max(bb.max.x.abs())
+            .max(bb.min.y.abs())
+            .max(bb.max.y.abs());
+        2.0 * self.outer.boundary_tolerance() + 1e-9 * magnitude
+    }
+
     /// Interior sample points on a square grid of the given `spacing`.
     ///
     /// Only points inside the region (outside holes) are returned; the
@@ -226,17 +243,7 @@ impl PolygonWithHoles {
     /// Panics when `step <= 0`.
     pub fn extend_row_inside(&self, y: f64, x0: f64, step: f64, x_end: f64, out: &mut Vec<Point>) {
         assert!(step > 0.0, "row step must be positive");
-        // The outer polygon's tolerance is the largest (holes lie inside
-        // it); the band also absorbs rounding at the coordinates' scale.
-        let bb = self.bbox();
-        let magnitude = bb
-            .min
-            .x
-            .abs()
-            .max(bb.max.x.abs())
-            .max(bb.min.y.abs())
-            .max(bb.max.y.abs());
-        let half_width = 2.0 * self.outer.boundary_tolerance() + 1e-9 * magnitude;
+        let half_width = self.containment_slack();
 
         let mut bands = Vec::new();
         let mut parities: Vec<RowParity> = Vec::with_capacity(1 + self.holes.len());

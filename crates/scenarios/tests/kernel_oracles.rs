@@ -1,13 +1,15 @@
 //! The march's geometry kernels against the loops they replaced, on every
 //! scenario's fields of interest: row-sweep region sampling against
 //! per-point containment, the circumcircle-indexed Delaunay against the
-//! per-point triangle scan, and the adjacency-free connectivity test
-//! against a built unit-disk graph.
+//! per-point triangle scan, the adjacency-free connectivity test against
+//! a built unit-disk graph, and Lloyd's tile-batched assignment, centroid
+//! clamp and guarded step against the brute-force scan and the exact
+//! polygon tests.
 
 use anr_coverage::{
     deploy_exactly, run_lloyd, triangular_lattice, Density, GridPartition, LloydConfig,
 };
-use anr_geom::{Point, PolygonWithHoles};
+use anr_geom::{Point, PolygonWithHoles, Segment};
 use anr_mesh::{delaunay, FoiMesher};
 use anr_netgraph::UnitDiskGraph;
 use anr_scenarios::{build_scenario, Scenario, ScenarioParams};
@@ -208,4 +210,225 @@ fn connected_matches_the_built_graph_on_scenario_deployments() {
         }
     }
     assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
+}
+
+/// Deterministic uniform draws in [0, 1) (LCG).
+fn lcg(seed: u64) -> impl FnMut() -> f64 {
+    let mut state = seed;
+    move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// The two partitions Lloyd runs on for `n` robots in `region`: the
+/// march's (0.2 × the mesh spacing) and the coverage positions' one.
+fn lloyd_partitions(region: &PolygonWithHoles, n: usize) -> [(&'static str, GridPartition); 2] {
+    let (_, mesh) = pitch_and_mesh_spacing(region, n);
+    let coverage = (region.area() / n as f64).sqrt() / 4.0;
+    [
+        ("Lloyd", GridPartition::new(region, 0.2 * mesh)),
+        ("coverage", GridPartition::new(region, coverage)),
+    ]
+}
+
+/// CVT sites in `region`, each moved by up to ±0.3 lattice pitches.
+fn jittered_cvt(region: &PolygonWithHoles, n: usize, seed: u64) -> Vec<Point> {
+    let (pitch, _) = pitch_and_mesh_spacing(region, n);
+    let mut next = lcg(seed);
+    coverage_positions(region, n)
+        .into_iter()
+        .map(|p| {
+            Point::new(
+                p.x + (next() - 0.5) * 0.6 * pitch,
+                p.y + (next() - 0.5) * 0.6 * pitch,
+            )
+        })
+        .collect()
+}
+
+/// Sites that are not a clean CVT: exact duplicates, one site at each
+/// hole's centroid and vertices, sites outside the region, and a NaN.
+fn awkward_extras(region: &PolygonWithHoles, sites: &[Point]) -> Vec<Point> {
+    let mut extra: Vec<Point> = sites.iter().step_by(7).copied().collect();
+    for h in region.holes() {
+        extra.push(h.centroid());
+        extra.extend(h.vertices().iter().step_by(3));
+    }
+    let bb = region.bbox();
+    extra.extend([
+        Point::new(bb.min.x - 40.0, bb.min.y - 40.0),
+        Point::new(bb.max.x + 15.0, 0.5 * (bb.min.y + bb.max.y)),
+        Point::new(0.5 * (bb.min.x + bb.max.x), bb.max.y + 3.0),
+        Point::new(f64::NAN, bb.min.y),
+    ]);
+    extra
+}
+
+#[test]
+fn tile_assignment_matches_brute_force_on_every_scenario() {
+    for s in scenarios() {
+        for n in [144, 400, 1296] {
+            let cvt = jittered_cvt(&s.m2, n, 0x1100 + n as u64 + u64::from(s.id));
+            let mut awkward = cvt.clone();
+            awkward.extend(awkward_extras(&s.m2, &cvt));
+            let mut outlier = awkward.clone();
+            outlier.push(Point::new(5.0e4, -7.0e4));
+            let c = s.m2.centroid();
+            let sets: [(&str, Vec<Point>); 5] = [
+                ("jittered CVT", cvt),
+                ("duplicates, holes, outside, NaN", awkward),
+                ("far outlier", outlier),
+                ("single site", vec![c]),
+                ("coincident", vec![c; 9]),
+            ];
+            for (name, part) in lloyd_partitions(&s.m2, n) {
+                for (what, sites) in &sets {
+                    assert_eq!(
+                        part.assign(sites),
+                        part.assign_brute_force(sites),
+                        "scenario {} {name} partition, {n} robots, {what}",
+                        s.id
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `segment_blocked` then `clamp_inside` on the region: the guard's
+/// exact path.
+fn exact_step(region: &PolygonWithHoles, from: Point, to: Point) -> Point {
+    if region.segment_blocked(Segment::new(from, to)) {
+        from
+    } else {
+        region.clamp_inside(to)
+    }
+}
+
+#[test]
+fn guarded_step_matches_the_polygon_tests_on_every_scenario() {
+    let mut paths = [0usize; 2];
+    for s in scenarios() {
+        for n in [144, 400, 1296] {
+            let [(_, part), _] = lloyd_partitions(&s.m2, n);
+            let from = jittered_cvt(&s.m2, n, 0x2200 + n as u64 + u64::from(s.id));
+            let mut moves: Vec<(Point, Point)> = from
+                .iter()
+                .copied()
+                .zip(part.centroids(&from, &Density::Uniform))
+                .collect();
+            // Steps that end exactly on hole vertices and on hole edges,
+            // from the robots nearest each.
+            for h in s.m2.holes() {
+                for e in h.edges() {
+                    for target in [e.a, e.at(0.5), e.at(0.3)] {
+                        let mut near = from.clone();
+                        near.sort_by(|a, b| {
+                            a.distance_sq(target).total_cmp(&b.distance_sq(target))
+                        });
+                        moves.extend(near.iter().take(3).map(|&p| (p, target)));
+                    }
+                }
+            }
+            for (from, target) in moves {
+                let mut fraction = 1.0f64;
+                for _ in 0..7 {
+                    let to = from.lerp(target, fraction);
+                    let (end, exact) = part.guarded_step(from, to);
+                    assert_eq!(
+                        end,
+                        exact_step(&s.m2, from, to),
+                        "scenario {}, {n} robots, {from:?} -> {to:?}",
+                        s.id
+                    );
+                    paths[usize::from(exact)] += 1;
+                    fraction /= 2.0;
+                }
+            }
+        }
+    }
+    // Both paths are exercised, the shortcut on most steps.
+    assert!(paths[0] > paths[1] && paths[1] > 0, "{paths:?}");
+}
+
+#[test]
+fn centroid_clamp_matches_clamp_inside_on_every_scenario() {
+    let mut unchanged = 0usize;
+    let mut total = 0usize;
+    for s in scenarios() {
+        let region = &s.m2;
+        for n in [144, 1296] {
+            for (name, part) in lloyd_partitions(region, n) {
+                let sites = jittered_cvt(region, n, 0x3300 + n as u64 + u64::from(s.id));
+                // The raw centroids, before the clamp.
+                let labels = part.assign_brute_force(&sites);
+                let mut sums = vec![(0.0, 0.0, 0.0); sites.len()];
+                for (&p, &i) in part.samples().iter().zip(&labels) {
+                    let (wx, wy, w) = &mut sums[i as usize];
+                    *wx += p.x;
+                    *wy += p.y;
+                    *w += 1.0;
+                }
+                let mut points: Vec<Point> = sums
+                    .iter()
+                    .filter(|&&(_, _, w)| w > 0.0)
+                    .map(|&(wx, wy, w)| Point::new(wx / w, wy / w))
+                    .collect();
+                // Points in holes, on and next to hole and outer edges,
+                // and outside the region.
+                let mut next = lcg(0x44 + u64::from(s.id));
+                for poly in std::iter::once(region.outer()).chain(region.holes()) {
+                    points.push(poly.centroid());
+                    for e in poly.edges() {
+                        for t in [0.0, 0.5, next()] {
+                            let q = e.at(t);
+                            points.extend([
+                                q,
+                                Point::new(q.x + 1e-9, q.y),
+                                Point::new(q.x, q.y - 1e-9),
+                                Point::new(q.x + (next() - 0.5) * 6.0, q.y + (next() - 0.5) * 6.0),
+                            ]);
+                        }
+                    }
+                }
+                let bb = region.bbox();
+                points.extend((0..200).map(|_| {
+                    Point::new(
+                        bb.min.x - 30.0 + next() * (bb.width() + 60.0),
+                        bb.min.y - 30.0 + next() * (bb.height() + 60.0),
+                    )
+                }));
+                points.push(Point::new(f64::NAN, bb.min.y));
+                for p in points {
+                    let want = region.clamp_inside(p);
+                    let got = part.clamp_inside(p);
+                    assert!(
+                        got == want || (got.x.is_nan() && want.x.is_nan()),
+                        "scenario {} {name} partition, {n} robots, {p:?}: {got:?} vs {want:?}",
+                        s.id
+                    );
+                    unchanged += usize::from(want == p);
+                    total += 1;
+                }
+                // The streamed centroids are the per-region loop's.
+                let want: Vec<Point> = sites
+                    .iter()
+                    .zip(&sums)
+                    .map(|(&site, &(wx, wy, w))| {
+                        if w > 0.0 {
+                            region.clamp_inside(Point::new(wx / w, wy / w))
+                        } else {
+                            site
+                        }
+                    })
+                    .collect();
+                assert_eq!(part.centroids(&sites, &Density::Uniform), want);
+            }
+        }
+    }
+    // Points the clamp keeps and points it moves are both exercised.
+    assert!(unchanged > 0 && unchanged < total, "{unchanged} of {total}");
 }
