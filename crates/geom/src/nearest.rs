@@ -280,10 +280,11 @@ mod tests {
         let mut pts: Vec<Point> = (0..400)
             .map(|_| Point::new(next() * 100.0, next() * 30.0))
             .collect();
-        pts.push(pts[5]); // duplicate
-        pts.push(Point::new(-900.0, 4000.0)); // outlier
-        pts.push(Point::new(f64::NAN, 3.0)); // never selected
-                                             // A point exactly on a query circle.
+        // A duplicate, an outlier, a NaN (never selected) and a point
+        // exactly on a query circle.
+        pts.push(pts[5]);
+        pts.push(Point::new(-900.0, 4000.0));
+        pts.push(Point::new(f64::NAN, 3.0));
         pts.push(Point::new(50.0, 18.0));
         let grid = NearestGrid::new(&pts);
         let mut out = vec![7u32]; // stale contents are cleared
