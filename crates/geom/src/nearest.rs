@@ -1,12 +1,13 @@
-//! Exact nearest-point queries over a fixed point set.
+//! Exact nearest-point and fixed-radius queries over a fixed point set.
 //!
 //! [`NearestGrid`] is a uniform bucket grid with an expanding Chebyshev
 //! ring search. It answers the *same* query as the ascending brute-force
 //! scan — index of the closest point, ties to the lowest index — and is
 //! pinned bit-identical to that scan by tests here and at every call
 //! site (Lloyd's sample assignment, the point-locator outside-mesh
-//! fallback). Build cost is `O(n)`; queries are `O(1)` expected at
-//! roughly uniform density.
+//! fallback). [`NearestGrid::within`] lists the points in a disk, as the
+//! filtered ascending scan would. Build cost is `O(n)`; nearest queries
+//! are `O(1)` expected at roughly uniform density.
 
 use crate::Point;
 
@@ -183,24 +184,26 @@ impl NearestGrid {
     /// `q` is at most `r²`, in ascending order.
     ///
     /// Only the cells overlapping the square of half-side `r` around `q`
-    /// are visited, widened by one cell on each side so that rounding in
-    /// the cell map cannot drop a point at the square's edge. A negative
-    /// or NaN `r` selects nothing, and points with a NaN coordinate are
-    /// never selected. `points` must be the slice the grid was built over.
+    /// are visited. The square is widened by `1e-9` of `r` plus the
+    /// coordinate's magnitude, far above the few roundings that separate
+    /// a selected point's coordinate from `q`'s ± `r`, so every selected
+    /// point lies inside it and, the cell map being monotone, in a
+    /// visited cell. A negative or NaN `r` selects nothing, and points
+    /// with a NaN coordinate are never selected. `points` must be the
+    /// slice the grid was built over.
     pub fn within(&self, points: &[Point], q: Point, r: f64, out: &mut Vec<u32>) {
         out.clear();
         if r.is_nan() || r < 0.0 {
             return;
         }
         let r2 = r * r;
-        let span = |lo: f64, hi: f64, origin: f64, n: usize| {
-            let last = n as i64 - 1;
-            let a = (((lo - origin) / self.h).floor() as i64).saturating_sub(1);
-            let b = (((hi - origin) / self.h).floor() as i64).saturating_add(1);
-            (a.clamp(0, last) as usize, b.clamp(0, last) as usize)
+        let span = |c: f64, origin: f64, n: usize| {
+            let half = r + 1e-9 * (r + c.abs());
+            let cell = |v: f64| (((v - origin) / self.h).floor() as i64).clamp(0, n as i64 - 1);
+            (cell(c - half) as usize, cell(c + half) as usize)
         };
-        let (a0, a1) = span(q.x - r, q.x + r, self.x0, self.nx);
-        let (b0, b1) = span(q.y - r, q.y + r, self.y0, self.ny);
+        let (a0, a1) = span(q.x, self.x0, self.nx);
+        let (b0, b1) = span(q.y, self.y0, self.ny);
         for b in b0..=b1 {
             let row = b * self.nx;
             let cells = self.starts[row + a0] as usize..self.starts[row + a1 + 1] as usize;
