@@ -204,30 +204,121 @@ fn audit_identical_across_worker_counts() {
     }
 }
 
+/// FNV-1a 64 of an audit report: its fields in declaration order, each
+/// count as a `u64` and each `f64` as its bits, big-endian, every list
+/// preceded by its length. Fields are named one by one, so a field
+/// added to the report later cannot move a digest.
+fn report_digest(r: &AuditReport) -> u64 {
+    let mut words: Vec<u64> = vec![
+        r.robots as u64,
+        r.initial_links as u64,
+        r.preserved_links as u64,
+        r.stable_link_ratio.to_bits(),
+        u64::from(r.global_connectivity),
+        r.violations.len() as u64,
+    ];
+    for v in &r.violations {
+        words.extend([
+            v.link.0 as u64,
+            v.link.1 as u64,
+            v.interval.0.to_bits(),
+            v.interval.1.to_bits(),
+            v.max_distance.to_bits(),
+        ]);
+    }
+    words.push(r.disconnected_intervals.len() as u64);
+    for &(lo, hi) in &r.disconnected_intervals {
+        words.extend([lo.to_bits(), hi.to_bits()]);
+    }
+    words.extend([
+        r.pieces as u64,
+        r.knots as u64,
+        r.connectivity_checks as u64,
+        r.components as u64,
+        r.swept_pairs as u64,
+    ]);
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_be_bytes()).collect();
+    anr_serve::fnv1a64(&bytes)
+}
+
 /// The knot audit agrees with the dense reference on every scenario's
-/// real march, methods (a) and (b), at 144, 400 and 1296 robots.
+/// real march, methods (a) and (b), at 144, 400 and 1296 robots, and
+/// each report is pinned by [`report_digest`].
 #[test]
 fn knot_audit_matches_dense_reference_on_every_scenario() {
+    let mut got = Vec::new();
     for robots in [144usize, 400, 1296] {
         for id in 1..=7u8 {
             let problem = scenario_problem_sized(id, SEPARATION, robots).unwrap();
             for method in [Method::MaxStableLinks, Method::MinMovingDistance] {
                 let key = format!("scenario {id}, {method:?}, {robots} robots");
-                knot_audit_checked(&problem, method, &key);
+                let r = knot_audit_checked(&problem, method, &key);
+                let tag = if method == Method::MaxStableLinks {
+                    'a'
+                } else {
+                    'b'
+                };
+                got.push((id, tag, robots, report_digest(&r)));
             }
         }
     }
+    let want: Vec<(u8, char, usize, u64)> = vec![
+        (1, 'a', 144, 0x2d76_17a9_eeff_2c45),
+        (1, 'b', 144, 0xf3d5_7996_a4b2_4d55),
+        (2, 'a', 144, 0xca15_4c1f_89ab_2b16),
+        (2, 'b', 144, 0xcb80_ad8e_7aca_5746),
+        (3, 'a', 144, 0x031a_5c98_a6bb_5138),
+        (3, 'b', 144, 0x0f95_c975_019b_0cf7),
+        (4, 'a', 144, 0xf360_fef8_c6de_c792),
+        (4, 'b', 144, 0x42c0_9b14_7a9b_fd97),
+        (5, 'a', 144, 0x3b5a_e87c_a306_69ef),
+        (5, 'b', 144, 0xfc86_4f40_8586_2f66),
+        (6, 'a', 144, 0x0b07_d38f_a811_f069),
+        (6, 'b', 144, 0x1218_19a0_dfbf_21fe),
+        (7, 'a', 144, 0xad53_7f66_e143_9670),
+        (7, 'b', 144, 0x3e9c_52fd_f032_5a22),
+        (1, 'a', 400, 0xa5cb_9c2c_c88e_63d4),
+        (1, 'b', 400, 0x0b54_a2ad_cbf7_ee9c),
+        (2, 'a', 400, 0xae72_aae2_9001_308d),
+        (2, 'b', 400, 0xd6d0_d374_3b4d_a1ee),
+        (3, 'a', 400, 0xdca0_86ff_801c_761a),
+        (3, 'b', 400, 0x12a7_e94f_7255_5308),
+        (4, 'a', 400, 0x885a_bfa2_3dc5_cfa2),
+        (4, 'b', 400, 0x0435_fcf9_1d85_d5a2),
+        (5, 'a', 400, 0xdbc0_c30d_5197_2013),
+        (5, 'b', 400, 0x5cf7_d3b5_66f8_6eee),
+        (6, 'a', 400, 0xf5e4_23ef_16f4_4806),
+        (6, 'b', 400, 0x3686_97ce_a4c6_ce9b),
+        (7, 'a', 400, 0xdea3_d4b0_b199_fac8),
+        (7, 'b', 400, 0x0e1d_d61a_1371_2772),
+        (1, 'a', 1296, 0xf304_dd75_423e_9e42),
+        (1, 'b', 1296, 0x0229_28dd_c6dd_0c23),
+        (2, 'a', 1296, 0x94ab_c2c0_1b2d_b207),
+        (2, 'b', 1296, 0x0b4f_3484_0ba5_f99a),
+        (3, 'a', 1296, 0x6410_c557_12f5_2384),
+        (3, 'b', 1296, 0x2410_33ef_2069_9c80),
+        (4, 'a', 1296, 0x93fc_3f7e_7765_f199),
+        (4, 'b', 1296, 0x2a0e_7370_9b7f_02ab),
+        (5, 'a', 1296, 0xe812_1ebf_848d_5ce8),
+        (5, 'b', 1296, 0xc0c2_0f47_af48_83ec),
+        (6, 'a', 1296, 0xe28e_d59b_9f74_8120),
+        (6, 'b', 1296, 0xf654_fcef_1052_3e9e),
+        (7, 'a', 1296, 0x147c_97d6_c88b_f166),
+        (7, 'b', 1296, 0xb86f_5e1c_e68e_153d),
+    ];
+    assert_eq!(got, want);
 }
 
 /// The three known marches that lose connectivity during the
 /// transition (ROADMAP item 1): each audit reports `C = 0` with the
-/// preserved-link count `anr scenario` prints for it, and agrees with
-/// the dense reference.
+/// preserved-link count `anr scenario` prints for it, agrees with the
+/// dense reference and is pinned by [`report_digest`].
 fn assert_connectivity_lost(
     id: u8,
     separation: f64,
     method: Method,
     (preserved, initial): (usize, usize),
+    digest: u64,
 ) {
     let problem = scenario_problem_sized(id, separation, 100).unwrap();
     let key = format!("scenario {id}, separation {separation}, {method:?}");
@@ -239,21 +330,140 @@ fn assert_connectivity_lost(
         (preserved, initial),
         "{key}"
     );
+    assert_eq!(report_digest(&r), digest, "{key}");
 }
 
 #[test]
 fn scenario3_method_a_separation_100_loses_connectivity() {
-    assert_connectivity_lost(3, 100.0, Method::MaxStableLinks, (201, 263));
+    assert_connectivity_lost(
+        3,
+        100.0,
+        Method::MaxStableLinks,
+        (201, 263),
+        0x8416_3d16_558e_df50,
+    );
 }
 
 #[test]
 fn scenario3_method_b_separation_30_loses_connectivity() {
-    assert_connectivity_lost(3, 30.0, Method::MinMovingDistance, (176, 263));
+    assert_connectivity_lost(
+        3,
+        30.0,
+        Method::MinMovingDistance,
+        (176, 263),
+        0x2d8a_7326_1c5c_82e9,
+    );
 }
 
 #[test]
 fn scenario6_method_b_separation_5_loses_connectivity() {
-    assert_connectivity_lost(6, 5.0, Method::MinMovingDistance, (176, 252));
+    assert_connectivity_lost(
+        6,
+        5.0,
+        Method::MinMovingDistance,
+        (176, 252),
+        0x84bc_a8b8_d605_b785,
+    );
+}
+
+/// The audit of each benchmark march's dense rows, called the way the
+/// benchmark calls it (`audit_piecewise_with_workers` on the rows at
+/// uniform instants): `C`, the bits of `L`, the preserved links and an
+/// FNV-1a 64 of the violating links, on the seven scenarios at 1296
+/// robots and scenario 1 at 3025, separation 30, method (a).
+#[test]
+fn row_audit_is_pinned_on_the_benchmark_marches() {
+    let mut got = Vec::new();
+    for (id, robots) in (1..=7u8).map(|id| (id, 1296usize)).chain([(1, 3025)]) {
+        let problem = scenario_problem_sized(id, 30.0, robots).unwrap();
+        let outcome = march(&problem, Method::MaxStableLinks, &MarchConfig::default()).unwrap();
+        let rows = &outcome.timeline;
+        let steps = (rows.len() - 1).max(1) as f64;
+        let times: Vec<f64> = (0..rows.len()).map(|k| k as f64 / steps).collect();
+        let r = audit_piecewise_with_workers(rows, &times, problem.range, 0, &Tracer::disabled())
+            .unwrap();
+        let links: Vec<u8> = r
+            .violations
+            .iter()
+            .flat_map(|v| [v.link.0 as u64, v.link.1 as u64])
+            .flat_map(u64::to_be_bytes)
+            .collect();
+        got.push((
+            id,
+            robots,
+            r.global_connectivity,
+            r.stable_link_ratio.to_bits(),
+            r.preserved_links,
+            anr_serve::fnv1a64(&links),
+        ));
+    }
+    let want: Vec<(u8, usize, u8, u64, usize, u64)> = vec![
+        (
+            1,
+            1296,
+            1,
+            0x3fee_075d_3e39_5a0b,
+            45213,
+            0xe7d3_c6f2_714b_98e6,
+        ),
+        (
+            2,
+            1296,
+            1,
+            0x3fed_3afe_58f9_fae3,
+            44011,
+            0x0c72_08a0_6d36_f303,
+        ),
+        (
+            3,
+            1296,
+            1,
+            0x3feb_46f2_ce9c_e6d5,
+            41070,
+            0x0704_d246_5973_a511,
+        ),
+        (
+            4,
+            1296,
+            1,
+            0x3feb_53de_d2e2_8182,
+            41146,
+            0x74d6_5895_238c_ce7c,
+        ),
+        (
+            5,
+            1296,
+            1,
+            0x3fec_5b11_e687_2e51,
+            42694,
+            0xd1e5_974a_f389_c4d2,
+        ),
+        (
+            6,
+            1296,
+            1,
+            0x3fea_8142_c9f0_f516,
+            38510,
+            0xcdfd_4150_7df3_c6d6,
+        ),
+        (
+            7,
+            1296,
+            1,
+            0x3fea_0db4_1789_2242,
+            37903,
+            0x39db_3d00_e4d8_71b4,
+        ),
+        (
+            1,
+            3025,
+            1,
+            0x3fee_52f8_b2b5_3224,
+            251167,
+            0xc9de_5414_b7c6_639a,
+        ),
+    ];
+    assert_eq!(got, want);
 }
 
 /// A hole scenario's whole dense timeline, pinned by the FNV-1a 64 of
