@@ -12,8 +12,8 @@ use anr_bench::scenario_problem_sized;
 use anr_coverage::GridPartition;
 use anr_harmonic::{fill_holes, harmonic_map_to_disk, DiskOverlay, HarmonicConfig, Solver};
 use anr_march::{
-    audit_knots, audit_piecewise, audit_piecewise_with_workers, march, AuditReport, KnotTimeline,
-    MarchConfig, MarchOutcome, MarchProblem, Method,
+    audit_knots, audit_piecewise_with_workers, march, AuditReport, KnotTimeline, MarchConfig,
+    MarchOutcome, MarchProblem, Method,
 };
 use anr_netgraph::{extract_triangulation, UnitDiskGraph};
 use anr_trace::Tracer;
@@ -114,13 +114,9 @@ fn true_instants(outcome: &MarchOutcome, config: &MarchConfig) -> Vec<f64> {
     times
 }
 
-/// The knot audit of a march, checked against the march's own metrics
-/// and against the dense reference run on the march's dense rows at
-/// their true instants: `C`, `L`, the preserved links and the violating
-/// links exactly, interval endpoints and maximum distances within 1e-9.
+/// The knot audit of a march, checked against the march's own metrics.
 fn knot_audit_checked(problem: &MarchProblem, method: Method, key: &str) -> AuditReport {
-    let config = MarchConfig::default();
-    let outcome = march(problem, method, &config).unwrap();
+    let outcome = march(problem, method, &MarchConfig::default()).unwrap();
     let initial = UnitDiskGraph::new(&problem.positions, problem.range);
     let got = audit_knots(&knots_of(&outcome), &initial, 0, &Tracer::disabled()).unwrap();
     let m = &outcome.metrics;
@@ -133,33 +129,6 @@ fn knot_audit_checked(problem: &MarchProblem, method: Method, key: &str) -> Audi
         ),
         "{key}: the march's metrics are not its own audit"
     );
-    let times = true_instants(&outcome, &config);
-    let want = audit_piecewise(
-        &outcome.timeline,
-        &times,
-        problem.range,
-        &Tracer::disabled(),
-    )
-    .unwrap();
-    assert_eq!(got.global_connectivity, want.global_connectivity, "{key}");
-    assert_eq!(got.stable_link_ratio, want.stable_link_ratio, "{key}");
-    assert_eq!(got.preserved_links, want.preserved_links, "{key}");
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9;
-    let links = |r: &AuditReport| r.violations.iter().map(|v| v.link).collect::<Vec<_>>();
-    assert_eq!(links(&got), links(&want), "{key}");
-    for (g, w) in got.violations.iter().zip(&want.violations) {
-        assert!(
-            close(g.interval.0, w.interval.0)
-                && close(g.interval.1, w.interval.1)
-                && close(g.max_distance, w.max_distance),
-            "{key}: {g:?} vs {w:?}"
-        );
-    }
-    let (a, b) = (&got.disconnected_intervals, &want.disconnected_intervals);
-    assert_eq!(a.len(), b.len(), "{key}: {a:?} vs {b:?}");
-    for (x, y) in a.iter().zip(b) {
-        assert!(close(x.0, y.0) && close(x.1, y.1), "{key}: {x:?} vs {y:?}");
-    }
     got
 }
 
@@ -167,7 +136,8 @@ fn knot_audit_checked(problem: &MarchProblem, method: Method, key: &str) -> Audi
 /// interval — at workers 1, 2 and 8, on real marches of a
 /// simply-connected scenario, a hole-detour scenario, and scenario 6,
 /// whose preserved links leave two components so the contracted sweep
-/// runs. The dense reference is pinned the same way.
+/// runs. The audit of the march's dense rows at their true instants is
+/// pinned the same way.
 #[test]
 fn audit_identical_across_worker_counts() {
     for id in [1u8, 4, 6] {
@@ -186,7 +156,8 @@ fn audit_identical_across_worker_counts() {
         }
         let rows = &outcome.timeline;
         let times = true_instants(&outcome, &config);
-        let dense = audit_piecewise_with_workers(rows, &times, problem.range, 1, &tracer).unwrap();
+        let by_rows =
+            audit_piecewise_with_workers(rows, &times, problem.range, 1, &tracer).unwrap();
         for workers in [2usize, 8] {
             let report = audit_knots(&knots, &initial, workers, &tracer).unwrap();
             assert_eq!(
@@ -197,8 +168,8 @@ fn audit_identical_across_worker_counts() {
                 audit_piecewise_with_workers(rows, &times, problem.range, workers, &tracer)
                     .unwrap();
             assert_eq!(
-                dense, report,
-                "scenario {id}: dense audit changed at {workers} workers"
+                by_rows, report,
+                "scenario {id}: row audit changed at {workers} workers"
             );
         }
     }
@@ -241,11 +212,13 @@ fn report_digest(r: &AuditReport) -> u64 {
     anr_serve::fnv1a64(&bytes)
 }
 
-/// The knot audit agrees with the dense reference on every scenario's
-/// real march, methods (a) and (b), at 144, 400 and 1296 robots, and
-/// each report is pinned by [`report_digest`].
+/// The knot audit of every scenario's real march, methods (a) and (b),
+/// at 144, 400 and 1296 robots, pinned by [`report_digest`]. The digests
+/// were taken when a dense all-robot walk still checked every one of
+/// these reports (`C`, `L`, the preserved and violating links exactly,
+/// intervals and maximum distances within 1e-9).
 #[test]
-fn knot_audit_matches_dense_reference_on_every_scenario() {
+fn knot_audit_is_pinned_on_every_scenario() {
     let mut got = Vec::new();
     for robots in [144usize, 400, 1296] {
         for id in 1..=7u8 {
@@ -311,8 +284,8 @@ fn knot_audit_matches_dense_reference_on_every_scenario() {
 
 /// The three known marches that lose connectivity during the
 /// transition (ROADMAP item 1): each audit reports `C = 0` with the
-/// preserved-link count `anr scenario` prints for it, agrees with the
-/// dense reference and is pinned by [`report_digest`].
+/// preserved-link count `anr scenario` prints for it and is pinned by
+/// [`report_digest`].
 fn assert_connectivity_lost(
     id: u8,
     separation: f64,

@@ -45,32 +45,35 @@
 //!    rollback union-find whose independent subtrees fan out over
 //!    [`anr_par`].
 //!
-//! The sweep's pair discovery is batched into *epochs* of the time axis:
-//! one uniform grid built at the epoch's start prunes the `O(n²)` pair
-//! set for the whole epoch. Each robot's deviation over an epoch is
-//! bounded by summing `|Δp − v·Δs|` over its own pieces, with `v` one
-//! drift velocity shared by all robots (inter-robot distances are
-//! invariant under a common drift, so any shared `v` keeps the bound
-//! valid; the swarm's mean keeps it tight), and a pair must start the
-//! epoch within `range` plus both robots' deviations. All of this is
-//! observation-order independent — every parallel path returns
-//! byte-identical results at any worker count.
+//! Both walks share one drift bound. Each robot's deviation over a
+//! stretch of the axis is bounded by summing `|Δp − v·Δs|` over its own
+//! pieces, with `v` one drift velocity shared by all robots (inter-robot
+//! distances are invariant under a common drift, so any shared `v` keeps
+//! the bound valid; the swarm's mean keeps it tight). A pair's distance
+//! therefore moves by at most the sum of its two robots' deviations.
 //!
-//! [`audit_knots`] is the production audit; [`audit_trajectories`]
-//! builds the knots of a [`TrajectorySet`] and runs it. The dense
-//! [`audit_piecewise`] runs the same three steps over an explicit
-//! timeline with every robot at every row, and is the reference the knot
-//! audit is tested against. Violations are reported with the offending
-//! link, the exact out-of-range interval, and the maximum distance
-//! reached, and are mirrored as `anr-trace` events.
+//! * The pair walk **gallops** at *shared instants*, where every robot
+//!   has a knot: while the bound stays below the pair's distance to the
+//!   range circle, the pair cannot cross it, so those pieces hold no
+//!   root, no status flip and no span boundary and are skipped whole. At
+//!   the next shared instant both robots sit on their own knots again,
+//!   so the walk resumes exactly where walking would have put it.
+//! * The sweep's pair discovery is batched into *epochs* of the time
+//!   axis: one uniform grid built at the epoch's start prunes the
+//!   `O(n²)` pair set for the whole epoch, keeping the pairs that start
+//!   it within `range` plus both robots' deviations.
+//!
+//! All of this is observation-order independent — every parallel path
+//! returns byte-identical results at any worker count. Violations are
+//! reported with the offending link, the exact out-of-range interval,
+//! and the maximum distance reached, and are mirrored as `anr-trace`
+//! events.
 
 use crate::knots::{lerp_piece, KnotTimeline};
 use crate::metrics::MetricsError;
-use crate::trajectory::TrajectorySet;
 use anr_geom::Point;
 use anr_netgraph::{RollbackUnionFind, UnionFind, UnitDiskGraph};
 use anr_trace::{TraceValue, Tracer};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// An initial link that left communication range during the march.
@@ -104,12 +107,9 @@ pub struct AuditReport {
     /// network was disconnected (empty iff `global_connectivity == 1`).
     pub disconnected_intervals: Vec<(f64, f64)>,
     /// Linear motion pieces audited: every robot's own pieces summed
-    /// (`knots − robots`) for [`audit_knots`]; timeline rows − 1 for the
-    /// dense [`audit_piecewise`], whose row steps move every robot at
-    /// once.
+    /// (`knots − robots`).
     pub pieces: usize,
-    /// Knots audited: every robot's own breakpoints summed
-    /// (`robots × rows` for a dense timeline).
+    /// Knots audited: every robot's own breakpoints summed.
     pub knots: usize,
     /// Connectivity check instants examined: one per open interval
     /// between consecutive cross-component crossing events on the
@@ -122,6 +122,9 @@ pub struct AuditReport {
     /// Cross-component pairs the contracted sweep walked (0 when
     /// certified).
     pub swept_pairs: usize,
+    /// Merged pieces whose quadratic the pair walks evaluated, link pass
+    /// plus sweep; the walks galloped over the rest.
+    pub walked_pieces: usize,
 }
 
 impl AuditReport {
@@ -130,24 +133,6 @@ impl AuditReport {
     pub fn certified(&self) -> bool {
         self.global_connectivity == 1 && self.violations.is_empty()
     }
-}
-
-/// Audits a [`TrajectorySet`] continuously over `s ∈ [0, 1]`: the
-/// [`audit_knots`] of its waypoints, with the links of the unit-disk
-/// graph at `s = 0`.
-///
-/// # Errors
-///
-/// [`MetricsError`] on non-positive range or non-finite positions.
-pub fn audit_trajectories(
-    set: &TrajectorySet,
-    range: f64,
-    tracer: &Tracer,
-) -> Result<AuditReport, MetricsError> {
-    check_range(range)?;
-    let knots = KnotTimeline::from_trajectories(set, &[])?;
-    let initial = UnitDiskGraph::new(&knots.initial_positions(), range);
-    audit_knots(&knots, &initial, 0, tracer)
 }
 
 /// Audits each robot's own piecewise-linear motion: the initial links
@@ -175,60 +160,40 @@ pub fn audit_knots(
     workers: usize,
     tracer: &Tracer,
 ) -> Result<AuditReport, MetricsError> {
-    if initial.len() != knots.robots() {
-        return Err(MetricsError::LengthMismatch {
-            expected: knots.robots(),
-            got: initial.len(),
-        });
-    }
-    let motion = KnotMotion::new(knots, initial.range());
-    Ok(run_audit(
-        &motion,
-        &initial.links(),
-        workers,
-        tracer,
-        true,
-        (knots.len() - knots.robots(), knots.len()),
-    ))
+    run_audit(knots, initial, workers, tracer, true)
 }
 
-/// Audits an explicit piecewise-linear timeline: `rows[k]` holds every
-/// robot's position at normalized time `times[k]`, and every robot moves
-/// **linearly** between consecutive rows (rows must therefore include
-/// every trajectory breakpoint — see [`TrajectorySet::breakpoints`]).
-///
-/// This dense form is the reference [`audit_knots`] is tested against;
-/// it emits the same spans and events.
-///
-/// Worker count: [`anr_par::default_workers`]. The result is
-/// byte-identical at any worker count (see
-/// [`audit_piecewise_with_workers`]).
+/// The same audit with every robot its own component: no certificate,
+/// and the sweep walks every candidate pair on the full `n`-robot axis.
+/// This is the oracle [`audit_knots`] is tested against: `C`, `L`, the
+/// violations and the preserved links agree exactly, the disconnected
+/// intervals in count and to the 1e-12 event-merge tolerance.
 ///
 /// # Errors
 ///
-/// [`MetricsError`] on an empty or ragged timeline, mismatched or
-/// non-monotonic `times`, non-positive `range`, or non-finite positions.
-pub fn audit_piecewise(
-    rows: &[Vec<Point>],
-    times: &[f64],
-    range: f64,
-    tracer: &Tracer,
+/// See [`audit_knots`].
+#[doc(hidden)]
+pub fn audit_knots_uncontracted(
+    knots: &KnotTimeline,
+    initial: &UnitDiskGraph,
+    workers: usize,
 ) -> Result<AuditReport, MetricsError> {
-    audit_piecewise_with_workers(rows, times, range, 0, tracer)
+    run_audit(knots, initial, workers, &Tracer::disabled(), false)
 }
 
-/// [`audit_piecewise`] with an explicit worker count (0 = auto).
+/// [`audit_knots`] over a dense timeline: `rows[k]` holds every robot's
+/// position at `times[k]` ([`KnotTimeline::from_rows`]), and the initial
+/// links are those of `rows[0]` at `range`. It is exact only on rows
+/// that include every trajectory breakpoint.
 ///
-/// Parallel fan-out happens over three structures — pair chunks of the
-/// link pass and of the sweep, piece epochs of the sweep's pair
-/// discovery, and subtrees of the offline dynamic-connectivity
-/// divide-and-conquer. Each is merged back in deterministic input order,
-/// so the report (and every trace event) is byte-identical whatever
-/// `workers` is.
+/// This adapter exists only because the frozen benchmark compiles
+/// against its name; new code calls [`audit_knots`].
 ///
 /// # Errors
 ///
-/// See [`audit_piecewise`].
+/// [`MetricsError`] on a non-positive `range`, and as
+/// [`KnotTimeline::from_rows`] on the rows.
+#[doc(hidden)]
 pub fn audit_piecewise_with_workers(
     rows: &[Vec<Point>],
     times: &[f64],
@@ -236,86 +201,36 @@ pub fn audit_piecewise_with_workers(
     workers: usize,
     tracer: &Tracer,
 ) -> Result<AuditReport, MetricsError> {
-    audit_contracted(rows, times, range, workers, tracer, true)
+    if range.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        return Err(MetricsError::NonPositiveRange { range });
+    }
+    let knots = KnotTimeline::from_rows(rows, times)?;
+    audit_knots(
+        &knots,
+        &UnitDiskGraph::new(&rows[0], range),
+        workers,
+        tracer,
+    )
 }
 
-/// The same audit with every robot its own component: no certificate,
-/// and the sweep walks every candidate pair on the full `n`-robot axis.
-/// This is the reference [`audit_piecewise_with_workers`] is tested
-/// against: `C`, `L`, the violations and the preserved links agree
-/// exactly, the disconnected intervals in count and to the 1e-12
-/// event-merge tolerance.
-///
-/// # Errors
-///
-/// See [`audit_piecewise`].
-#[doc(hidden)]
-pub fn audit_piecewise_uncontracted(
-    rows: &[Vec<Point>],
-    times: &[f64],
-    range: f64,
-    workers: usize,
-) -> Result<AuditReport, MetricsError> {
-    audit_contracted(rows, times, range, workers, &Tracer::disabled(), false)
-}
-
-/// The dense audit. With `certify`, the sweep runs on the components of
-/// the preserved links; without it, every robot is its own component.
-fn audit_contracted(
-    rows: &[Vec<Point>],
-    times: &[f64],
-    range: f64,
+/// The three audit steps over `knots`, whose initial links are
+/// `initial`'s. With `certify`, the sweep runs on the components of the
+/// preserved links; without it, every robot is its own component.
+fn run_audit(
+    knots: &KnotTimeline,
+    initial: &UnitDiskGraph,
     workers: usize,
     tracer: &Tracer,
     certify: bool,
 ) -> Result<AuditReport, MetricsError> {
-    check_range(range)?;
-    validate_rows(rows, times)?;
-    let stripes = Stripes::new(rows, times, range);
-    let links = UnitDiskGraph::new(&rows[0], range).links();
-    let counts = (rows.len() - 1, rows.len() * rows[0].len());
-    Ok(run_audit(
-        &stripes, &links, workers, tracer, certify, counts,
-    ))
-}
-
-/// A motion the three audit steps can walk: pair by pair over its
-/// pieces, and epoch by epoch for the sweep's pair discovery.
-trait Motion: Sync {
-    /// One grid pass of the sweep's pair discovery.
-    type Epoch: Sync;
-
-    /// Number of robots.
-    fn robots(&self) -> usize;
-
-    /// The audited time axis.
-    fn bounds(&self) -> (f64, f64);
-
-    /// Walks pair `(i, j)` over every piece on which both move
-    /// linearly, recording its spans, events and violation in `out`.
-    fn walk_pair(&self, out: &mut PairScan, i: usize, j: usize);
-
-    /// Discovery epochs covering the whole axis.
-    fn epochs(&self) -> Vec<Self::Epoch>;
-
-    /// The robots' positions at the epoch's start, and a cutoff: every
-    /// pair that comes within range during the epoch starts it within
-    /// the cutoff.
-    fn epoch_grid(&self, epoch: &Self::Epoch) -> (Cow<'_, [Point]>, f64);
-}
-
-/// The three audit steps over `motion`, whose initial links are `links`
-/// (in index order). `counts` is the report's `(pieces, knots)`.
-fn run_audit<M: Motion>(
-    motion: &M,
-    links: &[(usize, usize)],
-    workers: usize,
-    tracer: &Tracer,
-    certify: bool,
-    counts: (usize, usize),
-) -> AuditReport {
-    let n = motion.robots();
-    let (t0, t1) = motion.bounds();
+    let n = knots.robots();
+    if initial.len() != n {
+        return Err(MetricsError::LengthMismatch {
+            expected: n,
+            got: initial.len(),
+        });
+    }
+    let (t0, t1) = knots.bounds();
 
     // ------------------------------------------------------------------
     // 1. Link pass. A violating link is exactly an initial link whose
@@ -325,8 +240,12 @@ fn run_audit<M: Motion>(
     // maximum distance, in link order.
     // ------------------------------------------------------------------
     let link_pass = tracer.span("audit_links");
+    let motion = KnotMotion::new(knots, initial.range());
+    let links = initial.links();
     let link_pairs: Vec<(u32, u32)> = links.iter().map(|&(i, j)| (i as u32, j as u32)).collect();
-    let violations: Vec<LinkViolation> = walk(motion, &link_pairs, workers)
+    let link_scan = walk(&motion, &link_pairs, workers);
+    let mut walked_pieces = link_scan.walked;
+    let violations: Vec<LinkViolation> = link_scan
         .violations
         .into_iter()
         .map(|(i, j, lo, hi, max_distance)| LinkViolation {
@@ -357,7 +276,7 @@ fn run_audit<M: Motion>(
     let (comp, components): (Vec<u32>, usize) = if certify {
         let mut uf = UnionFind::new(n);
         let mut broken = violations.iter().map(|v| v.link).peekable();
-        for &(i, j) in links {
+        for &(i, j) in &links {
             if broken.next_if_eq(&(i, j)).is_none() {
                 uf.union(i, j);
             }
@@ -390,9 +309,10 @@ fn run_audit<M: Motion>(
     let (mut connectivity_checks, mut swept_pairs) = (1, 0);
     if components > 1 {
         let _sweep = tracer.span("audit_sweep");
-        let pairs = cross_pairs(motion, &comp, workers);
+        let pairs = cross_pairs(&motion, &comp, workers);
         swept_pairs = pairs.len();
-        let scan = walk(motion, &pairs, workers);
+        let scan = walk(&motion, &pairs, workers);
+        walked_pieces += scan.walked;
 
         let mut events: Vec<f64> = scan
             .events
@@ -450,14 +370,15 @@ fn run_audit<M: Motion>(
         global_connectivity: u8::from(disconnected_intervals.is_empty()),
         violations,
         disconnected_intervals,
-        pieces: counts.0,
-        knots: counts.1,
+        pieces: knots.len() - n,
+        knots: knots.len(),
         connectivity_checks,
         components,
         swept_pairs,
+        walked_pieces,
     };
     trace_summary(tracer, &report);
-    report
+    Ok(report)
 }
 
 fn trace_summary(tracer: &Tracer, report: &AuditReport) {
@@ -488,6 +409,10 @@ fn trace_summary(tracer: &Tracer, report: &AuditReport) {
             ("components", TraceValue::U64(report.components as u64)),
             ("swept_pairs", TraceValue::U64(report.swept_pairs as u64)),
             ("knots", TraceValue::U64(report.knots as u64)),
+            (
+                "walked_pieces",
+                TraceValue::U64(report.walked_pieces as u64),
+            ),
         ],
     );
 }
@@ -505,12 +430,14 @@ struct PairScan {
     /// that was in range at the axis start but not for the whole axis,
     /// in walk order.
     violations: Vec<(u32, u32, f64, f64, f64)>,
+    /// Merged pieces whose quadratic was evaluated.
+    walked: usize,
 }
 
 /// Walks every pair over the whole axis. Pair chunks are independent;
 /// concatenating their outputs in order keeps spans and violations in
 /// pair order.
-fn walk<M: Motion>(motion: &M, pairs: &[(u32, u32)], workers: usize) -> PairScan {
+fn walk(motion: &KnotMotion, pairs: &[(u32, u32)], workers: usize) -> PairScan {
     let outs: Vec<PairScan> = anr_par::par_chunks(pairs, 2048, workers, |chunk| {
         let mut out = PairScan::default();
         for &(i, j) in chunk {
@@ -523,6 +450,7 @@ fn walk<M: Motion>(motion: &M, pairs: &[(u32, u32)], workers: usize) -> PairScan
         all.events.extend(o.events);
         all.spans.extend(o.spans);
         all.violations.extend(o.violations);
+        all.walked += o.walked;
     }
     all
 }
@@ -534,7 +462,7 @@ fn walk<M: Motion>(motion: &M, pairs: &[(u32, u32)], workers: usize) -> PairScan
 /// within range during that epoch. The union across epochs (a bit-OR,
 /// order-independent) is the full candidate set; pairs never marked are
 /// provably never in range.
-fn cross_pairs<M: Motion>(motion: &M, comp: &[u32], workers: usize) -> Vec<(u32, u32)> {
+fn cross_pairs(motion: &KnotMotion, comp: &[u32], workers: usize) -> Vec<(u32, u32)> {
     let n = comp.len();
     let cross = |i: u32, j: u32| comp[i as usize] != comp[j as usize];
     if n < 64 {
@@ -549,8 +477,7 @@ fn cross_pairs<M: Motion>(motion: &M, comp: &[u32], workers: usize) -> Vec<(u32,
     let sets: Vec<Vec<u64>> = anr_par::par_chunks(&motion.epochs(), 8, workers, |chunk| {
         let mut bits = vec![0u64; words];
         for epoch in chunk {
-            let (start, cutoff) = motion.epoch_grid(epoch);
-            for_each_near_pair(&start, cutoff, &mut |i, j| {
+            for_each_near_pair(&motion.epoch_grid(epoch), epoch.cutoff, &mut |i, j| {
                 let idx = i * n + j;
                 bits[idx >> 6] |= 1 << (idx & 63);
             });
@@ -580,7 +507,7 @@ fn cross_pairs<M: Motion>(motion: &M, comp: &[u32], workers: usize) -> Vec<(u32,
 
 /// One pair's walk over consecutive linear pieces: whether the pair is
 /// in range at the current breakpoint, and when its open in-range span
-/// began. Both walkers feed it the same per-piece quadratic.
+/// began.
 struct PairState {
     i: u32,
     j: u32,
@@ -616,6 +543,7 @@ impl PairState {
         piece_hi: f64,
         r2: f64,
     ) {
+        out.walked += 1;
         let (qa, qb, qc) = (wx * wx + wy * wy, ux * wx + uy * wy, ux * ux + uy * uy - r2);
         let span_w = piece_hi - piece_lo;
         let mut iv: Option<(f64, f64)> = None;
@@ -697,19 +625,48 @@ impl PairState {
     }
 }
 
-/// The knot motion: every robot on its own knots.
+/// Every robot on its own knots, with the drift-deviation tables both
+/// walks read.
 struct KnotMotion<'a> {
     knots: &'a KnotTimeline,
     range: f64,
     r2: f64,
+    /// Each own piece's deviation from the shared drift, aligned with
+    /// the packed knots (see [`KnotMotion::deviations`]).
+    dev: Vec<f64>,
+    /// Robot-major, one entry per robot and shared instant: the robot's
+    /// own knot index there.
+    shared_knot: Vec<u32>,
+    /// Robot-major like `shared_knot`: the robot's deviation summed over
+    /// its own pieces up to the shared instant.
+    shared_dev: Vec<f64>,
 }
 
 impl<'a> KnotMotion<'a> {
     fn new(knots: &'a KnotTimeline, range: f64) -> Self {
+        let dev = Self::deviations(knots);
+        let cells = knots.robots() * knots.shared().len();
+        let mut shared_knot = Vec::with_capacity(cells);
+        let mut shared_dev = Vec::with_capacity(cells);
+        for i in 0..knots.robots() {
+            let own = &dev[knots.offset(i)..];
+            let mut shared = knots.shared().iter().peekable();
+            let mut acc = 0.0;
+            for (k, (t, d)) in knots.knots(i).0.iter().zip(own).enumerate() {
+                if shared.next_if_eq(&t).is_some() {
+                    shared_knot.push(k as u32);
+                    shared_dev.push(acc);
+                }
+                acc += d;
+            }
+        }
         KnotMotion {
             knots,
             range,
             r2: range * range,
+            dev,
+            shared_knot,
+            shared_dev,
         }
     }
 
@@ -718,8 +675,7 @@ impl<'a> KnotMotion<'a> {
     /// is unused). `v` is the swarm's mean velocity between consecutive
     /// instants where every robot knots, so no piece straddles a change
     /// of `v`.
-    fn deviations(&self) -> Vec<f64> {
-        let knots = self.knots;
+    fn deviations(knots: &KnotTimeline) -> Vec<f64> {
         let (n, shared) = (knots.robots(), knots.shared());
         let mut drift = vec![(0.0f64, 0.0f64); shared.len().saturating_sub(1)];
         for i in 0..n {
@@ -759,65 +715,106 @@ impl<'a> KnotMotion<'a> {
         }
         dev
     }
-}
 
-/// A knot discovery epoch: its start and its grid cutoff.
-struct KnotEpoch {
-    start: f64,
-    cutoff: f64,
-}
-
-impl Motion for KnotMotion<'_> {
-    type Epoch = KnotEpoch;
-
-    fn robots(&self) -> usize {
-        self.knots.robots()
+    /// Robot `i`'s entries of a robot-major shared-instant table.
+    fn shared_row<'t, T>(&self, table: &'t [T], i: usize) -> &'t [T] {
+        let width = self.knots.shared().len();
+        &table[i * width..(i + 1) * width]
     }
 
-    fn bounds(&self) -> (f64, f64) {
-        self.knots.bounds()
+    /// The last shared instant `q ≥ m` the pair `(i, j)` provably cannot
+    /// cross the range circle before, given its distance `d` at shared
+    /// instant `m < last`: the pair's distance moves by at most the two
+    /// robots' deviations since `m`, so while that stays below the gap
+    /// to the circle, less a relative margin for rounding, the pair
+    /// stays strictly on one side. The deviation sums are monotone in
+    /// `q`, so gallop, then bisect.
+    fn gallop(&self, i: usize, j: usize, m: usize, d: f64) -> usize {
+        let gap = (d - self.range).abs() - 1e-9 * (d + self.range);
+        let (di, dj) = (
+            self.shared_row(&self.shared_dev, i),
+            self.shared_row(&self.shared_dev, j),
+        );
+        let c0 = di[m] + dj[m];
+        let fits = |q: usize| di[q] + dj[q] - c0 < gap;
+        if gap <= 0.0 || !fits(m + 1) {
+            return m;
+        }
+        let last = di.len() - 1;
+        let (mut q, mut step) = (m + 1, 1);
+        while q + step <= last && fits(q + step) {
+            q += step;
+            step *= 2;
+        }
+        let mut hi = (q + step).min(last);
+        while q < hi {
+            let mid = q + (hi - q).div_ceil(2);
+            if fits(mid) {
+                q = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        q
     }
 
-    /// Walks the merge of the two robots' knots. At a merged knot that
-    /// is one robot's own, that robot sits exactly on its knot; the
-    /// other is interpolated on its current piece.
+    /// Walks pair `(i, j)` over the merge of the two robots' knots,
+    /// recording its spans, events and violation in `out`. At a merged
+    /// knot that is one robot's own, that robot sits exactly on its
+    /// knot; the other is interpolated on its current piece. At each
+    /// shared instant the walk first gallops over the stretch the pair
+    /// cannot cross ([`KnotMotion::gallop`]).
     fn walk_pair(&self, out: &mut PairScan, i: usize, j: usize) {
         let (sa, pa) = self.knots.knots(i);
         let (sb, pb) = self.knots.knots(j);
+        let shared = self.knots.shared();
         let bounds = self.knots.bounds();
-        let rel = |p: Point, q: Point| (p.x - q.x, p.y - q.y);
         let mut u = rel(pa[0], pb[0]);
-        let mut max_d2 = u.0 * u.0 + u.1 * u.1;
-        let mut state = PairState::start(out, i, j, max_d2, self.r2, bounds.0);
-        let (mut a, mut b, mut t) = (0, 0, bounds.0);
-        while a + 1 < sa.len() && b + 1 < sb.len() {
-            let (na, nb) = (sa[a + 1], sb[b + 1]);
-            let next = na.min(nb);
-            let qa = if na == next {
-                pa[a + 1]
-            } else {
-                lerp_piece(sa, pa, a, next)
-            };
-            let qb = if nb == next {
-                pb[b + 1]
-            } else {
-                lerp_piece(sb, pb, b, next)
-            };
+        let mut state = PairState::start(out, i, j, norm2(u), self.r2, bounds.0);
+        // `m` is the next shared instant at or after `t`.
+        let (mut a, mut b, mut t, mut m) = (0, 0, bounds.0, 0);
+        loop {
+            if t == shared[m] {
+                if m + 1 == shared.len() {
+                    break;
+                }
+                let q = self.gallop(i, j, m, norm2(u).sqrt());
+                if q > m {
+                    a = self.shared_row(&self.shared_knot, i)[q] as usize;
+                    b = self.shared_row(&self.shared_knot, j)[q] as usize;
+                    (u, t, m) = (rel(pa[a], pb[b]), shared[q], q);
+                    continue;
+                }
+                m += 1;
+            }
+            let (next, qa, qb) = merge_step(sa, pa, sb, pb, &mut a, &mut b);
             let v = rel(qa, qb);
             state.piece(out, u, (v.0 - u.0, v.1 - u.1), t, next, self.r2);
-            max_d2 = max_d2.max(v.0 * v.0 + v.1 * v.1);
-            a += usize::from(na == next);
-            b += usize::from(nb == next);
             (u, t) = (v, next);
         }
-        state.finish(out, bounds, || max_d2);
+        state.finish(out, bounds, || self.max_d2(i, j));
     }
 
-    /// Greedy epochs: each ends where the first robot's deviation since
-    /// the epoch start reaches half the range (or at the next knot of
-    /// any robot, if that comes first in floating point). The cutoff is
-    /// `range + 2·(largest deviation over the epoch)`, with a relative
-    /// slack for rounding in the interpolated starts.
+    /// The pair's largest squared distance over every merged knot, the
+    /// ones a gallop skipped included: `d` is convex on each merged
+    /// piece, so this is its maximum over the whole axis.
+    fn max_d2(&self, i: usize, j: usize) -> f64 {
+        let (sa, pa) = self.knots.knots(i);
+        let (sb, pb) = self.knots.knots(j);
+        let (mut a, mut b) = (0, 0);
+        let mut max = norm2(rel(pa[0], pb[0]));
+        while a + 1 < sa.len() && b + 1 < sb.len() {
+            let (_, qa, qb) = merge_step(sa, pa, sb, pb, &mut a, &mut b);
+            max = max.max(norm2(rel(qa, qb)));
+        }
+        max
+    }
+
+    /// Greedy discovery epochs: each ends where the first robot's
+    /// deviation since the epoch start reaches half the range (or at the
+    /// next knot of any robot, if that comes first in floating point).
+    /// The cutoff is `range + 2·(largest deviation over the epoch)`, with
+    /// a relative slack for rounding in the interpolated starts.
     fn epochs(&self) -> Vec<KnotEpoch> {
         let knots = self.knots;
         let n = knots.robots();
@@ -829,7 +826,7 @@ impl Motion for KnotMotion<'_> {
                 cutoff: self.range * slack,
             }];
         }
-        let dev = self.deviations();
+        let dev = &self.dev;
         // Deviation of robot i's piece k over [x, y] within it.
         let part = |i: usize, s: &[f64], k: usize, x: f64, y: f64| {
             dev[knots.offset(i) + k] * ((y - x) / (s[k + 1] - s[k]))
@@ -883,215 +880,55 @@ impl Motion for KnotMotion<'_> {
         epochs
     }
 
-    fn epoch_grid(&self, epoch: &KnotEpoch) -> (Cow<'_, [Point]>, f64) {
-        let start = (0..self.knots.robots())
+    /// The robots' positions at the epoch's start.
+    fn epoch_grid(&self, epoch: &KnotEpoch) -> Vec<Point> {
+        (0..self.knots.robots())
             .map(|i| self.knots.position_at(i, epoch.start))
-            .collect();
-        (Cow::Owned(start), epoch.cutoff)
+            .collect()
     }
 }
 
-/// Struct-of-arrays layout of a dense timeline shared by every pair
-/// walk: positions plus a per-robot cumulative *deviation* prefix,
-/// robot-major (`arr[i * nrows + r]`). The deviation frame subtracts
-/// each piece's mean displacement over all robots: inter-robot distances
-/// are invariant under the common drift, so every skip and cutoff bound
-/// only spends budget on how far robots move relative to the formation
-/// — for a marching swarm that is far smaller than absolute motion.
-struct Stripes<'a> {
-    rows: &'a [Vec<Point>],
-    px: Vec<f64>,
-    py: Vec<f64>,
-    /// Per-robot deviation prefix (drives the per-pair galloping skip
-    /// and the discovery cutoffs).
-    cum: Vec<f64>,
-    /// The largest single-robot deviation on each piece (drives the
-    /// epoch budget).
-    dmax: Vec<f64>,
-    times: &'a [f64],
-    pieces: usize,
-    nrows: usize,
-    range: f64,
-    r2: f64,
+/// A discovery epoch: its start and its grid cutoff; every pair that
+/// comes within range during the epoch starts it within the cutoff.
+struct KnotEpoch {
+    start: f64,
+    cutoff: f64,
 }
 
-impl<'a> Stripes<'a> {
-    fn new(rows: &'a [Vec<Point>], times: &'a [f64], range: f64) -> Self {
-        let n = rows[0].len();
-        let pieces = rows.len() - 1;
-        let nrows = pieces + 1;
-        // Transpose a block of robots at a time: each row read is then
-        // contiguous and each stripe written sequentially, where a plain
-        // row-by-row transpose misses cache on every write.
-        const BLOCK: usize = 16;
-        let mut px = vec![0.0f64; n * nrows];
-        let mut py = vec![0.0f64; n * nrows];
-        for i0 in (0..n).step_by(BLOCK) {
-            let i1 = (i0 + BLOCK).min(n);
-            for (r, row) in rows.iter().enumerate() {
-                for (i, p) in (i0..i1).zip(&row[i0..i1]) {
-                    px[i * nrows + r] = p.x;
-                    py[i * nrows + r] = p.y;
-                }
-            }
-        }
-        let inv_n = 1.0 / n as f64;
-        let mut mean_dx = vec![0.0f64; pieces];
-        let mut mean_dy = vec![0.0f64; pieces];
-        for (r, (row, next)) in rows.iter().zip(&rows[1..]).enumerate() {
-            let (mut sx, mut sy) = (0.0f64, 0.0f64);
-            for (p, q) in row.iter().zip(next) {
-                sx += q.x - p.x;
-                sy += q.y - p.y;
-            }
-            mean_dx[r] = sx * inv_n;
-            mean_dy[r] = sy * inv_n;
-        }
-        let mut cum = vec![0.0f64; n * nrows];
-        let mut dmax = vec![0.0f64; pieces];
-        for i in 0..n {
-            let base = i * nrows;
-            for r in 1..nrows {
-                let dx = px[base + r] - px[base + r - 1] - mean_dx[r - 1];
-                let dy = py[base + r] - py[base + r - 1] - mean_dy[r - 1];
-                let dev = (dx * dx + dy * dy).sqrt();
-                cum[base + r] = cum[base + r - 1] + dev;
-                dmax[r - 1] = dmax[r - 1].max(dev);
-            }
-        }
-        Stripes {
-            rows,
-            px,
-            py,
-            cum,
-            dmax,
-            times,
-            pieces,
-            nrows,
-            range,
-            r2: range * range,
-        }
-    }
+/// Steps a pair's walk from merged knot `(a, b)` to the next: its
+/// instant and both robots' positions there, a robot that knots there
+/// exactly on its knot.
+fn merge_step(
+    sa: &[f64],
+    pa: &[Point],
+    sb: &[f64],
+    pb: &[Point],
+    a: &mut usize,
+    b: &mut usize,
+) -> (f64, Point, Point) {
+    let (na, nb) = (sa[*a + 1], sb[*b + 1]);
+    let next = na.min(nb);
+    let qa = if na == next {
+        pa[*a + 1]
+    } else {
+        lerp_piece(sa, pa, *a, next)
+    };
+    let qb = if nb == next {
+        pb[*b + 1]
+    } else {
+        lerp_piece(sb, pb, *b, next)
+    };
+    *a += usize::from(na == next);
+    *b += usize::from(nb == next);
+    (next, qa, qb)
 }
 
-impl Motion for Stripes<'_> {
-    /// `(first piece, piece count)`.
-    type Epoch = (usize, usize);
+fn rel(p: Point, q: Point) -> (f64, f64) {
+    (p.x - q.x, p.y - q.y)
+}
 
-    fn robots(&self) -> usize {
-        self.rows[0].len()
-    }
-
-    fn bounds(&self) -> (f64, f64) {
-        (self.times[0], self.times[self.pieces])
-    }
-
-    /// Walks the pair down the whole timeline, touching the two robots'
-    /// contiguous stripes. It skips runs of pieces in `O(log)` whenever
-    /// the pair's distance to the range circle exceeds what the two
-    /// robots' remaining displacement can close.
-    fn walk_pair(&self, out: &mut PairScan, i: usize, j: usize) {
-        let (bi, bj) = (i * self.nrows, j * self.nrows);
-        let d2 = {
-            let dx = self.px[bi] - self.px[bj];
-            let dy = self.py[bi] - self.py[bj];
-            dx * dx + dy * dy
-        };
-        let mut state = PairState::start(out, i, j, d2, self.r2, self.times[0]);
-
-        let mut r = 0usize;
-        while r < self.pieces {
-            let dx = self.px[bi + r] - self.px[bj + r];
-            let dy = self.py[bi + r] - self.py[bj + r];
-            let dist = (dx * dx + dy * dy).sqrt();
-            // Small relative margin so a rounding wobble in the bound
-            // can never skip over a genuine grazing crossing.
-            let gap = (dist - self.range).abs() - 1e-9 * (dist + self.range);
-            if gap > 0.0 {
-                // Skip every piece the pair provably cannot cross: their
-                // combined displacement bound is monotone, so gallop then
-                // bisect for the farthest safe row.
-                let c0 = self.cum[bi + r] + self.cum[bj + r];
-                if self.cum[bi + r + 1] + self.cum[bj + r + 1] - c0 < gap {
-                    let mut q = r + 1;
-                    let mut step = 1usize;
-                    while q + step <= self.pieces
-                        && self.cum[bi + q + step] + self.cum[bj + q + step] - c0 < gap
-                    {
-                        q += step;
-                        step *= 2;
-                    }
-                    let mut hi = (q + step).min(self.pieces);
-                    while q < hi {
-                        let m = q + (hi - q).div_ceil(2);
-                        if self.cum[bi + m] + self.cum[bj + m] - c0 < gap {
-                            q = m;
-                        } else {
-                            hi = m - 1;
-                        }
-                    }
-                    r = q;
-                    continue;
-                }
-            }
-
-            // Exact quadratic on piece r.
-            let wx = (self.px[bi + r + 1] - self.px[bj + r + 1]) - dx;
-            let wy = (self.py[bi + r + 1] - self.py[bj + r + 1]) - dy;
-            state.piece(
-                out,
-                (dx, dy),
-                (wx, wy),
-                self.times[r],
-                self.times[r + 1],
-                self.r2,
-            );
-            r += 1;
-        }
-        state.finish(out, self.bounds(), || {
-            let mut m = 0.0f64;
-            for r in 0..self.nrows {
-                let dx = self.px[bi + r] - self.px[bj + r];
-                let dy = self.py[bi + r] - self.py[bj + r];
-                m = m.max(dx * dx + dy * dy);
-            }
-            m
-        });
-    }
-
-    /// Epochs of consecutive pieces, grown greedily while the sum of the
-    /// pieces' largest single-robot deviation stays within half the
-    /// range (a single row is one empty epoch).
-    fn epochs(&self) -> Vec<(usize, usize)> {
-        let budget = 0.5 * self.range;
-        let mut epochs: Vec<(usize, usize)> = Vec::new();
-        let mut k = 0;
-        while k < self.pieces {
-            let mut len = 1;
-            let mut moved = self.dmax[k];
-            while k + len < self.pieces && moved + self.dmax[k + len] <= budget {
-                moved += self.dmax[k + len];
-                len += 1;
-            }
-            epochs.push((k, len));
-            k += len;
-        }
-        if epochs.is_empty() {
-            epochs.push((0, 0));
-        }
-        epochs
-    }
-
-    /// The epoch's first row; a pair must start the epoch within
-    /// `range + 2·(max per-robot deviation over the epoch)`.
-    fn epoch_grid(&self, &(k0, npieces): &(usize, usize)) -> (Cow<'_, [Point]>, f64) {
-        let mut move_max = 0.0f64;
-        for i in 0..self.rows[0].len() {
-            let base = i * self.nrows;
-            move_max = move_max.max(self.cum[base + k0 + npieces] - self.cum[base + k0]);
-        }
-        (Cow::Borrowed(&self.rows[k0]), self.range + 2.0 * move_max)
-    }
+fn norm2((x, y): (f64, f64)) -> f64 {
+    x * x + y * y
 }
 
 /// First maximal out-of-range interval of a link given its in-range
@@ -1122,51 +959,6 @@ fn first_out_from_spans(in_spans: &[(u32, u32, f64, f64)], t0: f64, t1: f64) -> 
         }
     }
     (start, end)
-}
-
-fn check_range(range: f64) -> Result<(), MetricsError> {
-    if range.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        return Err(MetricsError::NonPositiveRange { range });
-    }
-    Ok(())
-}
-
-/// Checks a dense timeline: at least one row, one instant per row,
-/// every row covering row 0's robots with finite positions, and finite
-/// strictly increasing instants.
-pub(crate) fn validate_rows(rows: &[Vec<Point>], times: &[f64]) -> Result<(), MetricsError> {
-    if rows.is_empty() {
-        return Err(MetricsError::EmptyTimeline);
-    }
-    if times.len() != rows.len() {
-        return Err(MetricsError::LengthMismatch {
-            expected: rows.len(),
-            got: times.len(),
-        });
-    }
-    let n = rows[0].len();
-    for (k, row) in rows.iter().enumerate() {
-        if row.len() != n {
-            return Err(MetricsError::RaggedTimeline {
-                row: k,
-                got: row.len(),
-                expected: n,
-            });
-        }
-        if let Some(robot) = row.iter().position(|p| !p.is_finite()) {
-            return Err(MetricsError::NonFinitePosition { row: k, robot });
-        }
-    }
-    if let Some(idx) = times
-        .windows(2)
-        .position(|w| w[1].partial_cmp(&w[0]) != Some(std::cmp::Ordering::Greater))
-    {
-        return Err(MetricsError::NonMonotonicTimes { index: idx + 1 });
-    }
-    if times.iter().any(|t| !t.is_finite()) {
-        return Err(MetricsError::NonMonotonicTimes { index: 0 });
-    }
-    Ok(())
 }
 
 /// Calls `f(i, j)` (with `i < j`) exactly once for every pair of points
@@ -1360,15 +1152,16 @@ fn merge_interval(list: &mut Vec<(f64, f64)>, iv: (f64, f64)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trajectory::Polyline;
+    use crate::trajectory::{Polyline, TrajectorySet};
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
     }
 
-    /// The knot audit agrees with the dense reference on the same
-    /// motion: `C`, `L`, the preserved links and the violating links
-    /// exactly, interval endpoints and maximum distances within 1e-9.
+    /// The knot audit agrees with the audit of the same motion given
+    /// another way: `C`, `L`, the preserved links and the violating
+    /// links exactly, interval endpoints and maximum distances within
+    /// 1e-9.
     fn assert_matches_reference(got: &AuditReport, want: &AuditReport) {
         assert_eq!(got.global_connectivity, want.global_connectivity);
         assert_eq!(got.stable_link_ratio, want.stable_link_ratio);
@@ -1391,20 +1184,21 @@ mod tests {
         }
     }
 
-    /// The dense audit of one timeline checked against its uncontracted
-    /// oracle (`C`, `L`, the violations and the preserved links exactly,
-    /// the disconnected intervals in count and to the 1e-12 event-merge
-    /// tolerance), and the knot audit of the same rows against it.
-    /// Returns the knot audit.
-    fn checked(rows: &[Vec<Point>], times: &[f64], range: f64) -> AuditReport {
-        let dense = audit_piecewise(rows, times, range, &Tracer::disabled()).unwrap();
-        let want = audit_piecewise_uncontracted(rows, times, range, 0).unwrap();
+    /// The knot audit of `knots`, whose initial links are those of every
+    /// robot's first knot, checked against its uncontracted oracle (`C`,
+    /// `L`, the violations and the preserved links exactly, the
+    /// disconnected intervals in count and to the 1e-12 event-merge
+    /// tolerance).
+    fn checked_knots(knots: &KnotTimeline, range: f64) -> AuditReport {
+        let initial = UnitDiskGraph::new(&knots.initial_positions(), range);
+        let got = audit_knots(knots, &initial, 0, &Tracer::disabled()).unwrap();
+        let want = audit_knots_uncontracted(knots, &initial, 0).unwrap();
         assert_eq!(want.components, want.robots);
-        assert_eq!(dense.global_connectivity, want.global_connectivity);
-        assert_eq!(dense.stable_link_ratio, want.stable_link_ratio);
-        assert_eq!(dense.preserved_links, want.preserved_links);
-        assert_eq!(dense.violations, want.violations);
-        let (a, b) = (&dense.disconnected_intervals, &want.disconnected_intervals);
+        assert_eq!(got.global_connectivity, want.global_connectivity);
+        assert_eq!(got.stable_link_ratio, want.stable_link_ratio);
+        assert_eq!(got.preserved_links, want.preserved_links);
+        assert_eq!(got.violations, want.violations);
+        let (a, b) = (&got.disconnected_intervals, &want.disconnected_intervals);
         assert_eq!(a.len(), b.len(), "{a:?} vs {b:?}");
         for (x, y) in a.iter().zip(b) {
             assert!(
@@ -1412,22 +1206,25 @@ mod tests {
                 "{x:?} vs {y:?}"
             );
         }
-        let knots = KnotTimeline::from_rows(rows, times).unwrap();
-        let initial = UnitDiskGraph::new(&rows[0], range);
-        let got = audit_knots(&knots, &initial, 0, &Tracer::disabled()).unwrap();
-        assert_matches_reference(&got, &dense);
+        got
+    }
+
+    /// The knot audit of a dense timeline (every robot knots at every
+    /// row), checked against its oracle.
+    fn checked(rows: &[Vec<Point>], times: &[f64], range: f64) -> AuditReport {
+        let got = checked_knots(&KnotTimeline::from_rows(rows, times).unwrap(), range);
         assert_eq!(got.knots, rows.len() * rows[0].len());
         got
     }
 
     /// The knot audit of a trajectory set's own waypoints, checked
-    /// against the dense reference on the union of every robot's
-    /// breakpoints at their true instants.
+    /// against its oracle and against the audit of the set's rows at
+    /// the union of every robot's breakpoints, where every instant is
+    /// shared and the walks gallop differently.
     fn checked_set(set: &TrajectorySet, range: f64) -> AuditReport {
+        let got = checked_knots(&KnotTimeline::from_trajectories(set, &[]).unwrap(), range);
         let times = set.breakpoints();
-        let dense = checked(&set.sample_at(&times), &times, range);
-        let got = audit_trajectories(set, range, &Tracer::disabled()).unwrap();
-        assert_matches_reference(&got, &dense);
+        assert_matches_reference(&got, &checked(&set.sample_at(&times), &times, range));
         got
     }
 
@@ -1678,6 +1475,9 @@ mod tests {
         let r = checked_set(&set, 80.0);
         assert!(r.certified());
         assert_eq!(r.stable_link_ratio, 1.0);
+        // No pair can close its gap to the range circle, so every link
+        // gallops from the first instant to the last.
+        assert_eq!((r.pieces, r.walked_pieces), (3, 0));
     }
 
     #[test]
@@ -1686,8 +1486,10 @@ mod tests {
             Polyline::stationary(p(0.0, 0.0)),
             Polyline::new(vec![p(76.0, 0.0), p(80.2, 0.0), p(72.4, 0.0)]),
         ]);
+        let knots = KnotTimeline::from_trajectories(&set, &[]).unwrap();
+        let initial = UnitDiskGraph::new(&knots.initial_positions(), 80.0);
         let tracer = Tracer::ring(256);
-        let r = audit_trajectories(&set, 80.0, &tracer).unwrap();
+        let r = audit_knots(&knots, &initial, 0, &tracer).unwrap();
         assert!(!r.certified());
         let events = tracer.events();
         assert!(events.iter().any(|e| e.name == "audit_violation"));
@@ -1701,6 +1503,8 @@ mod tests {
             ("components", 2),
             ("swept_pairs", 1),
             ("knots", 5),
+            // Both pieces of the link, walked again by the sweep.
+            ("walked_pieces", 4),
         ] {
             assert!(
                 summary
@@ -1761,58 +1565,48 @@ mod tests {
         assert!((hi - (1.0 - tau)).abs() < 1e-9, "hi = {hi}");
     }
 
+    /// The row adapter checks the range, then hands the rows to
+    /// [`KnotTimeline::from_rows`], whose errors it forwards.
     #[test]
     fn bad_input_is_an_error_not_a_panic() {
         let row = vec![p(0.0, 0.0)];
+        let rows = |rows: &[Vec<Point>], times: &[f64], range: f64| {
+            audit_piecewise_with_workers(rows, times, range, 0, &Tracer::disabled())
+        };
+        for range in [0.0, -1.0, f64::NAN] {
+            assert!(matches!(
+                rows(std::slice::from_ref(&row), &[0.0], range),
+                Err(MetricsError::NonPositiveRange { .. })
+            ));
+        }
         assert!(matches!(
-            audit_piecewise(std::slice::from_ref(&row), &[0.0], 0.0, &Tracer::disabled()),
-            Err(MetricsError::NonPositiveRange { .. })
-        ));
-        assert!(matches!(
-            audit_piecewise(&[], &[], 80.0, &Tracer::disabled()),
+            rows(&[], &[], 80.0),
             Err(MetricsError::EmptyTimeline)
         ));
         assert!(matches!(
-            audit_piecewise(
-                &[row.clone(), vec![]],
-                &[0.0, 1.0],
-                80.0,
-                &Tracer::disabled()
-            ),
+            rows(&[row.clone(), vec![]], &[0.0, 1.0], 80.0),
             Err(MetricsError::RaggedTimeline { row: 1, .. })
         ));
         assert!(matches!(
-            audit_piecewise(
-                &[row.clone(), row.clone()],
-                &[0.0],
-                80.0,
-                &Tracer::disabled()
-            ),
+            rows(&[row.clone(), row.clone()], &[0.0], 80.0),
             Err(MetricsError::LengthMismatch { .. })
         ));
         assert!(matches!(
-            audit_piecewise(
-                &[row.clone(), row.clone()],
-                &[0.5, 0.5],
-                80.0,
-                &Tracer::disabled()
-            ),
+            rows(&[row.clone(), row.clone()], &[0.5, 0.5], 80.0),
             Err(MetricsError::NonMonotonicTimes { .. })
         ));
-        let set = TrajectorySet::new(vec![Polyline::stationary(p(0.0, 0.0))]);
         assert!(matches!(
-            audit_trajectories(&set, f64::NAN, &Tracer::disabled()),
-            Err(MetricsError::NonPositiveRange { .. })
-        ));
-        let nan = TrajectorySet::new(vec![Polyline::stationary(p(f64::NAN, 0.0))]);
-        assert!(matches!(
-            audit_trajectories(&nan, 80.0, &Tracer::disabled()),
+            rows(&[vec![p(f64::NAN, 0.0)]], &[0.0], 80.0),
             Err(MetricsError::NonFinitePosition { row: 0, robot: 0 })
         ));
         let knots = KnotTimeline::from_rows(&[row.clone(), row.clone()], &[0.0, 1.0]).unwrap();
         let two = UnitDiskGraph::new(&[p(0.0, 0.0), p(1.0, 0.0)], 80.0);
         assert!(matches!(
             audit_knots(&knots, &two, 0, &Tracer::disabled()),
+            Err(MetricsError::LengthMismatch { .. })
+        ));
+        assert!(matches!(
+            audit_knots_uncontracted(&knots, &two, 0),
             Err(MetricsError::LengthMismatch { .. })
         ));
     }
@@ -1957,5 +1751,114 @@ mod tests {
         assert_eq!(r.disconnected_intervals.len(), 1);
         let (dlo, dhi) = r.disconnected_intervals[0];
         assert!((dlo - 0.25).abs() < 1e-12 && (dhi - 0.75).abs() < 1e-12);
+    }
+
+    /// A six-robot chain, 60 apart, translating rigidly over 200 shared
+    /// instants (rows at `s = k/200`); from row 150 the last robot also
+    /// pulls away along the chain at 3 per row, so its link reaches the
+    /// range 80 at row `150 + 20/3` and stays out. The gallop must skip
+    /// the rigid stretch and still find that crossing mid-piece.
+    #[test]
+    fn gallop_finds_a_late_break_after_a_long_rigid_march() {
+        let (n, steps) = (6usize, 200usize);
+        let rows: Vec<Vec<Point>> = (0..=steps)
+            .map(|k| {
+                let (dx, dy) = (5.0 * k as f64, 2.0 * k as f64);
+                let pull = 3.0 * k.saturating_sub(150) as f64;
+                (0..n)
+                    .map(|i| {
+                        let extra = if i == n - 1 { pull } else { 0.0 };
+                        p(60.0 * i as f64 + dx + extra, dy)
+                    })
+                    .collect()
+            })
+            .collect();
+        let times: Vec<f64> = (0..=steps).map(|k| k as f64 / steps as f64).collect();
+        let r = checked(&rows, &times, 80.0);
+        let t = (150.0 + 20.0 / 3.0) / steps as f64;
+        assert_eq!(r.violations.len(), 1);
+        let v = &r.violations[0];
+        assert_eq!(v.link, (n - 2, n - 1));
+        assert!((v.interval.0 - t).abs() < 1e-9, "{:?} vs {t}", v.interval);
+        assert_eq!(v.interval.1, 1.0);
+        assert_eq!(v.max_distance, 60.0 + 3.0 * 50.0);
+        assert_eq!(r.disconnected_intervals.len(), 1);
+        let (lo, hi) = r.disconnected_intervals[0];
+        assert!((lo - t).abs() < 1e-9 && hi == 1.0, "{lo}, {hi}");
+        // Of 5 links and the sweep's cross pairs over 200 pieces each,
+        // only the broken link's pieces from row 156 to 158 (distance
+        // 78 to 84, each within one row's deviation of the range) are
+        // walked, by the link pass and again by the sweep.
+        assert_eq!((r.pieces, r.walked_pieces), (n * steps, 4));
+    }
+
+    /// A link that breaks, runs far out of range and comes back: its
+    /// maximum distance (330, at row 3) lies inside a stretch the
+    /// gallop skips, and must still be reported exactly.
+    #[test]
+    fn max_distance_inside_a_skipped_stretch() {
+        let xs = [70.0, 100.0, 300.0, 330.0, 300.0, 100.0, 70.0];
+        let rows: Vec<Vec<Point>> = xs.iter().map(|&x| vec![p(0.0, 0.0), p(x, 0.0)]).collect();
+        let times: Vec<f64> = (0..xs.len()).map(|k| k as f64).collect();
+        let r = checked(&rows, &times, 80.0);
+        assert_eq!(r.violations.len(), 1);
+        let v = &r.violations[0];
+        assert_eq!(v.max_distance, 330.0);
+        assert!((v.interval.0 - 1.0 / 3.0).abs() < 1e-12, "{:?}", v.interval);
+        assert!(
+            (v.interval.1 - 17.0 / 3.0).abs() < 1e-12,
+            "{:?}",
+            v.interval
+        );
+        // Rows 0–2 and 5–6 are walked, by the link pass and again by the
+        // sweep; rows 2–5 are galloped over.
+        assert_eq!(r.walked_pieces, 6);
+    }
+
+    /// Robot 0 zigzags through two knots of its own inside the
+    /// transition while robot 1 moves straight; then both translate
+    /// rigidly through 30 Lloyd iterates until robot 1 pulls away at 15
+    /// per iterate from iterate 25. The gallop starts only at shared
+    /// instants and lands each robot on its own knot there, so the walk
+    /// resumes on the right pieces and finds the late crossing at
+    /// `s = 1 + 25 + 40/15`.
+    #[test]
+    fn gallop_lands_on_each_robots_own_knot() {
+        let set = TrajectorySet::new(vec![
+            Polyline::new(vec![p(0.0, 0.0), p(10.0, 10.0), p(20.0, 0.0), p(30.0, 0.0)]),
+            Polyline::new(vec![p(40.0, 0.0), p(70.0, 0.0)]),
+        ]);
+        let lloyd: Vec<Vec<Point>> = (1..=30)
+            .map(|k| {
+                let x = 5.0 * f64::from(k);
+                let pull = 15.0 * f64::from((k - 25).max(0));
+                vec![p(30.0 + x, 0.0), p(70.0 + x + pull, 0.0)]
+            })
+            .collect();
+        let knots = KnotTimeline::from_trajectories(&set, &lloyd).unwrap();
+        assert_eq!(knots.knots(0).0.len(), 4 + 30);
+        let r = checked_knots(&knots, 80.0);
+        assert_eq!(r.violations.len(), 1);
+        let v = &r.violations[0];
+        let s = 1.0 + 25.0 + 40.0 / 15.0;
+        assert!((v.interval.0 - s).abs() < 1e-9, "{:?} vs {s}", v.interval);
+        assert_eq!(v.interval.1, 31.0);
+        assert_eq!(v.max_distance, 40.0 + 15.0 * 5.0);
+        // The zigzag (deviations summing to about 22 against a gap of
+        // 40) and the rigid iterates are galloped over: only the pieces
+        // from s = 28 to 30 (distance 70 to 100) are walked, by the link
+        // pass and again by the sweep.
+        assert_eq!(r.walked_pieces, 4);
+        // The same motion as rows at every knot instant agrees.
+        let times: Vec<f64> = {
+            let mut t: Vec<f64> = set.breakpoints();
+            t.extend((2..=31).map(f64::from));
+            t
+        };
+        let rows: Vec<Vec<Point>> = times
+            .iter()
+            .map(|&t| (0..2).map(|i| knots.position_at(i, t)).collect())
+            .collect();
+        assert_matches_reference(&r, &checked(&rows, &times, 80.0));
     }
 }

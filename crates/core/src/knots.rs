@@ -111,7 +111,7 @@ impl KnotTimeline {
     /// [`MetricsError`] on an empty or ragged timeline, mismatched or
     /// non-increasing `times`, or non-finite positions.
     pub fn from_rows(rows: &[Vec<Point>], times: &[f64]) -> Result<Self, MetricsError> {
-        crate::audit::validate_rows(rows, times)?;
+        Self::validate_rows(rows, times)?;
         let n = rows[0].len();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut s = Vec::with_capacity(n * rows.len());
@@ -123,6 +123,44 @@ impl KnotTimeline {
             offsets.push(s.len());
         }
         Self::checked(offsets, s, points, times.to_vec())
+    }
+
+    /// Checks a dense timeline: at least one row, one instant per row,
+    /// every row covering row 0's robots with finite positions, and
+    /// finite strictly increasing instants.
+    fn validate_rows(rows: &[Vec<Point>], times: &[f64]) -> Result<(), MetricsError> {
+        if rows.is_empty() {
+            return Err(MetricsError::EmptyTimeline);
+        }
+        if times.len() != rows.len() {
+            return Err(MetricsError::LengthMismatch {
+                expected: rows.len(),
+                got: times.len(),
+            });
+        }
+        let n = rows[0].len();
+        for (k, row) in rows.iter().enumerate() {
+            if row.len() != n {
+                return Err(MetricsError::RaggedTimeline {
+                    row: k,
+                    got: row.len(),
+                    expected: n,
+                });
+            }
+            if let Some(robot) = row.iter().position(|p| !p.is_finite()) {
+                return Err(MetricsError::NonFinitePosition { row: k, robot });
+            }
+        }
+        if let Some(idx) = times
+            .windows(2)
+            .position(|w| w[1].partial_cmp(&w[0]) != Some(Ordering::Greater))
+        {
+            return Err(MetricsError::NonMonotonicTimes { index: idx + 1 });
+        }
+        if times.iter().any(|t| !t.is_finite()) {
+            return Err(MetricsError::NonMonotonicTimes { index: 0 });
+        }
+        Ok(())
     }
 
     fn checked(
@@ -199,7 +237,7 @@ impl KnotTimeline {
     }
 
     /// Every robot's position at its first knot.
-    #[must_use]
+    #[cfg(test)]
     pub(crate) fn initial_positions(&self) -> Vec<Point> {
         self.offsets[..self.robots()]
             .iter()

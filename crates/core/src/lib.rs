@@ -67,8 +67,7 @@ mod resilience;
 mod trajectory;
 
 pub use audit::{
-    audit_knots, audit_piecewise, audit_piecewise_uncontracted, audit_piecewise_with_workers,
-    audit_trajectories, AuditReport, LinkViolation,
+    audit_knots, audit_knots_uncontracted, audit_piecewise_with_workers, AuditReport, LinkViolation,
 };
 pub use baselines::{direct_translation, hungarian_direct};
 pub use distributed::{

@@ -222,7 +222,7 @@ pub struct TransitionMetrics {
     /// Rows of the dense timeline the march keeps for rendering
     /// ([`crate::MarchOutcome::timeline`]); the audit does not read them.
     pub samples: usize,
-    /// Linear motion pieces the continuous audit walked: every robot's
+    /// Linear motion pieces the continuous audit covered: every robot's
     /// own pieces summed (knots − robots).
     pub audit_pieces: usize,
     /// Connectivity checks the audit performed: 1 when the preserved

@@ -288,7 +288,10 @@ pub fn march_traced(
     // ------------------------------------------------------------------
     let metrics = {
         let _s = tracer.span("metrics");
-        let knots = KnotTimeline::from_trajectories(&transition, &lloyd_rows)?;
+        let knots = {
+            let _k = tracer.span("knots");
+            KnotTimeline::from_trajectories(&transition, &lloyd_rows)?
+        };
         evaluate_timeline(
             &knots,
             &initial_graph,
@@ -447,6 +450,7 @@ mod tests {
             "trajectories",
             "lloyd",
             "metrics",
+            "knots",
             "new_links",
         ] {
             assert!(

@@ -112,7 +112,7 @@ proptest! {
     fn exact_audit_agrees_with_dense_sampling(
         coords in prop::collection::vec((-250.0..250.0f64, -250.0..250.0f64), 18),
     ) {
-        use anr_marching::march::audit_piecewise;
+        use anr_marching::march::{audit_knots, KnotTimeline};
         use anr_marching::trace::Tracer;
 
         const ROWS: usize = 3;
@@ -126,7 +126,9 @@ proptest! {
             }).collect())
             .collect();
         let times = vec![0.0, 0.5, 1.0];
-        let report = audit_piecewise(&rows, &times, range, &Tracer::disabled()).unwrap();
+        let knots = KnotTimeline::from_rows(&rows, &times).unwrap();
+        let graph = UnitDiskGraph::new(&rows[0], range);
+        let report = audit_knots(&knots, &graph, 0, &Tracer::disabled()).unwrap();
 
         let sample_pos = |s: f64| -> Vec<Point> {
             let seg = if s < 0.5 { 0 } else { 1 };
@@ -199,7 +201,7 @@ proptest! {
         n in 12usize..90,
         jitter in 5.0..35.0f64,
     ) {
-        use anr_marching::march::{audit_piecewise, audit_piecewise_uncontracted};
+        use anr_marching::march::{audit_knots, audit_knots_uncontracted, KnotTimeline};
         use anr_marching::trace::Tracer;
 
         const ROWS: usize = 4;
@@ -224,8 +226,10 @@ proptest! {
         let times: Vec<f64> = (0..ROWS).map(|k| k as f64 / (ROWS - 1) as f64).collect();
         let range = 80.0;
 
-        let got = audit_piecewise(&rows, &times, range, &Tracer::disabled()).unwrap();
-        let want = audit_piecewise_uncontracted(&rows, &times, range, 0).unwrap();
+        let knots = KnotTimeline::from_rows(&rows, &times).unwrap();
+        let initial = UnitDiskGraph::new(&rows[0], range);
+        let got = audit_knots(&knots, &initial, 0, &Tracer::disabled()).unwrap();
+        let want = audit_knots_uncontracted(&knots, &initial, 0).unwrap();
         prop_assert_eq!(got.global_connectivity, want.global_connectivity);
         prop_assert_eq!(got.stable_link_ratio, want.stable_link_ratio);
         prop_assert_eq!(got.preserved_links, want.preserved_links);
