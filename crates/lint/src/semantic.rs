@@ -42,7 +42,7 @@ use std::fmt::Write as _;
 /// the rules with a same-named function.
 pub const ENTRY_POINTS: &[&str] = &[
     "march",
-    "audit_piecewise",
+    "audit_knots",
     "run_lloyd_guarded",
     "run_fault_sweep",
     "run_pipeline_bench",
@@ -604,7 +604,7 @@ mod tests {
         let out = run(&[(
             "crates/alpha/src/lib.rs",
             "pub fn march() { leaf_a(); leaf_b(); }\n\
-             pub fn audit_piecewise() { mid_a(); mid_b(); }\n\
+             pub fn audit_knots() { mid_a(); mid_b(); }\n\
              fn mid_a() { leaf_b(); }\nfn mid_b() { leaf_a(); }\n\
              fn leaf_a(x: Option<u32>) { x.unwrap(); }\n\
              fn leaf_b(x: Option<u32>) { x.expect(\"b\"); }",
@@ -623,10 +623,10 @@ mod tests {
         assert!(direct
             .message
             .ends_with("`.unwrap()` at crates/alpha/src/lib.rs:5"));
-        let nested = s1("`alpha::audit_piecewise`");
+        let nested = s1("`alpha::audit_knots`");
         assert_eq!(
             nested.path.as_deref(),
-            Some("alpha::audit_piecewise -> alpha::mid_a -> alpha::leaf_b")
+            Some("alpha::audit_knots -> alpha::mid_a -> alpha::leaf_b")
         );
         assert!(nested
             .message
