@@ -724,10 +724,10 @@ impl<'a> KnotMotion<'a> {
 
     /// The last shared instant `q ≥ m` the pair `(i, j)` provably cannot
     /// cross the range circle before, given its distance `d` at shared
-    /// instant `m < last`: the pair's distance moves by at most the two
-    /// robots' deviations since `m`, so while that stays below the gap
-    /// to the circle, less a relative margin for rounding, the pair
-    /// stays strictly on one side. The deviation sums are monotone in
+    /// instant `m` (not the last): the pair's distance moves by at most
+    /// the two robots' deviations since `m`, so while their sum stays
+    /// below the gap to the circle, less a relative margin for rounding,
+    /// the pair stays strictly on one side. The sums are monotone in
     /// `q`, so gallop, then bisect.
     fn gallop(&self, i: usize, j: usize, m: usize, d: f64) -> usize {
         let gap = (d - self.range).abs() - 1e-9 * (d + self.range);
@@ -797,15 +797,32 @@ impl<'a> KnotMotion<'a> {
 
     /// The pair's largest squared distance over every merged knot, the
     /// ones a gallop skipped included: `d` is convex on each merged
-    /// piece, so this is its maximum over the whole axis.
+    /// piece, so this is its maximum over the whole axis. A run of
+    /// instants both robots knot at needs no merging, so it is scanned
+    /// straight through.
     fn max_d2(&self, i: usize, j: usize) -> f64 {
         let (sa, pa) = self.knots.knots(i);
         let (sb, pb) = self.knots.knots(j);
         let (mut a, mut b) = (0, 0);
         let mut max = norm2(rel(pa[0], pb[0]));
         while a + 1 < sa.len() && b + 1 < sb.len() {
-            let (_, qa, qb) = merge_step(sa, pa, sb, pb, &mut a, &mut b);
-            max = max.max(norm2(rel(qa, qb)));
+            let run = sa[a + 1..]
+                .iter()
+                .zip(&sb[b + 1..])
+                .take_while(|(x, y)| x == y)
+                .count();
+            if run == 0 {
+                let (_, qa, qb) = merge_step(sa, pa, sb, pb, &mut a, &mut b);
+                max = max.max(norm2(rel(qa, qb)));
+                continue;
+            }
+            let (ra, rb) = (&pa[a + 1..=a + run], &pb[b + 1..=b + run]);
+            max = ra
+                .iter()
+                .zip(rb)
+                .map(|(&p, &q)| norm2(rel(p, q)))
+                .fold(max, f64::max);
+            (a, b) = (a + run, b + run);
         }
         max
     }
@@ -1382,7 +1399,7 @@ mod tests {
 
     /// Knots that coincide, or lie under 1e-12 apart, leave a piece too
     /// short to matter: the walk neither stalls nor loses the crossing.
-    /// (The dense reference merges the two instants into one row.)
+    /// (The rows at the set's breakpoints merge the two instants.)
     #[test]
     fn coincident_and_near_coincident_knots() {
         let set = TrajectorySet::new(vec![
