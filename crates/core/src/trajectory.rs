@@ -280,9 +280,10 @@ impl TrajectorySet {
 
     /// `samples + 1` uniform instants **augmented with every trajectory
     /// breakpoint**: a timeline sampled at these times is genuinely
-    /// piecewise-linear row-to-row, so the dense audit
-    /// ([`crate::audit_piecewise`]) is exact on it. The uniform instants
-    /// keep the timeline's visual resolution for rendering.
+    /// piecewise-linear row-to-row, so rendering it draws the true paths
+    /// and an audit of its rows ([`crate::KnotTimeline::from_rows`]) is
+    /// exact. The uniform instants keep the timeline's visual resolution
+    /// for rendering.
     ///
     /// # Panics
     ///
