@@ -186,8 +186,9 @@ pub fn audit_knots_uncontracted(
 /// links are those of `rows[0]` at `range`. It is exact only on rows
 /// that include every trajectory breakpoint.
 ///
-/// This adapter exists only because the frozen benchmark compiles
-/// against its name; new code calls [`audit_knots`].
+/// This adapter exists only because the benchmark package
+/// (`crates/bench/src/bin/anr_benchmark`) compiles against its name;
+/// new code calls [`audit_knots`].
 ///
 /// # Errors
 ///
@@ -243,10 +244,13 @@ fn run_audit(
     let motion = KnotMotion::new(knots, initial.range());
     let links = initial.links();
     let link_pairs: Vec<(u32, u32)> = links.iter().map(|&(i, j)| (i as u32, j as u32)).collect();
-    let link_scan = walk(&motion, &link_pairs, workers);
-    let mut walked_pieces = link_scan.walked;
-    let violations: Vec<LinkViolation> = link_scan
-        .violations
+    // The links' spans and events are dropped here, before the sweep
+    // allocates its own.
+    let PairScan {
+        violations, walked, ..
+    } = walk(&motion, &link_pairs, workers);
+    let mut walked_pieces = walked;
+    let violations: Vec<LinkViolation> = violations
         .into_iter()
         .map(|(i, j, lo, hi, max_distance)| LinkViolation {
             link: (i as usize, j as usize),
