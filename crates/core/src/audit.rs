@@ -636,7 +636,7 @@ struct KnotMotion<'a> {
     range: f64,
     r2: f64,
     /// Each own piece's deviation from the shared drift, aligned with
-    /// the packed knots (see [`KnotMotion::deviations`]).
+    /// the packed knots (the entry of a robot's last knot is unused).
     dev: Vec<f64>,
     /// Robot-major, one entry per robot and shared instant: the robot's
     /// own knot index there.
@@ -647,39 +647,11 @@ struct KnotMotion<'a> {
 }
 
 impl<'a> KnotMotion<'a> {
-    fn new(knots: &'a KnotTimeline, range: f64) -> Self {
-        let dev = Self::deviations(knots);
-        let cells = knots.robots() * knots.shared().len();
-        let mut shared_knot = Vec::with_capacity(cells);
-        let mut shared_dev = Vec::with_capacity(cells);
-        for i in 0..knots.robots() {
-            let own = &dev[knots.offset(i)..];
-            let mut shared = knots.shared().iter().peekable();
-            let mut acc = 0.0;
-            for (k, (t, d)) in knots.knots(i).0.iter().zip(own).enumerate() {
-                if shared.next_if_eq(&t).is_some() {
-                    shared_knot.push(k as u32);
-                    shared_dev.push(acc);
-                }
-                acc += d;
-            }
-        }
-        KnotMotion {
-            knots,
-            range,
-            r2: range * range,
-            dev,
-            shared_knot,
-            shared_dev,
-        }
-    }
-
     /// Each own piece's deviation from the shared drift, `|Δp − v·Δs|`,
-    /// aligned with the packed knots (the entry of a robot's last knot
-    /// is unused). `v` is the swarm's mean velocity between consecutive
-    /// instants where every robot knots, so no piece straddles a change
-    /// of `v`.
-    fn deviations(knots: &KnotTimeline) -> Vec<f64> {
+    /// and the shared-instant tables summed from it. `v` is the swarm's
+    /// mean velocity between consecutive shared instants, so no piece
+    /// straddles a change of `v`.
+    fn new(knots: &'a KnotTimeline, range: f64) -> Self {
         let (n, shared) = (knots.robots(), knots.shared());
         let mut drift = vec![(0.0f64, 0.0f64); shared.len().saturating_sub(1)];
         for i in 0..n {
@@ -703,21 +675,37 @@ impl<'a> KnotMotion<'a> {
             })
             .collect();
         let mut dev = vec![0.0f64; knots.len()];
+        let mut shared_knot = Vec::with_capacity(n * shared.len());
+        let mut shared_dev = Vec::with_capacity(n * shared.len());
         for i in 0..n {
             let (s, p) = knots.knots(i);
-            let base = knots.offset(i);
-            let mut m = 0;
-            for k in 0..s.len().saturating_sub(1) {
-                while s[k] >= shared[m + 1] {
-                    m += 1;
+            let own = &mut dev[knots.offset(i)..];
+            // `next` counts the shared instants at or before knot `k`.
+            let (mut next, mut acc) = (0, 0.0);
+            for k in 0..s.len() {
+                if s[k] == shared[next] {
+                    shared_knot.push(k as u32);
+                    shared_dev.push(acc);
+                    next += 1;
                 }
-                let dt = s[k + 1] - s[k];
-                let dx = p[k + 1].x - p[k].x - velocity[m].0 * dt;
-                let dy = p[k + 1].y - p[k].y - velocity[m].1 * dt;
-                dev[base + k] = (dx * dx + dy * dy).sqrt();
+                if k + 1 < s.len() {
+                    let (vx, vy) = velocity[next - 1];
+                    let dt = s[k + 1] - s[k];
+                    let dx = p[k + 1].x - p[k].x - vx * dt;
+                    let dy = p[k + 1].y - p[k].y - vy * dt;
+                    own[k] = (dx * dx + dy * dy).sqrt();
+                    acc += own[k];
+                }
             }
         }
-        dev
+        KnotMotion {
+            knots,
+            range,
+            r2: range * range,
+            dev,
+            shared_knot,
+            shared_dev,
+        }
     }
 
     /// Robot `i`'s entries of a robot-major shared-instant table.
