@@ -789,32 +789,15 @@ impl<'a> KnotMotion<'a> {
 
     /// The pair's largest squared distance over every merged knot, the
     /// ones a gallop skipped included: `d` is convex on each merged
-    /// piece, so this is its maximum over the whole axis. A run of
-    /// instants both robots knot at needs no merging, so it is scanned
-    /// straight through.
+    /// piece, so this is its maximum over the whole axis.
     fn max_d2(&self, i: usize, j: usize) -> f64 {
         let (sa, pa) = self.knots.knots(i);
         let (sb, pb) = self.knots.knots(j);
         let (mut a, mut b) = (0, 0);
         let mut max = norm2(rel(pa[0], pb[0]));
         while a + 1 < sa.len() && b + 1 < sb.len() {
-            let run = sa[a + 1..]
-                .iter()
-                .zip(&sb[b + 1..])
-                .take_while(|(x, y)| x == y)
-                .count();
-            if run == 0 {
-                let (_, qa, qb) = merge_step(sa, pa, sb, pb, &mut a, &mut b);
-                max = max.max(norm2(rel(qa, qb)));
-                continue;
-            }
-            let (ra, rb) = (&pa[a + 1..=a + run], &pb[b + 1..=b + run]);
-            max = ra
-                .iter()
-                .zip(rb)
-                .map(|(&p, &q)| norm2(rel(p, q)))
-                .fold(max, f64::max);
-            (a, b) = (a + run, b + run);
+            let (_, qa, qb) = merge_step(sa, pa, sb, pb, &mut a, &mut b);
+            max = max.max(norm2(rel(qa, qb)));
         }
         max
     }
@@ -906,7 +889,12 @@ struct KnotEpoch {
 
 /// Steps a pair's walk from merged knot `(a, b)` to the next: its
 /// instant and both robots' positions there, a robot that knots there
-/// exactly on its knot.
+/// exactly on its knot. The indices advance in branches, not by the
+/// comparison's value, so a run of instants both robots knot at (every
+/// step on dense rows) is predicted instead of waiting on each load;
+/// inlined, a violator's maximum over thousands of merged knots pays no
+/// call per knot.
+#[inline(always)]
 fn merge_step(
     sa: &[f64],
     pa: &[Point],
@@ -916,20 +904,17 @@ fn merge_step(
     b: &mut usize,
 ) -> (f64, Point, Point) {
     let (na, nb) = (sa[*a + 1], sb[*b + 1]);
-    let next = na.min(nb);
-    let qa = if na == next {
-        pa[*a + 1]
+    if na == nb {
+        *a += 1;
+        *b += 1;
+        (na, pa[*a], pb[*b])
+    } else if na < nb {
+        *a += 1;
+        (na, pa[*a], lerp_piece(sb, pb, *b, na))
     } else {
-        lerp_piece(sa, pa, *a, next)
-    };
-    let qb = if nb == next {
-        pb[*b + 1]
-    } else {
-        lerp_piece(sb, pb, *b, next)
-    };
-    *a += usize::from(na == next);
-    *b += usize::from(nb == next);
-    (next, qa, qb)
+        *b += 1;
+        (nb, lerp_piece(sa, pa, *a, nb), pb[*b])
+    }
 }
 
 fn rel(p: Point, q: Point) -> (f64, f64) {
