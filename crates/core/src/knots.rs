@@ -24,15 +24,16 @@ use std::cmp::Ordering;
 ///
 /// Invariants (checked by every constructor): each robot has at least
 /// one knot, its instants are finite and strictly increasing, all
-/// robots share the first and the last instant, and every position is
-/// finite.
+/// robots start at the first shared instant, end at the last and knot
+/// exactly at every one in between, and every position is finite.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KnotTimeline {
     offsets: Vec<usize>,
     s: Vec<f64>,
     points: Vec<Point>,
-    /// Instants where every robot has a knot, the bounds included: the
-    /// transition's ends and each Lloyd iterate, or every dense row.
+    /// Instants where every robot has a knot (an instant equal to one of
+    /// its own), the bounds included: the transition's ends and each
+    /// Lloyd iterate, or every dense row.
     shared: Vec<f64>,
 }
 
@@ -178,7 +179,16 @@ impl KnotTimeline {
             let increasing = ks
                 .windows(2)
                 .all(|t| t[1].partial_cmp(&t[0]) == Some(Ordering::Greater));
-            if !increasing || ks.first() != Some(&bounds.0) || ks.last() != Some(&bounds.1) {
+            // Both lists increase, so this counts the shared instants the
+            // robot knots at, in order.
+            let at_shared = ks
+                .iter()
+                .fold(0, |m, &t| m + usize::from(shared.get(m) == Some(&t)));
+            if !increasing
+                || ks.first() != Some(&bounds.0)
+                || ks.last() != Some(&bounds.1)
+                || at_shared != shared.len()
+            {
                 return Err(MetricsError::NonMonotonicTimes { index: robot });
             }
         }
@@ -214,7 +224,9 @@ impl KnotTimeline {
         (self.shared[0], self.shared[self.shared.len() - 1])
     }
 
-    /// The instants where every robot has a knot, the bounds included.
+    /// The instants where every robot has a knot, the bounds included:
+    /// each one equals one of every robot's own instants exactly, which
+    /// the audit's gallop relies on to land each robot on its knot.
     pub(crate) fn shared(&self) -> &[f64] {
         &self.shared
     }
@@ -371,6 +383,17 @@ mod tests {
         assert!(matches!(
             KnotTimeline::from_trajectories(&set, &[vec![]]),
             Err(MetricsError::RaggedTimeline { row: 1, .. })
+        ));
+        // Robot 0 skips the shared instant 1.
+        let skips = KnotTimeline::checked(
+            vec![0, 2, 5],
+            vec![0.0, 2.0, 0.0, 1.0, 2.0],
+            vec![p(0.0, 0.0); 5],
+            vec![0.0, 1.0, 2.0],
+        );
+        assert!(matches!(
+            skips,
+            Err(MetricsError::NonMonotonicTimes { index: 0 })
         ));
     }
 }
