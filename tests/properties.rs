@@ -98,40 +98,79 @@ proptest! {
     }
 }
 
+/// Robots scattered afresh over ±250 at each of 3 rows.
+fn scattered_rows() -> BoxedStrategy<Vec<Vec<Point>>> {
+    prop::collection::vec((-250.0..250.0f64, -250.0..250.0f64), 18)
+        .prop_map(|coords| {
+            coords
+                .chunks(6)
+                .map(|row| row.iter().map(|&(x, y)| Point::new(x, y)).collect())
+                .collect()
+        })
+        .boxed()
+}
+
+/// Robots drifting together over 10 rows: each step is one translation
+/// shared by every robot plus a jitter far below the range, so the exact
+/// walk gallops over the stretches a pair cannot cross.
+fn drifting_rows() -> BoxedStrategy<Vec<Vec<Point>>> {
+    const ROBOTS: usize = 8;
+    (
+        prop::collection::vec((-120.0..120.0f64, -120.0..120.0f64), ROBOTS),
+        (-40.0..40.0f64, -40.0..40.0f64),
+        0.5..6.0f64,
+        prop::collection::vec((-1.0..1.0f64, -1.0..1.0f64), 9 * ROBOTS),
+    )
+        .prop_map(|(start, (dx, dy), jitter, unit)| {
+            let mut rows: Vec<Vec<Point>> =
+                vec![start.iter().map(|&(x, y)| Point::new(x, y)).collect()];
+            for step in unit.chunks(ROBOTS) {
+                let next = rows[rows.len() - 1]
+                    .iter()
+                    .zip(step)
+                    .map(|(p, &(ux, uy))| {
+                        Point::new(p.x + dx + jitter * ux, p.y + dy + jitter * uy)
+                    })
+                    .collect();
+                rows.push(next);
+            }
+            rows
+        })
+        .boxed()
+}
+
 proptest! {
     // Dense-sampling cross-checks are cheap; run more cases than the
     // full-pipeline properties above.
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The closed-form continuous-time auditor against brute force: on
     /// random piecewise-linear timelines, everything a 10⁴-sample dense
     /// check can see must agree with the exact (quadratic-extremum)
     /// verdict, and the exact verdict may only be *stricter* — it
     /// catches violations that slip between samples, never the reverse.
+    /// Half the timelines scatter the robots at every row, half drift
+    /// them together so that the gallop skips most of each pair's walk.
     #[test]
     fn exact_audit_agrees_with_dense_sampling(
-        coords in prop::collection::vec((-250.0..250.0f64, -250.0..250.0f64), 18),
+        rows in (0u8..2).prop_flat_map(|shape| {
+            if shape == 0 { scattered_rows() } else { drifting_rows() }
+        }),
     ) {
         use anr_marching::march::{audit_knots, KnotTimeline};
         use anr_marching::trace::Tracer;
 
-        const ROWS: usize = 3;
         const SAMPLES: usize = 10_000;
-        let n = coords.len() / ROWS;
+        let n = rows[0].len();
         let range = 150.0;
-        let rows: Vec<Vec<Point>> = (0..ROWS)
-            .map(|k| (0..n).map(|i| {
-                let (x, y) = coords[k * n + i];
-                Point::new(x, y)
-            }).collect())
-            .collect();
-        let times = vec![0.0, 0.5, 1.0];
+        let steps = (rows.len() - 1) as f64;
+        let times: Vec<f64> = (0..rows.len()).map(|k| k as f64 / steps).collect();
         let knots = KnotTimeline::from_rows(&rows, &times).unwrap();
         let graph = UnitDiskGraph::new(&rows[0], range);
         let report = audit_knots(&knots, &graph, 0, &Tracer::disabled()).unwrap();
 
         let sample_pos = |s: f64| -> Vec<Point> {
-            let seg = if s < 0.5 { 0 } else { 1 };
+            let seg = times.partition_point(|&t| t <= s).clamp(1, rows.len() - 1) - 1;
             let tau = (s - times[seg]) / (times[seg + 1] - times[seg]);
             (0..n).map(|i| {
                 let a = rows[seg][i];
