@@ -10,6 +10,7 @@ use anr_harmonic::{fill_holes, harmonic_map_to_disk, DiskOverlay, HarmonicConfig
 use anr_march::{march, MarchConfig, Method};
 use anr_mesh::{delaunay, FoiMesher};
 use anr_netgraph::{extract_triangulation, UnitDiskGraph};
+use anr_trace::Tracer;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn pseudo_random_points(n: usize, seed: u64, span: f64) -> Vec<Point> {
@@ -44,32 +45,34 @@ fn bench_unit_disk_graph(c: &mut Criterion) {
 }
 
 fn bench_harmonic(c: &mut Criterion) {
+    let (config, tracer) = (HarmonicConfig::default(), Tracer::disabled());
     let problem = scenario_problem(3, 30.0).unwrap();
     let t = extract_triangulation(&problem.positions, problem.range).unwrap();
     let filled_t = fill_holes(&t).unwrap();
     c.bench_function("harmonic_map_robot_mesh_144", |b| {
-        b.iter(|| harmonic_map_to_disk(filled_t.mesh(), &HarmonicConfig::default()).unwrap())
+        b.iter(|| harmonic_map_to_disk(filled_t.mesh(), &config, &tracer).unwrap())
     });
 
     let spacing = MarchConfig::default().resolve_mesh_spacing(problem.m2.area(), 144);
     let foi = FoiMesher::new(spacing).mesh(&problem.m2).unwrap();
     let filled = fill_holes(foi.mesh()).unwrap();
     c.bench_function("harmonic_map_foi_mesh", |b| {
-        b.iter(|| harmonic_map_to_disk(filled.mesh(), &HarmonicConfig::default()).unwrap())
+        b.iter(|| harmonic_map_to_disk(filled.mesh(), &config, &tracer).unwrap())
     });
 }
 
 fn bench_overlay_mapping(c: &mut Criterion) {
+    let (config, tracer) = (HarmonicConfig::default(), Tracer::disabled());
     let problem = scenario_problem(3, 30.0).unwrap();
     let t = extract_triangulation(&problem.positions, problem.range).unwrap();
     let filled_t = fill_holes(&t).unwrap();
-    let disk_t = harmonic_map_to_disk(filled_t.mesh(), &HarmonicConfig::default()).unwrap();
+    let disk_t = harmonic_map_to_disk(filled_t.mesh(), &config, &tracer).unwrap();
     let robot_disk: Vec<Point> = (0..144).map(|v| disk_t.position(v)).collect();
 
     let spacing = MarchConfig::default().resolve_mesh_spacing(problem.m2.area(), 144);
     let foi = FoiMesher::new(spacing).mesh(&problem.m2).unwrap();
     let filled = fill_holes(foi.mesh()).unwrap();
-    let disk = harmonic_map_to_disk(filled.mesh(), &HarmonicConfig::default()).unwrap();
+    let disk = harmonic_map_to_disk(filled.mesh(), &config, &tracer).unwrap();
     let overlay = DiskOverlay::new(filled.mesh(), disk.positions(), filled.virtual_vertices());
 
     c.bench_function("overlay_map_all_144", |b| {

@@ -16,6 +16,7 @@ use anr_geom::Point;
 use anr_harmonic::{fill_holes, harmonic_map_to_disk, harmonic_map_with_boundary, HarmonicConfig};
 use anr_march::{march, MarchConfig, Method};
 use anr_netgraph::{extract_triangulation, UnitDiskGraph};
+use anr_trace::Tracer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("scenario,approach,flipped_triangles,total_triangles,targets_outside_m2,stable_link_ratio_endpoints");
@@ -27,7 +28,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // ----- Direct map: pin T's boundary onto M2's outer boundary by
         // arclength, solve the interior. -------------------------------
-        let disk = harmonic_map_to_disk(filled.mesh(), &HarmonicConfig::default())?;
+        let disk = harmonic_map_to_disk(
+            filled.mesh(),
+            &HarmonicConfig::default(),
+            &Tracer::disabled(),
+        )?;
         let b_len = disk.boundary().len();
         let m2_boundary = problem
             .m2

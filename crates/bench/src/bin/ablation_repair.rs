@@ -24,6 +24,7 @@ use anr_netgraph::{extract_triangulation, UnitDiskGraph};
 fn raw_targets(problem: &MarchProblem) -> Option<(Vec<Point>, Vec<usize>)> {
     use anr_harmonic::{fill_holes, harmonic_map_to_disk, DiskOverlay};
     use anr_mesh::FoiMesher;
+    use anr_trace::Tracer;
 
     let n = problem.num_robots();
     let t_mesh = extract_triangulation(&problem.positions, problem.range).ok()?;
@@ -31,14 +32,16 @@ fn raw_targets(problem: &MarchProblem) -> Option<(Vec<Point>, Vec<usize>)> {
         return None;
     }
     let filled_t = fill_holes(&t_mesh).ok()?;
-    let disk_t = harmonic_map_to_disk(filled_t.mesh(), &Default::default()).ok()?;
+    let disk_t =
+        harmonic_map_to_disk(filled_t.mesh(), &Default::default(), &Tracer::disabled()).ok()?;
     let robot_disk: Vec<Point> = (0..n).map(|v| disk_t.position(v)).collect();
 
     let config = MarchConfig::default();
     let spacing = config.resolve_mesh_spacing(problem.m2.area(), n);
     let foi2 = FoiMesher::new(spacing).mesh(&problem.m2).ok()?;
     let filled2 = fill_holes(foi2.mesh()).ok()?;
-    let disk2 = harmonic_map_to_disk(filled2.mesh(), &Default::default()).ok()?;
+    let disk2 =
+        harmonic_map_to_disk(filled2.mesh(), &Default::default(), &Tracer::disabled()).ok()?;
     let overlay = DiskOverlay::new(
         filled2.mesh(),
         disk2.positions(),

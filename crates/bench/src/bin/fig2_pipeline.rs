@@ -11,6 +11,7 @@ use anr_harmonic::{fill_holes, harmonic_map_to_disk, HarmonicConfig};
 use anr_march::{march, MarchConfig, Method};
 use anr_mesh::{FoiMesher, MeshQuality};
 use anr_netgraph::{extract_triangulation, UnitDiskGraph};
+use anr_trace::Tracer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let problem = scenario_problem(3, 30.0)?;
@@ -35,8 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // (c) harmonic map of T to the disk
+    let (harmonic, tracer) = (HarmonicConfig::default(), Tracer::disabled());
     let filled_t = fill_holes(&t)?;
-    let disk_t = harmonic_map_to_disk(filled_t.mesh(), &HarmonicConfig::default())?;
+    let disk_t = harmonic_map_to_disk(filled_t.mesh(), &harmonic, &tracer)?;
     println!(
         "stage c (harmonic map of T): boundary {} vertices, {} iterations to converge",
         disk_t.boundary().len(),
@@ -47,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spacing = config.resolve_mesh_spacing(problem.m2.area(), problem.num_robots());
     let foi2 = FoiMesher::new(spacing).mesh(&problem.m2)?;
     let filled2 = fill_holes(foi2.mesh())?;
-    let disk2 = harmonic_map_to_disk(filled2.mesh(), &HarmonicConfig::default())?;
+    let disk2 = harmonic_map_to_disk(filled2.mesh(), &harmonic, &tracer)?;
     println!(
         "stage d (target FoI mesh): spacing {:.1} m, {} vertices, {} triangles, {} holes filled, disk map in {} iterations",
         spacing,

@@ -24,6 +24,7 @@ use anr_geom::Point;
 use anr_march::{run_fault_sweep, SweepConfig, SweepProtocols};
 use anr_netgraph::robust::{RetransmitConfig, RobustHopFieldNode};
 use anr_netgraph::UnitDiskGraph;
+use anr_trace::Tracer;
 
 use crate::timing::median_ms;
 
@@ -137,7 +138,7 @@ where
     let (save_ms, bytes) = median_ms(repeats, || sim.save())?;
     let restore_topology = ExplicitTopology::new(adjacency.to_vec())?;
     let (restore_ms, restored) = median_ms(repeats, || {
-        EventSim::<N, _>::restore(&bytes, restore_topology.clone())
+        EventSim::<N, _>::restore(&bytes, restore_topology.clone(), &Tracer::disabled())
     })?;
     let mut restored = restored?;
     sim.run_rounds(h2)?;

@@ -29,8 +29,8 @@ pub use distsim::{
 };
 pub use serve::{run_serve_bench, BusyBurst, PhaseStats, ServeBenchOptions, ServeBenchReport};
 pub use timing::{
-    parse_march_stage_medians, run_pipeline_bench, stage_regressions, BenchOptions,
-    PipelineBenchReport, ScaleTierTiming,
+    parse_march_stage_medians, run_pipeline_bench, stage_regressions, BenchOptions, MarchTiming,
+    PipelineBenchReport,
 };
 
 use anr_march::{

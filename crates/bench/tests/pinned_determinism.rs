@@ -10,7 +10,7 @@
 
 use anr_bench::scenario_problem_sized;
 use anr_coverage::GridPartition;
-use anr_harmonic::{fill_holes, harmonic_map_to_disk, DiskOverlay, HarmonicConfig, Solver};
+use anr_harmonic::{fill_holes, harmonic_map_to_disk, DiskOverlay, HarmonicConfig};
 use anr_march::{
     audit_knots, audit_piecewise_with_workers, march, AuditReport, KnotTimeline, MarchConfig,
     MarchOutcome, MarchProblem, Method,
@@ -53,18 +53,15 @@ fn rotation_batch_matches_serial_on_every_scenario() {
         let n = problem.num_robots();
         let config = MarchConfig::default();
         let spacing = config.resolve_mesh_spacing(problem.m2.area(), n);
-        let pcg_cfg = HarmonicConfig {
-            solver: Solver::Pcg,
-            ..HarmonicConfig::default()
-        };
+        let harmonic = HarmonicConfig::default();
 
         // Same construction as the pipeline's rotation stage.
         let foi2 = anr_mesh::FoiMesher::new(spacing).mesh(&problem.m2).unwrap();
         let filled2 = fill_holes(foi2.mesh()).unwrap();
-        let disk2 = harmonic_map_to_disk(filled2.mesh(), &pcg_cfg).unwrap();
+        let disk2 = harmonic_map_to_disk(filled2.mesh(), &harmonic, &Tracer::disabled()).unwrap();
         let t_mesh = extract_triangulation(&problem.positions, problem.range).unwrap();
         let filled_t = fill_holes(&t_mesh).unwrap();
-        let disk_t = harmonic_map_to_disk(filled_t.mesh(), &pcg_cfg).unwrap();
+        let disk_t = harmonic_map_to_disk(filled_t.mesh(), &harmonic, &Tracer::disabled()).unwrap();
         let robot_disk: Vec<_> = (0..n).map(|v| disk_t.position(v)).collect();
         let overlay = DiskOverlay::new(
             filled2.mesh(),

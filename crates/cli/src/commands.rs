@@ -143,24 +143,15 @@ fn print_outcome(name: &str, out: &MarchOutcome) {
     );
 }
 
-/// Executes a parsed command with tracing disabled.
-///
-/// # Errors
-///
-/// [`CliError`] on any failure; `main` prints it and exits non-zero.
-pub fn run_command(command: Command) -> Result<(), CliError> {
-    run_command_traced(command, &Tracer::disabled())
-}
-
 /// Executes a parsed command, emitting structured events to `tracer`
 /// (pipeline stage spans, solver iterations, audit violations,
-/// fault-sweep cells). With [`Tracer::disabled`] this is exactly
-/// [`run_command`]: tracing is observation only.
+/// fault-sweep cells). Tracing is observation only: every output is the
+/// same under any tracer.
 ///
 /// # Errors
 ///
 /// [`CliError`] on any failure; `main` prints it and exits non-zero.
-pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliError> {
+pub fn run_command(command: Command, tracer: &Tracer) -> Result<(), CliError> {
     match command {
         Command::Help => {
             print!("{}", crate::args::HELP);
@@ -508,7 +499,7 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
                         eprintln!("stage regression: {r}");
                     }
                     return Err(CliError::BadParameter(format!(
-                        "{} pipeline stage(s) regressed beyond 2x the baseline {}",
+                        "{} pipeline stage check(s) failed against the baseline {}",
                         regressions.len(),
                         baseline_path.display(),
                     )));
@@ -516,19 +507,6 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
                 eprintln!(
                     "stage medians within 2x of baseline {}",
                     baseline_path.display()
-                );
-            }
-            for sc in &report.scenarios {
-                eprintln!(
-                    "scenario {}: {} robots, {} mesh vertices — PCG {:.1} ms vs GS {:.1} ms \
-                     ({:.1}× speedup, max diff {:.1e})",
-                    sc.id,
-                    sc.robots,
-                    sc.mesh_vertices,
-                    sc.harmonic.pcg_ms,
-                    sc.harmonic.gs_ms,
-                    sc.harmonic.speedup,
-                    sc.harmonic.max_position_diff,
                 );
             }
             eprintln!(
@@ -711,19 +689,23 @@ fn run_method(
 mod tests {
     use super::*;
 
+    fn run(command: Command) -> Result<(), CliError> {
+        run_command(command, &Tracer::disabled())
+    }
+
     #[test]
     fn help_runs() {
-        run_command(Command::Help).unwrap();
+        run(Command::Help).unwrap();
     }
 
     #[test]
     fn info_runs() {
-        run_command(Command::Info).unwrap();
+        run(Command::Info).unwrap();
     }
 
     #[test]
     fn scenario_single_method_runs() {
-        run_command(Command::Scenario {
+        run(Command::Scenario {
             id: 1,
             method: MethodArg::Hungarian,
             separation: 12.0,
@@ -735,7 +717,7 @@ mod tests {
     #[test]
     fn mission_too_few_stops_rejected() {
         assert!(matches!(
-            run_command(Command::Mission {
+            run(Command::Mission {
                 stops: 1,
                 robots: 36
             }),
@@ -746,7 +728,7 @@ mod tests {
     #[test]
     fn render_writes_files() {
         let dir = std::env::temp_dir().join("anr_cli_render_test");
-        run_command(Command::Render {
+        run(Command::Render {
             id: 1,
             out: dir.clone(),
             separation: 12.0,
@@ -770,7 +752,7 @@ mod tests {
 
     #[test]
     fn audit_certifies_one_scenario() {
-        run_command(Command::Audit {
+        run(Command::Audit {
             id: Some(1),
             method: MethodArg::OursA,
             separation: 12.0,
@@ -782,7 +764,7 @@ mod tests {
     #[test]
     fn audit_rejects_method_all() {
         assert!(matches!(
-            run_command(Command::Audit {
+            run(Command::Audit {
                 id: Some(1),
                 method: MethodArg::All,
                 separation: 12.0,
@@ -795,7 +777,7 @@ mod tests {
     #[test]
     fn traced_scenario_emits_stage_spans() {
         let tracer = Tracer::ring(1 << 16);
-        run_command_traced(
+        run_command(
             Command::Scenario {
                 id: 1,
                 method: MethodArg::OursA,
@@ -827,7 +809,7 @@ mod tests {
     #[test]
     fn fault_sweep_writes_json() {
         let path = std::env::temp_dir().join("anr_cli_fault_sweep_test.json");
-        run_command(Command::FaultSweep {
+        run(Command::FaultSweep {
             id: 1,
             robots: 64,
             loss: vec![0.0, 0.1],
@@ -846,7 +828,7 @@ mod tests {
     #[test]
     fn lint_gate_passes_on_this_workspace() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        run_command(Command::Lint {
+        run(Command::Lint {
             root,
             baseline: None,
             jsonl: None,
@@ -864,7 +846,7 @@ mod tests {
 
     #[test]
     fn lint_list_rules_runs() {
-        run_command(Command::Lint {
+        run(Command::Lint {
             root: std::path::PathBuf::from("."),
             baseline: None,
             jsonl: None,
@@ -883,7 +865,7 @@ mod tests {
     #[test]
     fn bench_serve_writes_json() {
         let path = std::env::temp_dir().join("anr_cli_bench_serve_test.json");
-        run_command(Command::Bench {
+        run(Command::Bench {
             smoke: true,
             repeats: 1,
             distsim: false,
@@ -907,7 +889,7 @@ mod tests {
     #[test]
     fn fault_sweep_rejects_excessive_crashes() {
         assert!(matches!(
-            run_command(Command::FaultSweep {
+            run(Command::FaultSweep {
                 id: 1,
                 robots: 64,
                 loss: vec![0.0],

@@ -22,4 +22,4 @@ mod args;
 mod commands;
 
 pub use args::{parse_args, parse_invocation, ArgError, Command, Invocation, MethodArg};
-pub use commands::{run_command, run_command_traced, CliError};
+pub use commands::{run_command, CliError};

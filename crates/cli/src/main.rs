@@ -1,6 +1,6 @@
 //! The `anr` binary: see `anr help`.
 
-use anr_cli::{parse_invocation, run_command, run_command_traced, Command};
+use anr_cli::{parse_invocation, run_command, Command};
 use anr_trace::Tracer;
 
 fn main() {
@@ -9,7 +9,7 @@ fn main() {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();
-            let _ = run_command(Command::Help);
+            let _ = run_command(Command::Help, &Tracer::disabled());
             std::process::exit(2);
         }
     };
@@ -23,7 +23,7 @@ fn main() {
         },
         None => Tracer::disabled(),
     };
-    let result = run_command_traced(invocation.command, &tracer);
+    let result = run_command(invocation.command, &tracer);
     if let Err(e) = tracer.flush() {
         eprintln!("error: flushing trace: {e}");
         std::process::exit(1);

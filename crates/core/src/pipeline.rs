@@ -6,7 +6,7 @@ use crate::{
 };
 use anr_coverage::{run_lloyd_guarded, GridPartition};
 use anr_geom::Point;
-use anr_harmonic::{fill_holes, harmonic_map_to_disk_traced, DiskOverlay};
+use anr_harmonic::{fill_holes, harmonic_map_to_disk, DiskOverlay};
 use anr_mesh::{FoiMesher, PointLocator};
 use anr_netgraph::{extract_triangulation, UnitDiskGraph};
 use anr_trace::{TraceValue, Tracer};
@@ -128,7 +128,7 @@ pub fn march_traced(
     let (filled_t, robot_disk) = {
         let _s = tracer.span("harmonic_m1");
         let filled_t = fill_holes(&t_mesh)?;
-        let disk_t = harmonic_map_to_disk_traced(filled_t.mesh(), &config.harmonic, tracer)?;
+        let disk_t = harmonic_map_to_disk(filled_t.mesh(), &config.harmonic, tracer)?;
         let robot_disk: Vec<Point> = (0..n).map(|v| disk_t.position(v)).collect();
         (filled_t, robot_disk)
     };
@@ -141,7 +141,7 @@ pub fn march_traced(
         let _s = tracer.span("harmonic_m2");
         let foi2 = FoiMesher::new(spacing).mesh(&problem.m2)?;
         let filled2 = fill_holes(foi2.mesh())?;
-        let disk2 = harmonic_map_to_disk_traced(filled2.mesh(), &config.harmonic, tracer)?;
+        let disk2 = harmonic_map_to_disk(filled2.mesh(), &config.harmonic, tracer)?;
         DiskOverlay::new(
             filled2.mesh(),
             disk2.positions(),

@@ -235,7 +235,9 @@ where
 
     /// Rebuilds a run from a [`save`](EventSim::save) snapshot and the
     /// deployment's topology. The restored simulator continues
-    /// bit-identically to the uninterrupted original.
+    /// bit-identically to the uninterrupted original. `tracer` is
+    /// attached from the start, so it captures the `ckpt_restore` span
+    /// too.
     ///
     /// # Errors
     ///
@@ -243,17 +245,7 @@ where
     /// checksum, truncation, codec errors, trailing bytes, a robot
     /// count that disagrees with `topology`, or a state no run could
     /// reach (see [`CkptError::Inconsistent`]).
-    pub fn restore(bytes: &[u8], topology: T) -> Result<Self, CkptError> {
-        Self::restore_traced(bytes, topology, &Tracer::disabled())
-    }
-
-    /// [`restore`](EventSim::restore) with a tracer attached from the
-    /// start (so the `ckpt_restore` span is captured too).
-    ///
-    /// # Errors
-    ///
-    /// See [`restore`](EventSim::restore).
-    pub fn restore_traced(bytes: &[u8], topology: T, tracer: &Tracer) -> Result<Self, CkptError> {
+    pub fn restore(bytes: &[u8], topology: T, tracer: &Tracer) -> Result<Self, CkptError> {
         let _span = tracer.span("ckpt_restore");
         let magic_len = CKPT_MAGIC.len() + 1;
         if bytes.len() < magic_len + 8 {

@@ -13,7 +13,16 @@ use anr_eventsim::{CkptError, EventSim, ExplicitTopology, CKPT_MAGIC};
 use anr_geom::Point;
 use anr_netgraph::robust::{RFloodMsg, RetransmitConfig, RobustFloodNode};
 use anr_netgraph::UnitDiskGraph;
+use anr_trace::Tracer;
 use proptest::prelude::*;
+
+/// Restores a flooding run from `bytes`, untraced.
+fn restore(
+    bytes: &[u8],
+    topology: ExplicitTopology,
+) -> Result<EventSim<RobustFloodNode, ExplicitTopology>, CkptError> {
+    EventSim::restore(bytes, topology, &Tracer::disabled())
+}
 
 fn lattice_adjacency(cols: usize, rows: usize) -> Vec<Vec<usize>> {
     let pts: Vec<Point> = (0..cols * rows)
@@ -60,7 +69,7 @@ fn restore_then_save_is_identity() {
     sim.run_rounds(7).expect("run");
     let bytes = sim.save();
     let topology = ExplicitTopology::new(adjacency).expect("topology");
-    let restored = EventSim::<RobustFloodNode, _>::restore(&bytes, topology).expect("restore");
+    let restored = restore(&bytes, topology).expect("restore");
     assert_eq!(bytes, restored.save());
 }
 
@@ -84,7 +93,7 @@ proptest! {
         let snapshot = split.save();
         let topology = ExplicitTopology::new(adjacency.clone()).expect("topology");
         let mut resumed =
-            EventSim::<RobustFloodNode, _>::restore(&snapshot, topology).expect("restore");
+            restore(&snapshot, topology).expect("restore");
         resumed.run_rounds(t2).expect("second leg");
 
         let mut whole = flood_sim(&adjacency, plan);
@@ -106,7 +115,7 @@ proptest! {
         let pos = pos_seed % bytes.len();
         bytes[pos] ^= 0x01;
         let topology = ExplicitTopology::new(adjacency).expect("topology");
-        let err = EventSim::<RobustFloodNode, _>::restore(&bytes, topology)
+        let err = restore(&bytes, topology)
             .expect_err("corruption must not restore");
         if pos <= CKPT_MAGIC.len() {
             prop_assert_eq!(err, CkptError::BadMagic);
@@ -129,8 +138,7 @@ fn every_truncation_is_a_typed_error() {
     let bytes = sim.save();
     for len in 0..bytes.len() {
         let topology = ExplicitTopology::new(adjacency.clone()).expect("topology");
-        let err = EventSim::<RobustFloodNode, _>::restore(&bytes[..len], topology)
-            .expect_err("truncation must not restore");
+        let err = restore(&bytes[..len], topology).expect_err("truncation must not restore");
         if len < CKPT_MAGIC.len() + 1 + 8 {
             assert_eq!(err, CkptError::Truncated, "prefix of {len} bytes");
         } else {
@@ -154,8 +162,7 @@ fn every_truncation_is_a_typed_error() {
 #[test]
 fn alien_input_is_bad_magic() {
     let topology = ExplicitTopology::new(vec![vec![1], vec![0]]).expect("topology");
-    let err = EventSim::<RobustFloodNode, _>::restore(b"not a snapshot at all, sorry", topology)
-        .expect_err("alien input");
+    let err = restore(b"not a snapshot at all, sorry", topology).expect_err("alien input");
     assert_eq!(err, CkptError::BadMagic);
 }
 
@@ -166,7 +173,7 @@ fn wrong_topology_size_is_reported() {
     sim.run_rounds(2).expect("run");
     let bytes = sim.save();
     let small = ExplicitTopology::new(vec![vec![1], vec![0]]).expect("topology");
-    let err = EventSim::<RobustFloodNode, _>::restore(&bytes, small).expect_err("size mismatch");
+    let err = restore(&bytes, small).expect_err("size mismatch");
     assert_eq!(
         err,
         CkptError::TopologyMismatch {
@@ -190,8 +197,7 @@ fn trailing_bytes_are_rejected() {
     let checksum = fnv1a(&forged);
     forged.extend_from_slice(&checksum.to_le_bytes());
     let topology = ExplicitTopology::new(adjacency).expect("topology");
-    let err = EventSim::<RobustFloodNode, _>::restore(&forged, topology)
-        .expect_err("padded body must be rejected");
+    let err = restore(&forged, topology).expect_err("padded body must be rejected");
     assert_eq!(err, CkptError::TrailingBytes { extra: 3 });
 }
 
@@ -206,7 +212,7 @@ fn churn_state_survives_the_checkpoint() {
     assert!(sim.is_crashed(3), "robot 3 crashed at round 5");
     let bytes = sim.save();
     let topology = ExplicitTopology::new(adjacency).expect("topology");
-    let mut resumed = EventSim::<RobustFloodNode, _>::restore(&bytes, topology).expect("restore");
+    let mut resumed = restore(&bytes, topology).expect("restore");
     assert!(resumed.is_crashed(3));
     resumed.run_rounds(10).expect("run past the recovery");
     assert!(!resumed.is_crashed(3), "robot 3 recovered at round 14");
@@ -319,8 +325,7 @@ fn mid_run() -> (Decoded, Vec<Vec<usize>>) {
 
 fn restore_forged(forged: &Decoded, adjacency: Vec<Vec<usize>>) -> CkptError {
     let topology = ExplicitTopology::new(adjacency).expect("topology");
-    EventSim::<RobustFloodNode, _>::restore(&forged.encode(), topology)
-        .expect_err("forged snapshot must be rejected")
+    restore(&forged.encode(), topology).expect_err("forged snapshot must be rejected")
 }
 
 #[test]

@@ -137,10 +137,10 @@ fn checkpoint_spans_are_recorded() {
 
     let topology = ExplicitTopology::new(lattice_adjacency(4, 3)).expect("topology");
     let restored =
-        EventSim::<RobustFloodNode, _>::restore_traced(&bytes, topology, &tracer).expect("restore");
+        EventSim::<RobustFloodNode, _>::restore(&bytes, topology, &tracer).expect("restore");
     assert!(
         has_span("ckpt_restore"),
-        "restore_traced() must open a ckpt_restore span"
+        "restore() must open a ckpt_restore span"
     );
     assert_eq!(restored.save(), bytes, "restored state is byte-identical");
 }

@@ -203,13 +203,15 @@ mod tests {
     use crate::{fill_holes, harmonic_map_to_disk, HarmonicConfig};
     use anr_geom::{Polygon, PolygonWithHoles};
     use anr_mesh::FoiMesher;
+    use anr_trace::Tracer;
 
     /// Target: a meshed 100×100 square with its harmonic disk embedding.
     fn square_overlay() -> (DiskOverlay, TriMesh) {
         let foi = PolygonWithHoles::without_holes(Polygon::rectangle(Point::ORIGIN, 100.0, 100.0));
         let meshed = FoiMesher::new(10.0).mesh(&foi).unwrap();
         let mesh = meshed.mesh().clone();
-        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
+        let disk =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
         (DiskOverlay::new(&mesh, disk.positions(), &[]), mesh)
     }
 
@@ -267,7 +269,12 @@ mod tests {
         let foi = PolygonWithHoles::new(outer, vec![hole.clone()]).unwrap();
         let meshed = FoiMesher::new(8.0).mesh(&foi).unwrap();
         let filled = fill_holes(meshed.mesh()).unwrap();
-        let disk = harmonic_map_to_disk(filled.mesh(), &HarmonicConfig::default()).unwrap();
+        let disk = harmonic_map_to_disk(
+            filled.mesh(),
+            &HarmonicConfig::default(),
+            &Tracer::disabled(),
+        )
+        .unwrap();
         let overlay = DiskOverlay::new(filled.mesh(), disk.positions(), filled.virtual_vertices());
 
         // The virtual vertex's own disk position is surely in a virtual

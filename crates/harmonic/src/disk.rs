@@ -3,7 +3,7 @@
 use crate::HarmonicError;
 use anr_geom::Point;
 use anr_mesh::TriMesh;
-use anr_sparse::{pcg_jacobi2_traced, CsrMatrix, PcgConfig};
+use anr_sparse::{pcg_jacobi2, CsrMatrix, PcgConfig};
 use anr_trace::{TraceValue, Tracer};
 use std::collections::VecDeque;
 use std::f64::consts::TAU;
@@ -21,7 +21,16 @@ pub enum BoundaryParam {
     ChordLength,
 }
 
-/// Interior averaging weights.
+/// Interior averaging weights. They also choose the solver.
+///
+/// Either way the map solves one linear system — the interior sub-block
+/// of the weighted graph Laplacian with the pinned boundary moved to the
+/// right-hand side — so it inherits Tutte's embedding guarantee. Uniform
+/// weights make that matrix symmetric, and it is solved by
+/// Jacobi-preconditioned conjugate gradient, which converges in
+/// O(√n)-ish iterations. Mean-value weights are asymmetric
+/// (w(v,u) ≠ w(u,v)), which CG cannot take, so they run Gauss–Seidel
+/// averaging sweeps, the model of the paper's distributed protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Weighting {
     /// Plain average of neighbors (Tutte / spring system with identical
@@ -31,31 +40,6 @@ pub enum Weighting {
     /// Mean-value weights from the original embedding: better shape
     /// preservation for irregular meshes, used as an ablation.
     MeanValue,
-}
-
-/// Which numerical method computes the interior positions.
-///
-/// Both solve the **same** linear system — the interior sub-block of
-/// the weighted graph Laplacian with the pinned boundary moved to the
-/// right-hand side — so they agree to solver tolerance and both inherit
-/// Tutte's embedding guarantee. They differ only in cost:
-///
-/// * [`Solver::Pcg`] factors nothing and converges in O(√n)-ish
-///   iterations (Jacobi-preconditioned conjugate gradient);
-/// * [`Solver::GaussSeidel`] is the seed's O(n)-iteration sweep — kept
-///   as the reference implementation, as the ablation baseline, and as
-///   the model of the paper's distributed averaging protocol.
-///
-/// CG needs a symmetric matrix; [`Weighting::MeanValue`] weights are
-/// asymmetric (w(v,u) ≠ w(u,v)), so that combination silently runs
-/// Gauss–Seidel regardless of the configured solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Solver {
-    /// Sparse CG with a Jacobi preconditioner (the default).
-    #[default]
-    Pcg,
-    /// The reference Gauss–Seidel averaging sweep.
-    GaussSeidel,
 }
 
 /// Configuration for [`harmonic_map_to_disk`].
@@ -71,10 +55,9 @@ pub struct HarmonicConfig {
     /// quantity in the same units — so one tolerance serves both.
     pub tolerance: f64,
     /// Iteration budget (default 100 000). Applies to whichever solver
-    /// runs; PCG typically uses a few dozen iterations of it.
+    /// the weights choose; PCG typically uses a few dozen iterations of
+    /// it.
     pub max_iterations: usize,
-    /// Interior solver (default: [`Solver::Pcg`]).
-    pub solver: Solver,
 }
 
 impl Default for HarmonicConfig {
@@ -84,7 +67,6 @@ impl Default for HarmonicConfig {
             weighting: Weighting::Uniform,
             tolerance: 1e-9,
             max_iterations: 100_000,
-            solver: Solver::Pcg,
         }
     }
 }
@@ -120,8 +102,8 @@ impl DiskMap {
         &self.boundary
     }
 
-    /// Iterations the interior solver ran for (Gauss–Seidel sweeps or
-    /// PCG iterations, per [`HarmonicConfig::solver`]).
+    /// Iterations the interior solver ran for: PCG iterations for
+    /// uniform weights, Gauss–Seidel sweeps for mean-value weights.
     #[inline]
     pub fn iterations(&self) -> usize {
         self.iterations
@@ -163,6 +145,11 @@ impl DiskMap {
 /// (Sec. III-B). With uniform weights and a convex (circle) boundary this
 /// is Tutte's embedding: a guaranteed diffeomorphism.
 ///
+/// The weights choose the solver (see [`Weighting`]), and the interior
+/// solve emits a per-iteration residual series on `tracer`: `pcg_iter`
+/// events from CG, `gs_sweep` events from Gauss–Seidel. Tracing is
+/// observation only: the map is bit-identical under any tracer.
+///
 /// # Errors
 ///
 /// * [`HarmonicError::NotADisk`] / [`HarmonicError::NoBoundary`] — wrong
@@ -174,88 +161,84 @@ impl DiskMap {
 pub fn harmonic_map_to_disk(
     mesh: &TriMesh,
     config: &HarmonicConfig,
+    tracer: &Tracer,
 ) -> Result<DiskMap, HarmonicError> {
-    harmonic_map_to_disk_traced(mesh, config, &Tracer::disabled())
+    let symmetric = config.weighting == Weighting::Uniform;
+    pin_to_circle(mesh, config)?.solve(mesh, config.max_iterations, symmetric, tracer)
 }
 
-/// [`harmonic_map_to_disk`] with solver observability: the interior
-/// solve emits a per-iteration residual series on `tracer` — `pcg_iter`
-/// events from the CG path, `gs_sweep` events from the Gauss–Seidel
-/// path. Tracing is observation only: results are bit-identical to the
-/// untraced entry point.
+/// Computes a harmonic (Tutte) map of `mesh` with an **arbitrary** fixed
+/// boundary: `boundary_positions[k]` pins vertex `boundary[k]` of the
+/// single boundary loop.
+///
+/// Unlike the unit-disk map, an arbitrary boundary is **not** guaranteed
+/// to produce an embedding: Tutte's theorem requires a convex boundary.
+/// This entry point exists exactly to measure that failure — the paper's
+/// argument for the two-disk construction ("the requirement of convex
+/// shape boundary is too restrictive on the shape of a FoI",
+/// Sec. II-B). Callers should count flipped triangles in the result.
+///
+/// The boundary loop is the mesh's single loop, rotated to start at its
+/// smallest vertex index (same convention as [`harmonic_map_to_disk`]).
 ///
 /// # Errors
 ///
 /// Same as [`harmonic_map_to_disk`].
-pub fn harmonic_map_to_disk_traced(
-    mesh: &TriMesh,
-    config: &HarmonicConfig,
-    tracer: &Tracer,
-) -> Result<DiskMap, HarmonicError> {
-    harmonic_map_to_disk_inner(mesh, config, None, tracer)
-}
-
-/// [`harmonic_map_to_disk`] warm-started from a previous solution.
-///
-/// `initial` gives a starting disk position per vertex (same indexing as
-/// `mesh`; typically the previous march step's [`DiskMap::positions`]).
-/// Interior vertices start the solve there instead of at the disk
-/// center; boundary vertices are pinned to the circle as usual, so the
-/// seed's boundary entries are ignored.
-///
-/// Stop-rule interaction: both solvers stop on the same residual
-/// measured at the *current* iterate, and the very first measurement is
-/// of the seed itself — a seed already within tolerance returns after
-/// zero iterations, unchanged. Warm and cold runs therefore agree only
-/// to solver tolerance, not bitwise, which is why the march pipeline
-/// keeps its cold solves (byte-determinism) and warm-starting is
-/// measured in the bench solver duel instead.
-///
-/// # Errors
-///
-/// Same as [`harmonic_map_to_disk`], plus the length precondition below.
 ///
 /// # Panics
 ///
-/// Panics when `initial.len() != mesh.num_vertices()`.
-pub fn harmonic_map_to_disk_warm(
+/// Panics when `boundary_positions.len()` does not match the boundary
+/// loop length.
+pub fn harmonic_map_with_boundary(
     mesh: &TriMesh,
+    boundary_positions: &[Point],
     config: &HarmonicConfig,
-    initial: &[Point],
-    tracer: &Tracer,
 ) -> Result<DiskMap, HarmonicError> {
-    assert_eq!(
-        initial.len(),
-        mesh.num_vertices(),
-        "warm-start seed must cover every vertex"
-    );
-    harmonic_map_to_disk_inner(mesh, config, Some(initial), tracer)
+    // Always uniform weights, so always symmetric.
+    let pinned = pin_to(mesh, boundary_positions, config)?;
+    pinned.solve(mesh, config.max_iterations, true, &Tracer::disabled())
 }
 
-fn harmonic_map_to_disk_inner(
+/// Gauss–Seidel sweeps on the system of [`harmonic_map_to_disk`]
+/// (`boundary_positions` `None`) or of [`harmonic_map_with_boundary`]
+/// (`Some`), whatever the weights. This is the reference the PCG path is
+/// tested against: the two maps agree to solver tolerance, and for
+/// mean-value weights, which run these sweeps anyway, bit for bit.
+///
+/// # Errors
+///
+/// Same as [`harmonic_map_to_disk`].
+///
+/// # Panics
+///
+/// Same as [`harmonic_map_with_boundary`].
+#[doc(hidden)]
+pub fn harmonic_map_gauss_seidel(
     mesh: &TriMesh,
+    boundary_positions: Option<&[Point]>,
     config: &HarmonicConfig,
-    warm: Option<&[Point]>,
-    tracer: &Tracer,
 ) -> Result<DiskMap, HarmonicError> {
+    let pinned = match boundary_positions {
+        None => pin_to_circle(mesh, config)?,
+        Some(positions) => pin_to(mesh, positions, config)?,
+    };
+    pinned.solve(mesh, config.max_iterations, false, &Tracer::disabled())
+}
+
+/// The mesh's single boundary loop, rotated to start at its smallest
+/// vertex index (the paper's smallest ID), and every vertex's boundary
+/// flag.
+fn boundary_loop(mesh: &TriMesh) -> Result<(Vec<usize>, Vec<bool>), HarmonicError> {
     if mesh.num_triangles() == 0 {
         return Err(HarmonicError::TooSmall);
     }
     let loops = mesh.boundary_loops();
-    if loops.is_empty() {
-        return Err(HarmonicError::NoBoundary);
-    }
-    if loops.len() != 1 {
+    if loops.len() > 1 {
         return Err(HarmonicError::NotADisk { loops: loops.len() });
     }
     let Some(mut boundary) = loops.into_iter().next() else {
         return Err(HarmonicError::NoBoundary);
     };
-    if boundary.len() < 3 {
-        return Err(HarmonicError::TooSmall);
-    }
-
-    // Start the loop at the smallest vertex index (paper: smallest ID).
     let start = boundary
         .iter()
         .enumerate()
@@ -263,12 +246,32 @@ fn harmonic_map_to_disk_inner(
         .map(|(i, _)| i)
         .unwrap_or(0);
     boundary.rotate_left(start);
-
-    let n = mesh.num_vertices();
-    let mut is_boundary = vec![false; n];
+    let mut is_boundary = vec![false; mesh.num_vertices()];
     for &v in &boundary {
         is_boundary[v] = true;
     }
+    Ok((boundary, is_boundary))
+}
+
+/// A harmonic map's linear system before its solve: the boundary loop,
+/// every vertex's start (the boundary at its pinned position), the
+/// averaging weights and the stop tolerance.
+struct Pinned {
+    boundary: Vec<usize>,
+    is_boundary: Vec<bool>,
+    pos: Vec<Point>,
+    weights: Vec<Vec<f64>>,
+    tolerance: f64,
+}
+
+/// The system of [`harmonic_map_to_disk`]: the boundary on the unit
+/// circle, the interior at its center.
+fn pin_to_circle(mesh: &TriMesh, config: &HarmonicConfig) -> Result<Pinned, HarmonicError> {
+    let (boundary, is_boundary) = boundary_loop(mesh)?;
+    if boundary.len() < 3 {
+        return Err(HarmonicError::TooSmall);
+    }
+    let n = mesh.num_vertices();
 
     // Interior vertices must reach the boundary through mesh edges.
     {
@@ -317,266 +320,44 @@ fn harmonic_map_to_disk_inner(
         }
     }
 
-    // Warm start: seed interior vertices from the supplied previous
-    // solution (boundary stays pinned).
-    if let Some(seed) = warm {
-        for v in 0..n {
-            if !is_boundary[v] {
-                pos[v] = seed[v];
-            }
-        }
-    }
-
     // Precompute neighbor weights from the *original* embedding.
     let weights: Vec<Vec<f64>> = match config.weighting {
-        Weighting::Uniform => (0..n)
-            .map(|v| vec![1.0; mesh.vertex_neighbors(v).len()])
-            .collect(),
+        Weighting::Uniform => uniform_weights(mesh),
         Weighting::MeanValue => (0..n).map(|v| mean_value_weights(mesh, v)).collect(),
     };
-
-    // Solve the interior (mean-value weights are asymmetric, so only
-    // uniform weighting is CG-eligible).
-    let interior: Vec<usize> = (0..n).filter(|&v| !is_boundary[v]).collect();
-    let symmetric = config.weighting == Weighting::Uniform;
-    let iterations = solve_interior(
-        mesh,
-        &interior,
-        &is_boundary,
-        &weights,
-        &mut pos,
-        config.tolerance,
-        config.max_iterations,
-        config.solver,
-        symmetric,
-        tracer,
-    )?;
-
-    Ok(DiskMap {
-        positions: pos,
+    Ok(Pinned {
         boundary,
-        iterations,
+        is_boundary,
+        pos,
+        weights,
+        tolerance: config.tolerance,
     })
 }
 
-/// Solves the pinned-boundary averaging fixed point for the interior
-/// vertices of `pos` in place, returning the solver iteration count.
-///
-/// Every interior vertex `v` must satisfy
-/// `pos[v] = Σ_u w(v,u)·pos[u] / Σ_u w(v,u)` — equivalently the sparse
-/// linear system `Σ_u w(v,u)·(pos[v] − pos[u]) = 0` with boundary
-/// positions moved to the right-hand side. [`Solver::GaussSeidel`]
-/// relaxes it by sweeps; [`Solver::Pcg`] (when `symmetric`, which makes
-/// the interior matrix SPD given the already-checked boundary
-/// reachability) solves it directly, one CG run per coordinate.
-#[allow(clippy::too_many_arguments)]
-fn solve_interior(
-    mesh: &TriMesh,
-    interior: &[usize],
-    is_boundary: &[bool],
-    weights: &[Vec<f64>],
-    pos: &mut [Point],
-    tolerance: f64,
-    max_iterations: usize,
-    solver: Solver,
-    symmetric: bool,
-    tracer: &Tracer,
-) -> Result<usize, HarmonicError> {
-    if solver == Solver::Pcg && symmetric {
-        return solve_interior_pcg(
-            mesh,
-            interior,
-            is_boundary,
-            weights,
-            pos,
-            tolerance,
-            max_iterations,
-            tracer,
-        );
-    }
-    // Gauss–Seidel averaging sweeps (the reference path).
-    let mut iterations = 0usize;
-    let mut residual = f64::INFINITY;
-    while iterations < max_iterations {
-        iterations += 1;
-        residual = 0.0;
-        for &v in interior {
-            let nbrs = mesh.vertex_neighbors(v);
-            let ws = &weights[v];
-            let mut sx = 0.0;
-            let mut sy = 0.0;
-            let mut sw = 0.0;
-            for (k, &u) in nbrs.iter().enumerate() {
-                sx += ws[k] * pos[u].x;
-                sy += ws[k] * pos[u].y;
-                sw += ws[k];
-            }
-            let np = Point::new(sx / sw, sy / sw);
-            residual = residual.max(np.distance(pos[v]));
-            pos[v] = np;
-        }
-        if tracer.is_enabled() {
-            tracer.event(
-                "gs_sweep",
-                &[
-                    ("iter", TraceValue::U64(iterations as u64)),
-                    ("residual", TraceValue::F64(residual)),
-                ],
-            );
-        }
-        if residual < tolerance {
-            break;
-        }
-    }
-    if residual >= tolerance {
-        return Err(HarmonicError::NotConverged {
-            iterations,
-            residual,
-        });
-    }
-    Ok(iterations)
-}
-
-/// The [`Solver::Pcg`] path of [`solve_interior`]: assemble the interior
-/// Laplacian once, then run one Jacobi-PCG solve per coordinate.
-#[allow(clippy::too_many_arguments)]
-fn solve_interior_pcg(
-    mesh: &TriMesh,
-    interior: &[usize],
-    is_boundary: &[bool],
-    weights: &[Vec<f64>],
-    pos: &mut [Point],
-    tolerance: f64,
-    max_iterations: usize,
-    tracer: &Tracer,
-) -> Result<usize, HarmonicError> {
-    let m = interior.len();
-    if m == 0 {
-        return Ok(0);
-    }
-    let mut interior_index = vec![usize::MAX; pos.len()];
-    for (i, &v) in interior.iter().enumerate() {
-        interior_index[v] = i;
-    }
-
-    // Row v: (Σ_u w)·x_v − Σ_{u interior} w·x_u = Σ_{u boundary} w·pos_u.
-    let mut rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-    let mut bx = vec![0.0; m];
-    let mut by = vec![0.0; m];
-    for (i, &v) in interior.iter().enumerate() {
-        let nbrs = mesh.vertex_neighbors(v);
-        let ws = &weights[v];
-        let mut row: Vec<(usize, f64)> = Vec::with_capacity(nbrs.len() + 1);
-        let mut degree = 0.0;
-        for (k, &u) in nbrs.iter().enumerate() {
-            let w = ws[k];
-            degree += w;
-            if is_boundary[u] {
-                bx[i] += w * pos[u].x;
-                by[i] += w * pos[u].y;
-            } else {
-                row.push((interior_index[u], -w));
-            }
-        }
-        row.push((i, degree));
-        rows.push(row);
-    }
-    let a = CsrMatrix::from_rows(m, &rows);
-
-    let x0: Vec<f64> = interior.iter().map(|&v| pos[v].x).collect();
-    let y0: Vec<f64> = interior.iter().map(|&v| pos[v].y).collect();
-    let cfg = PcgConfig {
-        tolerance,
-        max_iterations,
-    };
-    // One paired solve: the x and y systems share the matrix, so the
-    // lockstep recurrence reads every stored entry once per iteration
-    // instead of once per coordinate.
-    let s = pcg_jacobi2_traced(&a, &bx, &by, &x0, &y0, &cfg, tracer);
-    if !s.converged {
-        return Err(HarmonicError::NotConverged {
-            iterations: s.iterations,
-            residual: s.residual,
-        });
-    }
-    for (i, &v) in interior.iter().enumerate() {
-        pos[v] = Point::new(s.x[i], s.y[i]);
-    }
-    Ok(s.iterations)
-}
-
-/// Computes a harmonic (Tutte) map of `mesh` with an **arbitrary** fixed
-/// boundary: `boundary_positions[k]` pins vertex `boundary[k]` of the
-/// single boundary loop.
-///
-/// Unlike the unit-disk map, an arbitrary boundary is **not** guaranteed
-/// to produce an embedding: Tutte's theorem requires a convex boundary.
-/// This entry point exists exactly to measure that failure — the paper's
-/// argument for the two-disk construction ("the requirement of convex
-/// shape boundary is too restrictive on the shape of a FoI",
-/// Sec. II-B). Callers should count flipped triangles in the result.
-///
-/// The boundary loop is the mesh's single loop, rotated to start at its
-/// smallest vertex index (same convention as [`harmonic_map_to_disk`]).
-///
-/// # Errors
-///
-/// Same as [`harmonic_map_to_disk`].
-///
-/// # Panics
-///
-/// Panics when `boundary_positions.len()` does not match the boundary
-/// loop length.
-pub fn harmonic_map_with_boundary(
+/// The system of [`harmonic_map_with_boundary`]: the boundary at
+/// `boundary_positions`, the interior at their centroid, uniform weights
+/// (`config.weighting` describes the *disk* map).
+fn pin_to(
     mesh: &TriMesh,
     boundary_positions: &[Point],
     config: &HarmonicConfig,
-) -> Result<DiskMap, HarmonicError> {
-    if mesh.num_triangles() == 0 {
-        return Err(HarmonicError::TooSmall);
-    }
-    let loops = mesh.boundary_loops();
-    if loops.is_empty() {
-        return Err(HarmonicError::NoBoundary);
-    }
-    if loops.len() != 1 {
-        return Err(HarmonicError::NotADisk { loops: loops.len() });
-    }
-    let Some(mut boundary) = loops.into_iter().next() else {
-        return Err(HarmonicError::NoBoundary);
-    };
-    let start = boundary
-        .iter()
-        .enumerate()
-        .min_by_key(|&(_, &v)| v)
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    boundary.rotate_left(start);
+) -> Result<Pinned, HarmonicError> {
+    let (boundary, is_boundary) = boundary_loop(mesh)?;
     assert_eq!(
         boundary.len(),
         boundary_positions.len(),
         "one pinned position per boundary vertex"
     );
-
-    let n = mesh.num_vertices();
-    let mut is_boundary = vec![false; n];
-    let mut pos = vec![Point::ORIGIN; n];
     // Start interior vertices at the boundary centroid so they converge
     // into the pinned shape.
     let centroid = Point::centroid_of(boundary_positions.iter().copied()).unwrap_or(Point::ORIGIN);
-    for p in pos.iter_mut() {
-        *p = centroid;
-    }
+    let mut pos = vec![centroid; mesh.num_vertices()];
     for (k, &v) in boundary.iter().enumerate() {
-        is_boundary[v] = true;
         pos[v] = boundary_positions[k];
     }
-
-    let interior: Vec<usize> = (0..n).filter(|&v| !is_boundary[v]).collect();
     // Reject interior vertices with no neighbors (cannot be averaged).
-    if let Some(&v) = interior
-        .iter()
-        .find(|&&v| mesh.vertex_neighbors(v).is_empty())
+    if let Some(v) =
+        (0..pos.len()).find(|&v| !is_boundary[v] && mesh.vertex_neighbors(v).is_empty())
     {
         return Err(HarmonicError::DisconnectedInterior { vertex: v });
     }
@@ -585,26 +366,168 @@ pub fn harmonic_map_with_boundary(
         .map(|p| p.distance(centroid))
         .fold(0.0f64, f64::max)
         .max(1.0);
-    let tol = config.tolerance * scale;
-    // The pinned-boundary map always averages uniformly (the weights in
-    // `config.weighting` describe the *disk* map); uniform weights are
-    // symmetric, so the configured solver applies as-is.
-    let weights: Vec<Vec<f64>> = (0..n)
+    Ok(Pinned {
+        boundary,
+        is_boundary,
+        pos,
+        weights: uniform_weights(mesh),
+        tolerance: config.tolerance * scale,
+    })
+}
+
+impl Pinned {
+    /// Solves the pinned-boundary averaging fixed point for the interior
+    /// vertices: every interior vertex `v` must satisfy
+    /// `pos[v] = Σ_u w(v,u)·pos[u] / Σ_u w(v,u)` — equivalently the
+    /// sparse linear system `Σ_u w(v,u)·(pos[v] − pos[u]) = 0` with
+    /// boundary positions moved to the right-hand side. When the weights
+    /// are `symmetric` that system is SPD (given the already-checked
+    /// boundary reachability) and PCG solves it directly; otherwise
+    /// Gauss–Seidel relaxes it by sweeps.
+    fn solve(
+        mut self,
+        mesh: &TriMesh,
+        max_iterations: usize,
+        symmetric: bool,
+        tracer: &Tracer,
+    ) -> Result<DiskMap, HarmonicError> {
+        let interior: Vec<usize> = (0..self.pos.len())
+            .filter(|&v| !self.is_boundary[v])
+            .collect();
+        let iterations = if symmetric {
+            self.solve_pcg(mesh, &interior, max_iterations, tracer)?
+        } else {
+            self.solve_gauss_seidel(mesh, &interior, max_iterations, tracer)?
+        };
+        Ok(DiskMap {
+            positions: self.pos,
+            boundary: self.boundary,
+            iterations,
+        })
+    }
+
+    /// The Gauss–Seidel averaging sweeps.
+    fn solve_gauss_seidel(
+        &mut self,
+        mesh: &TriMesh,
+        interior: &[usize],
+        max_iterations: usize,
+        tracer: &Tracer,
+    ) -> Result<usize, HarmonicError> {
+        let pos = &mut self.pos;
+        let mut iterations = 0usize;
+        let mut residual = f64::INFINITY;
+        while iterations < max_iterations {
+            iterations += 1;
+            residual = 0.0;
+            for &v in interior {
+                let nbrs = mesh.vertex_neighbors(v);
+                let ws = &self.weights[v];
+                let mut sx = 0.0;
+                let mut sy = 0.0;
+                let mut sw = 0.0;
+                for (k, &u) in nbrs.iter().enumerate() {
+                    sx += ws[k] * pos[u].x;
+                    sy += ws[k] * pos[u].y;
+                    sw += ws[k];
+                }
+                let np = Point::new(sx / sw, sy / sw);
+                residual = residual.max(np.distance(pos[v]));
+                pos[v] = np;
+            }
+            if tracer.is_enabled() {
+                tracer.event(
+                    "gs_sweep",
+                    &[
+                        ("iter", TraceValue::U64(iterations as u64)),
+                        ("residual", TraceValue::F64(residual)),
+                    ],
+                );
+            }
+            if residual < self.tolerance {
+                break;
+            }
+        }
+        if residual >= self.tolerance {
+            return Err(HarmonicError::NotConverged {
+                iterations,
+                residual,
+            });
+        }
+        Ok(iterations)
+    }
+
+    /// The PCG path: assemble the interior Laplacian once, then run one
+    /// paired Jacobi-PCG solve for both coordinates.
+    fn solve_pcg(
+        &mut self,
+        mesh: &TriMesh,
+        interior: &[usize],
+        max_iterations: usize,
+        tracer: &Tracer,
+    ) -> Result<usize, HarmonicError> {
+        let pos = &mut self.pos;
+        let m = interior.len();
+        if m == 0 {
+            return Ok(0);
+        }
+        let mut interior_index = vec![usize::MAX; pos.len()];
+        for (i, &v) in interior.iter().enumerate() {
+            interior_index[v] = i;
+        }
+
+        // Row v: (Σ_u w)·x_v − Σ_{u interior} w·x_u = Σ_{u boundary} w·pos_u.
+        let mut rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        let mut bx = vec![0.0; m];
+        let mut by = vec![0.0; m];
+        for (i, &v) in interior.iter().enumerate() {
+            let nbrs = mesh.vertex_neighbors(v);
+            let ws = &self.weights[v];
+            let mut row: Vec<(usize, f64)> = Vec::with_capacity(nbrs.len() + 1);
+            let mut degree = 0.0;
+            for (k, &u) in nbrs.iter().enumerate() {
+                let w = ws[k];
+                degree += w;
+                if self.is_boundary[u] {
+                    bx[i] += w * pos[u].x;
+                    by[i] += w * pos[u].y;
+                } else {
+                    row.push((interior_index[u], -w));
+                }
+            }
+            row.push((i, degree));
+            rows.push(row);
+        }
+        let a = CsrMatrix::from_rows(m, &rows);
+
+        let x0: Vec<f64> = interior.iter().map(|&v| pos[v].x).collect();
+        let y0: Vec<f64> = interior.iter().map(|&v| pos[v].y).collect();
+        let cfg = PcgConfig {
+            tolerance: self.tolerance,
+            max_iterations,
+        };
+        // One paired solve: the x and y systems share the matrix, so the
+        // lockstep recurrence reads every stored entry once per iteration
+        // instead of once per coordinate.
+        let s = pcg_jacobi2(&a, &bx, &by, &x0, &y0, &cfg, tracer);
+        if !s.converged {
+            return Err(HarmonicError::NotConverged {
+                iterations: s.iterations,
+                residual: s.residual,
+            });
+        }
+        for (i, &v) in interior.iter().enumerate() {
+            pos[v] = Point::new(s.x[i], s.y[i]);
+        }
+        Ok(s.iterations)
+    }
+}
+
+/// A weight of one for every edge of every vertex.
+fn uniform_weights(mesh: &TriMesh) -> Vec<Vec<f64>> {
+    (0..mesh.num_vertices())
         .map(|v| vec![1.0; mesh.vertex_neighbors(v).len()])
-        .collect();
-    let iterations = solve_interior(
-        mesh,
-        &interior,
-        &is_boundary,
-        &weights,
-        &mut pos,
-        tol,
-        config.max_iterations,
-        config.solver,
-        true,
-        &Tracer::disabled(),
-    )?;
-    Ok(DiskMap::from_parts(pos, boundary, iterations))
+        .collect()
 }
 
 /// Mean-value weights of vertex `v`'s edges, computed from the mesh's
@@ -644,70 +567,6 @@ mod tests {
     use super::*;
     use anr_mesh::delaunay;
 
-    #[test]
-    fn warm_start_converges_faster_and_agrees() {
-        // Cold solve of a jittered grid, then re-solve a slightly moved
-        // copy warm-started from the cold solution: fewer iterations,
-        // same map to solver tolerance.
-        let mesh_a = grid(12, 5.0);
-        let cfg = HarmonicConfig::default();
-        let map_a = harmonic_map_to_disk(&mesh_a, &cfg).unwrap();
-
-        let moved: Vec<Point> = mesh_a
-            .vertices()
-            .iter()
-            .enumerate()
-            .map(|(k, p)| {
-                let dx = ((k * 31 + 7) % 13) as f64 / 13.0 - 0.5;
-                let dy = ((k * 17 + 3) % 11) as f64 / 11.0 - 0.5;
-                Point::new(p.x + 0.3 * dx, p.y + 0.3 * dy)
-            })
-            .collect();
-        let mesh_b = delaunay(&moved).unwrap();
-
-        let cold = harmonic_map_to_disk(&mesh_b, &cfg).unwrap();
-        let warm = harmonic_map_to_disk_warm(&mesh_b, &cfg, map_a.positions(), &Tracer::disabled())
-            .unwrap();
-        assert!(
-            warm.iterations() <= cold.iterations(),
-            "warm {} vs cold {}",
-            warm.iterations(),
-            cold.iterations()
-        );
-        let max_diff = cold
-            .positions()
-            .iter()
-            .zip(warm.positions())
-            .map(|(a, b)| a.distance(*b))
-            .fold(0.0f64, f64::max);
-        assert!(max_diff < 1e-6, "solutions diverge: {max_diff}");
-    }
-
-    #[test]
-    fn warm_start_from_own_solution_is_instant() {
-        let mesh = grid(10, 4.0);
-        let cfg = HarmonicConfig::default();
-        let cold = harmonic_map_to_disk(&mesh, &cfg).unwrap();
-        let warm =
-            harmonic_map_to_disk_warm(&mesh, &cfg, cold.positions(), &Tracer::disabled()).unwrap();
-        // The seed is already within tolerance: the stop rule fires on
-        // the 0th residual measurement and returns the seed unchanged.
-        assert_eq!(warm.iterations(), 0);
-        assert_eq!(warm.positions(), cold.positions());
-    }
-
-    #[test]
-    #[should_panic(expected = "warm-start seed")]
-    fn warm_start_wrong_len_panics() {
-        let mesh = grid(4, 1.0);
-        let _ = harmonic_map_to_disk_warm(
-            &mesh,
-            &HarmonicConfig::default(),
-            &[Point::ORIGIN],
-            &Tracer::disabled(),
-        );
-    }
-
     fn grid(n: usize, s: f64) -> TriMesh {
         let mut pts = Vec::new();
         for j in 0..n {
@@ -721,7 +580,8 @@ mod tests {
     #[test]
     fn boundary_on_unit_circle() {
         let mesh = grid(5, 10.0);
-        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
+        let disk =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
         for &v in disk.boundary() {
             assert!((disk.position(v).to_vector().norm() - 1.0).abs() < 1e-12);
         }
@@ -730,7 +590,8 @@ mod tests {
     #[test]
     fn interior_strictly_inside() {
         let mesh = grid(6, 10.0);
-        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
+        let disk =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
         let boundary: std::collections::HashSet<usize> = disk.boundary().iter().copied().collect();
         for v in 0..mesh.num_vertices() {
             if !boundary.contains(&v) {
@@ -743,7 +604,8 @@ mod tests {
     #[test]
     fn map_is_injective_on_grid() {
         let mesh = grid(5, 10.0);
-        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
+        let disk =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
         for a in 0..mesh.num_vertices() {
             for b in (a + 1)..mesh.num_vertices() {
                 assert!(
@@ -759,7 +621,8 @@ mod tests {
         // Tutte's theorem: the disk embedding is a proper embedding, so
         // every (input-CCW) triangle keeps positive area.
         let mesh = grid(6, 10.0);
-        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
+        let disk =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
         let dmesh = disk.as_disk_mesh(&mesh);
         for t in 0..dmesh.num_triangles() {
             assert!(
@@ -772,7 +635,8 @@ mod tests {
     #[test]
     fn hop_uniform_boundary_is_equally_spaced() {
         let mesh = grid(4, 10.0);
-        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
+        let disk =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
         let b = disk.boundary();
         let step = TAU / b.len() as f64;
         for k in 0..b.len() {
@@ -786,7 +650,8 @@ mod tests {
     #[test]
     fn boundary_starts_at_smallest_index() {
         let mesh = grid(4, 10.0);
-        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
+        let disk =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
         let first = disk.boundary()[0];
         assert_eq!(first, *disk.boundary().iter().min().unwrap());
         // The smallest-index boundary vertex sits at angle 0.
@@ -800,7 +665,7 @@ mod tests {
             boundary: BoundaryParam::ChordLength,
             ..Default::default()
         };
-        let disk = harmonic_map_to_disk(&mesh, &cfg).unwrap();
+        let disk = harmonic_map_to_disk(&mesh, &cfg, &Tracer::disabled()).unwrap();
         for &v in disk.boundary() {
             assert!((disk.position(v).to_vector().norm() - 1.0).abs() < 1e-12);
         }
@@ -813,7 +678,7 @@ mod tests {
             weighting: Weighting::MeanValue,
             ..Default::default()
         };
-        let disk = harmonic_map_to_disk(&mesh, &cfg).unwrap();
+        let disk = harmonic_map_to_disk(&mesh, &cfg, &Tracer::disabled()).unwrap();
         let dmesh = disk.as_disk_mesh(&mesh);
         for t in 0..dmesh.num_triangles() {
             assert!(dmesh.triangle(t).signed_area() > 0.0);
@@ -824,7 +689,8 @@ mod tests {
     fn symmetric_grid_center_maps_to_center() {
         // 5×5 grid: the center vertex is fixed by symmetry.
         let mesh = grid(5, 10.0);
-        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
+        let disk =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
         // Vertex 12 is the grid center; it may not map exactly to the
         // origin because the hop-uniform boundary breaks the symmetry
         // slightly (corners vs edge midpoints), but it must stay near.
@@ -840,7 +706,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            harmonic_map_to_disk(&mesh, &cfg),
+            harmonic_map_to_disk(&mesh, &cfg, &Tracer::disabled()),
             Err(HarmonicError::NotConverged { iterations: 2, .. })
         ));
     }
@@ -850,7 +716,8 @@ mod tests {
         // Pinning the boundary to a convex shape (a scaled circle)
         // keeps Tutte's guarantee: no flipped triangles.
         let mesh = grid(5, 10.0);
-        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
+        let disk =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
         let boundary = disk.boundary().to_vec();
         let pinned: Vec<Point> = (0..boundary.len())
             .map(|k| {
@@ -871,7 +738,8 @@ mod tests {
         // boundary to a deeply concave (star) shape and the direct
         // harmonic map flips triangles.
         let mesh = grid(7, 10.0);
-        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
+        let disk =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
         let boundary = disk.boundary().to_vec();
         let pinned: Vec<Point> = (0..boundary.len())
             .map(|k| {
@@ -904,15 +772,9 @@ mod tests {
     #[test]
     fn pcg_matches_gauss_seidel_reference() {
         let mesh = grid(7, 10.0);
-        let pcg = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
-        let gs = harmonic_map_to_disk(
-            &mesh,
-            &HarmonicConfig {
-                solver: Solver::GaussSeidel,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let pcg =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
+        let gs = harmonic_map_gauss_seidel(&mesh, None, &HarmonicConfig::default()).unwrap();
         for v in 0..mesh.num_vertices() {
             let d = pcg.position(v).distance(gs.position(v));
             assert!(d < 1e-6, "vertex {v} differs by {d}");
@@ -929,7 +791,8 @@ mod tests {
     #[test]
     fn pcg_matches_reference_on_custom_boundary() {
         let mesh = grid(6, 10.0);
-        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
+        let disk =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
         let pinned: Vec<Point> = (0..disk.boundary().len())
             .map(|k| {
                 let theta = TAU * k as f64 / disk.boundary().len() as f64;
@@ -937,15 +800,8 @@ mod tests {
             })
             .collect();
         let pcg = harmonic_map_with_boundary(&mesh, &pinned, &HarmonicConfig::default()).unwrap();
-        let gs = harmonic_map_with_boundary(
-            &mesh,
-            &pinned,
-            &HarmonicConfig {
-                solver: Solver::GaussSeidel,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let gs =
+            harmonic_map_gauss_seidel(&mesh, Some(&pinned), &HarmonicConfig::default()).unwrap();
         for v in 0..mesh.num_vertices() {
             let d = pcg.position(v).distance(gs.position(v));
             assert!(d < 1e-6, "vertex {v} differs by {d}");
@@ -954,21 +810,15 @@ mod tests {
 
     #[test]
     fn mean_value_weights_use_the_reference_solver() {
-        // Mean-value weights are asymmetric, so Solver::Pcg must fall
-        // back to Gauss–Seidel: both solver settings give identical
-        // results (bit-identical, same code path).
+        // Mean-value weights are asymmetric, so the map runs the
+        // Gauss–Seidel reference: identical results, bit for bit.
         let mesh = grid(5, 10.0);
-        let pcg_cfg = HarmonicConfig {
+        let cfg = HarmonicConfig {
             weighting: Weighting::MeanValue,
             ..Default::default()
         };
-        let gs_cfg = HarmonicConfig {
-            weighting: Weighting::MeanValue,
-            solver: Solver::GaussSeidel,
-            ..Default::default()
-        };
-        let a = harmonic_map_to_disk(&mesh, &pcg_cfg).unwrap();
-        let b = harmonic_map_to_disk(&mesh, &gs_cfg).unwrap();
+        let a = harmonic_map_to_disk(&mesh, &cfg, &Tracer::disabled()).unwrap();
+        let b = harmonic_map_gauss_seidel(&mesh, None, &cfg).unwrap();
         assert_eq!(a.iterations(), b.iterations());
         for v in 0..mesh.num_vertices() {
             assert_eq!(a.position(v), b.position(v));
@@ -980,20 +830,19 @@ mod tests {
         // Both solver paths: tracing emits a residual series without
         // changing a single output bit.
         let mesh = grid(6, 10.0);
-        for solver in [Solver::Pcg, Solver::GaussSeidel] {
+        for (weighting, name) in [
+            (Weighting::Uniform, "pcg_iter"),
+            (Weighting::MeanValue, "gs_sweep"),
+        ] {
             let cfg = HarmonicConfig {
-                solver,
+                weighting,
                 ..Default::default()
             };
-            let plain = harmonic_map_to_disk(&mesh, &cfg).unwrap();
+            let plain = harmonic_map_to_disk(&mesh, &cfg, &Tracer::disabled()).unwrap();
             let tracer = Tracer::ring(65_536);
-            let traced = harmonic_map_to_disk_traced(&mesh, &cfg, &tracer).unwrap();
+            let traced = harmonic_map_to_disk(&mesh, &cfg, &tracer).unwrap();
             assert_eq!(plain.positions(), traced.positions());
             assert_eq!(plain.iterations(), traced.iterations());
-            let name = match solver {
-                Solver::Pcg => "pcg_iter",
-                Solver::GaussSeidel => "gs_sweep",
-            };
             let count = tracer.events().iter().filter(|e| e.name == name).count();
             assert_eq!(count, traced.iterations(), "one {name} per iteration");
         }
@@ -1025,7 +874,7 @@ mod tests {
         ];
         let mesh = TriMesh::new(verts, tris).unwrap();
         assert!(matches!(
-            harmonic_map_to_disk(&mesh, &HarmonicConfig::default()),
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()),
             Err(HarmonicError::NotADisk { loops: 2 })
         ));
     }

@@ -6,8 +6,9 @@
 //! repeatedly moves its *virtual* disk position to the average of its
 //! neighbors' positions — a Jacobi iteration realized purely with
 //! one-hop messages. This module runs that protocol on the message-passing
-//! engine over a reliable network and is cross-checked against the centralized
-//! Gauss–Seidel solver ([`crate::harmonic_map_to_disk`]) in tests.
+//! engine over a reliable network and is cross-checked in tests against the
+//! centralized map ([`crate::harmonic_map_to_disk`]), which solves the same
+//! uniform-weight system by PCG.
 
 use crate::{DiskMap, HarmonicError};
 use anr_distsim::{Envelope, EventSim, ExplicitTopology, FaultPlan, Node, Outbox, SimError};
@@ -202,6 +203,7 @@ mod tests {
     use super::*;
     use crate::{harmonic_map_to_disk, HarmonicConfig};
     use anr_mesh::delaunay;
+    use anr_trace::Tracer;
 
     fn grid(n: usize) -> TriMesh {
         let mut pts = Vec::new();
@@ -216,7 +218,8 @@ mod tests {
     #[test]
     fn distributed_matches_centralized() {
         let mesh = grid(6);
-        let central = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
+        let central =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
         let dist = distributed_harmonic_map(&mesh, &DistributedHarmonicConfig::default()).unwrap();
         for v in 0..mesh.num_vertices() {
             let d = central.position(v).distance(dist.map.position(v));
@@ -227,7 +230,8 @@ mod tests {
     #[test]
     fn boundary_is_pinned_identically() {
         let mesh = grid(5);
-        let central = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).unwrap();
+        let central =
+            harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).unwrap();
         let dist = distributed_harmonic_map(&mesh, &DistributedHarmonicConfig::default()).unwrap();
         assert_eq!(central.boundary(), dist.map.boundary());
         for &v in dist.map.boundary() {

@@ -145,6 +145,7 @@ mod tests {
     use super::*;
     use anr_geom::{Polygon, PolygonWithHoles};
     use anr_mesh::FoiMesher;
+    use anr_trace::Tracer;
 
     fn ring_mesh() -> TriMesh {
         let p = |x: f64, y: f64| Point::new(x, y);
@@ -227,7 +228,9 @@ mod tests {
         let meshed = FoiMesher::new(8.0).mesh(&foi).unwrap();
         let filled = fill_holes(meshed.mesh()).unwrap();
         assert_eq!(filled.num_holes(), 2);
-        let disk = crate::harmonic_map_to_disk(filled.mesh(), &Default::default()).unwrap();
+        let disk =
+            crate::harmonic_map_to_disk(filled.mesh(), &Default::default(), &Tracer::disabled())
+                .unwrap();
         // Virtual vertices are interior: strictly inside the disk.
         for &vc in filled.virtual_vertices() {
             assert!(disk.position(vc).to_vector().norm() < 1.0 - 1e-6);

@@ -31,6 +31,7 @@
 //! use anr_geom::Point;
 //! use anr_mesh::delaunay;
 //! use anr_harmonic::{harmonic_map_to_disk, HarmonicConfig};
+//! use anr_trace::Tracer;
 //!
 //! // A 4×4 grid of robots.
 //! let mut pts = Vec::new();
@@ -40,7 +41,7 @@
 //!     }
 //! }
 //! let mesh = delaunay(&pts)?;
-//! let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default())?;
+//! let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled())?;
 //! // Every vertex ends up inside (or on) the unit circle.
 //! assert!(disk.positions().iter().all(|p| p.to_vector().norm() <= 1.0 + 1e-9));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -59,8 +60,8 @@ mod rotation;
 
 pub use compose::{DiskOverlay, MappedPoint};
 pub use disk::{
-    harmonic_map_to_disk, harmonic_map_to_disk_traced, harmonic_map_to_disk_warm,
-    harmonic_map_with_boundary, BoundaryParam, DiskMap, HarmonicConfig, Solver, Weighting,
+    harmonic_map_gauss_seidel, harmonic_map_to_disk, harmonic_map_with_boundary, BoundaryParam,
+    DiskMap, HarmonicConfig, Weighting,
 };
 pub use distributed::{
     distributed_harmonic_map, DistributedHarmonicConfig, DistributedHarmonicOutcome,

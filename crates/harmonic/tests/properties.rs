@@ -4,6 +4,7 @@
 use anr_geom::Point;
 use anr_harmonic::{harmonic_map_to_disk, HarmonicConfig, RotationSearch};
 use anr_mesh::delaunay;
+use anr_trace::Tracer;
 use proptest::prelude::*;
 
 /// Random separated point clouds that triangulate cleanly.
@@ -30,7 +31,7 @@ proptest! {
             Ok(m) => m,
             Err(_) => return Ok(()),
         };
-        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).expect("disk mesh");
+        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).expect("disk mesh");
         // No flipped triangles (Tutte's theorem).
         let dmesh = disk.as_disk_mesh(&mesh);
         for t in 0..dmesh.num_triangles() {
@@ -52,7 +53,7 @@ proptest! {
             Ok(m) => m,
             Err(_) => return Ok(()),
         };
-        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default()).expect("disk mesh");
+        let disk = harmonic_map_to_disk(&mesh, &HarmonicConfig::default(), &Tracer::disabled()).expect("disk mesh");
         for a in 0..mesh.num_vertices() {
             for b in (a + 1)..mesh.num_vertices() {
                 prop_assert!(disk.position(a).distance(disk.position(b)) > 1e-9,

@@ -338,34 +338,16 @@ pub struct Pcg2Outcome {
 /// dominant cost. A system that converges (or breaks down) early is
 /// frozen while the other finishes.
 ///
-/// Same preconditions and stopping rule as [`pcg_jacobi`].
+/// Same preconditions and stopping rule as [`pcg_jacobi`]. After every
+/// CG iteration a `pcg_iter` event carrying the iteration number and the
+/// larger of the two scaled residuals is emitted on `tracer`. Tracing is
+/// observation only: the arithmetic is the same under any tracer.
 ///
 /// # Panics
 ///
 /// Panics when any vector length differs from `a.n()`.
 #[must_use]
 pub fn pcg_jacobi2(
-    a: &CsrMatrix,
-    bx: &[f64],
-    by: &[f64],
-    x0: &[f64],
-    y0: &[f64],
-    config: &PcgConfig,
-) -> Pcg2Outcome {
-    pcg_jacobi2_traced(a, bx, by, x0, y0, config, &anr_trace::Tracer::disabled())
-}
-
-/// [`pcg_jacobi2`] with per-iteration observability: after every CG
-/// iteration a `pcg_iter` event carrying the iteration number and the
-/// larger of the two scaled residuals is emitted on `tracer`. Tracing is
-/// observation only — the arithmetic is identical to [`pcg_jacobi2`],
-/// and a disabled tracer reduces this to the plain solver.
-///
-/// # Panics
-///
-/// Panics when any vector length differs from `a.n()`.
-#[must_use]
-pub fn pcg_jacobi2_traced(
     a: &CsrMatrix,
     bx: &[f64],
     by: &[f64],
@@ -528,6 +510,7 @@ pub fn pcg_jacobi2_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anr_trace::Tracer;
 
     /// 1-D Dirichlet Laplacian: tridiagonal [-1, 2, -1], SPD.
     fn path_laplacian(n: usize) -> CsrMatrix {
@@ -686,7 +669,7 @@ mod tests {
         let cfg = PcgConfig::default();
         let sx = pcg_jacobi(&a, &bx, &zero, &cfg);
         let sy = pcg_jacobi(&a, &by, &zero, &cfg);
-        let pair = pcg_jacobi2(&a, &bx, &by, &zero, &zero, &cfg);
+        let pair = pcg_jacobi2(&a, &bx, &by, &zero, &zero, &cfg, &Tracer::disabled());
         assert!(pair.converged);
         assert_eq!(pair.iterations, sx.iterations.max(sy.iterations));
         assert_eq!(pair.x, sx.x);
@@ -702,7 +685,15 @@ mod tests {
         a.mul_vec(&x_star, &mut bx);
         let by = vec![1.0; n];
         // Lane 0 starts at its exact solution; lane 1 from zero.
-        let out = pcg_jacobi2(&a, &bx, &by, &x_star, &vec![0.0; n], &PcgConfig::default());
+        let out = pcg_jacobi2(
+            &a,
+            &bx,
+            &by,
+            &x_star,
+            &vec![0.0; n],
+            &PcgConfig::default(),
+            &Tracer::disabled(),
+        );
         assert!(out.converged);
         for (xi, si) in out.x.iter().zip(&x_star) {
             assert_eq!(xi, si, "the converged lane must stay frozen");
@@ -730,6 +721,7 @@ mod tests {
                 tolerance: 1e-12,
                 max_iterations: 3,
             },
+            &Tracer::disabled(),
         );
         assert!(!out.converged);
         assert_eq!(out.iterations, 3);
@@ -742,9 +734,9 @@ mod tests {
         let b = vec![1.0; n];
         let zero = vec![0.0; n];
         let cfg = PcgConfig::default();
-        let plain = pcg_jacobi2(&a, &b, &b, &zero, &zero, &cfg);
-        let tracer = anr_trace::Tracer::ring(4096);
-        let traced = pcg_jacobi2_traced(&a, &b, &b, &zero, &zero, &cfg, &tracer);
+        let plain = pcg_jacobi2(&a, &b, &b, &zero, &zero, &cfg, &Tracer::disabled());
+        let tracer = Tracer::ring(4096);
+        let traced = pcg_jacobi2(&a, &b, &b, &zero, &zero, &cfg, &tracer);
         assert_eq!(plain, traced, "tracing must not perturb the solve");
         let events = tracer.events();
         assert_eq!(
@@ -765,7 +757,15 @@ mod tests {
     #[test]
     fn paired_empty_system() {
         let a = CsrMatrix::from_rows(0, &[]);
-        let out = pcg_jacobi2(&a, &[], &[], &[], &[], &PcgConfig::default());
+        let out = pcg_jacobi2(
+            &a,
+            &[],
+            &[],
+            &[],
+            &[],
+            &PcgConfig::default(),
+            &Tracer::disabled(),
+        );
         assert!(out.converged);
         assert!(out.x.is_empty() && out.y.is_empty());
     }

@@ -15,6 +15,7 @@ use anr_marching::march::{march, MarchConfig, MarchProblem, Method};
 use anr_marching::mesh::FoiMesher;
 use anr_marching::netgraph::{extract_triangulation, UnitDiskGraph};
 use anr_marching::scenarios::{build_scenario, ScenarioParams};
+use anr_marching::trace::Tracer;
 use anr_marching::viz::{palette, SvgCanvas};
 use std::path::PathBuf;
 
@@ -56,7 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // (c) Harmonic map of T onto the unit disk.
     let filled_t = fill_holes(&t_mesh)?;
-    let disk_t = harmonic_map_to_disk(filled_t.mesh(), &HarmonicConfig::default())?;
+    let disk_t = harmonic_map_to_disk(
+        filled_t.mesh(),
+        &HarmonicConfig::default(),
+        &Tracer::disabled(),
+    )?;
     let disk_box = Aabb::new(Point::new(-1.1, -1.1), Point::new(1.1, 1.1));
     let mut svg = SvgCanvas::fitting([disk_box], 640.0)?;
     let dmesh = disk_t.as_disk_mesh(filled_t.mesh());

@@ -13,6 +13,7 @@ use anr_marching::march::{
 };
 use anr_marching::netgraph::extract_triangulation;
 use anr_marching::scenarios::{build_scenario, m1_standard, ScenarioParams};
+use anr_marching::trace::Tracer;
 
 #[test]
 fn distributed_harmonic_matches_centralized_on_paper_deployment() {
@@ -21,7 +22,12 @@ fn distributed_harmonic_matches_centralized_on_paper_deployment() {
     let t = extract_triangulation(&positions, 80.0).unwrap();
     let filled = fill_holes(&t).unwrap();
 
-    let central = harmonic_map_to_disk(filled.mesh(), &HarmonicConfig::default()).unwrap();
+    let central = harmonic_map_to_disk(
+        filled.mesh(),
+        &HarmonicConfig::default(),
+        &Tracer::disabled(),
+    )
+    .unwrap();
     let dist =
         distributed_harmonic_map(filled.mesh(), &DistributedHarmonicConfig::default()).unwrap();
 

@@ -7,6 +7,7 @@ use anr_marching::march::MarchConfig;
 use anr_marching::mesh::FoiMesher;
 use anr_marching::netgraph::extract_triangulation;
 use anr_marching::scenarios::{all_scenarios, ScenarioParams};
+use anr_marching::trace::Tracer;
 
 #[test]
 fn every_scenario_foi_maps_to_a_valid_disk_embedding() {
@@ -21,7 +22,12 @@ fn every_scenario_foi_maps_to_a_valid_disk_embedding() {
             s.id
         );
         let filled = fill_holes(meshed.mesh()).unwrap();
-        let disk = harmonic_map_to_disk(filled.mesh(), &HarmonicConfig::default()).unwrap();
+        let disk = harmonic_map_to_disk(
+            filled.mesh(),
+            &HarmonicConfig::default(),
+            &Tracer::disabled(),
+        )
+        .unwrap();
 
         // Tutte guarantee: the disk embedding has no flipped triangles.
         let dmesh = disk.as_disk_mesh(filled.mesh());
@@ -46,7 +52,12 @@ fn robot_triangulations_map_to_valid_disks() {
         let positions = deploy_exactly(&s.m1, s.robots).unwrap();
         let t = extract_triangulation(&positions, s.range).unwrap();
         let filled = fill_holes(&t).unwrap();
-        let disk = harmonic_map_to_disk(filled.mesh(), &HarmonicConfig::default()).unwrap();
+        let disk = harmonic_map_to_disk(
+            filled.mesh(),
+            &HarmonicConfig::default(),
+            &Tracer::disabled(),
+        )
+        .unwrap();
         let dmesh = disk.as_disk_mesh(filled.mesh());
         for tri in 0..dmesh.num_triangles() {
             assert!(
@@ -66,7 +77,12 @@ fn overlay_composition_is_piecewise_identity() {
     let spacing = MarchConfig::default().resolve_mesh_spacing(s.m2.area(), s.robots);
     let meshed = FoiMesher::new(spacing).mesh(&s.m2).unwrap();
     let filled = fill_holes(meshed.mesh()).unwrap();
-    let disk = harmonic_map_to_disk(filled.mesh(), &HarmonicConfig::default()).unwrap();
+    let disk = harmonic_map_to_disk(
+        filled.mesh(),
+        &HarmonicConfig::default(),
+        &Tracer::disabled(),
+    )
+    .unwrap();
     let overlay = DiskOverlay::new(filled.mesh(), disk.positions(), filled.virtual_vertices());
 
     for v in (0..filled.num_real()).step_by(13) {
@@ -92,7 +108,12 @@ fn rotation_sweep_stays_inside_target() {
     let spacing = MarchConfig::default().resolve_mesh_spacing(s.m2.area(), s.robots);
     let meshed = FoiMesher::new(spacing).mesh(&s.m2).unwrap();
     let filled = fill_holes(meshed.mesh()).unwrap();
-    let disk = harmonic_map_to_disk(filled.mesh(), &HarmonicConfig::default()).unwrap();
+    let disk = harmonic_map_to_disk(
+        filled.mesh(),
+        &HarmonicConfig::default(),
+        &Tracer::disabled(),
+    )
+    .unwrap();
     let overlay = DiskOverlay::new(filled.mesh(), disk.positions(), filled.virtual_vertices());
 
     let bbox = s.m2.bbox().inflated(1.0);

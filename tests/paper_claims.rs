@@ -7,6 +7,7 @@ use anr_marching::march::{march, MarchConfig, MarchProblem, Method};
 use anr_marching::mesh::FoiMesher;
 use anr_marching::netgraph::{extract_triangulation, UnitDiskGraph};
 use anr_marching::scenarios::{build_scenario, ScenarioParams};
+use anr_marching::trace::Tracer;
 
 fn problem(id: u8) -> MarchProblem {
     let s = build_scenario(id, &ScenarioParams::default()).unwrap();
@@ -59,13 +60,23 @@ fn depth_limited_rotation_close_to_exhaustive() {
     let n = p.num_robots();
     let t = extract_triangulation(&p.positions, p.range).unwrap();
     let filled_t = fill_holes(&t).unwrap();
-    let disk_t = harmonic_map_to_disk(filled_t.mesh(), &HarmonicConfig::default()).unwrap();
+    let disk_t = harmonic_map_to_disk(
+        filled_t.mesh(),
+        &HarmonicConfig::default(),
+        &Tracer::disabled(),
+    )
+    .unwrap();
     let robot_disk: Vec<_> = (0..n).map(|v| disk_t.position(v)).collect();
 
     let spacing = MarchConfig::default().resolve_mesh_spacing(p.m2.area(), n);
     let foi2 = FoiMesher::new(spacing).mesh(&p.m2).unwrap();
     let filled2 = fill_holes(foi2.mesh()).unwrap();
-    let disk2 = harmonic_map_to_disk(filled2.mesh(), &HarmonicConfig::default()).unwrap();
+    let disk2 = harmonic_map_to_disk(
+        filled2.mesh(),
+        &HarmonicConfig::default(),
+        &Tracer::disabled(),
+    )
+    .unwrap();
     let overlay = DiskOverlay::new(
         filled2.mesh(),
         disk2.positions(),
