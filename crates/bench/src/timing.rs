@@ -17,7 +17,8 @@ use anr_trace::Tracer;
 pub struct BenchOptions {
     /// Smoke mode: scenario 1 only, fewer robots — fast enough for CI.
     pub smoke: bool,
-    /// Timed marches per scenario; the median is reported.
+    /// Timed runs of each scenario's march and of the fault sweep; the
+    /// medians are reported.
     pub repeats: usize,
     /// Also run the 10⁴-robot scale tier (scenario 1, one repeat):
     /// a single full march at 10k robots, reported separately.
@@ -55,8 +56,8 @@ pub struct MarchTiming {
     pub robots: usize,
     /// Median wall time of the `march` span, milliseconds.
     pub march_ms: f64,
-    /// Median wall time of each pipeline stage's span, in
-    /// [`MARCH_STAGES`] order.
+    /// Median wall time of each pipeline stage's span, in pipeline
+    /// order (`triangulate` to `metrics`).
     pub march_stages: Vec<StageTiming>,
     /// Timeline rows of the march.
     pub timeline_rows: usize,
@@ -91,7 +92,7 @@ pub struct PipelineBenchReport {
     /// Worker threads the parallel paths (audit, assignment, rotation,
     /// fault sweep) fan out over (`anr_par::default_workers()`).
     pub workers: usize,
-    /// Marches per scenario.
+    /// Timed runs of each scenario's march and of the fault sweep.
     pub repeats: usize,
     /// Was this a smoke run?
     pub smoke: bool,
