@@ -186,21 +186,18 @@ fn bench_march(id: u8, robots: usize, repeats: usize) -> Result<MarchTiming, Ben
     })
 }
 
-fn bench_fault_sweep(
-    robots: usize,
-    smoke: bool,
-    repeats: usize,
-) -> Result<FaultSweepTiming, BenchError> {
+/// Times the fault sweep of the benchmark's `tools` workload: `anr
+/// fault-sweep --robots 256 --loss 0,0.05 --crashes 0,1` at seed 42 (the
+/// `sweep/tools` row of `tests/engine_golden.rs`), on 64 robots in smoke
+/// mode.
+fn bench_fault_sweep(smoke: bool, repeats: usize) -> Result<FaultSweepTiming, BenchError> {
+    let robots = if smoke { 64 } else { 256 };
     let problem = crate::scenario_problem_sized(1, 10.0, robots)?;
-    let base = if smoke {
-        SweepConfig {
-            loss_rates: vec![0.0, 0.1],
-            crash_counts: vec![0, 1],
-            max_rounds: 2000,
-            ..Default::default()
-        }
-    } else {
-        SweepConfig::default()
+    let base = SweepConfig {
+        loss_rates: vec![0.0, 0.05],
+        crash_counts: vec![0, 1],
+        seed: 42,
+        ..SweepConfig::default()
     };
     let cells = base.loss_rates.len() * base.crash_counts.len();
     let workers = anr_par::default_workers();
@@ -246,7 +243,7 @@ pub fn run_pipeline_bench(opts: &BenchOptions) -> Result<PipelineBenchReport, Be
         .iter()
         .map(|&id| bench_march(id, robots, opts.repeats))
         .collect::<Result<_, _>>()?;
-    let fault_sweep = bench_fault_sweep(64, opts.smoke, opts.repeats)?;
+    let fault_sweep = bench_fault_sweep(opts.smoke, opts.repeats)?;
     let scale = if opts.scale_tier {
         Some(bench_march(1, 10_000, 1)?)
     } else {
