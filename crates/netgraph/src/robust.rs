@@ -61,24 +61,14 @@ struct PendingSend<M> {
 }
 
 /// Drives the shared retransmit loop: resends due entries, drops
-/// entries that exhausted their retries. Returns sends to make.
+/// entries that exhausted their retries.
 fn tick_retransmits<M: Clone>(
     pending: &mut Vec<PendingSend<M>>,
     round: usize,
     cfg: &RetransmitConfig,
     out: &mut Outbox<M>,
 ) {
-    pending.retain_mut(|entry| {
-        if round >= entry.resend_at {
-            if entry.retries >= cfg.max_retries {
-                return false; // give up on this neighbor
-            }
-            entry.retries += 1;
-            entry.resend_at = round + cfg.interval;
-            out.send(entry.to, entry.msg.clone());
-        }
-        true
-    });
+    pending.retain_mut(|entry| tick_entry(entry, round, cfg, out));
 }
 
 // ---------------------------------------------------------------------
@@ -110,6 +100,12 @@ pub enum RFloodMsg {
 /// Loss-tolerant [`FloodNode`](crate::protocols::FloodNode): every
 /// record is sent per-neighbor and retransmitted until acknowledged (or
 /// retries are exhausted).
+///
+/// Learning any new record postpones every pending resend to at least
+/// `interval` rounds after the current one. That is protocol behaviour,
+/// pinned by the golden digests. Each round walks the inbox once, then
+/// the retransmit queue once: dropping acked entries, postponing and
+/// retransmitting in one pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RobustFloodNode {
     /// This node's ID.
@@ -119,6 +115,9 @@ pub struct RobustFloodNode {
     cfg: RetransmitConfig,
     pending: Vec<PendingSend<RFloodMsg>>,
     neighbors: Vec<usize>,
+    /// The round's acks as `(origin, from)`: empty between calls, so
+    /// never persisted and never making two nodes unequal.
+    acks: Vec<(u32, usize)>,
 }
 
 impl RobustFloodNode {
@@ -139,6 +138,7 @@ impl RobustFloodNode {
             cfg,
             pending: Vec::new(),
             neighbors,
+            acks: Vec::new(),
         }
     }
 
@@ -203,6 +203,10 @@ impl Node for RobustFloodNode {
         inbox: &[Envelope<RFloodMsg>],
         out: &mut Outbox<RFloodMsg>,
     ) {
+        // Set when this round learns a record. Learning any record
+        // postpones every pending resend; `pass_queue` applies that once
+        // for the whole round.
+        let mut learned = false;
         for env in inbox {
             match env.msg {
                 RFloodMsg::Data { origin, value } => {
@@ -212,24 +216,20 @@ impl Node for RobustFloodNode {
                     if self.known[origin].is_none() {
                         self.known[origin] = Some(value);
                         self.queue_record(origin, value, Some(env.from), out);
-                        // Fix up resend times queued during on_round:
-                        // they count from the current round.
-                        for entry in &mut self.pending {
-                            if entry.resend_at < round + self.cfg.interval {
-                                entry.resend_at = round + self.cfg.interval;
-                            }
-                        }
+                        learned = true;
                     }
                 }
                 RFloodMsg::Ack { origin } => {
-                    self.pending.retain(|e| {
-                        !(e.to == env.from
-                            && matches!(e.msg, RFloodMsg::Data { origin: o, .. } if o == origin))
-                    });
+                    // Noted here; `pass_queue` drops the entries it acks.
+                    self.acks.push((origin, env.from));
                 }
             }
         }
-        tick_retransmits(&mut self.pending, round, &self.cfg, out);
+        // One walk of the queue drops the acked entries, applies the
+        // postponement and retransmits what is due. Its retransmits
+        // follow every ack and record sent above, as the tick's always
+        // did, so the engine numbers and perturbs the sends as before.
+        self.pass_queue(round, learned, out);
     }
 
     /// With no pending retransmissions, a round with an empty inbox
@@ -635,6 +635,85 @@ impl Node for RobustBoundaryLoopNode {
 }
 
 // ---------------------------------------------------------------------
+// Retransmit-queue walks
+// ---------------------------------------------------------------------
+
+/// Resends `entry` if it is due; returns `false` once it has exhausted
+/// its retries and must be dropped.
+fn tick_entry<M: Clone>(
+    entry: &mut PendingSend<M>,
+    round: usize,
+    cfg: &RetransmitConfig,
+    out: &mut Outbox<M>,
+) -> bool {
+    if round >= entry.resend_at {
+        if entry.retries >= cfg.max_retries {
+            return false; // give up on this neighbor
+        }
+        entry.retries += 1;
+        entry.resend_at = round + cfg.interval;
+        out.send(entry.to, entry.msg.clone());
+    }
+    true
+}
+
+impl RobustFloodNode {
+    /// The queue half of `on_round`, after the inbox loop has sent its
+    /// acks and records: one walk of the queue drops the entries acked
+    /// in `self.acks`, postpones every entry when a record was `learned`
+    /// and runs the retransmit tick. It leaves the same queue and makes
+    /// the same sends as a removal per ack and a postponement per learned
+    /// record inside the inbox loop, then [`tick_retransmits`], for the
+    /// three reasons numbered below.
+    fn pass_queue(&mut self, round: usize, learned: bool, out: &mut Outbox<RFloodMsg>) {
+        self.acks.sort_unstable();
+        let acks = &self.acks[..];
+        let cfg = self.cfg;
+        // The last origin looked up and its acks. One `queue_record` call
+        // queues all of an origin's entries, so they sit together in the
+        // queue and each origin is searched for about once.
+        let mut origin_acks: Option<(u32, &[(u32, usize)])> = None;
+        self.pending.retain_mut(|entry| {
+            // 1. An ack from `j` for origin `o` can only match an entry
+            //    queued in an earlier call: the entry is queued in the
+            //    call that first sends Data `o` to `j`, and `j`'s ack
+            //    needs at least one more round to come back. So dropping
+            //    the round's acked entries here drops the entries the
+            //    per-ack removals dropped, and the survivors keep their
+            //    order.
+            if let RFloodMsg::Data { origin, .. } = entry.msg {
+                let group = match origin_acks {
+                    Some((o, group)) if o == origin => group,
+                    _ => {
+                        let lo = acks.partition_point(|a| a.0 < origin);
+                        let hi = lo + acks[lo..].partition_point(|a| a.0 == origin);
+                        origin_acks = Some((origin, &acks[lo..hi]));
+                        &acks[lo..hi]
+                    }
+                };
+                if group.iter().any(|&(_, from)| from == entry.to) {
+                    return false;
+                }
+            }
+            // 2. One postponement per call leaves the same queue as one
+            //    per learned record: each raises every queued entry to at
+            //    least `round + interval`, and every entry queued in this
+            //    call (stamped `interval`, as if sent at round 0) is
+            //    followed by one.
+            if learned {
+                entry.resend_at = entry.resend_at.max(round + cfg.interval);
+            }
+            // 3. The tick ran last, in queue order. Fused into this pass
+            //    its retransmits still follow the inbox's sends, so the
+            //    engine assigns the same sequence numbers and draws the
+            //    same fault randomness.
+            tick_entry(entry, round, &cfg, out)
+        });
+        self.acks.clear();
+    }
+}
+
+// ---------------------------------------------------------------------
 // Checkpoint support: byte-stable Persist impls
 // ---------------------------------------------------------------------
 //
@@ -799,6 +878,7 @@ impl Persist for RobustFloodNode {
             cfg: RetransmitConfig::restore(r)?,
             pending: Vec::restore(r)?,
             neighbors: Vec::restore(r)?,
+            acks: Vec::new(),
         })
     }
 }
@@ -865,8 +945,10 @@ impl Persist for RobustBoundaryLoopNode {
 mod tests {
     use super::*;
     use crate::UnitDiskGraph;
-    use anr_distsim::{EventSim, ExplicitTopology, FaultPlan};
+    use anr_distsim::{DelayModel, EventSim, ExplicitTopology, FaultPlan};
     use anr_geom::Point;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn grid_graph(cols: usize, rows: usize) -> UnitDiskGraph {
         let pts: Vec<Point> = (0..cols * rows)
@@ -936,5 +1018,162 @@ mod tests {
         assert!(!flood.is_settled() || flood.idle());
         let hop = RobustHopFieldNode::new(false, vec![1], cfg);
         assert!(hop.idle());
+    }
+
+    /// `RobustFloodNode::on_round` as it was before the one-pass queue:
+    /// inside the inbox loop, a removal per ack and a postponement per
+    /// learned record, then `tick_retransmits`. It also counts the calls
+    /// the one pass has to get right.
+    #[derive(Debug, Clone)]
+    struct ReferenceFloodNode {
+        inner: RobustFloodNode,
+        /// Calls whose inbox both learned a record and held an ack that
+        /// dropped an entry.
+        ack_and_learned: usize,
+        /// Entries dropped because they ran out of retries.
+        give_ups: usize,
+    }
+
+    impl Node for ReferenceFloodNode {
+        type Msg = RFloodMsg;
+
+        fn on_start(&mut self, out: &mut Outbox<RFloodMsg>) {
+            self.inner.on_start(out);
+        }
+
+        fn on_round(
+            &mut self,
+            round: usize,
+            inbox: &[Envelope<RFloodMsg>],
+            out: &mut Outbox<RFloodMsg>,
+        ) {
+            let node = &mut self.inner;
+            let (mut learned, mut acked) = (false, false);
+            for env in inbox {
+                match env.msg {
+                    RFloodMsg::Data { origin, value } => {
+                        out.send(env.from, RFloodMsg::Ack { origin });
+                        let origin = origin as usize;
+                        if node.known[origin].is_none() {
+                            node.known[origin] = Some(value);
+                            node.queue_record(origin, value, Some(env.from), out);
+                            for entry in &mut node.pending {
+                                if entry.resend_at < round + node.cfg.interval {
+                                    entry.resend_at = round + node.cfg.interval;
+                                }
+                            }
+                            learned = true;
+                        }
+                    }
+                    RFloodMsg::Ack { origin } => {
+                        let before = node.pending.len();
+                        node.pending.retain(|e| {
+                            !(e.to == env.from
+                                && matches!(e.msg, RFloodMsg::Data { origin: o, .. } if o == origin))
+                        });
+                        acked |= node.pending.len() < before;
+                    }
+                }
+            }
+            self.ack_and_learned += usize::from(learned && acked);
+            let before = node.pending.len();
+            tick_retransmits(&mut node.pending, round, &node.cfg, out);
+            self.give_ups += before - node.pending.len();
+        }
+
+        fn idle(&self) -> bool {
+            self.inner.idle()
+        }
+    }
+
+    impl Persist for ReferenceFloodNode {
+        fn persist(&self, w: &mut SnapshotWriter) {
+            self.inner.persist(w);
+        }
+        fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
+            Ok(ReferenceFloodNode {
+                inner: RobustFloodNode::restore(r)?,
+                ack_and_learned: 0,
+                give_ups: 0,
+            })
+        }
+    }
+
+    /// `n` robots scattered uniformly until their unit-disk graph (range
+    /// 80) is connected.
+    fn random_connected_graph(rng: &mut StdRng, n: usize) -> UnitDiskGraph {
+        let side = 40.0 * (n as f64).sqrt();
+        loop {
+            let pts: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
+                .collect();
+            let g = UnitDiskGraph::new(&pts, 80.0);
+            if g.is_connected() {
+                return g;
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_queue_matches_the_per_ack_reference() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let (mut ack_and_learned, mut give_ups) = (0, 0);
+        for case in 0..40 {
+            let n = rng.gen_range(8..=40);
+            let g = random_connected_graph(&mut rng, n);
+            let cfg = RetransmitConfig {
+                interval: rng.gen_range(1..=4),
+                max_retries: rng.gen_range(0..=6),
+            };
+            let mut plan = FaultPlan::reliable(rng.next_u64())
+                .with_loss(rng.gen_range(0.0..0.3))
+                .with_delay(DelayModel::Uniform {
+                    min: 0,
+                    max: rng.gen_range(0..=3),
+                })
+                .with_duplication(rng.gen_range(0.0..0.2));
+            for _ in 0..rng.gen_range(0..=3) {
+                let (robot, down) = (rng.gen_range(0..n), rng.gen_range(0..20));
+                plan = plan
+                    .with_crash(down, robot)
+                    .with_recovery(down + rng.gen_range(1..30), robot);
+            }
+            let nodes: Vec<RobustFloodNode> = (0..n)
+                .map(|i| RobustFloodNode::new(i, i as f64, n, g.adjacency()[i].clone(), cfg))
+                .collect();
+            let reference: Vec<ReferenceFloodNode> = nodes
+                .iter()
+                .map(|node| ReferenceFloodNode {
+                    inner: node.clone(),
+                    ack_and_learned: 0,
+                    give_ups: 0,
+                })
+                .collect();
+            let topology = ExplicitTopology::new(g.adjacency().to_vec()).unwrap();
+            let mut one_pass = EventSim::new(nodes, topology.clone(), plan.clone()).unwrap();
+            let mut per_ack = EventSim::new(reference, topology, plan).unwrap();
+            for round in 0..400 {
+                one_pass.run_rounds(1).unwrap();
+                per_ack.run_rounds(1).unwrap();
+                assert!(
+                    one_pass.save() == per_ack.save(),
+                    "case {case}: states differ after round {round}"
+                );
+                if !per_ack.has_messages_in_flight() && per_ack.nodes().iter().all(Node::idle) {
+                    break;
+                }
+            }
+            for node in per_ack.nodes() {
+                ack_and_learned += node.ack_and_learned;
+                give_ups += node.give_ups;
+            }
+        }
+        // The runs reach both cases the one pass reorders: an ack that
+        // drops an entry in the same inbox as a newly learned record, and
+        // an entry that runs out of retries.
+        assert!(
+            ack_and_learned > 0 && give_ups > 0,
+            "{ack_and_learned} {give_ups}"
+        );
     }
 }
