@@ -29,7 +29,7 @@ pub use distsim::{
 };
 pub use serve::{run_serve_bench, BusyBurst, PhaseStats, ServeBenchOptions, ServeBenchReport};
 pub use timing::{
-    parse_march_stage_medians, run_pipeline_bench, stage_regressions, BenchOptions, MarchTiming,
+    parse_guarded_times, run_pipeline_bench, time_regressions, BenchOptions, MarchTiming,
     PipelineBenchReport,
 };
 

@@ -329,27 +329,53 @@ impl PipelineBenchReport {
     }
 }
 
-/// Extracts `(scenario id, stage, median_ms)` triples from a pipeline
+/// Reads `"key": number` from one line of a report, if present.
+fn member(line: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\": ");
+    let rest = &line[line.find(&pat)? + pat.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
+/// Extracts every time the `--against` guard compares from a pipeline
 /// bench report's JSON — the committed `BENCH_pipeline*.json` baselines
-/// this crate itself writes (scenario `march_stages` sections only).
+/// this crate itself writes: per scenario its `march_ms` and each
+/// `march_stages` median, the fault sweep's `serial_ms` and
+/// `parallel_ms`, and the scale tier's `march_ms` (not its stages).
+/// Each time is labelled as the guard names it: `scenario 1 march_ms`,
+/// ``scenario 1 stage `lloyd` ``, `fault sweep serial_ms`, `scale tier
+/// march_ms`.
 ///
 /// The parser is keyed on this crate's own serializer layout; lines it
 /// does not recognize are skipped, so older baselines (schemas `/2` and
 /// `/3`, which carry extra sections) parse fine.
 #[must_use]
-pub fn parse_march_stage_medians(json: &str) -> Vec<(u8, String, f64)> {
+pub fn parse_guarded_times(json: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
-    let mut scenario: Option<u8> = None;
-    let mut in_march_stages = false;
+    // The scenario or tier the current lines belong to.
+    let mut owner: Option<String> = None;
     let mut in_scale_tier = false;
+    let mut in_march_stages = false;
     for line in json.lines() {
         let t = line.trim();
         if t.starts_with("\"scale_tier\"") {
             in_scale_tier = true;
+            owner = Some("scale tier".to_string());
         }
         if let Some(rest) = t.strip_prefix("\"id\":") {
-            scenario = rest.trim_end_matches(',').trim().parse().ok();
+            if !in_scale_tier {
+                let id: Option<u8> = rest.trim_end_matches(',').trim().parse().ok();
+                owner = id.map(|id| format!("scenario {id}"));
+            }
         }
+        if t.starts_with("\"fault_sweep\"") {
+            for key in ["serial_ms", "parallel_ms"] {
+                if let Some(ms) = member(t, key) {
+                    out.push((format!("fault sweep {key}"), ms));
+                }
+            }
+        }
+        let Some(owner) = &owner else { continue };
         if t.starts_with("\"march_stages\"") {
             in_march_stages = !in_scale_tier;
             continue;
@@ -359,69 +385,71 @@ pub fn parse_march_stage_medians(json: &str) -> Vec<(u8, String, f64)> {
                 in_march_stages = false;
                 continue;
             }
-            let (Some(id), Some(si)) = (scenario, t.find("\"stage\": \"")) else {
+            let (Some(si), Some(ms)) = (t.find("\"stage\": \""), member(t, "median_ms")) else {
                 continue;
             };
             let rest = &t[si + 10..];
-            let Some(se) = rest.find('\"') else { continue };
-            let stage = rest[..se].to_string();
-            let Some(mi) = t.find("\"median_ms\": ") else {
-                continue;
-            };
-            let med = t[mi + 13..]
-                .trim_end_matches(['}', ',', ' '])
-                .parse::<f64>();
-            if let Ok(m) = med {
-                out.push((id, stage, m));
+            if let Some(se) = rest.find('\"') {
+                out.push((format!("{owner} stage `{}`", &rest[..se]), ms));
             }
+        } else if let Some(ms) = member(t, "march_ms") {
+            out.push((format!("{owner} march_ms"), ms));
         }
     }
     out
 }
 
-/// Compares a fresh report's per-scenario pipeline-stage medians against
-/// a committed baseline report (same scale!), returning one message per
-/// stage that regressed beyond `factor`× the baseline plus `grace_ms`.
+/// Compares a fresh report's times against a committed baseline report
+/// (same scale!), returning one message per time that regressed beyond
+/// `factor`× the baseline plus `grace_ms`: each scenario's `march_ms`
+/// and pipeline-stage medians, the fault sweep's serial and parallel
+/// times, and the scale tier's `march_ms` when both reports have a tier
+/// (see [`parse_guarded_times`]).
 ///
 /// The absolute grace keeps sub-millisecond stages from tripping the
-/// guard on scheduler jitter. Stages or scenarios missing from either
-/// side are skipped (a new stage has no baseline to regress from), but a
-/// baseline that shares no (scenario, stage) pair with the report is
-/// itself a regression message: the guard compared nothing.
+/// guard on scheduler jitter. Times missing from either side are skipped
+/// (a new stage has no baseline to regress from), but a baseline that
+/// shares no time with the report is itself a regression message: the
+/// guard compared nothing.
 #[must_use]
-pub fn stage_regressions(
+pub fn time_regressions(
     current: &PipelineBenchReport,
     baseline_json: &str,
     factor: f64,
     grace_ms: f64,
 ) -> Vec<String> {
-    let baseline = parse_march_stage_medians(baseline_json);
+    compare_times(
+        &parse_guarded_times(&current.to_json()),
+        &parse_guarded_times(baseline_json),
+        factor,
+        grace_ms,
+    )
+}
+
+fn compare_times(
+    current: &[(String, f64)],
+    baseline: &[(String, f64)],
+    factor: f64,
+    grace_ms: f64,
+) -> Vec<String> {
     let mut messages = Vec::new();
     let mut compared = 0usize;
-    for sc in &current.scenarios {
-        for st in &sc.march_stages {
-            let Some((_, _, base)) = baseline
-                .iter()
-                .find(|(id, stage, _)| *id == sc.id && stage == st.stage)
-            else {
-                continue;
-            };
-            compared += 1;
-            let limit = base * factor + grace_ms;
-            if st.median_ms > limit {
-                messages.push(format!(
-                    "scenario {} stage `{}`: {:.3} ms exceeds {:.3} ms \
-                     ({factor}x baseline {:.3} ms + {grace_ms} ms grace)",
-                    sc.id, st.stage, st.median_ms, limit, base,
-                ));
-            }
+    for (label, ms) in current {
+        let Some((_, base)) = baseline.iter().find(|(l, _)| l == label) else {
+            continue;
+        };
+        compared += 1;
+        let limit = base * factor + grace_ms;
+        if *ms > limit {
+            messages.push(format!(
+                "{label}: {ms:.3} ms exceeds {limit:.3} ms \
+                 ({factor}x baseline {base:.3} ms + {grace_ms} ms grace)"
+            ));
         }
     }
     if compared == 0 {
         messages.push(
-            "the baseline holds none of this report's (scenario, stage) medians: \
-             nothing was compared"
-                .to_string(),
+            "the baseline holds none of this report's times: nothing was compared".to_string(),
         );
     }
     messages
@@ -491,20 +519,38 @@ mod tests {
 
         // The report's own JSON round-trips through the baseline parser,
         // and an identical baseline never trips the regression guard.
-        let parsed = parse_march_stage_medians(&json);
-        assert_eq!(parsed.len(), sc.march_stages.len());
-        for st in &sc.march_stages {
+        let parsed = parse_guarded_times(&json);
+        let expected = [
+            ("scenario 1 march_ms".to_string(), sc.march_ms),
+            (
+                "fault sweep serial_ms".to_string(),
+                report.fault_sweep.serial_ms,
+            ),
+            (
+                "fault sweep parallel_ms".to_string(),
+                report.fault_sweep.parallel_ms,
+            ),
+        ]
+        .into_iter()
+        .chain(
+            sc.march_stages
+                .iter()
+                .map(|st| (format!("scenario 1 stage `{}`", st.stage), st.median_ms)),
+        );
+        let mut count = 0;
+        for (label, ms) in expected {
+            count += 1;
             assert!(
-                parsed.iter().any(|(id, stage, m)| *id == sc.id
-                    && stage == st.stage
-                    && (*m - st.median_ms).abs() <= 0.0005),
-                "stage `{}` lost by the parser",
-                st.stage
+                parsed
+                    .iter()
+                    .any(|(l, m)| *l == label && (*m - ms).abs() <= 0.0005),
+                "`{label}` lost by the parser"
             );
         }
-        assert!(stage_regressions(&report, &json, 2.0, 10.0).is_empty());
+        assert_eq!(parsed.len(), count);
+        assert!(time_regressions(&report, &json, 2.0, 10.0).is_empty());
 
-        // A baseline claiming everything ran in ~0 ms flags every stage
+        // A baseline claiming every stage ran in ~0 ms flags every stage
         // slower than the grace budget.
         let zeroed: String = json
             .lines()
@@ -518,16 +564,57 @@ mod tests {
             })
             .collect::<Vec<_>>()
             .join("\n");
-        let slow: Vec<_> = sc
+        let slow = sc
             .march_stages
             .iter()
             .filter(|st| st.median_ms > 10.0)
-            .collect();
-        let flagged = stage_regressions(&report, &zeroed, 2.0, 10.0);
-        assert_eq!(flagged.len(), slow.len(), "{flagged:?}");
+            .count();
+        let flagged = time_regressions(&report, &zeroed, 2.0, 10.0);
+        assert_eq!(flagged.len(), slow, "{flagged:?}");
 
         // A baseline with nothing to compare fails the guard.
-        let empty = stage_regressions(&report, "", 2.0, 10.0);
+        let empty = time_regressions(&report, "", 2.0, 10.0);
         assert_eq!(empty.len(), 1, "{empty:?}");
+    }
+
+    #[test]
+    fn guard_names_every_time_cut_tenfold_in_the_baseline() {
+        let committed = include_str!("../../../BENCH_pipeline_smoke.json");
+        let times = parse_guarded_times(committed);
+        // The committed smoke baseline carries every end-to-end time CI's
+        // guarded run reports, the 10⁴ tier included, and compared with
+        // itself the guard is quiet.
+        for label in [
+            "scenario 1 march_ms",
+            "fault sweep serial_ms",
+            "fault sweep parallel_ms",
+            "scale tier march_ms",
+        ] {
+            assert!(
+                times.iter().any(|(l, _)| l == label),
+                "no `{label}` in the committed baseline"
+            );
+        }
+        assert_eq!(times.len(), 4 + 8, "{times:?}");
+        assert!(compare_times(&times, &times, 2.0, 10.0).is_empty());
+        // Cut any one time tenfold in the baseline and the guard names it,
+        // and only it: always without a grace, and with CI's 10 ms grace
+        // whenever the time exceeds its limit (a fifth of it plus 10 ms).
+        for (i, (label, ms)) in times.iter().enumerate() {
+            let mut cut = times.clone();
+            cut[i].1 = ms / 10.0;
+            for grace in [0.0, 10.0] {
+                let messages = compare_times(&times, &cut, 2.0, grace);
+                if *ms > 0.2 * ms + grace {
+                    assert_eq!(messages.len(), 1, "{label}: {messages:?}");
+                    assert!(
+                        messages[0].starts_with(&format!("{label}: ")),
+                        "{messages:?}"
+                    );
+                } else {
+                    assert!(messages.is_empty(), "{label}: {messages:?}");
+                }
+            }
+        }
     }
 }

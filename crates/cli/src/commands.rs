@@ -493,19 +493,19 @@ pub fn run_command(command: Command, tracer: &Tracer) -> Result<(), CliError> {
             }
             if let Some(baseline_path) = &against {
                 let baseline = std::fs::read_to_string(baseline_path)?;
-                let regressions = anr_bench::stage_regressions(&report, &baseline, 2.0, 10.0);
+                let regressions = anr_bench::time_regressions(&report, &baseline, 2.0, 10.0);
                 if !regressions.is_empty() {
                     for r in &regressions {
-                        eprintln!("stage regression: {r}");
+                        eprintln!("time regression: {r}");
                     }
                     return Err(CliError::BadParameter(format!(
-                        "{} pipeline stage check(s) failed against the baseline {}",
+                        "{} pipeline time check(s) failed against the baseline {}",
                         regressions.len(),
                         baseline_path.display(),
                     )));
                 }
                 eprintln!(
-                    "stage medians within 2x of baseline {}",
+                    "march, stage and fault-sweep times within 2x of baseline {}",
                     baseline_path.display()
                 );
             }
