@@ -226,9 +226,9 @@ impl Node for RobustFloodNode {
             }
         }
         // One walk of the queue drops the acked entries, applies the
-        // postponement and retransmits what is due. Its retransmits
-        // follow every ack and record sent above, as the tick's always
-        // did, so the engine numbers and perturbs the sends as before.
+        // postponement and retransmits what is due. Its retransmits must
+        // follow every ack and record sent above: the engine numbers the
+        // sends and draws their fault randomness in outbox order.
         self.pass_queue(round, learned, out);
     }
 
@@ -1122,7 +1122,7 @@ mod tests {
             let n = rng.gen_range(8..=40);
             let g = random_connected_graph(&mut rng, n);
             let cfg = RetransmitConfig {
-                interval: rng.gen_range(1..=4),
+                interval: rng.gen_range(0..=4),
                 max_retries: rng.gen_range(0..=6),
             };
             let mut plan = FaultPlan::reliable(rng.next_u64())
@@ -1168,12 +1168,13 @@ mod tests {
                 give_ups += node.give_ups;
             }
         }
-        // The runs reach both cases the one pass reorders: an ack that
-        // drops an entry in the same inbox as a newly learned record, and
-        // an entry that runs out of retries.
+        // The runs reach both cases where the one pass acts in another
+        // order than the reference: an ack that drops an entry in the same
+        // inbox as a newly learned record, and an entry that runs out of
+        // retries.
         assert!(
             ack_and_learned > 0 && give_ups > 0,
-            "{ack_and_learned} {give_ups}"
+            "ack and learned record in one inbox: {ack_and_learned}, give-ups: {give_ups}"
         );
     }
 }
