@@ -172,10 +172,12 @@ fn audit_identical_across_worker_counts() {
     }
 }
 
-/// FNV-1a 64 of an audit report: its fields in declaration order, each
-/// count as a `u64` and each `f64` as its bits, big-endian, every list
-/// preceded by its length. Fields are named one by one, so a field
-/// added to the report later cannot move a digest.
+/// FNV-1a 64 of an audit report's outputs: its fields in declaration
+/// order, each count as a `u64` and each `f64` as its bits, big-endian,
+/// every list preceded by its length. Fields are named one by one, so a
+/// field added to the report later cannot move a digest. The work
+/// counters are left out and pinned as they are ([`work_counters`]), so
+/// a change that only does less work moves no output digest.
 fn report_digest(r: &AuditReport) -> u64 {
     let mut words: Vec<u64> = vec![
         r.robots as u64,
@@ -198,22 +200,26 @@ fn report_digest(r: &AuditReport) -> u64 {
     for &(lo, hi) in &r.disconnected_intervals {
         words.extend([lo.to_bits(), hi.to_bits()]);
     }
-    words.extend([
-        r.pieces as u64,
-        r.knots as u64,
-        r.connectivity_checks as u64,
-        r.components as u64,
-        r.swept_pairs as u64,
-    ]);
+    words.extend([r.pieces as u64, r.knots as u64, r.components as u64]);
     let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_be_bytes()).collect();
     anr_serve::fnv1a64(&bytes)
 }
 
+/// The audit's work counters: `(connectivity_checks, swept_pairs)`.
+fn work_counters(r: &AuditReport) -> (usize, usize) {
+    (r.connectivity_checks, r.swept_pairs)
+}
+
+/// A scenario's pin: id, method tag, robots, then its [`report_digest`]
+/// and [`work_counters`].
+type ScenarioPin = (u8, char, usize, u64, (usize, usize));
+
 /// The knot audit of every scenario's real march, methods (a) and (b),
-/// at 144, 400 and 1296 robots, pinned by [`report_digest`]. The digests
-/// were taken when a dense all-robot walk still checked every one of
-/// these reports (`C`, `L`, the preserved and violating links exactly,
-/// intervals and maximum distances within 1e-9).
+/// at 144, 400 and 1296 robots, pinned by [`report_digest`] and
+/// [`work_counters`]. A dense all-robot walk, since deleted, checked
+/// every one of these reports when they were first pinned (`C`, `L`,
+/// the preserved and violating links exactly, intervals and maximum
+/// distances within 1e-9).
 #[test]
 fn knot_audit_is_pinned_on_every_scenario() {
     let mut got = Vec::new();
@@ -228,53 +234,53 @@ fn knot_audit_is_pinned_on_every_scenario() {
                 } else {
                     'b'
                 };
-                got.push((id, tag, robots, report_digest(&r)));
+                got.push((id, tag, robots, report_digest(&r), work_counters(&r)));
             }
         }
     }
-    let want: Vec<(u8, char, usize, u64)> = vec![
-        (1, 'a', 144, 0x2d76_17a9_eeff_2c45),
-        (1, 'b', 144, 0xf3d5_7996_a4b2_4d55),
-        (2, 'a', 144, 0xca15_4c1f_89ab_2b16),
-        (2, 'b', 144, 0xcb80_ad8e_7aca_5746),
-        (3, 'a', 144, 0x031a_5c98_a6bb_5138),
-        (3, 'b', 144, 0x0f95_c975_019b_0cf7),
-        (4, 'a', 144, 0xf360_fef8_c6de_c792),
-        (4, 'b', 144, 0x42c0_9b14_7a9b_fd97),
-        (5, 'a', 144, 0x3b5a_e87c_a306_69ef),
-        (5, 'b', 144, 0xfc86_4f40_8586_2f66),
-        (6, 'a', 144, 0x0b07_d38f_a811_f069),
-        (6, 'b', 144, 0x1218_19a0_dfbf_21fe),
-        (7, 'a', 144, 0xad53_7f66_e143_9670),
-        (7, 'b', 144, 0x3e9c_52fd_f032_5a22),
-        (1, 'a', 400, 0xa5cb_9c2c_c88e_63d4),
-        (1, 'b', 400, 0x0b54_a2ad_cbf7_ee9c),
-        (2, 'a', 400, 0xae72_aae2_9001_308d),
-        (2, 'b', 400, 0xd6d0_d374_3b4d_a1ee),
-        (3, 'a', 400, 0xdca0_86ff_801c_761a),
-        (3, 'b', 400, 0x12a7_e94f_7255_5308),
-        (4, 'a', 400, 0x885a_bfa2_3dc5_cfa2),
-        (4, 'b', 400, 0x0435_fcf9_1d85_d5a2),
-        (5, 'a', 400, 0xdbc0_c30d_5197_2013),
-        (5, 'b', 400, 0x5cf7_d3b5_66f8_6eee),
-        (6, 'a', 400, 0xf5e4_23ef_16f4_4806),
-        (6, 'b', 400, 0x3686_97ce_a4c6_ce9b),
-        (7, 'a', 400, 0xdea3_d4b0_b199_fac8),
-        (7, 'b', 400, 0x0e1d_d61a_1371_2772),
-        (1, 'a', 1296, 0xf304_dd75_423e_9e42),
-        (1, 'b', 1296, 0x0229_28dd_c6dd_0c23),
-        (2, 'a', 1296, 0x94ab_c2c0_1b2d_b207),
-        (2, 'b', 1296, 0x0b4f_3484_0ba5_f99a),
-        (3, 'a', 1296, 0x6410_c557_12f5_2384),
-        (3, 'b', 1296, 0x2410_33ef_2069_9c80),
-        (4, 'a', 1296, 0x93fc_3f7e_7765_f199),
-        (4, 'b', 1296, 0x2a0e_7370_9b7f_02ab),
-        (5, 'a', 1296, 0xe812_1ebf_848d_5ce8),
-        (5, 'b', 1296, 0xc0c2_0f47_af48_83ec),
-        (6, 'a', 1296, 0xe28e_d59b_9f74_8120),
-        (6, 'b', 1296, 0xf654_fcef_1052_3e9e),
-        (7, 'a', 1296, 0x147c_97d6_c88b_f166),
-        (7, 'b', 1296, 0xb86f_5e1c_e68e_153d),
+    let want: Vec<ScenarioPin> = vec![
+        (1, 'a', 144, 0xd6ce_14be_979b_19b2, (1, 0)),
+        (1, 'b', 144, 0xd2b7_dc46_3dad_76c2, (1, 0)),
+        (2, 'a', 144, 0x9a9d_ad92_ecdf_8ee9, (1, 0)),
+        (2, 'b', 144, 0x510f_32fb_8a62_2f19, (1, 0)),
+        (3, 'a', 144, 0xa961_1e18_a97b_1c8b, (1, 0)),
+        (3, 'b', 144, 0x78f6_7916_2f6a_0343, (141, 258)),
+        (4, 'a', 144, 0x929e_5ae6_54fc_2c65, (1, 0)),
+        (4, 'b', 144, 0xe787_256e_f4cf_0684, (1, 0)),
+        (5, 'a', 144, 0x6818_a0c7_54c3_9cdc, (1, 0)),
+        (5, 'b', 144, 0xff5e_8451_d5c6_ff39, (1, 0)),
+        (6, 'a', 144, 0xe8b9_6843_a9ec_2f53, (2367, 1584)),
+        (6, 'b', 144, 0x1004_1dac_84ba_9ca4, (118, 2152)),
+        (7, 'a', 144, 0xa535_4f77_22f6_ad11, (368, 3881)),
+        (7, 'b', 144, 0x228f_300f_49cc_f298, (123, 1828)),
+        (1, 'a', 400, 0x50dc_9cd2_1b08_a827, (1, 0)),
+        (1, 'b', 400, 0x2310_f6be_4d91_40ef, (1, 0)),
+        (2, 'a', 400, 0x3ce6_20c7_7251_cbfa, (1, 0)),
+        (2, 'b', 400, 0xc4d2_51d4_df35_8fc1, (1, 0)),
+        (3, 'a', 400, 0xa535_d555_c671_f8ed, (1, 0)),
+        (3, 'b', 400, 0x8815_9f78_faf6_2a5b, (1, 0)),
+        (4, 'a', 400, 0xaf30_10b1_d510_b075, (1, 0)),
+        (4, 'b', 400, 0xb72c_b4b7_f69f_3675, (1, 0)),
+        (5, 'a', 400, 0xaea2_b310_faa1_aa00, (1, 0)),
+        (5, 'b', 400, 0xdcce_bc42_a0c5_1cc1, (1, 0)),
+        (6, 'a', 400, 0xc2ea_093e_0cd5_96ad, (16681, 7600)),
+        (6, 'b', 400, 0x30af_cdfa_f989_7688, (1, 0)),
+        (7, 'a', 400, 0xb192_3551_b4b7_3d1a, (2878, 25299)),
+        (7, 'b', 400, 0x0b4a_7a09_3ed4_bdbd, (1548, 19559)),
+        (1, 'a', 1296, 0xd323_e488_dec0_d715, (1, 0)),
+        (1, 'b', 1296, 0x2e0d_b290_563c_1210, (1, 0)),
+        (2, 'a', 1296, 0x853c_636f_75a0_1ef4, (1, 0)),
+        (2, 'b', 1296, 0xe07f_bad5_55fe_9c6d, (1, 0)),
+        (3, 'a', 1296, 0x9999_4f0c_e5d1_fbd7, (1, 0)),
+        (3, 'b', 1296, 0x2fe6_1bff_f494_55d3, (1, 0)),
+        (4, 'a', 1296, 0xf138_d187_17e1_ea06, (1, 0)),
+        (4, 'b', 1296, 0xf440_3a54_3fc4_2698, (1, 0)),
+        (5, 'a', 1296, 0xc4b8_e7b7_f67c_bc3b, (1, 0)),
+        (5, 'b', 1296, 0xd320_ff52_7702_023f, (1, 0)),
+        (6, 'a', 1296, 0x86e0_e91b_a5a1_1273, (1, 0)),
+        (6, 'b', 1296, 0x48ed_8c89_a53d_8071, (1, 0)),
+        (7, 'a', 1296, 0x6171_47b4_8979_e74b, (33945, 278690)),
+        (7, 'b', 1296, 0x7e2a_40c5_c83c_344f, (13513, 183425)),
     ];
     assert_eq!(got, want);
 }
@@ -282,13 +288,14 @@ fn knot_audit_is_pinned_on_every_scenario() {
 /// The three known marches that lose connectivity during the
 /// transition (ROADMAP item 1): each audit reports `C = 0` with the
 /// preserved-link count `anr scenario` prints for it and is pinned by
-/// [`report_digest`].
+/// [`report_digest`] and [`work_counters`].
 fn assert_connectivity_lost(
     id: u8,
     separation: f64,
     method: Method,
     (preserved, initial): (usize, usize),
     digest: u64,
+    counters: (usize, usize),
 ) {
     let problem = scenario_problem_sized(id, separation, 100).unwrap();
     let key = format!("scenario {id}, separation {separation}, {method:?}");
@@ -301,6 +308,7 @@ fn assert_connectivity_lost(
         "{key}"
     );
     assert_eq!(report_digest(&r), digest, "{key}");
+    assert_eq!(work_counters(&r), counters, "{key}");
 }
 
 #[test]
@@ -310,7 +318,8 @@ fn scenario3_method_a_separation_100_loses_connectivity() {
         100.0,
         Method::MaxStableLinks,
         (201, 263),
-        0x8416_3d16_558e_df50,
+        0x01d6_cc59_01ff_0045,
+        (106, 298),
     );
 }
 
@@ -321,7 +330,8 @@ fn scenario3_method_b_separation_30_loses_connectivity() {
         30.0,
         Method::MinMovingDistance,
         (176, 263),
-        0x2d8a_7326_1c5c_82e9,
+        0x9623_a520_a0ad_0627,
+        (115, 338),
     );
 }
 
@@ -332,7 +342,8 @@ fn scenario6_method_b_separation_5_loses_connectivity() {
         5.0,
         Method::MinMovingDistance,
         (176, 252),
-        0x84bc_a8b8_d605_b785,
+        0x79b8_a4b5_fe2f_35f7,
+        (58, 845),
     );
 }
 
