@@ -64,13 +64,12 @@ fn raw_targets(problem: &MarchProblem) -> Option<(Vec<Point>, Vec<usize>)> {
     Some((targets, boundary))
 }
 
-/// Is the preserved-link graph of (positions → targets) connected?
-fn preserved_connected(positions: &[Point], targets: &[Point], range: f64) -> bool {
-    let g = UnitDiskGraph::new(positions, range);
-    let n = positions.len();
-    let mut uf = anr_netgraph::UnionFind::new(n);
-    for (i, j) in g.links() {
-        if targets[i].distance(targets[j]) <= range {
+/// Is the preserved-link graph of (initial positions → targets)
+/// connected?
+fn preserved_connected(initial: &UnitDiskGraph, targets: &[Point]) -> bool {
+    let mut uf = anr_netgraph::UnionFind::new(initial.len());
+    for (i, j) in initial.links() {
+        if targets[i].distance(targets[j]) <= initial.range() {
             uf.union(i, j);
         }
     }
@@ -105,6 +104,7 @@ fn main() {
             println!("{robots},skipped_triangulation,,,");
             continue;
         };
+        let initial = UnitDiskGraph::new(&problem.positions, problem.range);
         let base_d: f64 = problem
             .positions
             .iter()
@@ -115,12 +115,12 @@ fn main() {
         // No repair.
         println!(
             "{robots},none,{},0,0",
-            preserved_connected(&problem.positions, &base_targets, problem.range),
+            preserved_connected(&initial, &base_targets),
         );
 
         // Paper's boundary-based repair.
         let mut t1 = base_targets.clone();
-        let r1 = repair_connectivity(&problem.positions, &mut t1, &boundary, problem.range);
+        let r1 = repair_connectivity(&initial, &mut t1, &boundary);
         let d1: f64 = problem
             .positions
             .iter()
@@ -129,14 +129,14 @@ fn main() {
             .sum();
         println!(
             "{robots},boundary_packets,{},{},{:.1}",
-            preserved_connected(&problem.positions, &t1, problem.range),
+            preserved_connected(&initial, &t1),
             r1.adjusted_robots.len(),
             d1 - base_d,
         );
 
         // Strict repair (this library's default).
         let mut t2 = base_targets.clone();
-        let r2 = repair_connectivity_strict(&problem.positions, &mut t2, &boundary, problem.range);
+        let r2 = repair_connectivity_strict(&initial, &mut t2, &boundary);
         let d2: f64 = problem
             .positions
             .iter()
@@ -145,7 +145,7 @@ fn main() {
             .sum();
         println!(
             "{robots},strict,{},{},{:.1}",
-            preserved_connected(&problem.positions, &t2, problem.range),
+            preserved_connected(&initial, &t2),
             r2.adjusted_robots.len(),
             d2 - base_d,
         );

@@ -138,7 +138,7 @@ where
     let (save_ms, bytes) = median_ms(repeats, || sim.save())?;
     let restore_topology = ExplicitTopology::new(adjacency.to_vec())?;
     let (restore_ms, restored) = median_ms(repeats, || {
-        EventSim::<N, _>::restore(&bytes, restore_topology.clone(), &Tracer::disabled())
+        EventSim::<N>::restore(&bytes, restore_topology.clone(), &Tracer::disabled())
     })?;
     let mut restored = restored?;
     sim.run_rounds(h2)?;

@@ -248,7 +248,8 @@ pub struct TransitionMetrics {
 /// supplied by the caller.
 ///
 /// The audit's spans and events go to `tracer`, followed by a
-/// `new_links` span around the final graph; tracing changes no output.
+/// `new_links` span around the walk over the final links; tracing
+/// changes no output.
 ///
 /// # Errors
 ///
@@ -263,14 +264,14 @@ pub fn evaluate_timeline(
 ) -> Result<TransitionMetrics, MetricsError> {
     let report = audit_knots(knots, initial, 0, tracer)?;
 
-    // New links: present in the final graph but not initially.
+    // New links: present at the end but not initially.
     let new_links = {
         let _s = tracer.span("new_links");
-        UnitDiskGraph::new(&knots.final_positions(), initial.range())
-            .links()
-            .iter()
-            .filter(|&&(i, j)| !initial.has_link(i, j))
-            .count()
+        let mut count = 0;
+        UnitDiskGraph::for_each_link(&knots.final_positions(), initial.range(), |i, j| {
+            count += usize::from(!initial.has_link(i, j));
+        });
+        count
     };
 
     Ok(TransitionMetrics {

@@ -156,7 +156,7 @@ pub fn march_traced(
     // convex in t, so a link survives the whole transition iff it holds
     // at both endpoints; the link objective therefore only needs the
     // mapped endpoint positions. The same initial graph later gives the
-    // audit its links.
+    // repair and the audit their links.
     // ------------------------------------------------------------------
     let initial_graph = UnitDiskGraph::new(positions, range);
     let links = initial_graph.links();
@@ -235,7 +235,7 @@ pub fn march_traced(
             .into_iter()
             .filter(|&v| v < n)
             .collect();
-        repair_connectivity_strict(positions, &mut targets, &boundary, range)
+        repair_connectivity_strict(&initial_graph, &mut targets, &boundary)
     };
 
     // ------------------------------------------------------------------

@@ -39,29 +39,29 @@ impl RepairReport {
 }
 
 /// Repairs predicted isolation by re-targeting isolated subgroups to
-/// parallel motion (Sec. III-D-1). `boundary` lists the triangulation's
-/// boundary vertices — the "network boundary" of Definition 2.
+/// parallel motion (Sec. III-D-1). `initial` is the unit-disk graph of
+/// the deployment (the robots' positions, their range and their `M1`
+/// links); `boundary` lists the triangulation's boundary vertices — the
+/// "network boundary" of Definition 2.
 ///
 /// Returns the report; `targets` is modified in place.
 ///
 /// # Panics
 ///
-/// Panics when the slices disagree in length, `range <= 0`, or
+/// Panics when `targets` and `initial` disagree in length, or
 /// `boundary` contains an out-of-range index.
 pub fn repair_connectivity(
-    positions: &[Point],
+    initial: &UnitDiskGraph,
     targets: &mut [Point],
     boundary: &[usize],
-    range: f64,
 ) -> RepairReport {
+    let (positions, range) = (initial.positions(), initial.range());
     assert_eq!(positions.len(), targets.len(), "one target per robot");
-    assert!(range > 0.0, "communication range must be positive");
     let n = positions.len();
     for &b in boundary {
         assert!(b < n, "boundary vertex out of range");
     }
 
-    let initial = UnitDiskGraph::new(positions, range);
     let mut report = RepairReport::default();
 
     // A few rounds for safety; one round suffices in theory because
@@ -208,14 +208,13 @@ fn finalize(mut report: RepairReport) -> RepairReport {
 ///
 /// Same contract as [`repair_connectivity`].
 pub fn repair_connectivity_strict(
-    positions: &[Point],
+    initial: &UnitDiskGraph,
     targets: &mut [Point],
     boundary: &[usize],
-    range: f64,
 ) -> RepairReport {
-    let mut report = repair_connectivity(positions, targets, boundary, range);
+    let mut report = repair_connectivity(initial, targets, boundary);
+    let (positions, range) = (initial.positions(), initial.range());
     let n = positions.len();
-    let initial = UnitDiskGraph::new(positions, range);
 
     for _ in 0..n {
         // Components of the preserved-link graph.
@@ -309,13 +308,19 @@ mod tests {
         Point::new(x, y)
     }
 
+    /// The boundary-based pass over the unit-disk graph of `positions`
+    /// at range 80.
+    fn repair(positions: &[Point], targets: &mut [Point], boundary: &[usize]) -> RepairReport {
+        repair_connectivity(&UnitDiskGraph::new(positions, 80.0), targets, boundary)
+    }
+
     #[test]
     fn clean_transition_is_untouched() {
         // Rigid translation: everything preserved.
         let positions = vec![p(0.0, 0.0), p(60.0, 0.0), p(120.0, 0.0)];
         let mut targets: Vec<Point> = positions.iter().map(|q| p(q.x + 500.0, q.y)).collect();
         let before = targets.clone();
-        let report = repair_connectivity(&positions, &mut targets, &[0, 2], 80.0);
+        let report = repair(&positions, &mut targets, &[0, 2]);
         assert!(report.is_clean());
         assert_eq!(report.isolated_subgroups, 0);
         assert_eq!(targets, before);
@@ -327,7 +332,7 @@ mod tests {
         // parallel to a neighbor.
         let positions = vec![p(0.0, 0.0), p(60.0, 0.0), p(120.0, 0.0)];
         let mut targets = vec![p(500.0, 0.0), p(560.0, 0.0), p(2000.0, 0.0)];
-        let report = repair_connectivity(&positions, &mut targets, &[0], 80.0);
+        let report = repair(&positions, &mut targets, &[0]);
         assert_eq!(report.adjusted_robots, vec![2]);
         assert_eq!(report.isolated_subgroups, 1);
         // Parallel to robot 1 (its only in-range neighbor with a path):
@@ -354,7 +359,7 @@ mod tests {
             p(5000.0, 0.0),
             p(5060.0, 0.0),
         ];
-        let report = repair_connectivity(&positions, &mut targets, &[0], 80.0);
+        let report = repair(&positions, &mut targets, &[0]);
         assert_eq!(report.adjusted_robots, vec![3, 4]);
         assert_eq!(report.isolated_subgroups, 1);
         // Root is 3 (neighbor 2 is reachable); subgroup shifts by robot
@@ -382,10 +387,10 @@ mod tests {
                 }
             })
             .collect();
-        let r1 = repair_connectivity(&positions, &mut targets, &[0], 80.0);
+        let r1 = repair(&positions, &mut targets, &[0]);
         assert!(!r1.is_clean());
         let mut targets2 = targets.clone();
-        let r2 = repair_connectivity(&positions, &mut targets2, &[0], 80.0);
+        let r2 = repair(&positions, &mut targets2, &[0]);
         assert!(r2.is_clean(), "second pass should find nothing: {r2:?}");
         assert_eq!(targets, targets2);
     }
@@ -403,7 +408,7 @@ mod tests {
             p(800.0, -500.0),
             p(860.0, -500.0),
         ];
-        repair_connectivity(&positions, &mut targets, &[0], 80.0);
+        repair(&positions, &mut targets, &[0]);
         for k in 0..=20 {
             let t = k as f64 / 20.0;
             let row: Vec<Point> = positions
@@ -423,6 +428,6 @@ mod tests {
     fn mismatched_lengths_panic() {
         let positions = vec![p(0.0, 0.0)];
         let mut targets = vec![p(0.0, 0.0), p(1.0, 1.0)];
-        let _ = repair_connectivity(&positions, &mut targets, &[], 80.0);
+        let _ = repair(&positions, &mut targets, &[]);
     }
 }

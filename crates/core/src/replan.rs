@@ -7,27 +7,25 @@
 //! excluded from the new plan and thus become permanently lost."
 //!
 //! [`replan_after_failure`] plays that scenario out: freeze the march at
-//! a fraction of the transition, remove a set of failed robots, verify
-//! the survivors are still one network (they are, whenever the original
+//! a fraction of the transition, remove a set of failed robots, and
+//! compute a fresh marching plan for the survivors from their
+//! mid-transition positions. [`MarchProblem::new`] refuses survivors
+//! that are no longer one network (they are one, whenever the original
 //! plan maintained `C = 1` and the failures don't hit articulation
-//! robots), and compute a fresh marching plan for the survivors from
-//! their mid-transition positions.
+//! robots).
 
 use crate::{march, MarchConfig, MarchError, MarchOutcome, MarchProblem, Method};
 use anr_geom::{Point, PolygonWithHoles};
-use anr_netgraph::UnitDiskGraph;
 
 /// The outcome of a failure-and-replan experiment.
 #[derive(Debug, Clone)]
 pub struct ReplanOutcome {
     /// Positions at the failure instant (all robots, before removal).
     pub at_failure: Vec<Point>,
-    /// Indices (into the original swarm) of the surviving robots.
+    /// Indices (into the original swarm) of the surviving robots, which
+    /// were one connected network at the failure instant — the property
+    /// the paper's `C = 1` guarantee is meant to protect.
     pub survivors: Vec<usize>,
-    /// Whether the survivors were still one connected network at the
-    /// failure instant — the property the paper's `C = 1` guarantee is
-    /// meant to protect.
-    pub survivors_connected: bool,
     /// The fresh plan computed for the survivors.
     pub plan: MarchOutcome,
 }
@@ -73,23 +71,13 @@ pub fn replan_after_failure(
     let survivors: Vec<usize> = (0..at_failure.len())
         .filter(|i| !failed.contains(i))
         .collect();
-    if survivors.len() < 3 {
-        return Err(MarchError::TooFewRobots {
-            got: survivors.len(),
-        });
-    }
     let survivor_positions: Vec<Point> = survivors.iter().map(|&i| at_failure[i]).collect();
-    let survivors_connected = UnitDiskGraph::new(&survivor_positions, problem.range).is_connected();
-    if !survivors_connected {
-        let components = UnitDiskGraph::new(&survivor_positions, problem.range)
-            .connected_components()
-            .len();
-        return Err(MarchError::DisconnectedDeployment { components });
-    }
 
-    // Fresh plan from the frozen positions. M1 is only consulted for its
-    // holes (obstacle avoidance), so passing the original M1 keeps the
-    // obstacle set intact even though the survivors are outside it.
+    // Fresh plan from the frozen positions; the problem refuses fewer
+    // than 3 survivors and survivors that are not one network. M1 is
+    // only consulted for its holes (obstacle avoidance), so passing the
+    // original M1 keeps the obstacle set intact even though the
+    // survivors are outside it.
     let new_problem = MarchProblem::new(
         problem.m1.clone(),
         problem.m2.clone(),
@@ -101,7 +89,6 @@ pub fn replan_after_failure(
     Ok(ReplanOutcome {
         at_failure,
         survivors,
-        survivors_connected: true,
         plan,
     })
 }
@@ -176,7 +163,6 @@ mod tests {
     fn replan_after_losing_two_robots() {
         let (problem, outcome) = setup();
         let r = replan_midway(&problem, &outcome, &[3, 17]).unwrap();
-        assert!(r.survivors_connected);
         assert_eq!(r.survivors.len(), 34);
         assert_eq!(r.plan.metrics.global_connectivity, 1);
         // Survivors end inside (or within metres of) M2 — robots whose
@@ -217,6 +203,36 @@ mod tests {
             replan_midway(&problem, &outcome, &all),
             Err(MarchError::TooFewRobots { got: 1 })
         ));
+    }
+
+    #[test]
+    fn disconnected_survivors_rejected() {
+        let (problem, outcome) = setup();
+        // At t = 0, fail a band of robots 100 m wide across the lattice.
+        let failed: Vec<usize> = (0..problem.num_robots())
+            .filter(|&i| (100.0..200.0).contains(&problem.positions[i].x))
+            .collect();
+        let survivors: Vec<Point> = (0..problem.num_robots())
+            .filter(|i| !failed.contains(i))
+            .map(|i| problem.positions[i])
+            .collect();
+        let components = anr_netgraph::UnitDiskGraph::new(&survivors, problem.range)
+            .connected_components()
+            .len();
+        assert!(components > 1);
+        let got = replan_after_failure(
+            &problem,
+            &outcome,
+            0.0,
+            &failed,
+            Method::MaxStableLinks,
+            &MarchConfig::default(),
+        );
+        assert!(
+            matches!(got, Err(MarchError::DisconnectedDeployment { components: c }) if c == components),
+            "{:?}",
+            got.err()
+        );
     }
 
     #[test]

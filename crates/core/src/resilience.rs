@@ -97,10 +97,7 @@ pub fn survives_failures(positions: &[Point], range: f64, failed: &[usize]) -> b
         .filter(|(i, _)| !failed.contains(i))
         .map(|(_, &p)| p)
         .collect();
-    if survivors.len() < 2 {
-        return true;
-    }
-    UnitDiskGraph::new(&survivors, range).is_connected()
+    UnitDiskGraph::connected(&survivors, range)
 }
 
 #[cfg(test)]

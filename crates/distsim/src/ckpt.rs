@@ -39,7 +39,7 @@ use crate::engine::{
 };
 use crate::fault::{FaultPlan, FaultRng};
 use crate::snapshot::{Persist, PersistError, SnapshotReader, SnapshotWriter};
-use crate::topology::Topology;
+use crate::topology::ExplicitTopology;
 use crate::Node;
 use anr_trace::Tracer;
 use std::error::Error;
@@ -163,11 +163,10 @@ fn restore_stats(r: &mut SnapshotReader<'_>) -> Result<FaultStats, PersistError>
     })
 }
 
-impl<N, T> EventSim<N, T>
+impl<N> EventSim<N>
 where
     N: Node + Persist,
     N::Msg: Persist,
-    T: Topology,
 {
     /// Serializes the full run state as an `anr-eventsim-ckpt/2`
     /// snapshot. Byte-stable: equal states yield identical bytes.
@@ -245,7 +244,11 @@ where
     /// checksum, truncation, codec errors, trailing bytes, a robot
     /// count that disagrees with `topology`, or a state no run could
     /// reach (see [`CkptError::Inconsistent`]).
-    pub fn restore(bytes: &[u8], topology: T, tracer: &Tracer) -> Result<Self, CkptError> {
+    pub fn restore(
+        bytes: &[u8],
+        topology: ExplicitTopology,
+        tracer: &Tracer,
+    ) -> Result<Self, CkptError> {
         let _span = tracer.span("ckpt_restore");
         let magic_len = CKPT_MAGIC.len() + 1;
         if bytes.len() < magic_len + 8 {

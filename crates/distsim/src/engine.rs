@@ -59,7 +59,7 @@
 //! not depend on this layout.
 
 use crate::fault::{ChurnEvent, ChurnKind, DelayModel, FaultPlan, FaultRng};
-use crate::topology::Topology;
+use crate::topology::ExplicitTopology;
 use crate::{Envelope, Node, Outbox, SimError};
 use anr_trace::{TraceValue, Tracer};
 use std::collections::VecDeque;
@@ -296,8 +296,8 @@ impl<M> Deliveries<M> {
 /// State is struct-of-arrays: nodes, crash flags, and wakeup slots are
 /// parallel vectors indexed by robot; nothing is materialized per
 /// round.
-pub struct EventSim<N: Node, T: Topology> {
-    pub(crate) topology: T,
+pub struct EventSim<N: Node> {
+    pub(crate) topology: ExplicitTopology,
     pub(crate) nodes: Vec<N>,
     pub(crate) crashed: Vec<bool>,
     pub(crate) next_wake: Vec<u64>,
@@ -329,7 +329,7 @@ pub struct EventSim<N: Node, T: Topology> {
     outbox: Outbox<N::Msg>,
 }
 
-impl<N: Node, T: Topology> std::fmt::Debug for EventSim<N, T> {
+impl<N: Node> std::fmt::Debug for EventSim<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventSim")
             .field("robots", &self.nodes.len())
@@ -341,7 +341,7 @@ impl<N: Node, T: Topology> std::fmt::Debug for EventSim<N, T> {
     }
 }
 
-impl<N: Node, T: Topology> EventSim<N, T> {
+impl<N: Node> EventSim<N> {
     /// Creates an event simulator over `nodes` connected by `topology`,
     /// misbehaving per `plan`.
     ///
@@ -351,7 +351,11 @@ impl<N: Node, T: Topology> EventSim<N, T> {
     /// disagree on the robot count, or
     /// [`SimError::InvalidFaultPlan`] when the plan references robots
     /// outside the topology.
-    pub fn new(nodes: Vec<N>, topology: T, plan: FaultPlan) -> Result<Self, SimError> {
+    pub fn new(
+        nodes: Vec<N>,
+        topology: ExplicitTopology,
+        plan: FaultPlan,
+    ) -> Result<Self, SimError> {
         if nodes.len() != topology.len() {
             return Err(SimError::TopologyMismatch {
                 nodes: nodes.len(),
@@ -441,12 +445,6 @@ impl<N: Node, T: Topology> EventSim<N, T> {
     /// Consumes the simulator, returning the nodes.
     pub fn into_nodes(self) -> Vec<N> {
         self.nodes
-    }
-
-    /// The topology (mutable: lazy topologies cache rows on query).
-    #[inline]
-    pub fn topology_mut(&mut self) -> &mut T {
-        &mut self.topology
     }
 
     /// Is robot `i` currently crashed?

@@ -13,9 +13,9 @@
 //! * [`EventSim`] executes only the rounds in which something is due
 //!   and steps only the robots that have something to do; a send made
 //!   in round `r` arrives in round `r + 1` (plus any delay).
-//! * The communication [`Topology`] is fixed and undirected; a node may
-//!   only send to its neighbors (enforced). [`ExplicitTopology`] wraps
-//!   a prebuilt adjacency list.
+//! * The communication topology, an [`ExplicitTopology`], is a fixed,
+//!   undirected, prebuilt adjacency list; a node may only send to its
+//!   neighbors (enforced).
 //! * A seeded [`FaultPlan`] layers loss, delay, duplication and churn
 //!   over the network; [`FaultPlan::reliable`] draws no randomness and
 //!   gives the paper's idealized synchronous network.
@@ -72,7 +72,7 @@ pub use ckpt::{CkptError, CKPT_MAGIC};
 pub use engine::{EventSim, FaultStats, ModelObservation};
 pub use fault::{ChurnEvent, ChurnKind, DelayModel, FaultPlan};
 pub use snapshot::{Persist, PersistError, SnapshotReader, SnapshotWriter};
-pub use topology::{ExplicitTopology, Topology};
+pub use topology::ExplicitTopology;
 
 use std::error::Error;
 use std::fmt;

@@ -1,38 +1,11 @@
-//! Neighbor discovery for the engine.
-//!
-//! The engine asks its [`Topology`] for one neighbor row at a time, so
-//! an implementation may resolve rows lazily (`anr-eventsim`'s
-//! `GridTopology` buckets positions into a grid and computes a row on
-//! first use). [`ExplicitTopology`] wraps a prebuilt adjacency list.
+//! The engine's communication topology: a prebuilt adjacency list,
+//! such as the rows of `anr-netgraph`'s `UnitDiskGraph::adjacency()`.
 
 use crate::SimError;
 
-/// A communication topology the engine can query neighbor-by-neighbor.
-///
-/// Implementations must be **deterministic** (same row for the same
-/// index, every time) and **symmetric** (`v ∈ neighbors(u)` iff
-/// `u ∈ neighbors(v)`); rows must not contain the node itself.
-pub trait Topology {
-    /// Number of nodes.
-    fn len(&self) -> usize;
-
-    /// True for an empty topology.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The neighbor row of `u` (may be computed and cached on first
-    /// use). The returned order is the broadcast expansion order, so it
-    /// must be stable across calls.
-    fn neighbors(&mut self, u: usize) -> &[usize];
-
-    /// Is there a link `u — v`?
-    fn has_link(&mut self, u: usize, v: usize) -> bool {
-        self.neighbors(u).contains(&v)
-    }
-}
-
-/// A prebuilt adjacency list, validated once at construction.
+/// A fixed, undirected communication topology: a prebuilt adjacency
+/// list, validated once at construction. Each row's order is the order
+/// in which a broadcast reaches the neighbors.
 #[derive(Debug, Clone)]
 pub struct ExplicitTopology {
     adjacency: Vec<Vec<usize>>,
@@ -67,15 +40,26 @@ impl ExplicitTopology {
     pub fn adjacency(&self) -> &[Vec<usize>] {
         &self.adjacency
     }
-}
 
-impl Topology for ExplicitTopology {
-    fn len(&self) -> usize {
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
         self.adjacency.len()
     }
 
-    fn neighbors(&mut self, u: usize) -> &[usize] {
+    /// True for an empty topology.
+    pub fn is_empty(&self) -> bool {
+        self.adjacency.is_empty()
+    }
+
+    /// The neighbor row of `u`, in broadcast order.
+    pub fn neighbors(&self, u: usize) -> &[usize] {
         &self.adjacency[u]
+    }
+
+    /// Is there a link `u — v`? Rows need not be sorted, so this scans
+    /// the row of `u`.
+    pub fn has_link(&self, u: usize, v: usize) -> bool {
+        self.adjacency[u].contains(&v)
     }
 }
 

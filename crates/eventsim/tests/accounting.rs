@@ -133,7 +133,7 @@ impl Node for Chatty {
     }
 }
 
-fn chatty_sim(bits_of: fn(&u64) -> u32) -> EventSim<Chatty, ExplicitTopology> {
+fn chatty_sim(bits_of: fn(&u64) -> u32) -> EventSim<Chatty> {
     let nodes = vec![Chatty { rounds_left: 3 }, Chatty { rounds_left: 3 }];
     let topology = ExplicitTopology::new(vec![vec![1], vec![0]]).unwrap();
     EventSim::new(nodes, topology, FaultPlan::reliable(1))

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 fn restore(
     bytes: &[u8],
     topology: ExplicitTopology,
-) -> Result<EventSim<RobustFloodNode, ExplicitTopology>, CkptError> {
+) -> Result<EventSim<RobustFloodNode>, CkptError> {
     EventSim::restore(bytes, topology, &Tracer::disabled())
 }
 
@@ -40,10 +40,7 @@ fn nasty_plan(seed: u64) -> FaultPlan {
         .with_recovery(14, 3)
 }
 
-fn flood_sim(
-    adjacency: &[Vec<usize>],
-    plan: FaultPlan,
-) -> EventSim<RobustFloodNode, ExplicitTopology> {
+fn flood_sim(adjacency: &[Vec<usize>], plan: FaultPlan) -> EventSim<RobustFloodNode> {
     let n = adjacency.len();
     let nodes: Vec<RobustFloodNode> = (0..n)
         .map(|i| {

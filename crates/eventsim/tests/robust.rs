@@ -4,12 +4,11 @@
 
 use anr_distsim::{DelayModel, FaultPlan};
 use anr_eventsim::{
-    run_event_boundary_loop_accounted, run_event_flood_sum_accounted,
-    run_event_hop_field_accounted, EventSim, ExplicitTopology, GridTopology,
+    run_event_boundary_loop_accounted, run_event_flood_sum_accounted, run_event_hop_field_accounted,
 };
 use anr_geom::Point;
 use anr_netgraph::protocols::{run_boundary_loop, run_flood_sum, run_hop_field};
-use anr_netgraph::robust::{RetransmitConfig, RobustFloodNode};
+use anr_netgraph::robust::RetransmitConfig;
 use anr_netgraph::UnitDiskGraph;
 
 fn lattice(cols: usize, rows: usize, pitch: f64) -> Vec<Point> {
@@ -163,39 +162,4 @@ fn robust_runs_are_deterministic() {
         .unwrap()
     };
     assert_eq!(run(), run());
-}
-
-/// The lazy grid topology and a prebuilt adjacency drive identical
-/// runs, and the lazy one resolves each row at most once.
-#[test]
-fn grid_topology_matches_explicit() {
-    let pts = lattice(6, 4, 55.0);
-    let adjacency = UnitDiskGraph::new(&pts, 80.0).adjacency().to_vec();
-    let n = pts.len();
-    let nodes = || -> Vec<RobustFloodNode> {
-        (0..n)
-            .map(|i| {
-                RobustFloodNode::new(
-                    i,
-                    i as f64 * 2.0,
-                    n,
-                    adjacency[i].clone(),
-                    RetransmitConfig::default(),
-                )
-            })
-            .collect()
-    };
-    let settled = |nodes: &[RobustFloodNode]| nodes.iter().all(RobustFloodNode::is_settled);
-
-    let topology = ExplicitTopology::new(adjacency.clone()).expect("topology");
-    let mut explicit = EventSim::new(nodes(), topology, nasty_plan(23)).expect("explicit");
-    let stats_a = explicit.run_until(2000, settled).expect("explicit run");
-
-    let mut grid =
-        EventSim::new(nodes(), GridTopology::new(&pts, 80.0), nasty_plan(23)).expect("grid");
-    let stats_b = grid.run_until(2000, settled).expect("grid run");
-
-    assert_eq!(stats_a, stats_b);
-    assert_eq!(explicit.nodes(), grid.nodes());
-    assert!(grid.topology_mut().resolved_rows() <= n);
 }

@@ -137,7 +137,7 @@ fn checkpoint_spans_are_recorded() {
 
     let topology = ExplicitTopology::new(lattice_adjacency(4, 3)).expect("topology");
     let restored =
-        EventSim::<RobustFloodNode, _>::restore(&bytes, topology, &tracer).expect("restore");
+        EventSim::<RobustFloodNode>::restore(&bytes, topology, &tracer).expect("restore");
     assert!(
         has_span("ckpt_restore"),
         "restore() must open a ckpt_restore span"

@@ -32,47 +32,20 @@ pub struct UnitDiskGraph {
 
 impl UnitDiskGraph {
     /// Builds the connectivity graph of `positions` with communication
-    /// range `range`.
+    /// range `range`: the rows are the links of
+    /// [`for_each_link`](Self::for_each_link), sorted.
     ///
     /// # Panics
     ///
     /// Panics when `range <= 0` or a position is non-finite.
     pub fn new(positions: &[Point], range: f64) -> Self {
-        assert!(range > 0.0, "communication range must be positive");
-        assert!(
-            positions.iter().all(|p| p.is_finite()),
-            "positions must be finite"
-        );
-        let n = positions.len();
-        let mut adjacency = vec![Vec::new(); n];
+        let mut adjacency = vec![Vec::new(); positions.len()];
         let mut num_links = 0;
-        let r2 = range * range;
-
-        // Spatial hash for O(n) expected construction at lattice density.
-        let cell = range;
-        let key =
-            |p: Point| -> (i64, i64) { ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64) };
-        let mut buckets: std::collections::BTreeMap<(i64, i64), Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (i, &p) in positions.iter().enumerate() {
-            buckets.entry(key(p)).or_default().push(i);
-        }
-        for (i, &p) in positions.iter().enumerate() {
-            let (kx, ky) = key(p);
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    if let Some(cands) = buckets.get(&(kx + dx, ky + dy)) {
-                        for &j in cands {
-                            if j > i && positions[j].distance_sq(p) <= r2 {
-                                adjacency[i].push(j);
-                                adjacency[j].push(i);
-                                num_links += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        Self::for_each_link(positions, range, |i, j| {
+            adjacency[i].push(j);
+            adjacency[j].push(i);
+            num_links += 1;
+        });
         for a in adjacency.iter_mut() {
             a.sort_unstable();
         }
@@ -85,49 +58,77 @@ impl UnitDiskGraph {
         }
     }
 
+    /// Calls `f(i, j)` with `i < j` once for every link of the unit-disk
+    /// graph of `positions` (`‖pᵢ − pⱼ‖² ≤ range²`), in unspecified
+    /// order, without storing the adjacency.
+    ///
+    /// Robots are walked sorted by range cell `floor(x / range)`: each
+    /// cell is paired with itself and with its forward neighbours
+    /// (0, 1), (1, −1), (1, 0) and (1, 1), which covers the 3 × 3
+    /// neighbourhood of every cell with each pair of cells once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `range <= 0` or a position is non-finite.
+    pub fn for_each_link(positions: &[Point], range: f64, mut f: impl FnMut(usize, usize)) {
+        let keyed = sorted_by_cell(positions, range);
+        let pts: Vec<Point> = keyed.iter().map(|e| positions[e.2]).collect();
+        let r2 = range * range;
+        let mut link = |a: usize, b: usize| {
+            if pts[a].distance_sq(pts[b]) <= r2 {
+                let (i, j) = (keyed[a].2, keyed[b].2);
+                f(i.min(j), i.max(j));
+            }
+        };
+        // Each range cell is a run `start..end` of the sorted robots.
+        let mut start = 0;
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            let (end, (kx, ky)) = (start + run.len(), run[0].0);
+            for a in start..end {
+                for b in a + 1..end {
+                    link(a, b);
+                }
+            }
+            for (dx, dy) in [(0, 1), (1, -1), (1, 0), (1, 1)] {
+                let (Some(nx), Some(ny)) = (kx.checked_add(dx), ky.checked_add(dy)) else {
+                    continue;
+                };
+                let first = end + keyed[end..].partition_point(|e| e.0 < (nx, ny));
+                let last = first + keyed[first..].partition_point(|e| e.0 == (nx, ny));
+                for a in start..end {
+                    for b in first..last {
+                        link(a, b);
+                    }
+                }
+            }
+            start = end;
+        }
+    }
+
     /// Is the unit-disk graph of `positions` connected? The same answer
     /// as `UnitDiskGraph::new(positions, range).is_connected()`, without
     /// building the adjacency.
     ///
-    /// Robots are bucketed into half-range sub-cells nested in the
-    /// constructor's range cells: the fractional part of `x / range`
-    /// picks the half of the range cell `floor(x / range)`. Robots
-    /// sharing a sub-cell are within `range·√2/2` of each other, so each
-    /// sub-cell starts as one set, checked with one distance per robot
-    /// against its first robot (a robot that fails the check, possible
-    /// only at coordinates beyond ~10¹⁴ ranges, makes its sub-cell test
-    /// every pair). Two sub-cells whose range cells are neighbours are
-    /// then joined by their first pair within range, and only while they
-    /// are still apart. Every union is a link of the constructor's graph
-    /// and every link it finds ends in one set, so the components agree.
+    /// Robots are bucketed into half-range sub-cells nested in the range
+    /// cells of [`for_each_link`](Self::for_each_link): the fractional
+    /// part of `x / range` picks the half of the range cell
+    /// `floor(x / range)`. Robots sharing a sub-cell are within
+    /// `range·√2/2` of each other, so each sub-cell starts as one set,
+    /// checked with one distance per robot against its first robot (a
+    /// robot that fails the check, possible only at coordinates beyond
+    /// ~10¹⁴ ranges, makes its sub-cell test every pair). Two sub-cells
+    /// whose range cells are neighbours are then joined by their first
+    /// pair within range, and only while they are still apart. Every
+    /// union is a link of the constructor's graph and every link it
+    /// finds ends in one set, so the components agree.
     ///
     /// # Panics
     ///
     /// Panics when `range <= 0` or a position is non-finite.
     pub fn connected(positions: &[Point], range: f64) -> bool {
-        assert!(range > 0.0, "communication range must be positive");
-        assert!(
-            positions.iter().all(|p| p.is_finite()),
-            "positions must be finite"
-        );
+        let keyed = sorted_by_cell(positions, range);
         let r2 = range * range;
         let within = |i: usize, j: usize| positions[i].distance_sq(positions[j]) <= r2;
-
-        // Robots sorted by (range cell, sub-cell quadrant): sub-cells and
-        // range cells are runs.
-        let split = |v: f64| {
-            let q = v / range;
-            (q.floor() as i64, u8::from(q - q.floor() >= 0.5))
-        };
-        let mut keyed: Vec<((i64, i64), u8, usize)> = positions
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let ((kx, hx), (ky, hy)) = (split(p.x), split(p.y));
-                ((kx, ky), hx | (hy << 1), i)
-            })
-            .collect();
-        keyed.sort_unstable();
 
         struct SubCell {
             cell: (i64, i64),
@@ -182,8 +183,7 @@ impl UnitDiskGraph {
         for (s, a) in subcells.iter().enumerate() {
             // Later sub-cells of the same range cell, then those of the
             // range cells at (kx, ky + 1) and (kx + 1, ky - 1 ..= ky + 1):
-            // each neighbouring pair once, as in the constructor's 3 × 3
-            // scan.
+            // each neighbouring pair once, as in `for_each_link`.
             for b in subcells[s + 1..].iter().take_while(|b| b.cell == a.cell) {
                 join(a, b);
             }
@@ -360,6 +360,36 @@ impl UnitDiskGraph {
     }
 }
 
+/// Robots as `(range cell, half-cell quadrant, index)`, sorted, so range
+/// cells and half-range sub-cells are runs. Cell keys saturate at the
+/// `i64` bounds past ~9.2·10¹⁸ ranges; take neighbouring keys with
+/// `checked_add`.
+///
+/// # Panics
+///
+/// Panics when `range <= 0` or a position is non-finite.
+fn sorted_by_cell(positions: &[Point], range: f64) -> Vec<((i64, i64), u8, usize)> {
+    assert!(range > 0.0, "communication range must be positive");
+    assert!(
+        positions.iter().all(|p| p.is_finite()),
+        "positions must be finite"
+    );
+    let split = |v: f64| {
+        let q = v / range;
+        (q.floor() as i64, u8::from(q - q.floor() >= 0.5))
+    };
+    let mut keyed: Vec<((i64, i64), u8, usize)> = positions
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let ((kx, hx), (ky, hy)) = (split(p.x), split(p.y));
+            ((kx, ky), hx | (hy << 1), i)
+        })
+        .collect();
+    keyed.sort_unstable();
+    keyed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,6 +471,34 @@ mod tests {
         }
     }
 
+    /// The `O(n²)` rows: every other robot within range, ascending.
+    fn brute_rows(pts: &[Point], range: f64) -> Vec<Vec<usize>> {
+        (0..pts.len())
+            .map(|i| {
+                (0..pts.len())
+                    .filter(|&j| j != i && pts[i].distance_sq(pts[j]) <= range * range)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `new`'s rows equal the `O(n²)` rows, and `for_each_link` reports
+    /// each of their links exactly once, with `i < j`.
+    fn assert_matches_bruteforce(pts: &[Point], range: f64, key: &str) {
+        let rows = brute_rows(pts, range);
+        assert_eq!(UnitDiskGraph::new(pts, range).adjacency(), rows, "{key}");
+        let mut walked = Vec::new();
+        UnitDiskGraph::for_each_link(pts, range, |i, j| walked.push((i, j)));
+        assert!(walked.iter().all(|&(i, j)| i < j), "{key}");
+        walked.sort_unstable();
+        let want: Vec<(usize, usize)> = rows
+            .iter()
+            .enumerate()
+            .flat_map(|(i, row)| row.iter().filter(move |&&j| j > i).map(move |&j| (i, j)))
+            .collect();
+        assert_eq!(walked, want, "{key}");
+    }
+
     #[test]
     fn spatial_hash_matches_bruteforce() {
         // Pseudo-random cloud; compare against O(n²) construction.
@@ -458,6 +516,64 @@ mod tests {
                 let expect = pts[i].distance(pts[j]) <= 90.0;
                 assert_eq!(g.has_link(i, j), expect, "link ({i}, {j})");
             }
+        }
+        assert_matches_bruteforce(&pts, 90.0, "uniform cloud");
+
+        // The clouds of `connected_matches_the_built_graph`: four ranges,
+        // origins far from zero on either side, a fifth of the clouds
+        // snapped onto range-cell and sub-cell boundaries; each also gets
+        // a robot on top of its first and one at the range from it.
+        let mut seed: u64 = 0xB0B;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for trial in 0..2000 {
+            let range = [80.0, 1.0, 0.3, 1e-3][trial % 4];
+            let n = 1 + (next() * 60.0) as usize;
+            let side = range * (n as f64).sqrt() * (0.3 + 1.2 * next());
+            let origin = p((next() - 0.5) * 1e3 * range, (next() - 0.5) * 1e3 * range);
+            let snap = trial % 5 == 0;
+            let mut pts: Vec<Point> = (0..n)
+                .map(|_| {
+                    let q = p(origin.x + next() * side, origin.y + next() * side);
+                    if snap {
+                        let h = range / 2.0;
+                        p((q.x / h).round() * h, (q.y / h).round() * h)
+                    } else {
+                        q
+                    }
+                })
+                .collect();
+            let first = pts[0];
+            pts.extend([first, p(first.x + range, first.y)]);
+            assert_matches_bruteforce(&pts, range, &format!("trial {trial}: range {range}"));
+        }
+        // Exactly at the range, across a cell boundary in each direction.
+        let at_range = [
+            p(0.0, 0.0),
+            p(80.0, 0.0),
+            p(0.0, 80.0),
+            p(-80.0, 0.0),
+            p(0.0, -80.0),
+        ];
+        assert_matches_bruteforce(&at_range, 80.0, "at the range");
+        assert_eq!(UnitDiskGraph::new(&at_range, 80.0).degree(0), 4);
+    }
+
+    #[test]
+    fn saturated_cell_keys_find_their_link() {
+        // Beyond ~9.2·10¹⁸ ranges every cell key saturates at an `i64`
+        // bound, and a neighbouring key must not overflow.
+        for x in [1e300, -1e300] {
+            let pts = [p(x, -x), p(x, -x)];
+            assert_eq!(UnitDiskGraph::new(&pts, 1.0).links(), vec![(0, 1)]);
+            let mut walked = Vec::new();
+            UnitDiskGraph::for_each_link(&pts, 1.0, |i, j| walked.push((i, j)));
+            assert_eq!(walked, vec![(0, 1)]);
+            assert!(UnitDiskGraph::connected(&pts, 1.0));
         }
     }
 

@@ -53,11 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Unexpected event: lose three robots mid-march and replan. ---
     println!("\nunexpected event: robots 10, 57 and 101 fail at mid-transition");
     let replan = replan_midway(&problem, &ours, &[10, 57, 101])?;
-    println!(
-        "  survivors: {} (still one network: {})",
-        replan.survivors.len(),
-        replan.survivors_connected,
-    );
+    println!("  survivors: {}", replan.survivors.len());
     println!(
         "  fresh plan: L = {:.3}, D = {:.0} m, C = {} — nobody was lost",
         replan.plan.metrics.stable_link_ratio,
