@@ -274,10 +274,10 @@ where
         let plan = FaultPlan::restore(&mut r)?;
         let crashed = Vec::<bool>::restore(&mut r)?;
         let n = crashed.len();
-        if topology.len() != n {
+        if topology.adjacency().len() != n {
             return Err(CkptError::TopologyMismatch {
                 snapshot: n,
-                topology: topology.len(),
+                topology: topology.adjacency().len(),
             });
         }
         let wakes = Vec::<(usize, u64)>::restore(&mut r)?;

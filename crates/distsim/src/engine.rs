@@ -356,10 +356,10 @@ impl<N: Node> EventSim<N> {
         topology: ExplicitTopology,
         plan: FaultPlan,
     ) -> Result<Self, SimError> {
-        if nodes.len() != topology.len() {
+        if nodes.len() != topology.adjacency().len() {
             return Err(SimError::TopologyMismatch {
                 nodes: nodes.len(),
-                adjacency: topology.len(),
+                adjacency: topology.adjacency().len(),
             });
         }
         plan.validate(nodes.len())?;

@@ -41,16 +41,6 @@ impl ExplicitTopology {
         &self.adjacency
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.adjacency.len()
-    }
-
-    /// True for an empty topology.
-    pub fn is_empty(&self) -> bool {
-        self.adjacency.is_empty()
-    }
-
     /// The neighbor row of `u`, in broadcast order.
     pub fn neighbors(&self, u: usize) -> &[usize] {
         &self.adjacency[u]
