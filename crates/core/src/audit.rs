@@ -59,9 +59,10 @@
 //!   the next shared instant both robots sit on their own knots again,
 //!   so the walk resumes exactly where walking would have put it.
 //! * The sweep's pair discovery is batched into *epochs* of the time
-//!   axis: one uniform grid built at the epoch's start prunes the
-//!   `O(n²)` pair set for the whole epoch, keeping the pairs that start
-//!   it within `range` plus both robots' deviations.
+//!   axis: one unit-disk walk ([`UnitDiskGraph::for_each_link`]) over
+//!   the positions at the epoch's start, at a cutoff of `range` plus
+//!   both robots' deviations, keeps the pairs that can come within
+//!   range during the whole epoch.
 //!
 //! All of this is observation-order independent — every parallel path
 //! returns byte-identical results at any worker count. Violations are
@@ -74,7 +75,6 @@ use crate::metrics::MetricsError;
 use anr_geom::Point;
 use anr_netgraph::{RollbackUnionFind, UnionFind, UnitDiskGraph};
 use anr_trace::{TraceValue, Tracer};
-use std::collections::BTreeMap;
 
 /// An initial link that left communication range during the march.
 #[derive(Debug, Clone, PartialEq)]
@@ -462,10 +462,10 @@ fn walk(motion: &KnotMotion, pairs: &[(u32, u32)], workers: usize) -> PairScan {
 /// Every pair `i < j` with `comp[i] != comp[j]` that can come within
 /// range at some instant, in index order.
 ///
-/// One uniform grid per discovery epoch marks every pair that can come
-/// within range during that epoch. The union across epochs (a bit-OR,
-/// order-independent) is the full candidate set; pairs never marked are
-/// provably never in range.
+/// One unit-disk walk per discovery epoch, at the epoch's cutoff, marks
+/// every pair that can come within range during that epoch. The union
+/// across epochs (a bit-OR, order-independent) is the full candidate
+/// set; pairs never marked are provably never in range.
 fn cross_pairs(motion: &KnotMotion, comp: &[u32], workers: usize) -> Vec<(u32, u32)> {
     let n = comp.len();
     let cross = |i: u32, j: u32| comp[i as usize] != comp[j as usize];
@@ -481,7 +481,7 @@ fn cross_pairs(motion: &KnotMotion, comp: &[u32], workers: usize) -> Vec<(u32, u
     let sets: Vec<Vec<u64>> = anr_par::par_chunks(&motion.epochs(), 8, workers, |chunk| {
         let mut bits = vec![0u64; words];
         for epoch in chunk {
-            for_each_near_pair(&motion.epoch_grid(epoch), epoch.cutoff, &mut |i, j| {
+            UnitDiskGraph::for_each_link(&motion.epoch_positions(epoch), epoch.cutoff, |i, j| {
                 let idx = i * n + j;
                 bits[idx >> 6] |= 1 << (idx & 63);
             });
@@ -873,15 +873,15 @@ impl<'a> KnotMotion<'a> {
     }
 
     /// The robots' positions at the epoch's start.
-    fn epoch_grid(&self, epoch: &KnotEpoch) -> Vec<Point> {
+    fn epoch_positions(&self, epoch: &KnotEpoch) -> Vec<Point> {
         (0..self.knots.robots())
             .map(|i| self.knots.position_at(i, epoch.start))
             .collect()
     }
 }
 
-/// A discovery epoch: its start and its grid cutoff; every pair that
-/// comes within range during the epoch starts it within the cutoff.
+/// A discovery epoch: its start and its cutoff; every pair that comes
+/// within range during the epoch starts it within the cutoff.
 struct KnotEpoch {
     start: f64,
     cutoff: f64,
@@ -953,40 +953,6 @@ fn first_out_from_spans(in_spans: &[(u32, u32, f64, f64)], t0: f64, t1: f64) -> 
         }
     }
     (start, end)
-}
-
-/// Calls `f(i, j)` (with `i < j`) exactly once for every pair of points
-/// within `cutoff` of each other — and possibly for some farther pairs,
-/// which the callback must re-filter. Uniform grid with `cutoff`-sized
-/// cells: near pairs share a cell or sit in 8-adjacent cells, and each
-/// unordered cell pair is enumerated once via a forward
-/// half-neighborhood. `O(n + near pairs)` instead of `O(n²)`; iteration
-/// order is unspecified.
-fn for_each_near_pair(points: &[Point], cutoff: f64, f: &mut impl FnMut(usize, usize)) {
-    debug_assert!(cutoff > 0.0 && cutoff.is_finite());
-    let inv = 1.0 / cutoff;
-    let mut cells: BTreeMap<(i64, i64), Vec<u32>> = BTreeMap::new();
-    for (k, p) in points.iter().enumerate() {
-        let key = ((p.x * inv).floor() as i64, (p.y * inv).floor() as i64);
-        cells.entry(key).or_default().push(k as u32);
-    }
-    const FWD: [(i64, i64); 4] = [(1, -1), (1, 0), (1, 1), (0, 1)];
-    for (&(cx, cy), members) in &cells {
-        for (s, &i) in members.iter().enumerate() {
-            for &j in &members[s + 1..] {
-                f(i.min(j) as usize, i.max(j) as usize);
-            }
-        }
-        for (dx, dy) in FWD {
-            if let Some(other) = cells.get(&(cx.saturating_add(dx), cy.saturating_add(dy))) {
-                for &i in members {
-                    for &j in other {
-                        f(i.min(j) as usize, i.max(j) as usize);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Offline dynamic connectivity over the global interval axis, fanned
@@ -1222,47 +1188,10 @@ mod tests {
         got
     }
 
-    #[test]
-    fn near_pair_grid_covers_all_near_pairs_once() {
-        // Deterministic scatter; the grid must report every pair within
-        // the cutoff (farther extras are allowed) and never repeat one.
-        let mut seed = 0xdead_beef_u64;
-        let mut next = move || {
-            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            (seed >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let pts: Vec<Point> = (0..200)
-            .map(|_| p(next() * 900.0 - 450.0, next() * 900.0 - 450.0))
-            .collect();
-        for cutoff in [40.0, 120.0, 2000.0] {
-            let mut got: Vec<(usize, usize)> = Vec::new();
-            for_each_near_pair(&pts, cutoff, &mut |i, j| {
-                assert!(i < j);
-                got.push((i, j));
-            });
-            got.sort_unstable();
-            assert!(
-                got.windows(2).all(|w| w[0] != w[1]),
-                "duplicate pair at cutoff {cutoff}"
-            );
-            let got: std::collections::HashSet<_> = got.into_iter().collect();
-            for i in 0..pts.len() {
-                for j in (i + 1)..pts.len() {
-                    if pts[i].distance(pts[j]) <= cutoff {
-                        assert!(
-                            got.contains(&(i, j)),
-                            "missing near pair ({i}, {j}) at cutoff {cutoff}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// The grid-pruned scan path (n ≥ 64) must behave exactly like the
-    /// dense one: a rigidly translating 70-robot chain certifies, and an
-    /// endpoint robot detouring out of range mid-piece is caught as both
-    /// a violation and a disconnect.
+    /// The walk-pruned discovery path (n ≥ 64) must behave exactly like
+    /// the dense one: a rigidly translating 70-robot chain certifies, and
+    /// an endpoint robot detouring out of range mid-piece is caught as
+    /// both a violation and a disconnect.
     #[test]
     fn grid_path_large_swarm_audits_exactly() {
         let n = 70;
@@ -1665,7 +1594,7 @@ mod tests {
     /// wrong `C`. With every robot its own component all pairs are
     /// cross pairs, so every pair that is in range at some instant
     /// (walked by brute force over all pairs) must be a candidate, while
-    /// the grid still prunes far pairs.
+    /// the epoch cutoffs still prune far pairs.
     #[test]
     fn knot_discovery_keeps_every_pair_that_comes_within_range() {
         let n = 90;
@@ -1717,7 +1646,7 @@ mod tests {
                 "pair ({i}, {j}) in range on [{lo}, {hi}] was never a candidate"
             );
         }
-        assert!(found.len() < all.len(), "the grid pruned no pair");
+        assert!(found.len() < all.len(), "discovery pruned no pair");
     }
 
     /// A status flip exactly at a row instant (the peak of a detour

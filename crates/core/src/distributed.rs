@@ -129,148 +129,68 @@ impl Node for ObjectiveNode {
     }
 }
 
-/// The globally agreed objective values after the protocol runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DistributedObjective {
-    /// The total stable link ratio `L` every robot computed.
-    pub stable_link_ratio: f64,
-    /// The total moving distance `D` every robot computed (straight-line
-    /// leg only, as used by method (b)'s search).
-    pub total_distance: f64,
-    /// Synchronous rounds used.
-    pub rounds: usize,
-    /// Messages sent (all delivered on the reliable network).
-    pub messages: usize,
-}
-
-/// Runs the distributed objective-evaluation protocol for one candidate
-/// rotation: `targets[i]` is robot `i`'s mapped destination.
+/// Outcome of the objective protocol.
 ///
-/// Returns the values **all** robots agree on; the function asserts the
-/// agreement (any two robots computing different totals is a protocol
-/// bug, not an input error).
-///
-/// # Errors
-///
-/// Propagates engine errors (e.g. the round budget when the network
-/// is disconnected).
-///
-/// # Panics
-///
-/// Panics when `positions.len() != targets.len()` or `range <= 0`.
-pub fn distributed_objective(
-    positions: &[Point],
-    targets: &[Point],
-    range: f64,
-) -> Result<DistributedObjective, SimError> {
-    assert_eq!(positions.len(), targets.len(), "one target per robot");
-    assert!(range > 0.0, "communication range must be positive");
-    let n = positions.len();
-    let graph = UnitDiskGraph::new(positions, range);
-
-    let nodes: Vec<ObjectiveNode> = (0..n)
-        .map(|id| ObjectiveNode {
-            id,
-            n,
-            position: positions[id],
-            target: targets[id],
-            range,
-            neighbor_targets: Vec::new(),
-            counted: false,
-            seen: vec![false; n],
-            total_preserved: 0,
-            total_degree: 0,
-            total_distance: 0.0,
-        })
-        .collect();
-    let topology = ExplicitTopology::new(graph.adjacency().to_vec())?;
-    let mut sim = EventSim::new(nodes, topology, FaultPlan::reliable(0))?;
-    let stats = sim.run_until_quiet(4 * n + 16)?;
-
-    let nodes = sim.into_nodes();
-    let first = &nodes[0];
-    for node in &nodes[1..] {
-        assert_eq!(
-            node.total_preserved, first.total_preserved,
-            "protocol disagreement on preserved links"
-        );
-        assert_eq!(node.total_degree, first.total_degree);
-        assert!((node.total_distance - first.total_distance).abs() < 1e-9);
-    }
-    let ratio = if first.total_degree == 0 {
-        1.0
-    } else {
-        first.total_preserved as f64 / first.total_degree as f64
-    };
-    Ok(DistributedObjective {
-        stable_link_ratio: ratio,
-        total_distance: first.total_distance,
-        rounds: stats.rounds,
-        messages: stats.sent,
-    })
-}
-
-/// Outcome of the objective protocol on a faulty network.
-///
-/// The paper's protocol assumes reliable synchronous delivery; this
-/// report measures what happens without it. `agreement` is the paper's
-/// implicit correctness condition — every live robot computed the same
-/// global totals — and is *not* asserted: under loss the flood can
-/// quiesce with robots missing reports, which is precisely the failure
-/// mode the robust wrappers in [`anr_netgraph::robust`] exist to fix.
+/// The paper's protocol assumes reliable synchronous delivery, and on a
+/// [`FaultPlan::reliable`] network every robot computes the same totals.
+/// `agreement` is that implicit correctness condition — every live
+/// robot computed the same global totals — and is reported, not
+/// asserted: under loss the flood can quiesce with robots missing
+/// reports, which is precisely the failure mode the robust wrappers in
+/// [`anr_netgraph::robust`] exist to fix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultyObjective {
+pub struct ObjectiveOutcome {
     /// Did every live robot compute identical totals?
     pub agreement: bool,
-    /// The totals of the first live robot (the agreed values when
-    /// `agreement` holds).
+    /// The total stable link ratio `L` of the first live robot (the
+    /// agreed value when `agreement` holds).
     pub stable_link_ratio: f64,
-    /// First live robot's total moving distance.
+    /// The first live robot's total moving distance `D` (straight-line
+    /// leg only, as used by method (b)'s search).
     pub total_distance: f64,
-    /// Synchronous rounds used.
-    pub rounds: usize,
-    /// Engine accounting.
+    /// Engine accounting: rounds used, messages sent, and what the
+    /// faults did to them.
     pub stats: FaultStats,
 }
 
-/// Error of the faulty agreement audit: either the engine rejected
-/// the run, or the audited inputs/outcome were unusable for metrics.
+/// Error of the objective protocol: either the engine rejected the run,
+/// or the inputs or outcome were unusable for metrics.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
-pub enum FaultyObjectiveError {
-    /// The underlying fault simulation failed.
+pub enum ObjectiveError {
+    /// The underlying simulation failed.
     Sim(SimError),
-    /// The audit inputs or outcome were unusable (mismatched lengths,
+    /// The inputs or outcome were unusable (mismatched lengths,
     /// non-positive range, or every robot crashed).
     Metrics(MetricsError),
 }
 
-impl fmt::Display for FaultyObjectiveError {
+impl fmt::Display for ObjectiveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FaultyObjectiveError::Sim(e) => write!(f, "fault simulation: {e}"),
-            FaultyObjectiveError::Metrics(e) => write!(f, "agreement audit: {e}"),
+            ObjectiveError::Sim(e) => write!(f, "objective simulation: {e}"),
+            ObjectiveError::Metrics(e) => write!(f, "objective inputs: {e}"),
         }
     }
 }
 
-impl Error for FaultyObjectiveError {}
+impl Error for ObjectiveError {}
 
-impl From<SimError> for FaultyObjectiveError {
+impl From<SimError> for ObjectiveError {
     fn from(e: SimError) -> Self {
-        FaultyObjectiveError::Sim(e)
+        ObjectiveError::Sim(e)
     }
 }
 
-impl From<MetricsError> for FaultyObjectiveError {
+impl From<MetricsError> for ObjectiveError {
     fn from(e: MetricsError) -> Self {
-        FaultyObjectiveError::Metrics(e)
+        ObjectiveError::Metrics(e)
     }
 }
 
-/// Runs the (idealized, ack-free) objective-evaluation protocol of
-/// [`distributed_objective`] under a [`FaultPlan`], reporting whether
-/// the swarm still reached agreement and at what cost.
+/// Runs the (ack-free) objective-evaluation protocol for one candidate
+/// rotation under `plan`: `targets[i]` is robot `i`'s mapped
+/// destination. Pass [`FaultPlan::reliable`] for the paper's network.
 ///
 /// # Errors
 ///
@@ -278,12 +198,12 @@ impl From<MetricsError> for FaultyObjectiveError {
 /// when messages are still in flight after `4 n + 16` rounds, and
 /// returns a typed [`MetricsError`] for mismatched input lengths, a
 /// non-positive range, or a run that left no robot alive.
-pub fn distributed_objective_under_faults(
+pub fn distributed_objective(
     positions: &[Point],
     targets: &[Point],
     range: f64,
     plan: FaultPlan,
-) -> Result<FaultyObjective, FaultyObjectiveError> {
+) -> Result<ObjectiveOutcome, ObjectiveError> {
     if positions.len() != targets.len() {
         return Err(MetricsError::LengthMismatch {
             expected: positions.len(),
@@ -291,7 +211,7 @@ pub fn distributed_objective_under_faults(
         }
         .into());
     }
-    if range <= 0.0 {
+    if range.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
         return Err(MetricsError::NonPositiveRange { range }.into());
     }
     let n = positions.len();
@@ -334,11 +254,10 @@ pub fn distributed_objective_under_faults(
     } else {
         first.total_preserved as f64 / first.total_degree as f64
     };
-    Ok(FaultyObjective {
+    Ok(ObjectiveOutcome {
         agreement,
         stable_link_ratio: ratio,
         total_distance: first.total_distance,
-        rounds: stats.rounds,
         stats,
     })
 }
@@ -376,11 +295,19 @@ mod tests {
             / links.len() as f64
     }
 
+    /// The protocol on the paper's reliable network, where every robot
+    /// must agree.
+    fn reliable(positions: &[Point], targets: &[Point]) -> ObjectiveOutcome {
+        let out = distributed_objective(positions, targets, 80.0, FaultPlan::reliable(0)).unwrap();
+        assert!(out.agreement, "reliable network disagreement");
+        out
+    }
+
     #[test]
     fn matches_centralized_on_rigid_translation() {
         let positions = lattice(4, 5, 60.0);
         let targets: Vec<Point> = positions.iter().map(|q| p(q.x + 700.0, q.y)).collect();
-        let obj = distributed_objective(&positions, &targets, 80.0).unwrap();
+        let obj = reliable(&positions, &targets);
         assert_eq!(obj.stable_link_ratio, 1.0);
         assert_eq!(
             obj.stable_link_ratio,
@@ -406,7 +333,7 @@ mod tests {
                 p(q.x + 700.0, q.y + 100.0)
             })
             .collect();
-        let obj = distributed_objective(&positions, &targets, 80.0).unwrap();
+        let obj = reliable(&positions, &targets);
         let central = central_ratio(&positions, &targets, 80.0);
         assert!(
             (obj.stable_link_ratio - central).abs() < 1e-12,
@@ -420,26 +347,12 @@ mod tests {
     fn message_accounting_reported() {
         let positions = lattice(3, 3, 60.0);
         let targets: Vec<Point> = positions.iter().map(|q| p(q.x + 500.0, q.y)).collect();
-        let obj = distributed_objective(&positions, &targets, 80.0).unwrap();
-        // At least one target broadcast and one flood per robot.
-        assert!(obj.messages >= 2 * positions.len());
-        assert!(obj.rounds >= 2);
-    }
-
-    #[test]
-    fn faulty_objective_matches_reliable_under_zero_fault_plan() {
-        let positions = lattice(3, 4, 60.0);
-        let targets: Vec<Point> = positions.iter().map(|q| p(q.x + 700.0, q.y)).collect();
-        let ideal = distributed_objective(&positions, &targets, 80.0).unwrap();
-        let faulty =
-            distributed_objective_under_faults(&positions, &targets, 80.0, FaultPlan::reliable(99))
-                .unwrap();
-        assert!(faulty.agreement);
-        assert_eq!(faulty.stable_link_ratio, ideal.stable_link_ratio);
-        assert!((faulty.total_distance - ideal.total_distance).abs() < 1e-9);
-        assert_eq!(faulty.rounds, ideal.rounds);
-        assert_eq!(faulty.stats.sent, ideal.messages);
-        assert_eq!(faulty.stats.delivered, ideal.messages);
+        let obj = reliable(&positions, &targets);
+        // At least one target broadcast and one flood per robot, all
+        // delivered on the reliable network.
+        assert!(obj.stats.sent >= 2 * positions.len());
+        assert_eq!(obj.stats.delivered, obj.stats.sent);
+        assert!(obj.stats.rounds >= 2);
     }
 
     #[test]
@@ -450,10 +363,10 @@ mod tests {
         let targets: Vec<Point> = positions.iter().map(|q| p(q.x + 700.0, q.y)).collect();
         let broke = (0..20).any(|seed| {
             let plan = FaultPlan::reliable(seed).with_loss(0.5);
-            match distributed_objective_under_faults(&positions, &targets, 80.0, plan) {
+            match distributed_objective(&positions, &targets, 80.0, plan) {
                 Ok(out) => !out.agreement,
                 // Never quiescing also counts as broken.
-                Err(FaultyObjectiveError::Sim(SimError::NotQuiescent { .. })) => true,
+                Err(ObjectiveError::Sim(SimError::NotQuiescent { .. })) => true,
                 Err(e) => panic!("unexpected error: {e}"),
             }
         });
@@ -467,10 +380,10 @@ mod tests {
         // Crash a corner robot before the protocol starts: the rest
         // still agree (on totals that exclude the crashed robot).
         let plan = FaultPlan::reliable(0).with_crash(0, 11);
-        let out = distributed_objective_under_faults(&positions, &targets, 80.0, plan).unwrap();
+        let out = distributed_objective(&positions, &targets, 80.0, plan).unwrap();
         assert!(out.agreement, "live robots agree among themselves");
         assert!(out.stats.dropped_crash > 0);
-        let ideal = distributed_objective(&positions, &targets, 80.0).unwrap();
+        let ideal = reliable(&positions, &targets);
         assert!(
             out.total_distance < ideal.total_distance,
             "crashed robot's leg is missing from the total"
@@ -486,8 +399,8 @@ mod tests {
             plan = plan.with_crash(0, robot);
         }
         assert!(matches!(
-            distributed_objective_under_faults(&positions, &targets, 80.0, plan),
-            Err(FaultyObjectiveError::Metrics(MetricsError::NoLiveRobots))
+            distributed_objective(&positions, &targets, 80.0, plan),
+            Err(ObjectiveError::Metrics(MetricsError::NoLiveRobots))
         ));
     }
 
@@ -496,22 +409,17 @@ mod tests {
         let positions = lattice(2, 2, 60.0);
         let targets = positions[..2].to_vec();
         assert!(matches!(
-            distributed_objective_under_faults(&positions, &targets, 80.0, FaultPlan::reliable(0)),
-            Err(FaultyObjectiveError::Metrics(
-                MetricsError::LengthMismatch { .. }
-            ))
+            distributed_objective(&positions, &targets, 80.0, FaultPlan::reliable(0)),
+            Err(ObjectiveError::Metrics(MetricsError::LengthMismatch { .. }))
         ));
-        assert!(matches!(
-            distributed_objective_under_faults(
-                &positions,
-                &positions.clone(),
-                0.0,
-                FaultPlan::reliable(0)
-            ),
-            Err(FaultyObjectiveError::Metrics(
-                MetricsError::NonPositiveRange { .. }
-            ))
-        ));
+        for range in [0.0, -1.0, f64::NAN] {
+            assert!(matches!(
+                distributed_objective(&positions, &positions, range, FaultPlan::reliable(0)),
+                Err(ObjectiveError::Metrics(
+                    MetricsError::NonPositiveRange { .. }
+                ))
+            ));
+        }
     }
 
     #[test]
@@ -530,7 +438,7 @@ mod tests {
                     p(r.x + 900.0, r.y)
                 })
                 .collect();
-            let obj = distributed_objective(&positions, &targets, 80.0).unwrap();
+            let obj = reliable(&positions, &targets);
             let central = central_ratio(&positions, &targets, 80.0);
             assert!(
                 (obj.stable_link_ratio - central).abs() < 1e-12,

@@ -25,6 +25,7 @@
 //! JSON document for the `fault-sweep` CLI subcommand and the
 //! `fault_sweep` bench binary.
 
+use anr_distsim::fault::FaultRng;
 use anr_distsim::{EventSim, ExplicitTopology, FaultPlan, FaultStats, Node, SimError};
 use anr_geom::Point;
 use anr_netgraph::robust::{RetransmitConfig, RobustFloodNode, RobustHopFieldNode};
@@ -149,27 +150,18 @@ pub struct FaultSweepReport {
     pub protocols: Vec<ProtocolGrid>,
 }
 
-/// Splitmix64 step — the same generator the fault plan uses, applied
-/// here only to derive per-cell seeds and crash sets.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
+/// A cell's seed: one step of the fault plan's splitmix64 stream from a
+/// state mixing the master seed with the cell's grid position.
 fn cell_seed(master: u64, li: usize, ci: usize) -> u64 {
-    let mut s = master ^ ((li as u64) << 32) ^ (ci as u64 + 1);
-    splitmix(&mut s)
+    FaultRng::from_state(master ^ ((li as u64) << 32) ^ (ci as u64 + 1)).next_u64()
 }
 
 /// Picks `count` distinct robots to crash, deterministically per seed.
 fn pick_crashed(n: usize, count: usize, seed: u64) -> Vec<usize> {
-    let mut s = seed;
+    let mut rng = FaultRng::from_state(seed);
     let mut picked: Vec<usize> = Vec::with_capacity(count);
     while picked.len() < count {
-        let r = (splitmix(&mut s) % n as u64) as usize;
+        let r = (rng.next_u64() % n as u64) as usize;
         if !picked.contains(&r) {
             picked.push(r);
         }

@@ -70,10 +70,7 @@ pub use audit::{
     audit_knots, audit_knots_uncontracted, audit_piecewise_with_workers, AuditReport, LinkViolation,
 };
 pub use baselines::{direct_translation, hungarian_direct};
-pub use distributed::{
-    distributed_objective, distributed_objective_under_faults, DistributedObjective,
-    FaultyObjective, FaultyObjectiveError,
-};
+pub use distributed::{distributed_objective, ObjectiveError, ObjectiveOutcome};
 pub use energy::{EnergyModel, EnergyReport};
 pub use error::MarchError;
 pub use faultsweep::{

@@ -71,50 +71,14 @@ impl Polyline {
     /// Position at normalized time `s ∈ [0, 1]` (constant speed along
     /// the path; clamped outside the range).
     pub fn position_at(&self, s: f64) -> Point {
-        let s = s.clamp(0.0, 1.0);
-        let target = s * self.length();
-        if self.length() == 0.0 {
-            return self.waypoints[0];
-        }
-        // Binary search the segment containing `target`.
-        let idx = match self.cumulative.binary_search_by(|c| c.total_cmp(&target)) {
-            Ok(i) => i,
-            Err(i) => i.saturating_sub(1),
-        };
-        if idx + 1 >= self.waypoints.len() {
-            return self.end();
-        }
-        let seg_len = self.cumulative[idx + 1] - self.cumulative[idx];
-        if seg_len <= 0.0 {
-            return self.waypoints[idx];
-        }
-        let t = (target - self.cumulative[idx]) / seg_len;
-        self.waypoints[idx].lerp(self.waypoints[idx + 1], t)
+        self.position_at_cursor(&mut 0, s)
     }
 
-    /// Positions at a **sorted ascending** list of normalized times.
-    ///
-    /// Walks the cumulative-length table with a monotone cursor instead
-    /// of binary-searching every query, and returns bit-identical
-    /// positions to calling [`Polyline::position_at`] per time (pinned
-    /// by `sorted_sampling_matches_per_query`). Detour-heavy trajectory
-    /// sets (hole scenarios) produce thousands of breakpoint rows, which
-    /// made the per-query search the `trajectories` stage hot spot.
-    ///
-    /// Out-of-order inputs still produce correct positions (the cursor
-    /// only ever lags, never overshoots, for non-decreasing times; a
-    /// decreasing time restarts the scan from segment 0).
-    pub fn positions_at_sorted(&self, times: &[f64]) -> Vec<Point> {
-        let mut idx = 0usize;
-        times
-            .iter()
-            .map(|&s| self.position_at_cursor(&mut idx, s))
-            .collect()
-    }
-
-    /// One query of [`Polyline::positions_at_sorted`]: `idx` is the
-    /// segment the previous query ended on (0 to start). For
-    /// non-decreasing queries the result depends only on `s`, whatever
+    /// [`Polyline::position_at`] with a cursor: `idx` is the segment the
+    /// previous query ended on (0 to start). The cursor only ever lags
+    /// for non-decreasing times, so a monotone sequence of queries walks
+    /// the cumulative-length table once; a decreasing time restarts the
+    /// scan from segment 0. The result depends only on `s`, whatever
     /// segment the cursor starts from at or before it.
     fn position_at_cursor(&self, idx: &mut usize, s: f64) -> Point {
         let len = self.length();
@@ -213,42 +177,22 @@ impl TrajectorySet {
         self.paths.iter().map(|p| p.position_at(s)).collect()
     }
 
-    /// Samples all robot positions at `samples + 1` uniformly spaced
-    /// normalized times (including `s = 0` and `s = 1`).
-    ///
-    /// Uniform samples may step **over** a polyline waypoint, so motion
-    /// between consecutive rows is not necessarily linear; exact
-    /// continuous metrics need [`TrajectorySet::breakpoints`] /
-    /// [`TrajectorySet::sample_at`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `samples == 0`.
-    pub fn sample(&self, samples: usize) -> Vec<Vec<Point>> {
-        assert!(samples > 0, "need at least one sample interval");
-        (0..=samples)
-            .map(|k| self.positions_at(k as f64 / samples as f64))
-            .collect()
-    }
-
     /// All robot positions at each of the given normalized `times`.
     ///
-    /// Sorted time lists (the common case — [`TrajectorySet::breakpoints`]
-    /// and [`TrajectorySet::sample_times_with_breakpoints`] are sorted)
-    /// are sampled in blocks of rows fanned out over worker threads: each
-    /// path walks one monotone cursor down its block, writing straight
-    /// into the rows, so no robot-major copy of the timeline is ever
-    /// held. The rows are bit-identical to [`Polyline::positions_at_sorted`]
-    /// and to the per-query path at any worker count.
+    /// The times are sampled in blocks of rows fanned out over worker
+    /// threads: each path walks one cursor down its block, writing
+    /// straight into the rows, so no robot-major copy of the timeline is
+    /// ever held. Sorted time lists (the common case —
+    /// [`TrajectorySet::breakpoints`] and
+    /// [`TrajectorySet::sample_times_with_breakpoints`] are sorted) walk
+    /// each path's segments once per block. The rows are bit-identical to
+    /// [`TrajectorySet::positions_at`] per time at any worker count.
     pub fn sample_at(&self, times: &[f64]) -> Vec<Vec<Point>> {
         self.sample_rows(times, 0)
     }
 
     /// [`TrajectorySet::sample_at`] on `workers` threads (0 = auto).
     fn sample_rows(&self, times: &[f64], workers: usize) -> Vec<Vec<Point>> {
-        if !times.windows(2).all(|w| w[1] >= w[0]) {
-            return times.iter().map(|&s| self.positions_at(s)).collect();
-        }
         let blocks = anr_par::par_chunks(times, 32, workers, |block| {
             let mut rows: Vec<Vec<Point>> = (0..block.len())
                 .map(|_| Vec::with_capacity(self.paths.len()))
@@ -586,7 +530,7 @@ mod tests {
         );
         assert_eq!(set.len(), 2);
         assert_eq!(set.total_length(), 20.0);
-        let samples = set.sample(4);
+        let samples = set.sample_at(&[0.0, 0.25, 0.5, 0.75, 1.0]);
         assert_eq!(samples.len(), 5);
         assert_eq!(samples[0][0], p(0.0, 0.0));
         assert_eq!(samples[2][0], p(5.0, 0.0));
@@ -617,11 +561,23 @@ mod tests {
         );
     }
 
+    /// FNV-1a 64 of the points' coordinate bits, big-endian.
+    fn points_digest(points: &[Point]) -> u64 {
+        points
+            .iter()
+            .flat_map(|q| [q.x.to_bits(), q.y.to_bits()])
+            .flat_map(u64::to_be_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
     #[test]
     fn sorted_sampling_matches_per_query() {
         // Detour-like path with many short segments plus a stationary
-        // robot; sampling at breakpoints, uniform times and repeated
-        // times must be bit-identical to per-query position_at.
+        // robot; sampling at breakpoints, uniform times, repeated times
+        // and unsorted times must be bit-identical to per-query
+        // position_at.
         let jagged = Polyline::new(
             (0..50)
                 .map(|i| p(i as f64, if i % 2 == 0 { 0.0 } else { 0.3 }))
@@ -634,40 +590,37 @@ mod tests {
         ]);
         let mut times = set.sample_times_with_breakpoints(13);
         times.push(1.0); // repeated endpoint
-        for &s in &times {
-            let row = jagged.positions_at_sorted(&[s]);
-            assert_eq!(row[0], jagged.position_at(s));
-        }
-        let rows = set.sample_at(&times);
-        for (r, &s) in times.iter().enumerate() {
-            assert_eq!(rows[r], set.positions_at(s), "row {r} at s={s}");
-        }
-        // Row blocks give every worker count the per-path cursor walk's
-        // rows, bit for bit (more rows than one block, so blocks split).
-        let many: Vec<f64> = (0..=200).map(|k| f64::from(k) / 200.0).collect();
-        let per_path: Vec<Vec<Point>> = set
-            .paths()
+        let unsorted = [0.9, 0.1, 0.5, 0.5, 0.0];
+        // The jagged path's per-query positions, a golden digest of the
+        // binary segment search this cursor replaced.
+        let per_query: Vec<Point> = times
             .iter()
-            .map(|p| p.positions_at_sorted(&many))
+            .chain(&unsorted)
+            .map(|&s| jagged.position_at(s))
             .collect();
+        assert_eq!(per_query.len(), 68);
+        assert_eq!(points_digest(&per_query), 0xb91c_9082_6804_3625);
+        // The cursor restarts on a decreasing time, so unsorted lists
+        // sample the same rows as sorted ones.
+        for list in [&times[..], &unsorted] {
+            let rows = set.sample_at(list);
+            for (r, &s) in list.iter().enumerate() {
+                assert_eq!(rows[r], set.positions_at(s), "row {r} at s={s}");
+            }
+        }
+        // Row blocks give every worker count the per-query rows, bit for
+        // bit (more rows than one block, so blocks split).
+        let many: Vec<f64> = (0..=200).map(|k| f64::from(k) / 200.0).collect();
         for workers in [1, 2, 8] {
             let rows = set.sample_rows(&many, workers);
             assert_eq!(rows.len(), many.len());
             for (r, row) in rows.iter().enumerate() {
-                let want: Vec<Point> = per_path.iter().map(|c| c[r]).collect();
-                assert_eq!(row, &want, "row {r} at {workers} workers");
+                assert_eq!(
+                    row,
+                    &set.positions_at(many[r]),
+                    "row {r} at {workers} workers"
+                );
             }
-        }
-        // Unsorted queries fall back to per-query sampling.
-        let unsorted = [0.9, 0.1, 0.5, 0.5, 0.0];
-        let rows = set.sample_at(&unsorted);
-        for (r, &s) in unsorted.iter().enumerate() {
-            assert_eq!(rows[r], set.positions_at(s));
-        }
-        // The monotone cursor also survives unsorted direct calls.
-        let direct = jagged.positions_at_sorted(&unsorted);
-        for (r, &s) in unsorted.iter().enumerate() {
-            assert_eq!(direct[r], jagged.position_at(s));
         }
     }
 
@@ -680,11 +633,8 @@ mod tests {
             &[p(100.0, 0.0), p(1.0, 1.0)],
             &[],
         );
-        let samples = set.sample(10);
-        assert_eq!(samples[10][0], p(100.0, 0.0));
-        assert_eq!(samples[10][1], p(1.0, 1.0));
+        assert_eq!(set.positions_at(1.0), vec![p(100.0, 0.0), p(1.0, 1.0)]);
         // At half time, both are halfway along their own paths.
-        assert_eq!(samples[5][0], p(50.0, 0.0));
-        assert_eq!(samples[5][1], p(0.5, 1.0));
+        assert_eq!(set.positions_at(0.5), vec![p(50.0, 0.0), p(0.5, 1.0)]);
     }
 }

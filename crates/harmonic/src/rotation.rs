@@ -63,42 +63,7 @@ impl RotationSearch {
     /// "divides current search interval of angle into two and rotates
     /// ... with the midpoint angle of the interval").
     pub fn maximize<F: FnMut(f64) -> f64>(&self, mut objective: F) -> (f64, f64, usize) {
-        let mut evals = 0usize;
-        let mut eval = |theta: f64, evals: &mut usize| -> f64 {
-            *evals += 1;
-            objective(theta)
-        };
-
-        // Coarse sweep.
-        let mut best_theta = 0.0;
-        let mut best_score = f64::NEG_INFINITY;
-        for k in 0..self.initial_samples {
-            let theta = TAU * k as f64 / self.initial_samples as f64;
-            let s = eval(theta, &mut evals);
-            if s > best_score {
-                best_score = s;
-                best_theta = theta;
-            }
-        }
-
-        // Bisection refinement around the best coarse sample.
-        let mut half_width = TAU / self.initial_samples as f64 / 2.0;
-        for _ in 0..self.depth {
-            let left = best_theta - half_width / 2.0;
-            let right = best_theta + half_width / 2.0;
-            let sl = eval(left, &mut evals);
-            let sr = eval(right, &mut evals);
-            if sl > best_score && sl >= sr {
-                best_score = sl;
-                best_theta = left;
-            } else if sr > best_score {
-                best_score = sr;
-                best_theta = right;
-            }
-            half_width /= 2.0;
-        }
-
-        (best_theta.rem_euclid(TAU), best_score, evals)
+        self.maximize_batch(|thetas| thetas.iter().map(|&theta| objective(theta)).collect())
     }
 
     /// Finds the angle minimizing `objective` (used by method (b), the
@@ -111,12 +76,9 @@ impl RotationSearch {
     /// [`RotationSearch::maximize`] with a batched objective: each round's
     /// angles are handed to `batch` together (the coarse sweep as one
     /// batch, then each bisection round's two midpoints), so the caller
-    /// can fan the evaluations out over worker threads.
-    ///
-    /// For any pure objective the result is **bit-identical** to
-    /// [`RotationSearch::maximize`] at any worker count: batch results
-    /// are scanned in the same ascending-angle order with the same strict
-    /// comparisons (pinned by `batched_search_matches_serial`).
+    /// can fan the evaluations out over worker threads. Batch results
+    /// are scanned in ascending-angle order, so for a pure objective the
+    /// result does not depend on how `batch` schedules its evaluations.
     ///
     /// # Panics
     ///
@@ -264,19 +226,39 @@ mod tests {
     }
 
     #[test]
-    fn batched_search_matches_serial() {
-        // Awkward multi-modal objective with plateaus (exact ties).
+    fn search_is_pinned_on_a_multimodal_objective() {
+        // Awkward multi-modal objective with plateaus (exact ties). The
+        // expected `(theta, score, evals)` are golden values of the
+        // serial bisection loop this search replaced.
         let f = |t: f64| ((3.0 * t).sin() * 10.0).floor() + 0.25 * (t - 1.7).cos();
-        for (samples, depth) in [(16, 4), (7, 3), (1, 5), (16, 0)] {
+        let pins = [
+            (
+                (16, 4),
+                (4.71238898038469, 9.752083797386883, 24),
+                (5.706408530934585, -10.162195059892943, 24),
+            ),
+            (
+                (7, 3),
+                (2.4683942278205517, 9.179756894540551, 13),
+                (3.8147910793590345, -10.129389553549094, 13),
+            ),
+            (
+                (1, 5),
+                (4.71238898038469, 9.752083797386883, 11),
+                (1.4726215563702154, -9.75643482388437, 11),
+            ),
+            (
+                (16, 0),
+                (4.71238898038469, 9.752083797386883, 16),
+                (5.890486225480862, -10.124632621144007, 16),
+            ),
+        ];
+        for ((samples, depth), max, min) in pins {
             let search = RotationSearch::new(samples, depth);
-            let serial = search.maximize(f);
-            let batched = search.maximize_batch(|ts| ts.iter().map(|&t| f(t)).collect());
-            assert_eq!(serial, batched, "samples {samples} depth {depth}");
-            let serial_min = search.minimize(f);
-            let batched_min = search.minimize_batch(|ts| ts.iter().map(|&t| f(t)).collect());
-            assert_eq!(serial_min.0, batched_min.0);
-            assert_eq!(serial_min.2, batched_min.2);
-            assert!((serial_min.1 - batched_min.1).abs() < 1e-12);
+            assert_eq!(search.maximize(f), max, "samples {samples} depth {depth}");
+            assert_eq!(search.minimize(f), min, "samples {samples} depth {depth}");
+            let batched = search.minimize_batch(|ts| ts.iter().map(|&t| f(t)).collect());
+            assert_eq!(batched, min, "samples {samples} depth {depth}");
         }
     }
 

@@ -8,6 +8,15 @@
 use crate::{delaunay, MeshError, TriMesh};
 use anr_geom::{Point, PolygonWithHoles};
 
+/// Fewest points on the outer boundary; each hole gets at least half as
+/// many.
+const MIN_BOUNDARY_POINTS: usize = 16;
+
+/// Jitter applied to interior grid points to break cocircular
+/// degeneracies, as a fraction of the spacing (boundary samples get a
+/// tenth of it).
+const JITTER: f64 = 1e-3;
+
 /// A meshed field of interest: the triangulation plus its boundary
 /// structure and the region it discretizes.
 #[derive(Debug, Clone)]
@@ -49,7 +58,7 @@ impl FoiMesh {
     }
 }
 
-/// Configurable FoI mesher.
+/// FoI mesher.
 ///
 /// `spacing` controls both the boundary resampling step and the interior
 /// grid pitch; the resulting triangles have edges of roughly that length.
@@ -68,9 +77,6 @@ impl FoiMesh {
 #[derive(Debug, Clone)]
 pub struct FoiMesher {
     spacing: f64,
-    min_boundary_points: usize,
-    jitter: f64,
-    check_topology: bool,
 }
 
 impl FoiMesher {
@@ -81,33 +87,7 @@ impl FoiMesher {
     /// Panics when `spacing <= 0`.
     pub fn new(spacing: f64) -> Self {
         assert!(spacing > 0.0, "spacing must be positive");
-        FoiMesher {
-            spacing,
-            min_boundary_points: 16,
-            jitter: 1e-3,
-            check_topology: true,
-        }
-    }
-
-    /// Minimum number of points on the outer boundary (default 16).
-    pub fn min_boundary_points(&mut self, n: usize) -> &mut Self {
-        self.min_boundary_points = n.max(3);
-        self
-    }
-
-    /// Relative jitter applied to interior grid points to break
-    /// cocircular degeneracies (default `1e-3`, as a fraction of the
-    /// spacing). Set to 0 to disable.
-    pub fn jitter(&mut self, j: f64) -> &mut Self {
-        self.jitter = j.max(0.0);
-        self
-    }
-
-    /// Whether to verify that the mesh boundary-loop count matches the
-    /// region's hole count (default true).
-    pub fn check_topology(&mut self, check: bool) -> &mut Self {
-        self.check_topology = check;
-        self
+        FoiMesher { spacing }
     }
 
     /// Meshes the region.
@@ -171,14 +151,12 @@ impl FoiMesher {
         let mesh = TriMesh::new(verts, tris)?;
         let loops = mesh.boundary_loops();
 
-        if self.check_topology {
-            let expected = 1 + region.holes().len();
-            if loops.len() != expected {
-                return Err(MeshError::TopologyMismatch {
-                    expected_loops: expected,
-                    got_loops: loops.len(),
-                });
-            }
+        let expected = 1 + region.holes().len();
+        if loops.len() != expected {
+            return Err(MeshError::TopologyMismatch {
+                expected_loops: expected,
+                got_loops: loops.len(),
+            });
         }
 
         let mut it = loops.into_iter();
@@ -204,23 +182,23 @@ impl FoiMesher {
         // same magnitude as grid points: exactly collinear runs along
         // polygon edges are a worst case for the incremental Delaunay
         // cavity and the offset is far below the mesh resolution.
-        let bjit = self.jitter * self.spacing * 0.1;
+        let bjit = JITTER * self.spacing * 0.1;
         let mut bk = 0xB0D5u64;
 
         // Outer boundary samples.
         for p in region
             .outer()
-            .resample_boundary(self.spacing, self.min_boundary_points)
+            .resample_boundary(self.spacing, MIN_BOUNDARY_POINTS)
         {
             bk += 1;
-            points.push(if bjit > 0.0 { jittered(p, bk, bjit) } else { p });
+            points.push(jittered(p, bk, bjit));
         }
 
         // Hole boundary samples.
         for h in region.holes() {
-            for p in h.resample_boundary(self.spacing, 8.max(self.min_boundary_points / 2)) {
+            for p in h.resample_boundary(self.spacing, MIN_BOUNDARY_POINTS / 2) {
                 bk += 1;
-                points.push(if bjit > 0.0 { jittered(p, bk, bjit) } else { p });
+                points.push(jittered(p, bk, bjit));
             }
         }
 
@@ -232,12 +210,7 @@ impl FoiMesher {
             if region.distance_to_boundary(p) <= inset {
                 continue;
             }
-            let q = if self.jitter > 0.0 {
-                jittered(p, k, self.jitter * self.spacing)
-            } else {
-                p
-            };
-            points.push(q);
+            points.push(jittered(p, k, JITTER * self.spacing));
         }
         points
     }
@@ -357,13 +330,6 @@ mod tests {
             let d = hole.distance_to_boundary(m.mesh().vertex(v));
             assert!(d < 1.5, "hole-loop vertex {v} is {d} from hole boundary");
         }
-    }
-
-    #[test]
-    fn jitter_zero_still_meshes_grid() {
-        let foi = square_region(40.0);
-        let m = FoiMesher::new(5.0).jitter(0.0).mesh(&foi).unwrap();
-        assert!(m.mesh().num_triangles() > 0);
     }
 
     #[test]

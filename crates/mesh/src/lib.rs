@@ -43,6 +43,6 @@ mod trimesh;
 pub use delaunay::delaunay;
 pub use error::MeshError;
 pub use foi::{FoiMesh, FoiMesher};
-pub use locate::{locate_walk, nearest_vertex, PointLocator};
+pub use locate::PointLocator;
 pub use quality::MeshQuality;
 pub use trimesh::TriMesh;

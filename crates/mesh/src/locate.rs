@@ -9,13 +9,6 @@
 use crate::TriMesh;
 use anr_geom::{Aabb, NearestGrid, Point};
 
-/// Index of the vertex of `mesh` nearest to `p` (linear scan).
-///
-/// Returns `None` for a mesh with no vertices.
-pub fn nearest_vertex(mesh: &TriMesh, p: Point) -> Option<usize> {
-    mesh.nearest_vertex_index(p)
-}
-
 /// Bucket-grid point locator over a fixed mesh.
 ///
 /// Build once, query many times. Queries return the containing triangle,
@@ -166,60 +159,6 @@ impl<'m> PointLocator<'m> {
     }
 }
 
-/// Point location by *walking*: starting from `start` (a triangle
-/// index), repeatedly step to the neighbor across the edge that the
-/// target lies beyond, until the containing triangle is reached.
-///
-/// Expected O(√n) per query when `start` is near the target — the
-/// classic companion to a bucket grid for coherent query sequences
-/// (e.g. relocating a whole swarm whose disk positions move slowly with
-/// the rotation angle).
-///
-/// Returns `None` when the walk exits the mesh through a boundary edge
-/// (the point is outside) or when the step budget (`4 × num_triangles`)
-/// is exhausted (possible only on non-convex meshes, where the caller
-/// should fall back to [`PointLocator::locate`]).
-///
-/// # Panics
-///
-/// Panics when `start` is out of range.
-pub fn locate_walk(mesh: &TriMesh, start: usize, p: Point) -> Option<usize> {
-    assert!(start < mesh.num_triangles(), "start triangle out of range");
-    let mut current = start;
-    let mut steps = 0usize;
-    let budget = 4 * mesh.num_triangles();
-    loop {
-        steps += 1;
-        if steps > budget {
-            return None;
-        }
-        let [a, b, c] = mesh.triangles()[current];
-        let (pa, pb, pc) = (mesh.vertex(a), mesh.vertex(b), mesh.vertex(c));
-        // Find an edge with the target strictly on its outside.
-        let mut moved = false;
-        for (u, v) in [(a, b), (b, c), (c, a)] {
-            let (pu, pv) = (mesh.vertex(u), mesh.vertex(v));
-            if anr_geom::orient2d(pu, pv, p) < -1e-12 {
-                // Step across (u, v) if there is a neighbor.
-                let neighbors = mesh.edge_triangles(u, v);
-                match neighbors.iter().find(|&&t| t != current) {
-                    Some(&next) => {
-                        current = next;
-                        moved = true;
-                        break;
-                    }
-                    None => return None, // walked out through the boundary
-                }
-            }
-        }
-        if !moved {
-            // No separating edge: the triangle contains p.
-            let tri = anr_geom::Triangle::new(pa, pb, pc);
-            return if tri.contains(p) { Some(current) } else { None };
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,57 +234,5 @@ mod tests {
                 other => panic!("mismatch at {q}: {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn walk_finds_interior_points() {
-        let m = grid_mesh(6);
-        for &q in &[p(0.5, 0.5), p(3.3, 2.7), p(4.9, 0.1), p(2.5, 4.9)] {
-            for start in [0, m.num_triangles() / 2, m.num_triangles() - 1] {
-                let t = locate_walk(&m, start, q).expect("inside");
-                assert!(m.triangle(t).contains(q), "from start {start}");
-            }
-        }
-    }
-
-    #[test]
-    fn walk_detects_outside_points() {
-        let m = grid_mesh(4);
-        assert!(locate_walk(&m, 0, p(100.0, 100.0)).is_none());
-        assert!(locate_walk(&m, m.num_triangles() - 1, p(-5.0, 1.0)).is_none());
-    }
-
-    #[test]
-    fn walk_agrees_with_bucket_locator() {
-        let m = grid_mesh(7);
-        let loc = PointLocator::new(&m);
-        let mut seed: u64 = 3;
-        let mut next = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let mut start = 0usize;
-        for _ in 0..300 {
-            let q = p(next() * 6.0, next() * 6.0);
-            let walked = locate_walk(&m, start, q);
-            let bucketed = loc.locate(q);
-            match (walked, bucketed) {
-                (Some(a), Some(b)) => {
-                    assert!(m.triangle(a).contains(q));
-                    assert!(m.triangle(b).contains(q));
-                    start = a; // coherent query sequence
-                }
-                (None, None) => {}
-                other => panic!("disagreement at {q}: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn nearest_vertex_scan() {
-        let m = grid_mesh(3);
-        assert_eq!(nearest_vertex(&m, p(1.9, 2.1)), Some(8));
     }
 }

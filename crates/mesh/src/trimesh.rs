@@ -327,17 +327,6 @@ impl TriMesh {
             neighbors: self.neighbors.clone(),
         }
     }
-
-    /// Index of the vertex nearest to `p` (linear scan).
-    ///
-    /// Returns `None` for an empty mesh.
-    pub fn nearest_vertex_index(&self, p: Point) -> Option<usize> {
-        (0..self.num_vertices()).min_by(|&a, &b| {
-            self.vertices[a]
-                .distance_sq(p)
-                .total_cmp(&self.vertices[b].distance_sq(p))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -530,12 +519,5 @@ mod tests {
         let m2 = m.with_positions(doubled);
         assert_eq!(m2.num_triangles(), m.num_triangles());
         assert!((m2.total_area() - 16.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nearest_vertex_index_finds_closest() {
-        let m = grid_mesh();
-        assert_eq!(m.nearest_vertex_index(p(2.1, 1.9)), Some(8));
-        assert_eq!(m.nearest_vertex_index(p(-5.0, -5.0)), Some(0));
     }
 }

@@ -13,9 +13,9 @@
 //!   the distributed-triangulation idea of the paper's ref.\[18\]:
 //!   communication-range-constrained Delaunay);
 //! * distributed protocols on [`anr_distsim`]: boundary-loop sizing
-//!   ([`protocols::BoundaryLoopNode`]), value flooding
-//!   ([`protocols::FloodNode`]) and multi-source hop fields
-//!   ([`protocols::HopFieldNode`]), each cross-checked against its
+//!   ([`protocols::run_boundary_loop`]), value flooding
+//!   ([`protocols::run_flood_sum`]) and multi-source hop fields
+//!   ([`protocols::run_hop_field`]), each cross-checked against its
 //!   centralized reference.
 //!
 //! ## Example

@@ -3,16 +3,16 @@
 //! [`FaultPlan::reliable`]) and each cross-checked against a
 //! centralized reference in tests.
 //!
-//! * [`BoundaryLoopNode`] — the paper's boundary-sizing token
+//! * [`run_boundary_loop`] — the paper's boundary-sizing token
 //!   (Sec. III-B): the boundary vertex with the smallest ID starts a
 //!   hop-counting message around the boundary loop; when it returns, the
 //!   initiator floods the loop size so every boundary vertex knows both
 //!   its position index and the loop length.
-//! * [`FloodNode`] — network-wide value dissemination ("the mobile robot
+//! * [`run_flood_sum`] — network-wide value dissemination ("the mobile robot
 //!   then floods the information to other mobile robots"): at
 //!   quiescence every robot knows every robot's value, from which global
 //!   aggregates (total stable link ratio, total distance) are computed.
-//! * [`HopFieldNode`] — multi-source BFS hop field (Sec. III-D-1): every
+//! * [`run_hop_field`] — multi-source BFS hop field (Sec. III-D-1): every
 //!   boundary vertex initiates a packet with a zero counter; interior
 //!   vertices learn their distance to the nearest boundary vertex, and
 //!   vertices that never receive a packet are in an isolated subgroup.

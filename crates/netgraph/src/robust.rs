@@ -10,13 +10,13 @@
 //! [`anr_distsim::FaultPlan`]:
 //!
 //! * [`RobustFloodNode`] — ack/retransmit value flooding; converges to
-//!   the same per-robot sums as [`crate::protocols::FloodNode`] on the
+//!   the same per-robot sums as [`crate::protocols::run_flood_sum`] on the
 //!   reliable network.
 //! * [`RobustHopFieldNode`] — ack/retransmit multi-source BFS; converges
-//!   to the same hop field as [`crate::protocols::HopFieldNode`].
+//!   to the same hop field as [`crate::protocols::run_hop_field`].
 //! * [`RobustBoundaryLoopNode`] — the boundary-sizing token with per-hop
 //!   acks and an initiator restart timer; converges to the same
-//!   (index, loop size) labels as [`crate::protocols::BoundaryLoopNode`].
+//!   (index, loop size) labels as [`crate::protocols::run_boundary_loop`].
 //!
 //! All three are *idempotent at the receiver* (duplicates are re-acked
 //! but change no state), which is what makes retransmission and
@@ -97,7 +97,7 @@ pub enum RFloodMsg {
     },
 }
 
-/// Loss-tolerant [`FloodNode`](crate::protocols::FloodNode): every
+/// Loss-tolerant flooding ([`run_flood_sum`](crate::protocols::run_flood_sum)): every
 /// record is sent per-neighbor and retransmitted until acknowledged (or
 /// retries are exhausted).
 ///
@@ -265,7 +265,7 @@ pub enum RHopMsg {
     DistAck(u32),
 }
 
-/// Loss-tolerant [`HopFieldNode`](crate::protocols::HopFieldNode):
+/// Loss-tolerant hop field ([`run_hop_field`](crate::protocols::run_hop_field)):
 /// distance improvements are sent per-neighbor with ack/retransmit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RobustHopFieldNode {
@@ -399,7 +399,7 @@ pub enum RLoopMsg {
     },
 }
 
-/// Loss-tolerant [`BoundaryLoopNode`](crate::protocols::BoundaryLoopNode):
+/// Loss-tolerant boundary token ([`run_boundary_loop`](crate::protocols::run_boundary_loop)):
 /// the hop-counting token is acknowledged hop-by-hop and retransmitted;
 /// the initiator additionally restarts the whole token (with a fresh
 /// attempt number) if it does not return within `restart_after` rounds

@@ -21,8 +21,7 @@ use anr_marching::coverage::deploy_exactly;
 use anr_marching::geom::Point;
 use anr_marching::harmonic::{distributed_harmonic_map, DistributedHarmonicConfig};
 use anr_marching::march::{
-    distributed_objective, distributed_objective_under_faults, run_fault_sweep, MarchProblem,
-    SweepConfig,
+    distributed_objective, run_fault_sweep, MarchProblem, ObjectiveError, SweepConfig,
 };
 use anr_marching::mesh::delaunay;
 use anr_marching::netgraph::protocols::{run_boundary_loop, run_flood_sum, run_hop_field};
@@ -522,13 +521,17 @@ fn objective_cases(table: &mut Table) {
         })
         .collect();
     for (case, targets) in [("shifted", &shifted), ("scrambled", &scrambled)] {
-        let obj = distributed_objective(&positions, targets, 80.0).unwrap();
+        let obj = distributed_objective(&positions, targets, 80.0, FaultPlan::reliable(0)).unwrap();
+        assert!(
+            obj.agreement,
+            "objective/{case}: reliable network disagreement"
+        );
         let mut d = Digest::new();
         d.debug(&(
             obj.stable_link_ratio,
             obj.total_distance,
-            obj.rounds,
-            obj.messages,
+            obj.stats.rounds,
+            obj.stats.sent,
         ));
         table.push(format!("objective/{case}"), &d);
     }
@@ -541,17 +544,17 @@ fn objective_cases(table: &mut Table) {
     }
     for (i, (case, plan)) in plans.into_iter().enumerate() {
         let mut d = Digest::new();
-        match distributed_objective_under_faults(&positions, &shifted, 80.0, plan) {
+        match distributed_objective(&positions, &shifted, 80.0, plan) {
             Ok(out) => {
                 d.debug(&(
                     out.agreement,
                     out.stable_link_ratio,
                     out.total_distance,
-                    out.rounds,
+                    out.stats.rounds,
                 ))
                 .stats(&out.stats);
             }
-            Err(anr_marching::march::FaultyObjectiveError::Sim(e)) => {
+            Err(ObjectiveError::Sim(e)) => {
                 d.error(&e);
             }
             Err(e) => panic!("unexpected error: {e}"),
