@@ -3,8 +3,8 @@
 //! positions in `M2` were computed before the transition.
 
 use crate::{
-    evaluate_timeline, optimal_coverage_positions, KnotTimeline, MarchConfig, MarchError,
-    MarchOutcome, MarchProblem, RepairReport, TrajectorySet, TransitionMetrics,
+    evaluate_timeline, optimal_coverage_positions, DenseTimeline, KnotTimeline, MarchConfig,
+    MarchError, MarchOutcome, MarchProblem, RepairReport, TrajectorySet, TransitionMetrics,
 };
 use anr_assign::{euclidean_costs, hungarian};
 use anr_geom::Point;
@@ -105,15 +105,15 @@ pub fn hungarian_direct(
     })
 }
 
-/// A baseline's dense rendering timeline and the exact audit of its
-/// knots (no Lloyd leg: the transition ends on the coverage positions).
+/// A baseline's dense rendering timeline, built on first read, and the
+/// exact audit of its knots (no Lloyd leg: the transition ends on the
+/// coverage positions).
 fn transition_metrics(
     problem: &MarchProblem,
     transition: &TrajectorySet,
     config: &MarchConfig,
-) -> Result<(Vec<Vec<Point>>, TransitionMetrics), MarchError> {
-    let times = transition.sample_times_with_breakpoints(config.time_samples);
-    let timeline = transition.sample_at(&times);
+) -> Result<(DenseTimeline, TransitionMetrics), MarchError> {
+    let timeline = DenseTimeline::new(transition, config.time_samples, Vec::new());
     let knots = KnotTimeline::from_trajectories(transition, &[])?;
     let metrics = evaluate_timeline(
         &knots,

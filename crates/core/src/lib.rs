@@ -87,4 +87,4 @@ pub use problem::{optimal_coverage_positions, MarchConfig, MarchProblem};
 pub use repair::{repair_connectivity, repair_connectivity_strict, RepairReport};
 pub use replan::{replan_after_failure, replan_midway, shrink_target_for, ReplanOutcome};
 pub use resilience::{survives_failures, ResilienceReport};
-pub use trajectory::{route_around_obstacles, Polyline, TrajectorySet};
+pub use trajectory::{route_around_obstacles, DenseTimeline, Polyline, TrajectorySet};

@@ -219,8 +219,9 @@ pub struct TransitionMetrics {
     /// Links present at the end that did not exist in `M1` ("red edges"
     /// in the paper's figures).
     pub new_links: usize,
-    /// Rows of the dense timeline the march keeps for rendering
-    /// ([`crate::MarchOutcome::timeline`]); the audit does not read them.
+    /// Rows of the march's dense rendering timeline
+    /// ([`crate::MarchOutcome::timeline`]), counted without building
+    /// them; the audit does not read them.
     pub samples: usize,
     /// Linear motion pieces the continuous audit covered: every robot's
     /// own pieces summed (knots − robots).
@@ -243,7 +244,7 @@ pub struct TransitionMetrics {
 /// reads its range. Robots move **linearly** between their own knots,
 /// and both metrics are evaluated exactly over that continuous motion
 /// on the knots' time axis. `samples` is reported as-is (the row count
-/// of the caller's dense rendering timeline), and `total_distance` is
+/// of the caller's [`crate::DenseTimeline`]), and `total_distance` is
 /// **not** computed here — it depends on the exact paths — and must be
 /// supplied by the caller.
 ///

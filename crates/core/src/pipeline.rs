@@ -1,8 +1,8 @@
 //! The optimal-marching pipeline (paper Sec. III).
 
 use crate::{
-    evaluate_timeline, repair_connectivity_strict, KnotTimeline, MarchConfig, MarchError,
-    MarchProblem, RepairReport, TrajectorySet, TransitionMetrics,
+    evaluate_timeline, repair_connectivity_strict, DenseTimeline, KnotTimeline, MarchConfig,
+    MarchError, MarchProblem, RepairReport, TrajectorySet, TransitionMetrics,
 };
 use anr_coverage::{run_lloyd_guarded, GridPartition};
 use anr_geom::Point;
@@ -39,9 +39,11 @@ pub struct MarchOutcome {
     pub transition: TrajectorySet,
     /// The dense position timeline for rendering: every robot at the
     /// uniform samples and every robot's breakpoints of the transition,
-    /// then one row per Lloyd iteration. The metrics audit each robot's
-    /// own knots instead ([`KnotTimeline`]).
-    pub timeline: Vec<Vec<Point>>,
+    /// then one row per Lloyd iteration. The march builds none of its
+    /// rows; the first caller that reads them (a serve reply, an
+    /// animation) builds them once. The metrics audit each robot's own
+    /// knots instead ([`KnotTimeline`]).
+    pub timeline: DenseTimeline,
     /// `D`, `L`, `C` and link accounting.
     pub metrics: TransitionMetrics,
     /// What the connectivity repair did.
@@ -239,15 +241,11 @@ pub fn march_traced(
     };
 
     // ------------------------------------------------------------------
-    // 6. Transition trajectories (Eqn. 2) with hole avoidance, and the
-    //    dense rendering timeline: the uniform instants plus every
-    //    trajectory breakpoint.
+    // 6. Transition trajectories (Eqn. 2) with hole avoidance.
     // ------------------------------------------------------------------
     let _trajectories_span = tracer.span("trajectories");
     let obstacles = problem.obstacles();
     let transition = TrajectorySet::straight(positions, &targets, &obstacles);
-    let times = transition.sample_times_with_breakpoints(config.time_samples);
-    let mut timeline = transition.sample_at(&times);
     let mut total_distance = transition.total_length();
     let mapped = targets.clone();
     drop(_trajectories_span);
@@ -275,7 +273,6 @@ pub fn march_traced(
             tracer,
         );
         total_distance += lloyd.total_movement;
-        timeline.extend(lloyd.history.iter().cloned());
         (lloyd.sites, lloyd.iterations, lloyd.history)
     } else {
         (targets, 0, Vec::new())
@@ -286,19 +283,22 @@ pub fn march_traced(
     //    piecewise-linear motion: its transition waypoints on s ∈ [0, 1],
     //    then its Lloyd iterates at s = 2, 3, ….
     // ------------------------------------------------------------------
-    let metrics = {
+    let (metrics, timeline) = {
         let _s = tracer.span("metrics");
         let knots = {
             let _k = tracer.span("knots");
             KnotTimeline::from_trajectories(&transition, &lloyd_rows)?
         };
-        evaluate_timeline(
+        // Only the row count is read here; the rows wait for a reader.
+        let timeline = DenseTimeline::new(&transition, config.time_samples, lloyd_rows);
+        let metrics = evaluate_timeline(
             &knots,
             &initial_graph,
             timeline.len(),
             total_distance,
             tracer,
-        )?
+        )?;
+        (metrics, timeline)
     };
 
     Ok(MarchOutcome {
@@ -387,9 +387,24 @@ mod tests {
     #[test]
     fn timeline_starts_at_initial_positions() {
         let problem = small_problem(600.0);
-        let out = march(&problem, Method::MaxStableLinks, &fast_config()).unwrap();
-        assert_eq!(out.timeline[0], problem.positions);
-        assert_eq!(out.metrics.samples, out.timeline.len());
+        let cfg = fast_config();
+        let unrefined = MarchConfig {
+            refine_coverage: false,
+            ..fast_config()
+        };
+        for out in [
+            march(&problem, Method::MaxStableLinks, &cfg),
+            march(&problem, Method::MinMovingDistance, &cfg),
+            march(&problem, Method::MaxStableLinks, &unrefined),
+            crate::direct_translation(&problem, &cfg),
+            crate::hungarian_direct(&problem, &cfg),
+        ] {
+            let out = out.unwrap();
+            // The row count is known before any row is built.
+            assert_eq!(out.metrics.samples, out.timeline.len());
+            assert_eq!(out.timeline[0], problem.positions);
+            assert_eq!(out.timeline.iter().count(), out.timeline.len());
+        }
     }
 
     #[test]

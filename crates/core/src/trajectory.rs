@@ -7,6 +7,8 @@
 //! [`route_around_obstacles`] computes that detour.
 
 use anr_geom::{Point, Polygon, Segment};
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// A constant-speed polyline path, parameterized by normalized time
 /// `s ∈ [0, 1]` (all robots depart at `s = 0` and arrive at `s = 1`,
@@ -239,6 +241,72 @@ impl TrajectorySet {
         times.sort_by(f64::total_cmp);
         times.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
         times
+    }
+}
+
+/// The dense rendering timeline of a march: every robot at each of the
+/// transition's [`TrajectorySet::sample_times_with_breakpoints`], then
+/// one row per Lloyd iterate.
+///
+/// It stores only the paths, the instants and the Lloyd rows. The rows
+/// are built once, on the first read through `Deref` (the way
+/// [`std::sync::LazyLock`] derefs), with [`TrajectorySet::sample_at`];
+/// [`DenseTimeline::len`] counts them without building any. The rows
+/// cost O(robots × rows) and grow with every hole detour, while the
+/// paths cost O(robots × waypoints), so a march that nobody renders
+/// never pays for them.
+#[derive(Debug, Clone)]
+pub struct DenseTimeline {
+    paths: TrajectorySet,
+    times: Vec<f64>,
+    lloyd: Vec<Vec<Point>>,
+    rows: OnceLock<Vec<Vec<Point>>>,
+}
+
+impl DenseTimeline {
+    /// The timeline of `transition` at `samples` uniform intervals plus
+    /// its breakpoints, followed by the `lloyd` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `samples == 0`.
+    pub(crate) fn new(transition: &TrajectorySet, samples: usize, lloyd: Vec<Vec<Point>>) -> Self {
+        DenseTimeline {
+            paths: transition.clone(),
+            times: transition.sample_times_with_breakpoints(samples),
+            lloyd,
+            rows: OnceLock::new(),
+        }
+    }
+
+    /// Number of rows; builds none.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.times.len() + self.lloyd.len()
+    }
+
+    /// True when the timeline has no rows; builds none.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Deref for DenseTimeline {
+    type Target = [Vec<Point>];
+
+    fn deref(&self) -> &[Vec<Point>] {
+        self.rows.get_or_init(|| {
+            let mut rows = self.paths.sample_at(&self.times);
+            rows.extend(self.lloyd.iter().cloned());
+            rows
+        })
+    }
+}
+
+impl PartialEq for DenseTimeline {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
     }
 }
 
@@ -622,6 +690,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn dense_timeline_builds_its_rows_on_first_read() {
+        let set = TrajectorySet::new(vec![
+            Polyline::new(vec![p(0.0, 0.0), p(10.0, 0.0), p(10.0, 10.0)]),
+            Polyline::new(vec![p(0.0, 5.0), p(3.0, 5.0), p(4.0, 9.0)]),
+        ]);
+        let lloyd = vec![
+            vec![p(10.0, 11.0), p(4.0, 8.0)],
+            vec![p(10.0, 12.0), p(4.0, 7.0)],
+        ];
+        let timeline = DenseTimeline::new(&set, 4, lloyd.clone());
+        let times = set.sample_times_with_breakpoints(4);
+        // Counting the rows builds none.
+        assert_eq!(timeline.len(), times.len() + lloyd.len());
+        assert!(!timeline.is_empty());
+        assert!(timeline.rows.get().is_none());
+        let unbuilt = timeline.clone();
+        // The first read builds the sampled rows, then the Lloyd rows.
+        let mut expected = set.sample_at(&times);
+        expected.extend(lloyd);
+        assert_eq!(&timeline[..], &expected[..]);
+        assert!(timeline.rows.get().is_some());
+        assert_eq!(timeline.iter().count(), timeline.len());
+        // A clone taken before the build equals one taken after it.
+        assert!(unbuilt.rows.get().is_none());
+        assert_eq!(unbuilt.clone(), timeline.clone());
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use protocol::{
     PlanRequest, PlanTarget, ResponseHeader, WireError, CHUNK_POINTS, ERR_BAD_REQUEST,
     ERR_INTERNAL, ERR_MALFORMED, ERR_OVERSIZED, ERR_UNKNOWN_SCENARIO, KIND_PLAN_REQUEST,
     KIND_RESP_BUSY, KIND_RESP_CHUNK, KIND_RESP_END, KIND_RESP_ERROR, KIND_RESP_HEADER,
-    MAX_POLYGON_VERTICES, MAX_RESPONSE_FRAME, MAX_ROBOTS, MAX_TIMELINE_POINTS, MAX_TIME_SAMPLES,
-    PROTOCOL_VERSION,
+    MAX_POLYGON_VERTICES, MAX_REPLY_POINTS, MAX_RESPONSE_FRAME, MAX_ROBOTS, MAX_TIMELINE_POINTS,
+    MAX_TIME_SAMPLES, PROTOCOL_VERSION,
 };
 pub use server::{run_server, PlanServer, ServeConfig, ServeError, ServeReport, ServeStats};

@@ -8,7 +8,7 @@
 use crate::protocol::{
     encode_header, frame_into, request_hash, Fnv1a64, PlanMethod, PlanRequest, PlanTarget,
     ResponseHeader, CHUNK_POINTS, ERR_BAD_REQUEST, ERR_INTERNAL, ERR_UNKNOWN_SCENARIO,
-    KIND_RESP_CHUNK, KIND_RESP_END, KIND_RESP_HEADER,
+    KIND_RESP_CHUNK, KIND_RESP_END, KIND_RESP_HEADER, MAX_REPLY_POINTS,
 };
 use anr_geom::{Polygon, PolygonWithHoles, Vector};
 use anr_march::{march_traced, MarchConfig, MarchProblem, Method};
@@ -120,10 +120,25 @@ fn clamp_u32(v: usize) -> u32 {
     u32::try_from(v).unwrap_or(u32::MAX)
 }
 
+/// The points a reply of `rows` timeline rows of `robots` robots
+/// streams, refused as a bad request above [`MAX_REPLY_POINTS`].
+fn reply_points(rows: usize, robots: usize) -> Result<usize, PlanError> {
+    rows.checked_mul(robots)
+        .filter(|&points| points <= MAX_REPLY_POINTS)
+        .ok_or_else(|| {
+            PlanError::BadRequest(format!(
+                "a reply of {rows} timeline rows x {robots} robots exceeds \
+                 {MAX_REPLY_POINTS} points"
+            ))
+        })
+}
+
 /// Executes a plan request and encodes the complete response byte
 /// stream: one header frame, `ceil(rows·robots / CHUNK_POINTS)` chunk
 /// frames of timeline points (row-major), and one end frame carrying a
-/// FNV integrity hash over every preceding payload.
+/// FNV integrity hash over every preceding payload. The reply's size is
+/// checked against [`MAX_REPLY_POINTS`] before any timeline row is
+/// built; building the rows and encoding them run in an `encode` span.
 ///
 /// Deterministic by construction — the pipeline has no ambient inputs —
 /// so equal requests produce equal bytes, which is what makes the
@@ -144,7 +159,8 @@ pub fn execute_plan(req: &PlanRequest, tracer: &Tracer) -> Result<Vec<u8>, PlanE
 
     let robots = problem.num_robots();
     let rows = outcome.timeline.len();
-    let total_points = rows * robots;
+    let total_points = reply_points(rows, robots)?;
+    let _encode = tracer.span("encode");
     let chunk_count = total_points.div_ceil(CHUNK_POINTS).max(1);
 
     let header = ResponseHeader {
@@ -168,8 +184,9 @@ pub fn execute_plan(req: &PlanRequest, tracer: &Tracer) -> Result<Vec<u8>, PlanE
     stream_hash.update(&header_payload);
     frame_into(&mut out, KIND_RESP_HEADER, &header_payload);
 
-    // Chunks are encoded straight from the timeline rows into one
-    // reused payload buffer, hashed as they are produced.
+    // The first read builds the timeline rows; chunks are encoded
+    // straight from them into one reused payload buffer, hashed as they
+    // are produced.
     let mut points = outcome.timeline.iter().flatten();
     let mut payload = Vec::with_capacity(8 + 16 * CHUNK_POINTS.min(total_points));
     for index in 0..chunk_count {
@@ -254,6 +271,23 @@ mod tests {
                 req.target
             );
         }
+    }
+
+    #[test]
+    fn reply_points_are_bounded() {
+        // Scenario 7 at 10⁴ robots is refused, at 3025 robots served.
+        let refused = reply_points(26_286, 10_000).unwrap_err();
+        assert_eq!(refused.code(), ERR_BAD_REQUEST);
+        let msg = refused.message();
+        for part in ["26286", "10000", &MAX_REPLY_POINTS.to_string()] {
+            assert!(msg.contains(part), "{msg:?} does not name {part}");
+        }
+        assert_eq!(reply_points(8_089, 3_025).unwrap(), 8_089 * 3_025);
+        // An overflowing product is an error, not a panic.
+        assert!(matches!(
+            reply_points(usize::MAX, 2),
+            Err(PlanError::BadRequest(_))
+        ));
     }
 
     #[test]

@@ -49,6 +49,14 @@ pub const MAX_POLYGON_VERTICES: usize = 4096;
 /// dozens of times, and one plan holds a worker for its whole march.
 pub const MAX_ROBOTS: u32 = 10_000;
 
+/// Largest reply a plan may stream, in timeline points (`rows ×
+/// robots`): 512 MiB of coordinates. A march's rows grow with every
+/// hole detour, so a swarm under [`MAX_ROBOTS`] can still ask for
+/// gigabytes (scenario 7 at 10⁴ robots: 26 286 rows, 263 M points). The
+/// server counts the rows before building any and refuses a reply
+/// above this bound with [`ERR_BAD_REQUEST`].
+pub const MAX_REPLY_POINTS: usize = 1 << 25;
+
 /// Largest `time_samples` override a request may carry (20× the default
 /// of 50). The march allocates the sample instants up front, so an
 /// unbounded count could exhaust memory and abort the whole server.

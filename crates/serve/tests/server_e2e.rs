@@ -91,13 +91,17 @@ fn plan_round_trip_and_cache_hit_bytes_identical() {
     assert_eq!(report.stats.cache.misses, 1);
     assert_eq!(report.stats.worker_panics, 0);
 
-    // The per-request spans rode the tracer: one miss, one hit.
-    let spans: Vec<_> = tracer
-        .events()
-        .into_iter()
-        .filter(|e| e.name == "serve_request" && e.kind == anr_trace::TraceKind::SpanStart)
-        .collect();
-    assert_eq!(spans.len(), 2, "one span per request");
+    // The per-request spans rode the tracer: one miss, one hit. Only
+    // the miss builds and encodes a reply.
+    let events = tracer.events();
+    let starts = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.name == name && e.kind == anr_trace::TraceKind::SpanStart)
+            .count()
+    };
+    assert_eq!(starts("serve_request"), 2, "one span per request");
+    assert_eq!(starts("encode"), 1, "one encode span, for the cold request");
 }
 
 #[test]
