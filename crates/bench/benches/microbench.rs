@@ -38,7 +38,7 @@ fn bench_delaunay(c: &mut Criterion) {
 }
 
 fn bench_unit_disk_graph(c: &mut Criterion) {
-    let problem = scenario_problem(1, 30.0).unwrap();
+    let problem = scenario_problem(1, 30.0, 144).unwrap();
     c.bench_function("unit_disk_graph_144", |b| {
         b.iter(|| UnitDiskGraph::new(black_box(&problem.positions), 80.0))
     });
@@ -46,7 +46,7 @@ fn bench_unit_disk_graph(c: &mut Criterion) {
 
 fn bench_harmonic(c: &mut Criterion) {
     let (config, tracer) = (HarmonicConfig::default(), Tracer::disabled());
-    let problem = scenario_problem(3, 30.0).unwrap();
+    let problem = scenario_problem(3, 30.0, 144).unwrap();
     let t = extract_triangulation(&problem.positions, problem.range).unwrap();
     let filled_t = fill_holes(&t).unwrap();
     c.bench_function("harmonic_map_robot_mesh_144", |b| {
@@ -63,7 +63,7 @@ fn bench_harmonic(c: &mut Criterion) {
 
 fn bench_overlay_mapping(c: &mut Criterion) {
     let (config, tracer) = (HarmonicConfig::default(), Tracer::disabled());
-    let problem = scenario_problem(3, 30.0).unwrap();
+    let problem = scenario_problem(3, 30.0, 144).unwrap();
     let t = extract_triangulation(&problem.positions, problem.range).unwrap();
     let filled_t = fill_holes(&t).unwrap();
     let disk_t = harmonic_map_to_disk(filled_t.mesh(), &config, &tracer).unwrap();
@@ -88,7 +88,7 @@ fn bench_hungarian(c: &mut Criterion) {
 }
 
 fn bench_lloyd(c: &mut Criterion) {
-    let problem = scenario_problem(1, 30.0).unwrap();
+    let problem = scenario_problem(1, 30.0, 144).unwrap();
     let partition = GridPartition::new(&problem.m2, 10.0);
     let cfg = LloydConfig {
         tolerance: 1.0,
@@ -108,7 +108,7 @@ fn bench_lloyd(c: &mut Criterion) {
 }
 
 fn bench_full_pipeline(c: &mut Criterion) {
-    let problem = scenario_problem(1, 30.0).unwrap();
+    let problem = scenario_problem(1, 30.0, 144).unwrap();
     let config = MarchConfig::default();
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);

@@ -7,14 +7,14 @@
 //! cargo run --release -p anr-bench --bin ablation_boundary_param
 //! ```
 
-use anr_bench::{scenario_problem, BenchError};
+use anr_bench::{recorded, scenario_problem, BenchError};
 use anr_harmonic::{BoundaryParam, HarmonicConfig};
 use anr_march::{march, MarchConfig, Method};
 
 fn main() -> Result<(), BenchError> {
     println!("scenario,boundary_param,stable_link_ratio,total_distance_m,global_connectivity");
     for id in 1..=7u8 {
-        let problem = scenario_problem(id, 30.0)?;
+        let problem = scenario_problem(id, 30.0, 144)?;
         for (name, boundary) in [
             ("hop_uniform", BoundaryParam::HopUniform),
             ("chord_length", BoundaryParam::ChordLength),
@@ -26,7 +26,7 @@ fn main() -> Result<(), BenchError> {
                 },
                 ..Default::default()
             };
-            let out = march(&problem, Method::MaxStableLinks, &config)?;
+            let out = recorded(march(&problem, Method::MaxStableLinks, &config))?;
             println!(
                 "{},{},{:.4},{:.1},{}",
                 id,

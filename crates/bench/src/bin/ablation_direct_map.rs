@@ -11,7 +11,7 @@
 //! cargo run --release -p anr-bench --bin ablation_direct_map
 //! ```
 
-use anr_bench::scenario_problem;
+use anr_bench::{recorded, scenario_problem};
 use anr_geom::Point;
 use anr_harmonic::{fill_holes, harmonic_map_to_disk, harmonic_map_with_boundary, HarmonicConfig};
 use anr_march::{march, MarchConfig, Method};
@@ -21,7 +21,7 @@ use anr_trace::Tracer;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("scenario,approach,flipped_triangles,total_triangles,targets_outside_m2,stable_link_ratio_endpoints");
     for id in 1..=7u8 {
-        let problem = scenario_problem(id, 30.0)?;
+        let problem = scenario_problem(id, 30.0, 144)?;
         let n = problem.num_robots();
         let t_mesh = extract_triangulation(&problem.positions, problem.range)?;
         let filled = fill_holes(&t_mesh)?;
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             refine_coverage: false,
             ..Default::default()
         };
-        let ours = march(&problem, Method::MaxStableLinks, &cfg)?;
+        let ours = recorded(march(&problem, Method::MaxStableLinks, &cfg))?;
         let l_ours = endpoint_link_ratio(&problem.positions, &ours.mapped, problem.range);
         let ours_outside = ours
             .mapped

@@ -33,7 +33,7 @@ fn main() -> Result<(), BenchError> {
 
     println!("scenario,model,method,motion_j,link_maintenance_j,total_j");
     for id in [1u8, 3, 7] {
-        let problem = scenario_problem(id, 30.0)?;
+        let problem = scenario_problem(id, 30.0, 144)?;
         let results = run_all_methods(&problem, &MarchConfig::default())?;
         for (model_name, model) in &models {
             for (method, outcome) in &results {

@@ -8,7 +8,7 @@
 //! cargo run --release -p anr-bench --bin ablation_lloyd_guard
 //! ```
 
-use anr_bench::{scenario_problem, BenchError};
+use anr_bench::{recorded, scenario_problem, BenchError};
 use anr_coverage::{
     covered_fraction, run_lloyd, run_lloyd_guarded, Density, GridPartition, LloydConfig,
 };
@@ -19,13 +19,13 @@ use anr_trace::Tracer;
 fn main() -> Result<(), BenchError> {
     println!("scenario,variant,iterations,adjustment_distance_m,refinement_connected_throughout,coverage_fraction");
     for id in [1u8, 3, 7] {
-        let problem = scenario_problem(id, 30.0)?;
+        let problem = scenario_problem(id, 30.0, 144)?;
         // Transition without refinement, then refine both ways.
         let cfg = MarchConfig {
             refine_coverage: false,
             ..Default::default()
         };
-        let out = march(&problem, Method::MaxStableLinks, &cfg)?;
+        let out = recorded(march(&problem, Method::MaxStableLinks, &cfg))?;
 
         let spacing = cfg.resolve_mesh_spacing(problem.m2.area(), problem.num_robots());
         let partition = GridPartition::new(&problem.m2, spacing * 0.2);

@@ -7,12 +7,12 @@
 //! cargo run --release -p anr-bench --bin ablation_rotation_depth
 //! ```
 
-use anr_bench::{scenario_problem, BenchError};
+use anr_bench::{recorded, scenario_problem, BenchError};
 use anr_harmonic::RotationSearch;
 use anr_march::{march, MarchConfig, Method};
 
 fn main() -> Result<(), BenchError> {
-    let problem = scenario_problem(3, 30.0)?;
+    let problem = scenario_problem(3, 30.0, 144)?;
 
     println!("depth,initial_samples,evaluations,stable_link_ratio,rotation_rad");
     for depth in 0..=8usize {
@@ -20,7 +20,7 @@ fn main() -> Result<(), BenchError> {
             rotation: RotationSearch::new(16, depth),
             ..Default::default()
         };
-        let out = march(&problem, Method::MaxStableLinks, &config)?;
+        let out = recorded(march(&problem, Method::MaxStableLinks, &config))?;
         println!(
             "{},16,{},{:.4},{:.4}",
             depth,
@@ -35,7 +35,7 @@ fn main() -> Result<(), BenchError> {
         rotation: RotationSearch::new(720, 0),
         ..Default::default()
     };
-    let out = march(&problem, Method::MaxStableLinks, &config)?;
+    let out = recorded(march(&problem, Method::MaxStableLinks, &config))?;
     println!(
         "exhaustive,720,720,{:.4},{:.4}",
         out.metrics.stable_link_ratio, out.rotation,

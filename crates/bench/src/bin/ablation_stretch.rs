@@ -16,7 +16,7 @@ use anr_march::{edge_stretch_stats, MarchConfig};
 fn main() -> Result<(), BenchError> {
     println!("scenario,method,mean_stretch,max_stretch,fraction_unstretched,stable_link_ratio");
     for id in [1u8, 2, 3, 7] {
-        let problem = scenario_problem(id, 30.0)?;
+        let problem = scenario_problem(id, 30.0, 144)?;
         let results = run_all_methods(&problem, &MarchConfig::default())?;
         for (name, outcome) in &results {
             // Stretch of the full relocation endpoints (initial

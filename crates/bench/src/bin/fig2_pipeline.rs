@@ -6,7 +6,7 @@
 //! cargo run --release -p anr-bench --bin fig2_pipeline
 //! ```
 
-use anr_bench::scenario_problem;
+use anr_bench::{recorded, scenario_problem};
 use anr_harmonic::{fill_holes, harmonic_map_to_disk, HarmonicConfig};
 use anr_march::{march, MarchConfig, Method};
 use anr_mesh::{FoiMesher, MeshQuality};
@@ -14,7 +14,7 @@ use anr_netgraph::{extract_triangulation, UnitDiskGraph};
 use anr_trace::Tracer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let problem = scenario_problem(3, 30.0)?;
+    let problem = scenario_problem(3, 30.0, 144)?;
     let config = MarchConfig::default();
 
     // (a) connectivity graph in M1
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // (e) + (f): full pipeline
-    let out = march(&problem, Method::MaxStableLinks, &config)?;
+    let out = recorded(march(&problem, Method::MaxStableLinks, &config))?;
     let after = UnitDiskGraph::new(&out.mapped, problem.range);
     let preserved_now = after
         .links()

@@ -6,12 +6,12 @@
 //! cargo run --release -p anr-bench --bin fig6_density
 //! ```
 
-use anr_bench::{charts_flag, scenario_problem, BenchError};
+use anr_bench::{charts_flag, recorded, scenario_problem, BenchError};
 use anr_coverage::Density;
 use anr_march::{march, MarchConfig, Method};
 
 fn main() -> Result<(), BenchError> {
-    let problem = scenario_problem(3, 30.0)?;
+    let problem = scenario_problem(3, 30.0, 144)?;
     let m2 = problem.m2.clone();
 
     let uniform_cfg = MarchConfig::default();
@@ -28,8 +28,8 @@ fn main() -> Result<(), BenchError> {
         ..Default::default()
     };
 
-    let uniform = march(&problem, Method::MaxStableLinks, &uniform_cfg)?;
-    let dense = march(&problem, Method::MaxStableLinks, &dense_cfg)?;
+    let uniform = recorded(march(&problem, Method::MaxStableLinks, &uniform_cfg))?;
+    let dense = recorded(march(&problem, Method::MaxStableLinks, &dense_cfg))?;
 
     // Band areas from the sample grid (handles the concave boundary).
     let grid = m2.grid_points(8.0);

@@ -14,8 +14,7 @@
 //! ```
 
 use anr_bench::{
-    paper_separations, quick_flag, quick_separations, run_all_methods, scenario_problem,
-    BenchError, METHOD_NAMES,
+    paper_separations, quick_flag, quick_separations, sweep_scenario_rows, BenchError, METHOD_NAMES,
 };
 use anr_march::MarchConfig;
 use std::collections::BTreeMap;
@@ -31,20 +30,17 @@ fn main() -> Result<(), BenchError> {
     // (scenario, method) → per-separation connectivity.
     let mut results: BTreeMap<(u8, &'static str), Vec<u8>> = BTreeMap::new();
     for id in 1..=7u8 {
-        for &sep in &separations {
-            let problem = scenario_problem(id, sep)?;
-            for (name, outcome) in run_all_methods(&problem, &config)? {
-                results
-                    .entry((id, name))
-                    .or_default()
-                    .push(outcome.metrics.global_connectivity);
-            }
+        for row in sweep_scenario_rows(id, &separations, &config)? {
+            results
+                .entry((id, row.method))
+                .or_default()
+                .push(row.connected);
         }
     }
 
     println!("TABLE I. GLOBAL CONNECTIVITY DURING TRANSITION PROCEDURE");
     println!(
-        "(Y = connected at every sampled instant for every separation in {:?} × r_c)",
+        "(Y = connected at every instant of the march for every separation in {:?} × r_c)",
         separations
     );
     println!(

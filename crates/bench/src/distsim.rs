@@ -263,8 +263,6 @@ fn event_sweep(side: usize) -> Result<DistsimSweepTiming, BenchError> {
         loss_rates: vec![0.0, 0.05],
         crash_counts: vec![0, 10],
         seed: 42,
-        max_rounds: 4000,
-        retransmit: RetransmitConfig::default(),
         workers: 0,
         protocols: SweepProtocols {
             flooding: false,

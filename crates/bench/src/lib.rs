@@ -14,7 +14,10 @@
 //! | `table1_connectivity` | Table I (global connectivity Y/N) |
 //! | `fig6_density` | Fig. 6 (density-adjusted deployment) |
 //! | `ablation_*` | design-choice ablations from DESIGN.md |
-//! | `fault_sweep` | protocol survival under loss and churn (JSON grid) |
+//!
+//! Protocol survival under loss and churn is a CLI command, not a binary
+//! here: `anr fault-sweep --id 1 --robots 144 --loss 0,0.05,0.1,0.2,0.3
+//! --crashes 0,1,2,4 --seed 42` prints the grid as JSON.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
@@ -130,31 +133,13 @@ impl From<anr_eventsim::CkptError> for BenchError {
 }
 
 /// Builds the marching problem for scenario `id` at the given separation
-/// (in communication ranges).
+/// (in communication ranges) with `robots` robots (the paper's figures:
+/// 144; the bench tiers: 1296 full, 10_000 large).
 ///
 /// # Errors
 ///
 /// Propagates scenario/problem construction failures.
-pub fn scenario_problem(id: u8, separation_ranges: f64) -> Result<MarchProblem, BenchError> {
-    let s = build_scenario(
-        id,
-        &ScenarioParams {
-            separation_ranges,
-            ..Default::default()
-        },
-    )?;
-    Ok(MarchProblem::with_lattice_deployment(
-        s.m1, s.m2, s.robots, s.range,
-    )?)
-}
-
-/// Like [`scenario_problem`], with an explicit robot count (the bench
-/// tiers: 144 smoke, 1296 full, 10_000 large).
-///
-/// # Errors
-///
-/// Propagates scenario/problem construction failures.
-pub fn scenario_problem_sized(
+pub fn scenario_problem(
     id: u8,
     separation_ranges: f64,
     robots: usize,
@@ -172,10 +157,26 @@ pub fn scenario_problem_sized(
     )?)
 }
 
+/// A method's outcome as the experiments record it. A march of ours
+/// that loses connectivity returns [`MarchError::ConnectivityLost`]; the
+/// experiments report that as data (`C = 0`, Table I's `N`), as they do
+/// the baselines' `C = 0`, so its outcome is read from the error.
+///
+/// # Errors
+///
+/// Every other [`MarchError`].
+pub fn recorded(result: Result<MarchOutcome, MarchError>) -> Result<MarchOutcome, BenchError> {
+    match result {
+        Err(MarchError::ConnectivityLost(outcome)) => Ok(*outcome),
+        result => Ok(result?),
+    }
+}
+
 /// The four evaluated methods, in the paper's presentation order.
 pub const METHOD_NAMES: [&str; 4] = ["ours_a", "ours_b", "direct_translation", "hungarian"];
 
-/// Runs all four methods on `problem`, in [`METHOD_NAMES`] order.
+/// Runs all four methods on `problem`, in [`METHOD_NAMES`] order, each
+/// [`recorded`].
 ///
 /// # Errors
 ///
@@ -184,12 +185,17 @@ pub fn run_all_methods(
     problem: &MarchProblem,
     config: &MarchConfig,
 ) -> Result<Vec<(&'static str, MarchOutcome)>, BenchError> {
-    Ok(vec![
-        ("ours_a", march(problem, Method::MaxStableLinks, config)?),
-        ("ours_b", march(problem, Method::MinMovingDistance, config)?),
-        ("direct_translation", direct_translation(problem, config)?),
-        ("hungarian", hungarian_direct(problem, config)?),
-    ])
+    let runs = [
+        march(problem, Method::MaxStableLinks, config),
+        march(problem, Method::MinMovingDistance, config),
+        direct_translation(problem, config),
+        hungarian_direct(problem, config),
+    ];
+    METHOD_NAMES
+        .into_iter()
+        .zip(runs)
+        .map(|(name, run)| Ok((name, recorded(run)?)))
+        .collect()
 }
 
 /// Prints the CSV header used by the sweep binaries.
@@ -199,13 +205,13 @@ pub fn print_sweep_header() {
 
 /// One measured point of a separation sweep.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SweepRow {
+pub struct SweepRow {
     /// Scenario id (1–7).
     pub(crate) scenario: u8,
     /// FoI separation in communication ranges.
     pub(crate) separation: f64,
     /// Method name (see [`METHOD_NAMES`]).
-    pub(crate) method: &'static str,
+    pub method: &'static str,
     /// Total moving distance `D` in metres.
     pub(crate) distance: f64,
     /// `D` relative to the Hungarian optimum at the same separation.
@@ -213,23 +219,24 @@ pub(crate) struct SweepRow {
     /// Total stable link ratio `L`.
     pub(crate) link_ratio: f64,
     /// Global connectivity `C`.
-    pub(crate) connected: u8,
+    pub connected: u8,
 }
 
-/// Runs the full four-method comparison over a separation sweep,
-/// returning one row per (separation, method).
+/// Runs the full four-method comparison over a separation sweep of
+/// scenario `id` at 144 robots, returning one row per (separation,
+/// method) in [`METHOD_NAMES`] order.
 ///
 /// # Errors
 ///
 /// Propagates scenario/method failures.
-pub(crate) fn sweep_scenario_rows(
+pub fn sweep_scenario_rows(
     id: u8,
     separations: &[f64],
     config: &MarchConfig,
 ) -> Result<Vec<SweepRow>, BenchError> {
     let mut rows = Vec::new();
     for &sep in separations {
-        let problem = scenario_problem(id, sep)?;
+        let problem = scenario_problem(id, sep, 144)?;
         let results = run_all_methods(&problem, config)?;
         let Some(hungarian_d) = results
             .iter()
@@ -400,13 +407,13 @@ mod tests {
 
     #[test]
     fn scenario_problem_builds() {
-        let p = scenario_problem(1, 15.0).unwrap();
+        let p = scenario_problem(1, 15.0, 144).unwrap();
         assert_eq!(p.num_robots(), 144);
     }
 
     #[test]
     fn run_all_methods_order() {
-        let p = scenario_problem(1, 12.0).unwrap();
+        let p = scenario_problem(1, 12.0, 144).unwrap();
         let results = run_all_methods(&p, &MarchConfig::default()).unwrap();
         let names: Vec<&str> = results.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, METHOD_NAMES.to_vec());

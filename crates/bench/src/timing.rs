@@ -156,12 +156,17 @@ pub(crate) fn median_ms<T>(
 /// Marches scenario `id` (separation 10 ranges, method (a), default
 /// configuration) `repeats` times under one wall-clock tracer.
 fn bench_march(id: u8, robots: usize, repeats: usize) -> Result<MarchTiming, BenchError> {
-    let problem = crate::scenario_problem_sized(id, 10.0, robots)?;
+    let problem = crate::scenario_problem(id, 10.0, robots)?;
     let config = MarchConfig::default();
     let tracer = Tracer::wall(1 << 18);
     let mut last = None;
     for _ in 0..repeats {
-        let outcome = march_traced(&problem, Method::MaxStableLinks, &config, &tracer)?;
+        let outcome = crate::recorded(march_traced(
+            &problem,
+            Method::MaxStableLinks,
+            &config,
+            &tracer,
+        ))?;
         let m = &outcome.metrics;
         last = Some((outcome.timeline.len(), m.audit_pieces, m.audit_checks));
     }
@@ -192,7 +197,7 @@ fn bench_march(id: u8, robots: usize, repeats: usize) -> Result<MarchTiming, Ben
 /// mode.
 fn bench_fault_sweep(smoke: bool, repeats: usize) -> Result<FaultSweepTiming, BenchError> {
     let robots = if smoke { 64 } else { 256 };
-    let problem = crate::scenario_problem_sized(1, 10.0, robots)?;
+    let problem = crate::scenario_problem(1, 10.0, robots)?;
     let base = SweepConfig {
         loss_rates: vec![0.0, 0.05],
         crash_counts: vec![0, 1],

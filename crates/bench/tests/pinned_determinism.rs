@@ -8,12 +8,12 @@
 //! concavities and detours included — at the smoke robot count, so a
 //! fast path that only agrees on easy inputs cannot slip through.
 
-use anr_bench::scenario_problem_sized;
+use anr_bench::scenario_problem;
 use anr_coverage::GridPartition;
 use anr_harmonic::{fill_holes, harmonic_map_to_disk, DiskOverlay, HarmonicConfig};
 use anr_march::{
     audit_knots, audit_piecewise_with_workers, march, AuditReport, KnotTimeline, MarchConfig,
-    MarchOutcome, MarchProblem, Method,
+    MarchError, MarchOutcome, MarchProblem, Method,
 };
 use anr_netgraph::{extract_triangulation, UnitDiskGraph};
 use anr_trace::Tracer;
@@ -21,8 +21,8 @@ use anr_trace::Tracer;
 const ROBOTS: usize = 144;
 const SEPARATION: f64 = 10.0;
 
-fn scenario_problem(id: u8) -> MarchProblem {
-    scenario_problem_sized(id, SEPARATION, ROBOTS).unwrap()
+fn smoke_problem(id: u8) -> MarchProblem {
+    scenario_problem(id, SEPARATION, ROBOTS).unwrap()
 }
 
 /// The bucket-grid sample assignment equals the brute-force scan,
@@ -31,7 +31,7 @@ fn scenario_problem(id: u8) -> MarchProblem {
 #[test]
 fn lloyd_assignment_matches_brute_force_on_every_scenario() {
     for id in 1..=7u8 {
-        let problem = scenario_problem(id);
+        let problem = smoke_problem(id);
         let config = MarchConfig::default();
         let spacing = config.resolve_mesh_spacing(problem.m2.area(), problem.num_robots());
         let partition = GridPartition::new(&problem.m2, spacing * 0.2);
@@ -50,7 +50,7 @@ fn lloyd_assignment_matches_brute_force_on_every_scenario() {
 #[test]
 fn rotation_batch_matches_serial_on_every_scenario() {
     for id in 1..=7u8 {
-        let problem = scenario_problem(id);
+        let problem = smoke_problem(id);
         let n = problem.num_robots();
         let config = MarchConfig::default();
         let spacing = config.resolve_mesh_spacing(problem.m2.area(), n);
@@ -115,8 +115,13 @@ fn true_instants(outcome: &MarchOutcome, config: &MarchConfig) -> Vec<f64> {
 /// The knot audit of a march, checked against the march's own metrics.
 fn knot_audit_checked(problem: &MarchProblem, method: Method, key: &str) -> AuditReport {
     let outcome = march(problem, method, &MarchConfig::default()).unwrap();
+    knot_audit_of(problem, &outcome, key)
+}
+
+/// The knot audit of `outcome`, checked against its own metrics.
+fn knot_audit_of(problem: &MarchProblem, outcome: &MarchOutcome, key: &str) -> AuditReport {
     let initial = UnitDiskGraph::new(&problem.positions, problem.range);
-    let got = audit_knots(&knots_of(&outcome), &initial, 0, &Tracer::disabled()).unwrap();
+    let got = audit_knots(&knots_of(outcome), &initial, 0, &Tracer::disabled()).unwrap();
     let m = &outcome.metrics;
     assert_eq!(
         (m.global_connectivity, m.preserved_links, &m.violations),
@@ -139,7 +144,7 @@ fn knot_audit_checked(problem: &MarchProblem, method: Method, key: &str) -> Audi
 #[test]
 fn audit_identical_across_worker_counts() {
     for id in [1u8, 4, 6] {
-        let problem = scenario_problem(id);
+        let problem = smoke_problem(id);
         let config = MarchConfig::default();
         let outcome = march(&problem, Method::MaxStableLinks, &config).unwrap();
         let knots = knots_of(&outcome);
@@ -226,7 +231,7 @@ fn knot_audit_is_pinned_on_every_scenario() {
     let mut got = Vec::new();
     for robots in [144usize, 400, 1296] {
         for id in 1..=7u8 {
-            let problem = scenario_problem_sized(id, SEPARATION, robots).unwrap();
+            let problem = scenario_problem(id, SEPARATION, robots).unwrap();
             for method in [Method::MaxStableLinks, Method::MinMovingDistance] {
                 let key = format!("scenario {id}, {method:?}, {robots} robots");
                 let r = knot_audit_checked(&problem, method, &key);
@@ -286,23 +291,32 @@ fn knot_audit_is_pinned_on_every_scenario() {
     assert_eq!(got, want);
 }
 
-/// The three known marches that lose connectivity during the
-/// transition (ROADMAP item 1): each audit reports `C = 0` with the
-/// preserved-link count `anr scenario` prints for it and is pinned by
+/// The known marches that lose connectivity during the transition
+/// (ROADMAP item 1): each returns [`MarchError::ConnectivityLost`], and
+/// the audit of the outcome it carries reports `C = 0` with the
+/// preserved-link count `anr scenario` prints for it, the disconnected
+/// intervals the error's metrics hold, and is pinned by
 /// [`report_digest`] and [`work_counters`].
 fn assert_connectivity_lost(
-    id: u8,
-    separation: f64,
+    (id, separation, robots): (u8, f64, usize),
     method: Method,
     (preserved, initial): (usize, usize),
     digest: u64,
     counters: (usize, usize),
 ) {
-    let problem = scenario_problem_sized(id, separation, 100).unwrap();
-    let key = format!("scenario {id}, separation {separation}, {method:?}");
-    let r = knot_audit_checked(&problem, method, &key);
+    let problem = scenario_problem(id, separation, robots).unwrap();
+    let key = format!("scenario {id}, separation {separation}, {robots} robots, {method:?}");
+    let outcome = match march(&problem, method, &MarchConfig::default()) {
+        Err(MarchError::ConnectivityLost(outcome)) => outcome,
+        other => panic!("{key}: expected ConnectivityLost, got {other:?}"),
+    };
+    let r = knot_audit_of(&problem, &outcome, &key);
     assert_eq!(r.global_connectivity, 0, "{key}");
     assert!(!r.disconnected_intervals.is_empty(), "{key}");
+    assert_eq!(
+        outcome.metrics.disconnected_intervals, r.disconnected_intervals,
+        "{key}"
+    );
     assert_eq!(
         (r.preserved_links, r.initial_links),
         (preserved, initial),
@@ -315,8 +329,7 @@ fn assert_connectivity_lost(
 #[test]
 fn scenario3_method_a_separation_100_loses_connectivity() {
     assert_connectivity_lost(
-        3,
-        100.0,
+        (3, 100.0, 100),
         Method::MaxStableLinks,
         (201, 263),
         0x01d6_cc59_01ff_0045,
@@ -327,8 +340,7 @@ fn scenario3_method_a_separation_100_loses_connectivity() {
 #[test]
 fn scenario3_method_b_separation_30_loses_connectivity() {
     assert_connectivity_lost(
-        3,
-        30.0,
+        (3, 30.0, 100),
         Method::MinMovingDistance,
         (176, 263),
         0x9623_a520_a0ad_0627,
@@ -339,12 +351,24 @@ fn scenario3_method_b_separation_30_loses_connectivity() {
 #[test]
 fn scenario6_method_b_separation_5_loses_connectivity() {
     assert_connectivity_lost(
-        6,
-        5.0,
+        (6, 5.0, 100),
         Method::MinMovingDistance,
         (176, 252),
         0x79b8_a4b5_fe2f_35f7,
         (58, 187),
+    );
+}
+
+/// At the paper's default swarm (144 robots), method (b) on scenario 3
+/// loses connectivity at separations 50–80; this pins separation 50.
+#[test]
+fn scenario3_method_b_separation_50_loses_connectivity() {
+    assert_connectivity_lost(
+        (3, 50.0, 144),
+        Method::MinMovingDistance,
+        (339, 409),
+        0xec3c_0819_3e98_043c,
+        (35, 28),
     );
 }
 
@@ -357,7 +381,7 @@ fn scenario6_method_b_separation_5_loses_connectivity() {
 fn row_audit_is_pinned_on_the_benchmark_marches() {
     let mut got = Vec::new();
     for (id, robots) in (1..=7u8).map(|id| (id, 1296usize)).chain([(1, 3025)]) {
-        let problem = scenario_problem_sized(id, 30.0, robots).unwrap();
+        let problem = scenario_problem(id, 30.0, robots).unwrap();
         let outcome = march(&problem, Method::MaxStableLinks, &MarchConfig::default()).unwrap();
         let rows = &outcome.timeline;
         let steps = (rows.len() - 1).max(1) as f64;
@@ -453,7 +477,7 @@ fn row_audit_is_pinned_on_the_benchmark_marches() {
 /// the Lloyd rows after them stay byte-identical.
 #[test]
 fn hole_scenario_timeline_is_pinned() {
-    let problem = scenario_problem(4);
+    let problem = smoke_problem(4);
     let outcome = march(&problem, Method::MaxStableLinks, &MarchConfig::default()).unwrap();
     let mut bytes = Vec::new();
     for p in outcome.timeline.iter().flatten() {
@@ -491,7 +515,7 @@ fn lloyd_stage_is_pinned_on_every_scenario() {
         (400, &[Method::MaxStableLinks][..]),
     ] {
         for id in 1..=7u8 {
-            let problem = scenario_problem_sized(id, SEPARATION, robots).unwrap();
+            let problem = scenario_problem(id, SEPARATION, robots).unwrap();
             for &method in methods {
                 let outcome = march(&problem, method, &MarchConfig::default()).unwrap();
                 let rows = &outcome.timeline[outcome.timeline.len() - outcome.lloyd_iterations..];

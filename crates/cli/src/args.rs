@@ -156,15 +156,14 @@ pub enum Command {
         /// Robot count.
         robots: usize,
     },
-    /// `anr lint [--root DIR] [--baseline FILE] [--jsonl FILE]
+    /// `anr lint [--root DIR] [--jsonl FILE]
     /// [--graph FILE] [--panics FILE] [--capabilities FILE]
     /// [--models FILE] [--report panics|caps|taint|locks|models]
     /// [--workers N] [--deny] [--list-rules]`
     Lint {
-        /// Workspace root to scan.
+        /// Workspace root to scan; its `lint.allow.toml` is the
+        /// baseline.
         root: PathBuf,
-        /// Baseline file overriding `<root>/lint.allow.toml`.
-        baseline: Option<PathBuf>,
         /// Also write the findings as JSONL here.
         jsonl: Option<PathBuf>,
         /// Write the cross-crate call graph (`anr-lint-graph/1`) here.
@@ -284,7 +283,7 @@ COMMANDS:
                [--distsim] [--large] [--ckpt <file>]
                [--serve] [--concurrency <n>] [--requests <n>]
                [--out <file.json>]
-  anr lint     [--root <dir>] [--baseline <file>] [--jsonl <file>]
+  anr lint     [--root <dir>] [--jsonl <file>]
                [--graph <file>] [--panics <file>] [--capabilities <file>]
                [--models <file>] [--report panics|caps|taint|locks|models]
                [--workers <n>] [--deny] [--list-rules]
@@ -735,7 +734,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Ar
         }
         "lint" => {
             let mut root = PathBuf::from(".");
-            let mut baseline = None;
             let mut jsonl = None;
             let mut graph = None;
             let mut panics = None;
@@ -748,7 +746,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Ar
             while let Some(flag) = cur.next() {
                 match flag.as_str() {
                     "--root" => root = PathBuf::from(cur.value_for("--root")?),
-                    "--baseline" => baseline = Some(PathBuf::from(cur.value_for("--baseline")?)),
                     "--jsonl" => jsonl = Some(PathBuf::from(cur.value_for("--jsonl")?)),
                     "--graph" => graph = Some(PathBuf::from(cur.value_for("--graph")?)),
                     "--panics" => panics = Some(PathBuf::from(cur.value_for("--panics")?)),
@@ -789,7 +786,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Ar
             }
             Ok(Command::Lint {
                 root,
-                baseline,
                 jsonl,
                 graph,
                 panics,
@@ -1295,7 +1291,6 @@ mod tests {
             parse(&["lint"]).unwrap(),
             Command::Lint {
                 root: PathBuf::from("."),
-                baseline: None,
                 jsonl: None,
                 graph: None,
                 panics: None,
@@ -1312,8 +1307,6 @@ mod tests {
                 "lint",
                 "--root",
                 "ws",
-                "--baseline",
-                "allow.toml",
                 "--jsonl",
                 "out.jsonl",
                 "--graph",
@@ -1334,7 +1327,6 @@ mod tests {
             .unwrap(),
             Command::Lint {
                 root: PathBuf::from("ws"),
-                baseline: Some(PathBuf::from("allow.toml")),
                 jsonl: Some(PathBuf::from("out.jsonl")),
                 graph: Some(PathBuf::from("graph.jsonl")),
                 panics: Some(PathBuf::from("panics.jsonl")),
@@ -1352,6 +1344,11 @@ mod tests {
                 flag: "--report",
                 ..
             })
+        ));
+        // The baseline is always `<root>/lint.allow.toml`.
+        assert!(matches!(
+            parse(&["lint", "--baseline", "allow.toml"]),
+            Err(ArgError::UnknownFlag { .. })
         ));
     }
 

@@ -199,11 +199,13 @@ pub fn run_command(command: Command, tracer: &Tracer) -> Result<(), CliError> {
                 ],
                 m => vec![(label_of(m), m)],
             };
+            let mut lost = Ok(());
             for (name, m) in runs {
-                let out = run_method(&problem, m, &config, tracer)?;
-                print_outcome(name, &out);
+                let result = run_method(&problem, m, &config, tracer);
+                print_outcome(name, printed(&result)?);
+                lost = lost.and(result.map(drop));
             }
-            Ok(())
+            Ok(lost?)
         }
         Command::Sweep { id, quick, charts } => {
             let separations: Vec<f64> = if quick {
@@ -214,6 +216,7 @@ pub fn run_command(command: Command, tracer: &Tracer) -> Result<(), CliError> {
             let config = MarchConfig::default();
             println!("scenario,separation_ranges,method,total_distance_m,stable_link_ratio,global_connectivity");
             let mut rows: Vec<(f64, &str, f64, f64)> = Vec::new();
+            let mut lost = Ok(());
             for &sep in &separations {
                 let problem = scenario_problem(id, sep, 144, tracer)?;
                 for (name, m) in [
@@ -222,7 +225,8 @@ pub fn run_command(command: Command, tracer: &Tracer) -> Result<(), CliError> {
                     ("direct_translation", MethodArg::Direct),
                     ("hungarian", MethodArg::Hungarian),
                 ] {
-                    let out = run_method(&problem, m, &config, tracer)?;
+                    let result = run_method(&problem, m, &config, tracer);
+                    let out = printed(&result)?;
                     println!(
                         "{id},{sep},{name},{:.1},{:.4},{}",
                         out.metrics.total_distance,
@@ -235,6 +239,7 @@ pub fn run_command(command: Command, tracer: &Tracer) -> Result<(), CliError> {
                         out.metrics.total_distance,
                         out.metrics.stable_link_ratio,
                     ));
+                    lost = lost.and(result.map(drop));
                 }
             }
             if let Some(dir) = charts {
@@ -257,7 +262,7 @@ pub fn run_command(command: Command, tracer: &Tracer) -> Result<(), CliError> {
                 chart.save(dir.join(format!("scenario{id}_link_ratio.svg")))?;
                 println!("chart written to {}", dir.display());
             }
-            Ok(())
+            Ok(lost?)
         }
         Command::Render {
             id,
@@ -265,12 +270,13 @@ pub fn run_command(command: Command, tracer: &Tracer) -> Result<(), CliError> {
             separation,
         } => {
             let problem = scenario_problem(id, separation, 144, tracer)?;
-            let outcome = march_traced(
+            let result = march_traced(
                 &problem,
                 Method::MaxStableLinks,
                 &MarchConfig::default(),
                 tracer,
-            )?;
+            );
+            let outcome = printed(&result)?;
             std::fs::create_dir_all(&out)?;
 
             let initial = UnitDiskGraph::new(&problem.positions, problem.range);
@@ -304,7 +310,7 @@ pub fn run_command(command: Command, tracer: &Tracer) -> Result<(), CliError> {
                 outcome.metrics.stable_link_ratio,
                 outcome.metrics.global_connectivity,
             );
-            Ok(())
+            Ok(result.map(drop)?)
         }
         Command::FaultSweep {
             id,
@@ -359,7 +365,6 @@ pub fn run_command(command: Command, tracer: &Tracer) -> Result<(), CliError> {
                 queue_capacity: queue,
                 cache_bytes: cache_mb << 20,
                 max_requests,
-                ..anr_serve::ServeConfig::default()
             };
             let report = anr_serve::run_server(&config, tracer, |bound| {
                 println!("anr serve: listening on 127.0.0.1:{bound}");
@@ -541,8 +546,10 @@ pub fn run_command(command: Command, tracer: &Tracer) -> Result<(), CliError> {
             for id in ids {
                 let problem = scenario_problem(id, separation, robots, tracer)?;
                 // The march's metrics are the exact audit of its own
-                // timeline.
-                let report = run_method(&problem, method, &config, tracer)?.metrics;
+                // timeline; a march that loses connectivity carries them
+                // in its error, and fails the audit below.
+                let result = run_method(&problem, method, &config, tracer);
+                let report = &printed(&result)?.metrics;
                 println!(
                     "scenario {id}: C = {}  L = {:.3}  ({}/{} initial links stable, {} violations)",
                     report.global_connectivity,
@@ -570,7 +577,6 @@ pub fn run_command(command: Command, tracer: &Tracer) -> Result<(), CliError> {
         }
         Command::Lint {
             root,
-            baseline,
             jsonl,
             graph,
             panics,
@@ -593,11 +599,7 @@ pub fn run_command(command: Command, tracer: &Tracer) -> Result<(), CliError> {
                 return Ok(());
             }
             let _span = tracer.span("lint");
-            let options = anr_lint::LintOptions {
-                root,
-                baseline,
-                workers,
-            };
+            let options = anr_lint::LintOptions { root, workers };
             let report = anr_lint::lint_workspace(&options).map_err(CliError::Lint)?;
             tracer.counter_add("lint_files", report.files_scanned as u64);
             tracer.counter_add("lint_findings", report.findings.len() as u64);
@@ -675,14 +677,26 @@ fn run_method(
     method: MethodArg,
     config: &MarchConfig,
     tracer: &Tracer,
-) -> Result<MarchOutcome, CliError> {
-    Ok(match method {
-        MethodArg::OursA => march_traced(problem, Method::MaxStableLinks, config, tracer)?,
-        MethodArg::OursB => march_traced(problem, Method::MinMovingDistance, config, tracer)?,
-        MethodArg::Direct => direct_translation(problem, config)?,
-        MethodArg::Hungarian => hungarian_direct(problem, config)?,
+) -> Result<MarchOutcome, MarchError> {
+    match method {
+        MethodArg::OursA => march_traced(problem, Method::MaxStableLinks, config, tracer),
+        MethodArg::OursB => march_traced(problem, Method::MinMovingDistance, config, tracer),
+        MethodArg::Direct => direct_translation(problem, config),
+        MethodArg::Hungarian => hungarian_direct(problem, config),
         MethodArg::All => unreachable!("expanded by the caller"),
-    })
+    }
+}
+
+/// The outcome a command prints for one run. A march of ours that loses
+/// connectivity carries its outcome in [`MarchError::ConnectivityLost`]:
+/// the command prints it like any other, then exits with that error once
+/// everything is printed.
+fn printed(result: &Result<MarchOutcome, MarchError>) -> Result<&MarchOutcome, CliError> {
+    match result {
+        Ok(outcome) => Ok(outcome),
+        Err(MarchError::ConnectivityLost(outcome)) => Ok(outcome),
+        Err(e) => Err(e.clone().into()),
+    }
 }
 
 #[cfg(test)]
@@ -761,6 +775,36 @@ mod tests {
         .unwrap();
     }
 
+    /// Scenario 3 at 144 robots, separation 50, method (b) loses
+    /// connectivity: `anr scenario` prints it, then fails with the
+    /// march's error, and `anr audit` fails the scenario.
+    #[test]
+    fn lost_connectivity_fails_scenario_and_audit() {
+        let result = run(Command::Scenario {
+            id: 3,
+            method: MethodArg::OursB,
+            separation: 50.0,
+            robots: 144,
+        });
+        assert!(
+            matches!(
+                result,
+                Err(CliError::March(MarchError::ConnectivityLost(_)))
+            ),
+            "{result:?}"
+        );
+        let result = run(Command::Audit {
+            id: Some(3),
+            method: MethodArg::OursB,
+            separation: 50.0,
+            robots: 144,
+        });
+        assert!(
+            matches!(&result, Err(CliError::AuditFailed { scenarios }) if scenarios == &[3]),
+            "{result:?}"
+        );
+    }
+
     #[test]
     fn audit_rejects_method_all() {
         assert!(matches!(
@@ -830,7 +874,6 @@ mod tests {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         run(Command::Lint {
             root,
-            baseline: None,
             jsonl: None,
             graph: None,
             panics: None,
@@ -848,7 +891,6 @@ mod tests {
     fn lint_list_rules_runs() {
         run(Command::Lint {
             root: std::path::PathBuf::from("."),
-            baseline: None,
             jsonl: None,
             graph: None,
             panics: None,

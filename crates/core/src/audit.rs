@@ -41,9 +41,8 @@
 //!    component is a self-loop of the contracted graph). Those pairs are
 //!    walked the same way, and their crossing instants form one global
 //!    event axis on which a single offline dynamic-connectivity pass over
-//!    the `k` component ids decides `C`: a divide-and-conquer with a
-//!    rollback union-find whose independent subtrees fan out over
-//!    [`anr_par`].
+//!    the `k` component ids decides `C`: a serial divide-and-conquer
+//!    with a rollback union-find.
 //!
 //! Both walks share one drift bound. Each robot's deviation over a
 //! stretch of the axis is bounded by summing `|Δp − v·Δs|` over its own
@@ -144,11 +143,11 @@ impl AuditReport {
 /// when the preserved links leave more than one component), and a final
 /// `audit_summary` event.
 ///
-/// Pair chunks of the link pass and of the sweep, discovery epochs and
-/// subtrees of the offline dynamic connectivity fan out over `workers`
-/// threads (0 = auto). Each is merged back in deterministic input order,
-/// so the report (and every trace event) is byte-identical whatever
-/// `workers` is.
+/// Pair chunks of the link pass and of the sweep, and discovery epochs,
+/// fan out over `workers` threads (0 = auto); the offline dynamic
+/// connectivity runs serially. Each chunk is merged back in
+/// deterministic input order, so the report (and every trace event) is
+/// byte-identical whatever `workers` is.
 ///
 /// # Errors
 ///
@@ -348,7 +347,10 @@ fn run_audit(
                 (a < b).then(|| (comp[i as usize], comp[j as usize], a as u32, (b - 1) as u32))
             })
             .collect();
-        for k in disconnected_leaves_par(components, mids.len(), &spans, workers) {
+        let mut leaves = Vec::new();
+        let mut uf = RollbackUnionFind::new(components);
+        disconnected_leaves(0, mids.len() - 1, &spans, &mut uf, &mut leaves);
+        for k in leaves {
             merge_interval(&mut disconnected_intervals, interval(k));
         }
         for &(lo, hi) in &disconnected_intervals {
@@ -953,96 +955,6 @@ fn first_out_from_spans(in_spans: &[(u32, u32, f64, f64)], t0: f64, t1: f64) -> 
         }
     }
     (start, end)
-}
-
-/// Offline dynamic connectivity over the global interval axis, fanned
-/// out over [`anr_par`]: the recursion's independent subtrees are cut
-/// off at a fixed depth (worker-count independent) into tasks, each
-/// carrying the edges that fully cover its subtree (the unions its
-/// ancestors would have applied). Each task replays those unions into a
-/// fresh rollback union-find and runs the serial recursion; leaf
-/// indices concatenate back in axis order.
-fn disconnected_leaves_par(
-    n: usize,
-    num_leaves: usize,
-    spans: &[(u32, u32, u32, u32)],
-    workers: usize,
-) -> Vec<usize> {
-    struct Task {
-        k_lo: usize,
-        k_hi: usize,
-        spans: Vec<(u32, u32, u32, u32)>,
-        path: Vec<(u32, u32)>,
-    }
-    fn split(
-        k_lo: usize,
-        k_hi: usize,
-        spans: Vec<(u32, u32, u32, u32)>,
-        path: Vec<(u32, u32)>,
-        depth: usize,
-        uf: &mut RollbackUnionFind,
-        tasks: &mut Vec<Task>,
-    ) {
-        if depth == 0 || k_lo == k_hi {
-            tasks.push(Task {
-                k_lo,
-                k_hi,
-                spans,
-                path,
-            });
-            return;
-        }
-        let mark = uf.checkpoint();
-        let mid = k_lo + (k_hi - k_lo) / 2;
-        let mut covering = path;
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        for &(i, j, a, b) in &spans {
-            if a as usize <= k_lo && k_hi <= b as usize {
-                covering.push((i, j));
-                uf.union(i as usize, j as usize);
-            } else {
-                if a as usize <= mid {
-                    left.push((i, j, a, b));
-                }
-                if b as usize > mid {
-                    right.push((i, j, a, b));
-                }
-            }
-        }
-        // The covering edges alone already connect the graph: every
-        // leaf below only gains edges, so the whole subtree is clean.
-        if uf.num_sets() == 1 {
-            uf.rollback(mark);
-            return;
-        }
-        split(k_lo, mid, left, covering.clone(), depth - 1, uf, tasks);
-        split(mid + 1, k_hi, right, covering, depth - 1, uf, tasks);
-        uf.rollback(mark);
-    }
-
-    let mut tasks = Vec::new();
-    let depth = if num_leaves >= 64 { 4 } else { 0 };
-    let mut uf0 = RollbackUnionFind::new(n);
-    split(
-        0,
-        num_leaves - 1,
-        spans.to_vec(),
-        Vec::new(),
-        depth,
-        &mut uf0,
-        &mut tasks,
-    );
-    let results = anr_par::par_map(&tasks, workers, |t| {
-        let mut uf = RollbackUnionFind::new(n);
-        for &(i, j) in &t.path {
-            uf.union(i as usize, j as usize);
-        }
-        let mut out = Vec::new();
-        disconnected_leaves(t.k_lo, t.k_hi, &t.spans, &mut uf, &mut out);
-        out
-    });
-    results.into_iter().flatten().collect()
 }
 
 /// Offline dynamic connectivity over the interval axis `[k_lo, k_hi]`:

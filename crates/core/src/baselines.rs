@@ -1,6 +1,9 @@
 //! The paper's two comparison methods (Sec. IV): direct translation and
 //! the pure Hungarian assignment. Both assume the optimal coverage
-//! positions in `M2` were computed before the transition.
+//! positions in `M2` were computed before the transition. Unlike
+//! [`crate::march`], both report a transition that loses connectivity as
+//! data (`C = 0` in their metrics): that loss is what they are compared
+//! on.
 
 use crate::{
     evaluate_timeline, optimal_coverage_positions, DenseTimeline, KnotTimeline, MarchConfig,
@@ -118,7 +121,6 @@ fn transition_metrics(
     let metrics = evaluate_timeline(
         &knots,
         &UnitDiskGraph::new(&problem.positions, problem.range),
-        timeline.len(),
         transition.total_length(),
         &Tracer::disabled(),
     )?;

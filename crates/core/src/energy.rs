@@ -103,10 +103,10 @@ mod tests {
             preserved_links: preserved,
             initial_links: initial,
             new_links,
-            samples: 2,
             audit_pieces: 1,
             audit_checks: 1,
             violations: Vec::new(),
+            disconnected_intervals: Vec::new(),
         }
     }
 

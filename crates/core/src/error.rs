@@ -35,6 +35,12 @@ pub enum MarchError {
     Assign(anr_assign::AssignError),
     /// Invalid input to the metrics / continuous-audit layer.
     Metrics(crate::MetricsError),
+    /// The march's own audit found the network disconnected on some
+    /// stretch of the march (`C = 0`), so the plan breaks the paper's
+    /// first guarantee. The whole outcome rides along: its metrics hold
+    /// the disconnected intervals and the link violations, its
+    /// trajectories the plan.
+    ConnectivityLost(Box<crate::MarchOutcome>),
 }
 
 impl fmt::Display for MarchError {
@@ -60,6 +66,11 @@ impl fmt::Display for MarchError {
             MarchError::Harmonic(e) => write!(f, "harmonic map error: {e}"),
             MarchError::Assign(e) => write!(f, "assignment error: {e}"),
             MarchError::Metrics(e) => write!(f, "metrics error: {e}"),
+            MarchError::ConnectivityLost(outcome) => write!(
+                f,
+                "the march loses global connectivity (C = 0) on {} interval(s) of s",
+                outcome.metrics.disconnected_intervals.len()
+            ),
         }
     }
 }

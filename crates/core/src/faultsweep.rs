@@ -22,8 +22,7 @@
 //! of the same sweep are identical, cell by cell.
 //!
 //! [`FaultSweepReport::to_json`] emits the grid as a self-contained
-//! JSON document for the `fault-sweep` CLI subcommand and the
-//! `fault_sweep` bench binary.
+//! JSON document for the `fault-sweep` CLI subcommand.
 
 use anr_distsim::fault::FaultRng;
 use anr_distsim::{EventSim, ExplicitTopology, FaultPlan, FaultStats, Node, SimError};
@@ -63,10 +62,6 @@ pub struct SweepConfig {
     pub crash_counts: Vec<usize>,
     /// Master seed; every cell derives its own plan seed from it.
     pub seed: u64,
-    /// Round budget per cell run.
-    pub max_rounds: usize,
-    /// Retransmission policy for the robust protocols.
-    pub retransmit: RetransmitConfig,
     /// Worker threads for the (loss × crashes) grid: every cell is an
     /// independent seeded simulation, so they fan out over
     /// [`anr_par::par_map`]. `0` (the default) means auto
@@ -83,8 +78,6 @@ impl Default for SweepConfig {
             loss_rates: vec![0.0, 0.05, 0.1, 0.2],
             crash_counts: vec![0, 1, 2],
             seed: 42,
-            max_rounds: 4000,
-            retransmit: RetransmitConfig::default(),
             workers: 0,
             protocols: SweepProtocols::default(),
         }
@@ -231,13 +224,16 @@ struct CellRun {
     stats: FaultStats,
 }
 
+/// Round budget of every cell run (and of each zero-fault baseline):
+/// far above the 60–90 rounds a crash's retransmit give-up takes.
+const MAX_ROUNDS: usize = 4000;
+
 /// Runs one protocol under one plan, tolerating non-convergence (the
 /// stats of a timed-out run are still reported): settle, then drain.
 fn run_cell<N, F, C>(
     nodes: Vec<N>,
     adjacency: &[Vec<usize>],
     plan: FaultPlan,
-    max_rounds: usize,
     settled: F,
     check: C,
 ) -> Result<CellRun, SimError>
@@ -248,7 +244,7 @@ where
 {
     let topology = ExplicitTopology::new(adjacency.to_vec())?;
     let mut sim = EventSim::new(nodes, topology, plan)?;
-    let converged = match sim.run_until(max_rounds, &settled) {
+    let converged = match sim.run_until(MAX_ROUNDS, &settled) {
         Ok(_) => true,
         Err(SimError::NotQuiescent { .. }) => false,
         Err(e) => return Err(e),
@@ -256,7 +252,7 @@ where
     if converged {
         // Drain the in-flight tail (stray acks, duplicates) so
         // delivery accounting is complete.
-        match sim.run_until_quiet(max_rounds) {
+        match sim.run_until_quiet(MAX_ROUNDS) {
             Ok(_) | Err(SimError::NotQuiescent { .. }) => {}
             Err(e) => return Err(e),
         }
@@ -273,8 +269,6 @@ fn flood_cell(
     values: &[f64],
     plan: FaultPlan,
     crashed: &[bool],
-    cfg: RetransmitConfig,
-    max_rounds: usize,
 ) -> Result<CellRun, SimError> {
     let n = values.len();
     let comp = live_components(adjacency, crashed);
@@ -291,13 +285,14 @@ fn flood_cell(
     let nodes: Vec<RobustFloodNode> = values
         .iter()
         .enumerate()
-        .map(|(i, &v)| RobustFloodNode::new(i, v, n, adjacency[i].clone(), cfg))
+        .map(|(i, &v)| {
+            RobustFloodNode::new(i, v, n, adjacency[i].clone(), RetransmitConfig::default())
+        })
         .collect();
     run_cell(
         nodes,
         adjacency,
         plan,
-        max_rounds,
         |ns| ns.iter().all(RobustFloodNode::is_settled),
         move |ns| {
             ns.iter().enumerate().all(|(i, nd)| match expected[i] {
@@ -313,21 +308,20 @@ fn hop_field_cell(
     sources: &[bool],
     plan: FaultPlan,
     crashed: &[bool],
-    cfg: RetransmitConfig,
-    max_rounds: usize,
 ) -> Result<CellRun, SimError> {
     let expected = live_hops(adjacency, crashed, sources);
     let crashed_owned = crashed.to_vec();
     let nodes: Vec<RobustHopFieldNode> = sources
         .iter()
         .enumerate()
-        .map(|(i, &is_source)| RobustHopFieldNode::new(is_source, adjacency[i].clone(), cfg))
+        .map(|(i, &is_source)| {
+            RobustHopFieldNode::new(is_source, adjacency[i].clone(), RetransmitConfig::default())
+        })
         .collect();
     run_cell(
         nodes,
         adjacency,
         plan,
-        max_rounds,
         |ns| ns.iter().all(RobustHopFieldNode::is_settled),
         move |ns| {
             ns.iter()
@@ -419,7 +413,6 @@ pub fn run_fault_sweep_traced(
     let values: Vec<f64> = (1..=n).map(|i| i as f64).collect();
     let sources: Vec<bool> = (0..n).map(|i| i == 0 || i == n - 1).collect();
     let no_crash = vec![false; n];
-    let cfg = config.retransmit;
 
     // Zero-fault baselines (overhead denominators), one per enabled
     // protocol, in the fixed flooding-then-hop-field order.
@@ -430,8 +423,6 @@ pub fn run_fault_sweep_traced(
             &values,
             FaultPlan::reliable(config.seed),
             &no_crash,
-            cfg,
-            config.max_rounds,
         )?;
         grids.push(ProtocolGrid {
             protocol: "flooding".to_string(),
@@ -446,8 +437,6 @@ pub fn run_fault_sweep_traced(
             &sources,
             FaultPlan::reliable(config.seed),
             &no_crash,
-            cfg,
-            config.max_rounds,
         )?;
         grids.push(ProtocolGrid {
             protocol: "hop_field".to_string(),
@@ -479,24 +468,10 @@ pub fn run_fault_sweep_traced(
         }
         let mut runs = Vec::with_capacity(2);
         if config.protocols.flooding {
-            runs.push(flood_cell(
-                &adjacency,
-                &values,
-                plan.clone(),
-                &crashed,
-                cfg,
-                config.max_rounds,
-            )?);
+            runs.push(flood_cell(&adjacency, &values, plan.clone(), &crashed)?);
         }
         if config.protocols.hop_field {
-            runs.push(hop_field_cell(
-                &adjacency,
-                &sources,
-                plan,
-                &crashed,
-                cfg,
-                config.max_rounds,
-            )?);
+            runs.push(hop_field_cell(&adjacency, &sources, plan, &crashed)?);
         }
         Ok(runs)
     });
@@ -635,7 +610,6 @@ mod tests {
             loss_rates: vec![0.0, 0.15],
             crash_counts: vec![0, 1],
             seed: 7,
-            max_rounds: 3000,
             ..SweepConfig::default()
         }
     }

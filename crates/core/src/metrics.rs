@@ -219,10 +219,6 @@ pub struct TransitionMetrics {
     /// Links present at the end that did not exist in `M1` ("red edges"
     /// in the paper's figures).
     pub new_links: usize,
-    /// Rows of the march's dense rendering timeline
-    /// ([`crate::MarchOutcome::timeline`]), counted without building
-    /// them; the audit does not read them.
-    pub samples: usize,
     /// Linear motion pieces the continuous audit covered: every robot's
     /// own pieces summed (knots − robots).
     pub audit_pieces: usize,
@@ -235,6 +231,9 @@ pub struct TransitionMetrics {
     /// Every broken `M1` link with its exact out-of-range interval, in
     /// link order (`initial_links - preserved_links` entries).
     pub violations: Vec<LinkViolation>,
+    /// Maximal intervals of the march's `s` axis during which the network
+    /// was disconnected (empty iff `global_connectivity == 1`).
+    pub disconnected_intervals: Vec<(f64, f64)>,
 }
 
 /// Evaluates `L`, `C` and link counts over every robot's own motion.
@@ -243,10 +242,8 @@ pub struct TransitionMetrics {
 /// robot's first knot — whose links are the ones tracked; the audit
 /// reads its range. Robots move **linearly** between their own knots,
 /// and both metrics are evaluated exactly over that continuous motion
-/// on the knots' time axis. `samples` is reported as-is (the row count
-/// of the caller's [`crate::DenseTimeline`]), and `total_distance` is
-/// **not** computed here — it depends on the exact paths — and must be
-/// supplied by the caller.
+/// on the knots' time axis. `total_distance` is **not** computed here —
+/// it depends on the exact paths — and must be supplied by the caller.
 ///
 /// The audit's spans and events go to `tracer`, followed by a
 /// `new_links` span around the walk over the final links; tracing
@@ -259,7 +256,6 @@ pub struct TransitionMetrics {
 pub fn evaluate_timeline(
     knots: &KnotTimeline,
     initial: &UnitDiskGraph,
-    samples: usize,
     total_distance: f64,
     tracer: &Tracer,
 ) -> Result<TransitionMetrics, MetricsError> {
@@ -282,10 +278,10 @@ pub fn evaluate_timeline(
         preserved_links: report.preserved_links,
         initial_links: report.initial_links,
         new_links,
-        samples,
         audit_pieces: report.pieces,
         audit_checks: report.connectivity_checks,
         violations: report.violations,
+        disconnected_intervals: report.disconnected_intervals,
     })
 }
 
@@ -302,7 +298,7 @@ mod tests {
         let times: Vec<f64> = (0..rows.len()).map(|k| k as f64).collect();
         let knots = KnotTimeline::from_rows(rows, &times)?;
         let initial = UnitDiskGraph::new(&knots.initial_positions(), range);
-        evaluate_timeline(&knots, &initial, rows.len(), d, &Tracer::disabled())
+        evaluate_timeline(&knots, &initial, d, &Tracer::disabled())
     }
 
     #[test]
@@ -315,6 +311,7 @@ mod tests {
         assert_eq!(m.preserved_links, 2);
         assert_eq!(m.initial_links, 2);
         assert_eq!(m.new_links, 0);
+        assert!(m.disconnected_intervals.is_empty());
         // Each of the 3 robots has 2 pieces of its own.
         assert_eq!(m.audit_pieces, 6);
         assert!(m.audit_checks >= 1);
@@ -332,6 +329,10 @@ mod tests {
         let m = eval(&timeline, 80.0, 300.0).unwrap();
         assert_eq!(m.stable_link_ratio, 0.0);
         assert_eq!(m.global_connectivity, 0);
+        // The pair is out of range on one stretch around the middle row.
+        assert_eq!(m.disconnected_intervals.len(), 1);
+        let (lo, hi) = m.disconnected_intervals[0];
+        assert!(0.0 < lo && lo < 1.0 && 1.0 < hi && hi < 2.0, "{lo}..{hi}");
         assert_eq!(m.total_distance, 300.0);
     }
 
@@ -486,7 +487,6 @@ mod tests {
             evaluate_timeline(
                 &knots,
                 &UnitDiskGraph::new(&b, 80.0),
-                1,
                 0.0,
                 &Tracer::disabled()
             ),
@@ -498,10 +498,9 @@ mod tests {
     }
 
     #[test]
-    fn samples_counted() {
+    fn pieces_counted() {
         let row = vec![p(0.0, 0.0)];
         let m = eval(&[row.clone(), row.clone(), row.clone()], 10.0, 0.0).unwrap();
-        assert_eq!(m.samples, 3);
         assert_eq!(m.stable_link_ratio, 1.0); // no links at all
         assert_eq!(m.audit_pieces, 2);
 

@@ -30,7 +30,9 @@ pub struct MissionMetrics {
     pub leg_link_ratios: Vec<f64>,
     /// Arithmetic mean of the per-leg stable link ratios.
     pub mean_stable_link_ratio: f64,
-    /// 1 when global connectivity held on **every** leg.
+    /// 1 when global connectivity held on **every** leg. A leg that
+    /// loses it ends the mission with [`MarchError::ConnectivityLost`],
+    /// so a mission that returns `Ok` reports 1.
     pub global_connectivity: u8,
 }
 

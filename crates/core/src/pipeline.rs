@@ -24,7 +24,7 @@ pub enum Method {
 }
 
 /// Everything produced by one marching run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarchOutcome {
     /// Initial positions (copied from the problem).
     pub initial: Vec<Point>,
@@ -62,10 +62,15 @@ pub struct MarchOutcome {
 /// isolation → move along straight hole-avoiding paths → guarded Lloyd
 /// to optimal coverage positions.
 ///
+/// `Ok` means the paper's guarantee held: the network stayed connected
+/// at every instant of the march (`C = 1`).
+///
 /// # Errors
 ///
 /// Any [`MarchError`]; most commonly a disconnected deployment, a robot
 /// outside the triangulation, or a meshing failure on a degenerate FoI.
+/// A march whose own audit finds `C = 0` returns
+/// [`MarchError::ConnectivityLost`], which carries the whole outcome.
 pub fn march(
     problem: &MarchProblem,
     method: Method,
@@ -291,17 +296,11 @@ pub fn march_traced(
         };
         // Only the row count is read here; the rows wait for a reader.
         let timeline = DenseTimeline::new(&transition, config.time_samples, lloyd_rows);
-        let metrics = evaluate_timeline(
-            &knots,
-            &initial_graph,
-            timeline.len(),
-            total_distance,
-            tracer,
-        )?;
+        let metrics = evaluate_timeline(&knots, &initial_graph, total_distance, tracer)?;
         (metrics, timeline)
     };
 
-    Ok(MarchOutcome {
+    let outcome = MarchOutcome {
         initial: positions.clone(),
         mapped,
         final_positions,
@@ -311,7 +310,11 @@ pub fn march_traced(
         metrics,
         repair,
         lloyd_iterations,
-    })
+    };
+    if outcome.metrics.global_connectivity == 0 {
+        return Err(MarchError::ConnectivityLost(Box::new(outcome)));
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -400,8 +403,6 @@ mod tests {
             crate::hungarian_direct(&problem, &cfg),
         ] {
             let out = out.unwrap();
-            // The row count is known before any row is built.
-            assert_eq!(out.metrics.samples, out.timeline.len());
             assert_eq!(out.timeline[0], problem.positions);
             assert_eq!(out.timeline.iter().count(), out.timeline.len());
         }

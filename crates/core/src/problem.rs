@@ -123,15 +123,14 @@ pub fn optimal_coverage_positions(region: &PolygonWithHoles, n: usize) -> Option
 /// Tunable configuration of the marching pipeline.
 #[derive(Debug, Clone)]
 pub struct MarchConfig {
-    /// Grid spacing for meshing `M2`. `None` (default) derives it from
-    /// the robot density: ~0.6× the robot lattice spacing.
-    pub mesh_spacing: Option<f64>,
     /// Harmonic-map solver settings.
     pub harmonic: HarmonicConfig,
     /// Rotation-search settings (paper: depth 4).
     pub rotation: RotationSearch,
-    /// Number of sample intervals along the transition for `e_ij(t)` and
-    /// connectivity checks. Default 50.
+    /// Uniform sample intervals of the transition in the dense rendering
+    /// timeline ([`crate::MarchOutcome::timeline`]). Default 50. It sets
+    /// only that timeline's resolution: `L` and `C` are audited exactly
+    /// over each robot's own motion, whatever this is.
     pub time_samples: usize,
     /// Lloyd settings for the final coverage adjustment.
     pub lloyd: LloydConfig,
@@ -146,7 +145,6 @@ pub struct MarchConfig {
 impl Default for MarchConfig {
     fn default() -> Self {
         MarchConfig {
-            mesh_spacing: None,
             harmonic: HarmonicConfig::default(),
             rotation: RotationSearch::default(),
             time_samples: 50,
@@ -163,12 +161,10 @@ impl Default for MarchConfig {
 
 impl MarchConfig {
     /// The `M2` mesh spacing to use for `n` robots in a region of the
-    /// given area: explicit override or 0.6× the robot lattice pitch.
+    /// given area: 0.6× the robot lattice pitch.
     pub fn resolve_mesh_spacing(&self, area: f64, n: usize) -> f64 {
-        self.mesh_spacing.unwrap_or_else(|| {
-            let robot_pitch = (area / n as f64 * 2.0 / 3f64.sqrt()).sqrt();
-            0.6 * robot_pitch
-        })
+        let robot_pitch = (area / n as f64 * 2.0 / 3f64.sqrt()).sqrt();
+        0.6 * robot_pitch
     }
 }
 
@@ -261,10 +257,5 @@ mod tests {
         let s = cfg.resolve_mesh_spacing(308_261.0, 144);
         // Robot pitch ≈ 49.7 m → spacing ≈ 29.8 m.
         assert!(s > 25.0 && s < 35.0, "spacing {s}");
-        let cfg = MarchConfig {
-            mesh_spacing: Some(10.0),
-            ..Default::default()
-        };
-        assert_eq!(cfg.resolve_mesh_spacing(308_261.0, 144), 10.0);
     }
 }

@@ -123,7 +123,7 @@ impl Polyline {
 }
 
 /// The synchronized trajectories of a whole swarm.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrajectorySet {
     paths: Vec<Polyline>,
 }

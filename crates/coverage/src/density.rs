@@ -24,15 +24,6 @@ pub enum Density {
         /// Peak density multiplier at the hole boundary.
         gain: f64,
     },
-    /// Higher density near a point of interest, same falloff law.
-    Radial {
-        /// The point of interest.
-        center: Point,
-        /// Distance scale of the exponential falloff, in metres.
-        falloff: f64,
-        /// Peak density multiplier at the center.
-        gain: f64,
-    },
 }
 
 impl Density {
@@ -50,11 +41,6 @@ impl Density {
                     1.0
                 }
             }
-            Density::Radial {
-                center,
-                falloff,
-                gain,
-            } => 1.0 + gain * (-p.distance(center) / falloff).exp(),
         }
     }
 }
@@ -101,19 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn radial_peaks_at_center() {
-        let r = region_with_hole();
-        let c = Point::new(10.0, 10.0);
-        let d = Density::Radial {
-            center: c,
-            falloff: 10.0,
-            gain: 3.0,
-        };
-        assert!((d.eval(&r, c) - 4.0).abs() < 1e-12);
-        assert!(d.eval(&r, Point::new(90.0, 90.0)) < 1.1);
-    }
-
-    #[test]
     fn density_always_positive() {
         let r = region_with_hole();
         for dens in [
@@ -122,8 +95,7 @@ mod tests {
                 falloff: 1.0,
                 gain: 100.0,
             },
-            Density::Radial {
-                center: Point::ORIGIN,
+            Density::HoleProximity {
                 falloff: 0.5,
                 gain: 50.0,
             },

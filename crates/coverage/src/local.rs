@@ -100,11 +100,12 @@ mod tests {
 
     #[test]
     fn local_equals_global_with_density() {
-        let region = square(240.0);
+        let outer = Polygon::rectangle(Point::ORIGIN, 240.0, 240.0);
+        let hole = Polygon::rectangle(Point::new(100.0, 100.0), 40.0, 40.0);
+        let region = PolygonWithHoles::new(outer, vec![hole]).unwrap();
         let part = GridPartition::new(&region, 4.0);
         let sites = triangular_lattice(&region, 40.0);
-        let dens = Density::Radial {
-            center: Point::new(120.0, 120.0),
+        let dens = Density::HoleProximity {
             falloff: 60.0,
             gain: 5.0,
         };

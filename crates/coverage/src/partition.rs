@@ -415,9 +415,12 @@ mod tests {
 
     #[test]
     fn density_pulls_centroid() {
-        let part = GridPartition::new(&square(80.0), 2.0);
-        let dens = Density::Radial {
-            center: Point::new(70.0, 40.0),
+        // A small hole near the right edge: the density peaks around it.
+        let outer = Polygon::rectangle(Point::ORIGIN, 80.0, 80.0);
+        let hole = Polygon::rectangle(Point::new(68.0, 38.0), 4.0, 4.0);
+        let region = PolygonWithHoles::new(outer, vec![hole]).unwrap();
+        let part = GridPartition::new(&region, 2.0);
+        let dens = Density::HoleProximity {
             falloff: 15.0,
             gain: 20.0,
         };

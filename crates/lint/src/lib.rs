@@ -103,10 +103,9 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone)]
 pub struct LintOptions {
     /// Workspace root (the directory holding `Cargo.toml` and `crates/`).
+    /// Its `lint.allow.toml` is the baseline; a missing file means an
+    /// empty baseline, not an error.
     pub root: PathBuf,
-    /// Baseline file; defaults to `<root>/lint.allow.toml`. A missing
-    /// baseline file means an empty baseline, not an error.
-    pub baseline: Option<PathBuf>,
     /// Worker threads for per-file scanning (0 = auto, 1 = serial).
     /// Findings, the call graph, and every artifact are identical for
     /// any worker count.
@@ -114,11 +113,10 @@ pub struct LintOptions {
 }
 
 impl LintOptions {
-    /// Options rooted at `root` with the default baseline location.
+    /// Options rooted at `root`, scanning serially.
     pub fn at<P: AsRef<Path>>(root: P) -> LintOptions {
         LintOptions {
             root: root.as_ref().to_path_buf(),
-            baseline: None,
             workers: 1,
         }
     }
@@ -199,11 +197,8 @@ pub fn lint_workspace(options: &LintOptions) -> Result<LintReport, LintError> {
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
 
-    let baseline_path = options
-        .baseline
-        .clone()
-        .unwrap_or_else(|| options.root.join(ALLOW_FILE));
-    let mut entries = read_manifest(&baseline_path, parse_baseline)?.unwrap_or_default();
+    let mut entries =
+        read_manifest(&options.root.join(ALLOW_FILE), parse_baseline)?.unwrap_or_default();
     apply_baseline(&mut findings, &mut entries);
 
     Ok(LintReport {

@@ -13,7 +13,6 @@ fn fixture_root(name: &str) -> PathBuf {
 fn lint_at(root: &Path, workers: usize) -> LintReport {
     lint_workspace(&LintOptions {
         root: root.to_path_buf(),
-        baseline: None,
         workers,
     })
     .expect("lint run succeeds")

@@ -22,7 +22,6 @@ fn golden(name: &str) -> String {
 fn artifacts(ws: &str, workers: usize) -> String {
     let report = lint_workspace(&LintOptions {
         root: tests_dir().join("fixtures").join(ws),
-        baseline: None,
         workers,
     })
     .expect("lint run succeeds");

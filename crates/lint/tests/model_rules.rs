@@ -21,7 +21,6 @@ fn repo_root() -> PathBuf {
 fn lint_at(root: &Path, workers: usize) -> LintReport {
     lint_workspace(&LintOptions {
         root: root.to_path_buf(),
-        baseline: None,
         workers,
     })
     .expect("lint run succeeds")

@@ -21,7 +21,6 @@ fn graphws_root() -> PathBuf {
 fn lint_at(root: &Path, workers: usize) -> LintReport {
     let options = LintOptions {
         root: root.to_path_buf(),
-        baseline: None,
         workers,
     };
     lint_workspace(&options).expect("lint run succeeds")
@@ -110,7 +109,6 @@ fn injected_march_panic_chain_turns_s1_red() {
     .expect("scratch baseline");
     let report = lint_workspace(&LintOptions {
         root: scratch.clone(),
-        baseline: None,
         workers: 1,
     })
     .expect("scratch lint");

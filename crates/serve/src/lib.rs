@@ -44,9 +44,9 @@ pub use protocol::{
     decode_chunk, decode_error, decode_header, decode_request, encode_error, encode_header,
     encode_request, fnv1a64, frame_into, read_frame, request_hash, write_frame, PlanMethod,
     PlanRequest, PlanTarget, ResponseHeader, WireError, CHUNK_POINTS, ERR_BAD_REQUEST,
-    ERR_INTERNAL, ERR_MALFORMED, ERR_OVERSIZED, ERR_UNKNOWN_SCENARIO, KIND_PLAN_REQUEST,
-    KIND_RESP_BUSY, KIND_RESP_CHUNK, KIND_RESP_END, KIND_RESP_ERROR, KIND_RESP_HEADER,
-    MAX_POLYGON_VERTICES, MAX_REPLY_POINTS, MAX_RESPONSE_FRAME, MAX_ROBOTS, MAX_TIMELINE_POINTS,
-    MAX_TIME_SAMPLES, PROTOCOL_VERSION,
+    ERR_CONNECTIVITY_LOST, ERR_INTERNAL, ERR_MALFORMED, ERR_OVERSIZED, ERR_UNKNOWN_SCENARIO,
+    KIND_PLAN_REQUEST, KIND_RESP_BUSY, KIND_RESP_CHUNK, KIND_RESP_END, KIND_RESP_ERROR,
+    KIND_RESP_HEADER, MAX_POLYGON_VERTICES, MAX_REPLY_POINTS, MAX_REQUEST_BYTES,
+    MAX_RESPONSE_FRAME, MAX_ROBOTS, MAX_TIMELINE_POINTS, MAX_TIME_SAMPLES, PROTOCOL_VERSION,
 };
 pub use server::{run_server, PlanServer, ServeConfig, ServeError, ServeReport, ServeStats};

@@ -7,11 +7,11 @@
 
 use crate::protocol::{
     encode_header, frame_into, request_hash, Fnv1a64, PlanMethod, PlanRequest, PlanTarget,
-    ResponseHeader, CHUNK_POINTS, ERR_BAD_REQUEST, ERR_INTERNAL, ERR_UNKNOWN_SCENARIO,
-    KIND_RESP_CHUNK, KIND_RESP_END, KIND_RESP_HEADER, MAX_REPLY_POINTS,
+    ResponseHeader, CHUNK_POINTS, ERR_BAD_REQUEST, ERR_CONNECTIVITY_LOST, ERR_INTERNAL,
+    ERR_UNKNOWN_SCENARIO, KIND_RESP_CHUNK, KIND_RESP_END, KIND_RESP_HEADER, MAX_REPLY_POINTS,
 };
 use anr_geom::{Polygon, PolygonWithHoles, Vector};
-use anr_march::{march_traced, MarchConfig, MarchProblem, Method};
+use anr_march::{march_traced, MarchConfig, MarchError, MarchProblem, Method};
 use anr_scenarios::{build_scenario, ScenarioError, ScenarioParams};
 use anr_trace::Tracer;
 
@@ -34,6 +34,9 @@ pub enum PlanError {
     BadRequest(String),
     /// The march pipeline itself failed on a well-formed problem.
     March(String),
+    /// The march planned, but its own audit found the network
+    /// disconnected at some instant (`C = 0`); no plan is sent.
+    ConnectivityLost(String),
 }
 
 impl PlanError {
@@ -44,6 +47,7 @@ impl PlanError {
             PlanError::UnknownScenario { .. } => ERR_UNKNOWN_SCENARIO,
             PlanError::BadRequest(_) => ERR_BAD_REQUEST,
             PlanError::March(_) => ERR_INTERNAL,
+            PlanError::ConnectivityLost(_) => ERR_CONNECTIVITY_LOST,
         }
     }
 
@@ -54,6 +58,7 @@ impl PlanError {
             PlanError::UnknownScenario { id } => format!("scenario ids run 1..=7, got {id}"),
             PlanError::BadRequest(msg) => msg.clone(),
             PlanError::March(msg) => format!("march failed: {msg}"),
+            PlanError::ConnectivityLost(msg) => msg.clone(),
         }
     }
 }
@@ -146,7 +151,9 @@ fn reply_points(rows: usize, robots: usize) -> Result<usize, PlanError> {
 ///
 /// # Errors
 ///
-/// A typed [`PlanError`]; the caller turns it into a wire error frame.
+/// A typed [`PlanError`]; the caller turns it into a wire error frame. A
+/// march that loses connectivity is [`PlanError::ConnectivityLost`]: a
+/// reply always carries a plan with `C = 1`.
 pub fn execute_plan(req: &PlanRequest, tracer: &Tracer) -> Result<Vec<u8>, PlanError> {
     let problem = build_problem(req, tracer)?;
     let config = build_config(req);
@@ -154,8 +161,10 @@ pub fn execute_plan(req: &PlanRequest, tracer: &Tracer) -> Result<Vec<u8>, PlanE
         PlanMethod::MaxStableLinks => Method::MaxStableLinks,
         PlanMethod::MinMovingDistance => Method::MinMovingDistance,
     };
-    let outcome = march_traced(&problem, method, &config, tracer)
-        .map_err(|e| PlanError::March(e.to_string()))?;
+    let outcome = march_traced(&problem, method, &config, tracer).map_err(|e| match e {
+        MarchError::ConnectivityLost(_) => PlanError::ConnectivityLost(e.to_string()),
+        e => PlanError::March(e.to_string()),
+    })?;
 
     let robots = problem.num_robots();
     let rows = outcome.timeline.len();

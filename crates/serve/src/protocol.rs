@@ -67,6 +67,12 @@ pub const MAX_TIME_SAMPLES: u32 = 1_000;
 /// peer's length word".
 pub const MAX_RESPONSE_FRAME: usize = 1 << 20;
 
+/// Largest request frame the server accepts (256 KiB); a bigger one gets
+/// an [`ERR_OVERSIZED`] error without being read. A request carries at
+/// most [`MAX_POLYGON_VERTICES`] vertices of 16 bytes each, so a valid
+/// one fits with room to spare.
+pub const MAX_REQUEST_BYTES: usize = 256 << 10;
+
 /// Cap on the timeline-point allocation a client pre-reserves from the
 /// header's `timeline_rows × robots` product. The vector still grows to
 /// hold a legitimately larger reply — this only bounds how much memory
@@ -83,6 +89,10 @@ pub const ERR_UNKNOWN_SCENARIO: u8 = 3;
 pub const ERR_BAD_REQUEST: u8 = 4;
 /// Error code: the march itself failed (reported, never a crash).
 pub const ERR_INTERNAL: u8 = 5;
+/// Error code: the march planned, but its own audit found the network
+/// disconnected at some instant (`C = 0`). The server sends no plan that
+/// breaks global connectivity, and caches nothing for it.
+pub const ERR_CONNECTIVITY_LOST: u8 = 6;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -12,7 +12,7 @@ use crate::cache::{CacheStats, PlanCache};
 use crate::plan::execute_plan;
 use crate::protocol::{
     decode_request, encode_error, encode_request, fnv1a64, write_frame, WireError, ERR_MALFORMED,
-    ERR_OVERSIZED, KIND_PLAN_REQUEST, KIND_RESP_BUSY, KIND_RESP_ERROR,
+    ERR_OVERSIZED, KIND_PLAN_REQUEST, KIND_RESP_BUSY, KIND_RESP_ERROR, MAX_REQUEST_BYTES,
 };
 use anr_par::{default_workers, par_map};
 use anr_trace::{TraceValue, Tracer};
@@ -37,9 +37,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Plan-cache budget in response bytes.
     pub cache_bytes: usize,
-    /// Largest request frame accepted; bigger ones get an `Oversized`
-    /// error without being read.
-    pub max_request_bytes: usize,
     /// Stop accepting after this many connections (0 = run until
     /// [`PlanServer::stop`]). Lets tests and the CLI run bounded
     /// sessions.
@@ -53,7 +50,6 @@ impl Default for ServeConfig {
             workers: 0,
             queue_capacity: 1024,
             cache_bytes: 256 << 20,
-            max_request_bytes: 256 << 10,
             max_requests: 0,
         }
     }
@@ -98,7 +94,7 @@ pub struct ServeStats {
     /// oversized frames, wrong frame kind).
     pub protocol_errors: u64,
     /// Requests answered with a typed plan error (unknown scenario, bad
-    /// request, march failure).
+    /// request, march failure, lost connectivity).
     pub plan_errors: u64,
     /// Connections dropped because the socket itself failed mid-request.
     pub io_errors: u64,
@@ -371,7 +367,7 @@ impl PlanServer {
     }
 
     fn handle(&self, mut conn: TcpStream, tracer: &Tracer) {
-        let frame = crate::protocol::read_frame(&mut conn, self.config.max_request_bytes);
+        let frame = crate::protocol::read_frame(&mut conn, MAX_REQUEST_BYTES);
         let payload = match frame {
             Ok((KIND_PLAN_REQUEST, payload)) => payload,
             Ok((kind, _)) => {

@@ -7,10 +7,11 @@ mod common;
 use anr_geom::Point;
 use anr_serve::{
     decode_chunk, encode_request, execute_plan, frame_into, read_frame, request_plan, write_frame,
-    PlanReply, PlanRequest, PlanTarget, ServeConfig, CHUNK_POINTS, ERR_BAD_REQUEST, ERR_INTERNAL,
-    ERR_MALFORMED, ERR_OVERSIZED, ERR_UNKNOWN_SCENARIO, KIND_PLAN_REQUEST, KIND_RESP_BUSY,
-    KIND_RESP_CHUNK, KIND_RESP_END, KIND_RESP_ERROR, KIND_RESP_HEADER, MAX_POLYGON_VERTICES,
-    MAX_RESPONSE_FRAME, MAX_ROBOTS, MAX_TIMELINE_POINTS, MAX_TIME_SAMPLES, SERVE_RANGE,
+    PlanReply, PlanRequest, PlanTarget, ServeConfig, CHUNK_POINTS, ERR_BAD_REQUEST,
+    ERR_CONNECTIVITY_LOST, ERR_INTERNAL, ERR_MALFORMED, ERR_OVERSIZED, ERR_UNKNOWN_SCENARIO,
+    KIND_PLAN_REQUEST, KIND_RESP_BUSY, KIND_RESP_CHUNK, KIND_RESP_END, KIND_RESP_ERROR,
+    KIND_RESP_HEADER, MAX_POLYGON_VERTICES, MAX_REQUEST_BYTES, MAX_RESPONSE_FRAME, MAX_ROBOTS,
+    MAX_TIMELINE_POINTS, MAX_TIME_SAMPLES, SERVE_RANGE,
 };
 use anr_trace::Tracer;
 use common::{cheap_request, with_server};
@@ -153,7 +154,6 @@ fn typed_errors_never_take_the_server_down() {
     let tracer = Tracer::disabled();
     let config = ServeConfig {
         workers: 1,
-        max_request_bytes: 4096,
         ..ServeConfig::default()
     };
     let (.., report) = with_server(config, &tracer, |server| {
@@ -190,10 +190,11 @@ fn typed_errors_never_take_the_server_down() {
         write_frame(&mut raw, 0x7f, b"").expect("write");
         assert_eq!(read_error_code(&mut raw), ERR_MALFORMED);
 
-        // 5. Oversized length word → oversized error frame, body unread.
+        // 5. The smallest oversized length word → oversized error frame,
+        //    body unread.
         let mut raw = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-        raw.write_all(&1_000_000u32.to_be_bytes())
-            .expect("write len");
+        let len = u32::try_from(MAX_REQUEST_BYTES + 1).expect("bound fits a length word");
+        raw.write_all(&len.to_be_bytes()).expect("write len");
         assert_eq!(read_error_code(&mut raw), ERR_OVERSIZED);
 
         // 6. The server is still alive and planning.
@@ -215,12 +216,43 @@ fn typed_errors_never_take_the_server_down() {
         ERR_UNKNOWN_SCENARIO,
         ERR_BAD_REQUEST,
         ERR_INTERNAL,
+        ERR_CONNECTIVITY_LOST,
     ];
     for (i, a) in codes.iter().enumerate() {
         for b in &codes[i + 1..] {
             assert_ne!(a, b, "error codes must be distinct");
         }
     }
+}
+
+/// A march whose own audit finds `C = 0` (scenario 3, 100 robots,
+/// separation 100, method (a)) is answered with a typed error, not a
+/// plan, and nothing is cached for it: asking again marches again.
+#[test]
+fn connectivity_lost_is_a_typed_error_and_never_cached() {
+    let tracer = Tracer::disabled();
+    let req = PlanRequest {
+        robots: 100,
+        separation_ranges: 100.0,
+        ..PlanRequest::scenario(3)
+    };
+    let (.., report) = with_server(small_config(), &tracer, |server| {
+        for _ in 0..2 {
+            match request_plan(server.port(), &req).expect("reply") {
+                PlanReply::ServerError { code, message } => {
+                    assert_eq!(code, ERR_CONNECTIVITY_LOST);
+                    assert!(message.contains("C = 0"), "{message}");
+                }
+                other => panic!("expected a connectivity-lost error, got {other:?}"),
+            }
+        }
+    });
+    assert_eq!(report.stats.plan_errors, 2);
+    assert_eq!(report.stats.served, 0);
+    assert_eq!(report.stats.cache.hits, 0);
+    assert_eq!(report.stats.cache.misses, 2);
+    assert_eq!(report.stats.cache.entries, 0);
+    assert_eq!(report.stats.worker_panics, 0);
 }
 
 /// Sends `over`, expects a malformed-request error, then checks that a

@@ -33,12 +33,9 @@
 //!     tracer.counter_add("evals", 1);
 //! }
 //! let events = tracer.events();
-//! if tracer.is_enabled() {
-//!     // span_start, event, counter, span_end — with the `off` cargo
-//!     // feature the tracer is inert and `events` is empty instead.
-//!     assert_eq!(events.len(), 4);
-//!     assert_eq!(tracer.counter("evals"), 1);
-//! }
+//! // span_start, event, counter, span_end.
+//! assert_eq!(events.len(), 4);
+//! assert_eq!(tracer.counter("evals"), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -226,9 +223,6 @@ impl Tracer {
     }
 
     /// An enabled tracer with explicit options.
-    ///
-    /// With the `off` cargo feature this (and every other constructor)
-    /// returns the disabled tracer, compiling instrumentation out.
     #[must_use]
     pub fn new(config: TraceConfig) -> Tracer {
         Tracer::build(config, None)
@@ -256,9 +250,6 @@ impl Tracer {
     }
 
     fn build(config: TraceConfig, sink: Option<Box<dyn Write + Send>>) -> Tracer {
-        if cfg!(feature = "off") {
-            return Tracer::disabled();
-        }
         Tracer {
             inner: Some(Arc::new(Inner {
                 wall: config.wall_clock.then(wall::stamp),
@@ -283,7 +274,7 @@ impl Tracer {
     #[inline]
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        !cfg!(feature = "off") && self.inner.is_some()
+        self.inner.is_some()
     }
 
     /// Opens a span named `name` nested under the currently open span.
@@ -646,7 +637,6 @@ pub fn jsonl_line(ev: &TraceEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(not(feature = "off"))]
     use std::sync::mpsc;
 
     #[test]
@@ -667,7 +657,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn spans_nest_with_parent_ids() {
         let t = Tracer::ring(64);
         {
@@ -701,7 +690,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn seq_is_monotonic_and_dense() {
         let t = Tracer::ring(64);
         let _s = t.span("a");
@@ -714,7 +702,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn counters_and_hists_aggregate() {
         let t = Tracer::ring(64);
         t.counter_add("msgs", 3);
@@ -731,7 +718,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn ring_overflow_drops_oldest() {
         let t = Tracer::ring(3);
         for _ in 0..5 {
@@ -744,7 +730,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn take_events_drains() {
         let t = Tracer::ring(8);
         t.event("e", &[]);
@@ -776,7 +761,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn sink_receives_jsonl_stream() {
         struct ChanWriter(mpsc::Sender<Vec<u8>>);
         impl Write for ChanWriter {
@@ -805,7 +789,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn wall_clock_records_durations() {
         let t = Tracer::wall(16);
         {
@@ -824,7 +807,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn clones_share_the_stream() {
         let t = Tracer::ring(16);
         let t2 = t.clone();
@@ -832,13 +814,5 @@ mod tests {
         t2.event("b", &[]);
         assert_eq!(t.events().len(), 2);
         assert_eq!(t2.events().len(), 2);
-    }
-
-    #[test]
-    #[cfg(feature = "off")]
-    fn off_feature_disables_every_constructor() {
-        assert!(!Tracer::ring(16).is_enabled());
-        assert!(!Tracer::wall(16).is_enabled());
-        assert!(!Tracer::new(TraceConfig::default()).is_enabled());
     }
 }

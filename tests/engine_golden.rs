@@ -599,6 +599,16 @@ fn sweep_cases(table: &mut Table) {
         &[0, 1, 2],
     );
     sweep_case(table, "sweep/tools", 256, &[0.0, 0.05], &[0, 1]);
+    // The grid the deleted `fault_sweep` bench binary printed, now `anr
+    // fault-sweep --id 1 --robots 144 --loss 0,0.05,0.1,0.2,0.3
+    // --crashes 0,1,2,4 --seed 42`.
+    sweep_case(
+        table,
+        "sweep/grid_144",
+        144,
+        &[0.0, 0.05, 0.1, 0.2, 0.3],
+        &[0, 1, 2, 4],
+    );
 }
 
 /// Digests recorded before the synchronous simulators were removed,
@@ -640,6 +650,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("objective_under_faults/7/loss", 0x9bf0de889145e937),
     ("sweep/cli_defaults", 0xc3bc3dec33225266),
     ("sweep/tools", 0x91d9001bf0991da2),
+    ("sweep/grid_144", 0xb8d39cd6009f2455),
 ];
 
 #[test]
