@@ -8,7 +8,7 @@
 //! concavities and detours included — at the smoke robot count, so a
 //! fast path that only agrees on easy inputs cannot slip through.
 
-use anr_bench::scenario_problem;
+use anr_bench::scenario_problem as sized_problem;
 use anr_coverage::GridPartition;
 use anr_harmonic::{fill_holes, harmonic_map_to_disk, DiskOverlay, HarmonicConfig};
 use anr_march::{
@@ -21,8 +21,8 @@ use anr_trace::Tracer;
 const ROBOTS: usize = 144;
 const SEPARATION: f64 = 10.0;
 
-fn smoke_problem(id: u8) -> MarchProblem {
-    scenario_problem(id, SEPARATION, ROBOTS).unwrap()
+fn scenario_problem(id: u8) -> MarchProblem {
+    sized_problem(id, SEPARATION, ROBOTS).unwrap()
 }
 
 /// The bucket-grid sample assignment equals the brute-force scan,
@@ -31,7 +31,7 @@ fn smoke_problem(id: u8) -> MarchProblem {
 #[test]
 fn lloyd_assignment_matches_brute_force_on_every_scenario() {
     for id in 1..=7u8 {
-        let problem = smoke_problem(id);
+        let problem = scenario_problem(id);
         let config = MarchConfig::default();
         let spacing = config.resolve_mesh_spacing(problem.m2.area(), problem.num_robots());
         let partition = GridPartition::new(&problem.m2, spacing * 0.2);
@@ -50,7 +50,7 @@ fn lloyd_assignment_matches_brute_force_on_every_scenario() {
 #[test]
 fn rotation_batch_matches_serial_on_every_scenario() {
     for id in 1..=7u8 {
-        let problem = smoke_problem(id);
+        let problem = scenario_problem(id);
         let n = problem.num_robots();
         let config = MarchConfig::default();
         let spacing = config.resolve_mesh_spacing(problem.m2.area(), n);
@@ -144,7 +144,7 @@ fn knot_audit_of(problem: &MarchProblem, outcome: &MarchOutcome, key: &str) -> A
 #[test]
 fn audit_identical_across_worker_counts() {
     for id in [1u8, 4, 6] {
-        let problem = smoke_problem(id);
+        let problem = scenario_problem(id);
         let config = MarchConfig::default();
         let outcome = march(&problem, Method::MaxStableLinks, &config).unwrap();
         let knots = knots_of(&outcome);
@@ -231,7 +231,7 @@ fn knot_audit_is_pinned_on_every_scenario() {
     let mut got = Vec::new();
     for robots in [144usize, 400, 1296] {
         for id in 1..=7u8 {
-            let problem = scenario_problem(id, SEPARATION, robots).unwrap();
+            let problem = sized_problem(id, SEPARATION, robots).unwrap();
             for method in [Method::MaxStableLinks, Method::MinMovingDistance] {
                 let key = format!("scenario {id}, {method:?}, {robots} robots");
                 let r = knot_audit_checked(&problem, method, &key);
@@ -304,7 +304,7 @@ fn assert_connectivity_lost(
     digest: u64,
     counters: (usize, usize),
 ) {
-    let problem = scenario_problem(id, separation, robots).unwrap();
+    let problem = sized_problem(id, separation, robots).unwrap();
     let key = format!("scenario {id}, separation {separation}, {robots} robots, {method:?}");
     let outcome = match march(&problem, method, &MarchConfig::default()) {
         Err(MarchError::ConnectivityLost(outcome)) => outcome,
@@ -381,7 +381,7 @@ fn scenario3_method_b_separation_50_loses_connectivity() {
 fn row_audit_is_pinned_on_the_benchmark_marches() {
     let mut got = Vec::new();
     for (id, robots) in (1..=7u8).map(|id| (id, 1296usize)).chain([(1, 3025)]) {
-        let problem = scenario_problem(id, 30.0, robots).unwrap();
+        let problem = sized_problem(id, 30.0, robots).unwrap();
         let outcome = march(&problem, Method::MaxStableLinks, &MarchConfig::default()).unwrap();
         let rows = &outcome.timeline;
         let steps = (rows.len() - 1).max(1) as f64;
@@ -477,7 +477,7 @@ fn row_audit_is_pinned_on_the_benchmark_marches() {
 /// the Lloyd rows after them stay byte-identical.
 #[test]
 fn hole_scenario_timeline_is_pinned() {
-    let problem = smoke_problem(4);
+    let problem = scenario_problem(4);
     let outcome = march(&problem, Method::MaxStableLinks, &MarchConfig::default()).unwrap();
     let mut bytes = Vec::new();
     for p in outcome.timeline.iter().flatten() {
@@ -515,7 +515,7 @@ fn lloyd_stage_is_pinned_on_every_scenario() {
         (400, &[Method::MaxStableLinks][..]),
     ] {
         for id in 1..=7u8 {
-            let problem = scenario_problem(id, SEPARATION, robots).unwrap();
+            let problem = sized_problem(id, SEPARATION, robots).unwrap();
             for &method in methods {
                 let outcome = march(&problem, method, &MarchConfig::default()).unwrap();
                 let rows = &outcome.timeline[outcome.timeline.len() - outcome.lloyd_iterations..];
