@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the computational kernels: Delaunay
-//! triangulation, harmonic-map convergence, Hungarian assignment,
-//! overlay mapping, Lloyd iteration, and the full pipeline.
+//! triangulation (random clouds and the FoI mesher's points), mesh
+//! adjacency, harmonic-map convergence, Hungarian assignment, overlay
+//! mapping, Lloyd iteration, and the full pipeline.
 
 use anr_assign::{euclidean_costs, hungarian};
 use anr_bench::scenario_problem;
@@ -8,7 +9,7 @@ use anr_coverage::{run_lloyd, Density, GridPartition, LloydConfig};
 use anr_geom::Point;
 use anr_harmonic::{fill_holes, harmonic_map_to_disk, DiskOverlay, HarmonicConfig};
 use anr_march::{march, MarchConfig, Method};
-use anr_mesh::{delaunay, FoiMesher};
+use anr_mesh::{delaunay, FoiMesher, TriMesh};
 use anr_netgraph::{extract_triangulation, UnitDiskGraph};
 use anr_trace::Tracer;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -35,6 +36,34 @@ fn bench_delaunay(c: &mut Criterion) {
     c.bench_function("delaunay_500", |b| {
         b.iter(|| delaunay(black_box(&pts500)).unwrap())
     });
+}
+
+/// The march's `M2` meshing for scenario 1 at 3025 robots (7 452 mesher
+/// points). Unlike the random clouds above, the mesher inserts the
+/// boundary samples first, so long triangles span the interior until
+/// the grid rows fill in.
+fn bench_foi_mesh(c: &mut Criterion) {
+    let robots = 3025;
+    let problem = scenario_problem(1, 30.0, robots).unwrap();
+    let spacing = MarchConfig::default().resolve_mesh_spacing(problem.m2.area(), robots);
+    let mesher = FoiMesher::new(spacing);
+    let points = mesher.points(&problem.m2);
+    let dt = delaunay(&points).unwrap();
+    let mut group = c.benchmark_group("mesh");
+    group.sample_size(20);
+    group.bench_function("foi_mesh_sc1_3025", |b| {
+        b.iter(|| mesher.mesh(black_box(&problem.m2)).unwrap())
+    });
+    group.bench_function("delaunay_foi_sc1_3025", |b| {
+        b.iter(|| delaunay(black_box(&points)).unwrap())
+    });
+    group.bench_function("trimesh_sc1_3025", |b| {
+        b.iter(|| {
+            let mesh = TriMesh::new(dt.vertices().to_vec(), dt.triangles().to_vec()).unwrap();
+            mesh.boundary_loops()
+        })
+    });
+    group.finish();
 }
 
 fn bench_unit_disk_graph(c: &mut Criterion) {
@@ -121,6 +150,7 @@ fn bench_full_pipeline(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_delaunay,
+    bench_foi_mesh,
     bench_unit_disk_graph,
     bench_harmonic,
     bench_overlay_mapping,

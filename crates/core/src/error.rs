@@ -4,7 +4,11 @@ use std::error::Error;
 use std::fmt;
 
 /// Errors raised by the optimal-marching pipeline.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `Debug` prints [`MarchError::ConnectivityLost`] by its metrics alone
+/// (`L`, `D`, the violation count and the disconnected intervals), not
+/// by every position of the outcome it carries.
+#[derive(Clone, PartialEq)]
 #[non_exhaustive]
 pub enum MarchError {
     /// The initial deployment's connectivity graph is not connected, so
@@ -71,6 +75,38 @@ impl fmt::Display for MarchError {
                 "the march loses global connectivity (C = 0) on {} interval(s) of s",
                 outcome.metrics.disconnected_intervals.len()
             ),
+        }
+    }
+}
+
+impl fmt::Debug for MarchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MarchError::DisconnectedDeployment { components } => f
+                .debug_struct("DisconnectedDeployment")
+                .field("components", components)
+                .finish(),
+            MarchError::RobotOutsideTriangulation { robot } => f
+                .debug_struct("RobotOutsideTriangulation")
+                .field("robot", robot)
+                .finish(),
+            MarchError::TooFewRobots { got } => {
+                f.debug_struct("TooFewRobots").field("got", got).finish()
+            }
+            MarchError::Geometry(e) => f.debug_tuple("Geometry").field(e).finish(),
+            MarchError::Mesh(e) => f.debug_tuple("Mesh").field(e).finish(),
+            MarchError::Harmonic(e) => f.debug_tuple("Harmonic").field(e).finish(),
+            MarchError::Assign(e) => f.debug_tuple("Assign").field(e).finish(),
+            MarchError::Metrics(e) => f.debug_tuple("Metrics").field(e).finish(),
+            MarchError::ConnectivityLost(outcome) => {
+                let m = &outcome.metrics;
+                f.debug_struct("ConnectivityLost")
+                    .field("stable_link_ratio", &m.stable_link_ratio)
+                    .field("total_distance", &m.total_distance)
+                    .field("violations", &m.violations.len())
+                    .field("disconnected_intervals", &m.disconnected_intervals)
+                    .finish()
+            }
         }
     }
 }

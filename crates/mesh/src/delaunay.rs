@@ -10,9 +10,10 @@ use anr_geom::{in_circle, orient2d, Aabb, Point};
 /// re-triangulating the resulting cavity.
 ///
 /// The triangles whose circumcircle may contain a point are looked up in
-/// a bucket grid of their circumcircles over the input's bounding box
-/// rather than found by scanning every live triangle; the cavity, the
-/// new triangles and their order are exactly those of the scan.
+/// a loose grid hierarchy of their circumcircles over the input's
+/// bounding box rather than found by scanning every live triangle; the
+/// cavity, the new triangles and their order are exactly those of the
+/// scan.
 ///
 /// The output indices match the input point order. Near-duplicate points
 /// (closer than `1e-9` times the bounding-box diagonal) are rejected via
@@ -63,23 +64,25 @@ pub fn delaunay(points: &[Point]) -> Result<TriMesh, MeshError> {
     verts.push(s1); // index n + 1
     verts.push(s2); // index n + 2
 
-    // Active triangle list, with each triangle's circumcircle cached in
-    // struct-of-arrays form. The cached circle is only a *prefilter*: a
-    // triangle whose circle (with a generous relative slack) excludes the
-    // query point cannot pass the exact guarded in_circle test below, so
-    // skipping it never changes the bad set — the expensive determinant
-    // runs only for the handful of candidates near the cavity.
+    // Active triangle list, with each triangle's circumcircle cached as
+    // [center x, center y, radius²]. The cached circle is only a
+    // *prefilter*: a triangle whose circle (with a generous relative
+    // slack) excludes the query point cannot pass the exact guarded
+    // in_circle test below, so skipping it never changes the bad set —
+    // the expensive determinant runs only for the handful of candidates
+    // near the cavity.
     let mut tris: Vec<[usize; 3]> = vec![[n, n + 1, n + 2]];
     let mut alive: Vec<bool> = vec![true];
-    let (c0x, c0y, c0r) = circumcircle(s0, s1, s2);
-    let mut ccx: Vec<f64> = vec![c0x];
-    let mut ccy: Vec<f64> = vec![c0y];
-    let mut cr2: Vec<f64> = vec![c0r];
+    let circle = circumcircle(s0, s1, s2);
+    let mut circles: Vec<[f64; 3]> = vec![circle];
     let mut dead = 0usize;
     let mut index = CircleIndex::new(&bb, n);
-    index.file(0, c0x, c0y, c0r);
+    index.file(0, circle);
 
     let mut bad: Vec<usize> = Vec::new();
+    // The bad triangles' edges as (undirected key, directed edge).
+    let mut cavity: Vec<((usize, usize), (usize, usize))> = Vec::new();
+    let mut hull: Vec<(usize, usize)> = Vec::new();
     for pi in 0..n {
         let p = verts[pi];
 
@@ -87,10 +90,10 @@ pub fn delaunay(points: &[Point]) -> Result<TriMesh, MeshError> {
         // triangle the prefilter can pass is among the candidates.
         bad.clear();
         index.for_each_candidate(p, &alive, |ti| {
-            let dx = p.x - ccx[ti];
-            let dy = p.y - ccy[ti];
+            let [cx, cy, r2] = circles[ti];
+            let dx = p.x - cx;
+            let dy = p.y - cy;
             let d2 = dx * dx + dy * dy;
-            let r2 = cr2[ti];
             // Conservative reject: slack is ~1e10× the worst rounding
             // error of the cached center (degenerate triangles cache an
             // infinite radius and always fall through to the exact test).
@@ -115,35 +118,28 @@ pub fn delaunay(points: &[Point]) -> Result<TriMesh, MeshError> {
         bad.sort_unstable();
 
         // Boundary of the cavity: edges of bad triangles not shared by
-        // two bad triangles.
-        let mut edge_count: std::collections::BTreeMap<(usize, usize), (usize, usize, i32)> =
-            std::collections::BTreeMap::new();
-        for &ti in &bad {
-            let t = tris[ti];
-            for k in 0..3 {
-                let a = t[k];
-                let b = t[(k + 1) % 3];
-                let key = (a.min(b), a.max(b));
-                edge_count
-                    .entry(key)
-                    .and_modify(|e| e.2 += 1)
-                    .or_insert((a, b, 1));
-            }
-        }
-
+        // two bad triangles, i.e. whose key occurs once.
+        cavity.clear();
         for &ti in &bad {
             alive[ti] = false;
+            let t = tris[ti];
+            for k in 0..3 {
+                let (a, b) = (t[k], t[(k + 1) % 3]);
+                cavity.push(((a.min(b), a.max(b)), (a, b)));
+            }
         }
-
-        let mut hull: Vec<(usize, usize)> = edge_count
-            .values()
-            .filter(|&&(_, _, cnt)| cnt == 1)
-            .map(|&(a, b, _)| (a, b))
-            .collect();
+        cavity.sort_unstable();
+        hull.clear();
+        hull.extend(
+            cavity
+                .chunk_by(|x, y| x.0 == y.0)
+                .filter(|run| run.len() == 1)
+                .map(|run| run[0].1),
+        );
         // Deterministic insertion order.
         hull.sort_unstable();
 
-        for (a, b) in hull {
+        for &(a, b) in &hull {
             // Orient the new triangle CCW.
             let (va, vb) = (verts[a], verts[b]);
             let t = if orient2d(va, vb, p) > 0.0 {
@@ -155,13 +151,11 @@ pub fn delaunay(points: &[Point]) -> Result<TriMesh, MeshError> {
             if orient2d(verts[t[0]], verts[t[1]], verts[t[2]]) <= 0.0 {
                 continue;
             }
-            let (cx, cy, r2) = circumcircle(verts[t[0]], verts[t[1]], verts[t[2]]);
-            index.file(tris.len(), cx, cy, r2);
+            let circle = circumcircle(verts[t[0]], verts[t[1]], verts[t[2]]);
+            index.file(tris.len(), circle);
             tris.push(t);
             alive.push(true);
-            ccx.push(cx);
-            ccy.push(cy);
-            cr2.push(r2);
+            circles.push(circle);
         }
 
         // Compact dead slots once they dominate, preserving relative
@@ -175,16 +169,12 @@ pub fn delaunay(points: &[Point]) -> Result<TriMesh, MeshError> {
                 if alive[r] {
                     slot[r] = Some(w);
                     tris[w] = tris[r];
-                    ccx[w] = ccx[r];
-                    ccy[w] = ccy[r];
-                    cr2[w] = cr2[r];
+                    circles[w] = circles[r];
                     w += 1;
                 }
             }
             tris.truncate(w);
-            ccx.truncate(w);
-            ccy.truncate(w);
-            cr2.truncate(w);
+            circles.truncate(w);
             alive.truncate(w);
             alive.fill(true);
             index.remap(&slot);
@@ -208,28 +198,42 @@ pub fn delaunay(points: &[Point]) -> Result<TriMesh, MeshError> {
     TriMesh::new(verts, final_tris)
 }
 
-/// Largest number of grid cells a circle is filed under; wider circles
-/// (the super-triangle's fan) go to the overflow list.
-const MAX_FILED_CELLS: usize = 64;
+/// Largest number of cells a circle's bounding box may overlap at the
+/// level it is filed at.
+const MAX_FILED_CELLS: usize = 4;
 
-/// The triangles' cached circumcircles filed in a uniform bucket grid
-/// over the input's bounding box (about one input point per cell).
+/// The triangles' cached circumcircles filed in a loose grid hierarchy
+/// over the input's bounding box.
 ///
-/// Each circle is widened well past the prefilter's slack and filed
-/// under every cell its bounding box overlaps; circles that are not
-/// finite or overlap more than [`MAX_FILED_CELLS`] cells go to an
-/// overflow list. A point's cell, computed by the same monotone map,
-/// therefore lists every triangle whose circle the prefilter could let
-/// the point into, and the overflow list holds the rest. Dead triangles
-/// are dropped lazily when a list is visited and on compaction.
+/// Level 0 is a uniform grid of about one input point per cell. A
+/// point's cell at level `ℓ` is its level-0 column and row shifted right
+/// by `ℓ`, so each level halves the columns and rows of the one below,
+/// and the top level is one cell.
+///
+/// Each circle is widened well past the prefilter's slack and filed at
+/// the lowest level where its bounding box overlaps at most
+/// [`MAX_FILED_CELLS`] cells, under each of them; a circle that is not
+/// finite goes to an overflow list. The map from a coordinate to its
+/// level-0 column or row is monotone, and so is the shift to a level, so
+/// a point the prefilter could let into a circle has its cell at the
+/// circle's level inside the circle's box there.
+///
+/// A point's lists, one per level and the overflow list, therefore hold
+/// every triangle the prefilter could pass, each in one list. Dead
+/// triangles are dropped lazily when a list is visited and on
+/// compaction.
 struct CircleIndex {
     x0: f64,
     y0: f64,
+    /// Reciprocal of the level-0 cell side.
     inv_cell: f64,
+    /// Level-0 columns and rows.
     nx: usize,
     ny: usize,
     /// Absolute widening: rounding at the coordinates' magnitude.
     slack: f64,
+    /// Level `ℓ`'s cells, row-major, start at `level_start[ℓ]`.
+    level_start: Vec<usize>,
     cells: Vec<Vec<usize>>,
     overflow: Vec<usize>,
 }
@@ -256,6 +260,16 @@ impl CircleIndex {
         } else {
             (1, 1)
         };
+        let mut level_start = Vec::new();
+        let mut total = 0;
+        for level in 0.. {
+            level_start.push(total);
+            let (cols, rows) = ((nx - 1) >> level, (ny - 1) >> level);
+            total += (cols + 1) * (rows + 1);
+            if cols == 0 && rows == 0 {
+                break;
+            }
+        }
         CircleIndex {
             x0: bb.min.x,
             y0: bb.min.y,
@@ -263,13 +277,14 @@ impl CircleIndex {
             nx,
             ny,
             slack: 1e-9 * magnitude,
-            cells: vec![Vec::new(); nx * ny],
+            level_start,
+            cells: vec![Vec::new(); total],
             overflow: Vec::new(),
         }
     }
 
-    /// Cell column or row of coordinate `v`: monotone in `v`, clamped
-    /// to the grid (NaN lands in cell 0).
+    /// Level-0 cell column or row of coordinate `v`: monotone in `v`,
+    /// clamped to the grid (NaN lands in cell 0).
     fn bucket(v: f64, origin: f64, inv_cell: f64, count: usize) -> usize {
         ((v - origin) * inv_cell)
             .floor()
@@ -284,8 +299,13 @@ impl CircleIndex {
         )
     }
 
-    /// Files triangle `ti` with cached circle `(cx, cy, r2)`.
-    fn file(&mut self, ti: usize, cx: f64, cy: f64, r2: f64) {
+    /// Index into `cells` of the first cell of `row` at `level`.
+    fn row_start(&self, level: usize, row: usize) -> usize {
+        self.level_start[level] + row * (((self.nx - 1) >> level) + 1)
+    }
+
+    /// Files triangle `ti` with cached circle `[cx, cy, r2]`.
+    fn file(&mut self, ti: usize, [cx, cy, r2]: [f64; 3]) {
         if !(cx.is_finite() && cy.is_finite() && r2.is_finite()) {
             self.overflow.push(ti);
             return;
@@ -295,29 +315,36 @@ impl CircleIndex {
         let r = r2.sqrt() * (1.0 + 1e-3) + self.slack;
         let (ix0, iy0) = self.cell_of(cx - r, cy - r);
         let (ix1, iy1) = self.cell_of(cx + r, cy + r);
-        if (ix1 - ix0 + 1) * (iy1 - iy0 + 1) > MAX_FILED_CELLS {
-            self.overflow.push(ti);
-            return;
+        let mut level = 0;
+        while ((ix1 >> level) - (ix0 >> level) + 1) * ((iy1 >> level) - (iy0 >> level) + 1)
+            > MAX_FILED_CELLS
+        {
+            level += 1;
         }
-        for iy in iy0..=iy1 {
-            for ix in ix0..=ix1 {
-                self.cells[iy * self.nx + ix].push(ti);
+        for row in (iy0 >> level)..=(iy1 >> level) {
+            let start = self.row_start(level, row);
+            for col in (ix0 >> level)..=(ix1 >> level) {
+                self.cells[start + col].push(ti);
             }
         }
     }
 
     /// Calls `visit` once for every live triangle filed under `p`'s cell
-    /// or in the overflow list, dropping the dead entries it meets.
+    /// at any level or in the overflow list, dropping the dead entries
+    /// it meets.
     fn for_each_candidate(&mut self, p: Point, alive: &[bool], mut visit: impl FnMut(usize)) {
         let (ix, iy) = self.cell_of(p.x, p.y);
-        for list in [&mut self.cells[iy * self.nx + ix], &mut self.overflow] {
-            list.retain(|&ti| {
-                if alive[ti] {
-                    visit(ti);
-                }
-                alive[ti]
-            });
+        let mut keep = |ti: &usize| {
+            if alive[*ti] {
+                visit(*ti);
+            }
+            alive[*ti]
+        };
+        for level in 0..self.level_start.len() {
+            let slot = self.row_start(level, iy >> level) + (ix >> level);
+            self.cells[slot].retain(&mut keep);
         }
+        self.overflow.retain(keep);
     }
 
     /// Renames filed triangles after compaction (`slot[old]` is the new
@@ -339,13 +366,13 @@ impl CircleIndex {
     }
 }
 
-/// Circumcircle of triangle `abc` as `(center_x, center_y, radius²)`.
+/// Circumcircle of triangle `abc` as `[center_x, center_y, radius²]`.
 ///
 /// Near-collinear triangles (twice-area below `1e-8` of the longest
 /// squared edge, where the division would amplify rounding into the
 /// cached center) return an infinite radius, which makes the caller's
 /// prefilter pass-through — the exact in_circle test then decides.
-fn circumcircle(a: Point, b: Point, c: Point) -> (f64, f64, f64) {
+fn circumcircle(a: Point, b: Point, c: Point) -> [f64; 3] {
     let bx = b.x - a.x;
     let by = b.y - a.y;
     let cx = c.x - a.x;
@@ -357,11 +384,11 @@ fn circumcircle(a: Point, b: Point, c: Point) -> (f64, f64, f64) {
     let ey = by - cy;
     let l2max = b2.max(c2).max(ex * ex + ey * ey);
     if d.abs() <= 1e-8 * l2max {
-        return (a.x, a.y, f64::INFINITY);
+        return [a.x, a.y, f64::INFINITY];
     }
     let ux = (cy * b2 - by * c2) / d;
     let uy = (bx * c2 - cx * b2) / d;
-    (a.x + ux, a.y + uy, ux * ux + uy * uy)
+    [a.x + ux, a.y + uy, ux * ux + uy * uy]
 }
 
 #[cfg(test)]

@@ -2,13 +2,16 @@
 
 use crate::MeshError;
 use anr_geom::{Point, Triangle};
-use std::collections::BTreeMap;
+
+/// Second incident triangle of a boundary edge: there is none.
+const NO_TRIANGLE: usize = usize::MAX;
 
 /// An indexed triangle mesh embedded in the plane.
 ///
 /// Vertices are points; triangles are triples of vertex indices stored
-/// counter-clockwise. The structure maintains derived adjacency: edge →
-/// incident triangles, vertex → incident triangles, vertex neighbors.
+/// counter-clockwise. The structure maintains derived adjacency in flat
+/// arrays: the sorted undirected edges with their incident triangles,
+/// and per-vertex (CSR) lists of incident triangles and neighbours.
 ///
 /// Boundary edges are exactly the edges incident to one triangle — the
 /// rule the paper uses to identify FoI and hole boundaries
@@ -37,12 +40,19 @@ use std::collections::BTreeMap;
 pub struct TriMesh {
     vertices: Vec<Point>,
     triangles: Vec<[usize; 3]>,
-    /// Undirected edge (min, max) → incident triangle indices (1 or 2).
-    edge_tris: BTreeMap<(usize, usize), Vec<usize>>,
-    /// Vertex → incident triangle indices.
-    vertex_tris: Vec<Vec<usize>>,
-    /// Vertex → neighboring vertex indices (sorted).
-    neighbors: Vec<Vec<usize>>,
+    /// Undirected edges `(min, max)`, sorted.
+    edges: Vec<(usize, usize)>,
+    /// Each edge's incident triangles, ascending; a boundary edge's
+    /// second slot is [`NO_TRIANGLE`].
+    edge_tris: Vec<[usize; 2]>,
+    /// Vertex `v`'s incident triangles (ascending) are
+    /// `vertex_tris[tri_start[v]..tri_start[v + 1]]`.
+    tri_start: Vec<usize>,
+    vertex_tris: Vec<usize>,
+    /// Vertex `v`'s neighbours (ascending) are
+    /// `neighbors[neighbor_start[v]..neighbor_start[v + 1]]`.
+    neighbor_start: Vec<usize>,
+    neighbors: Vec<usize>,
 }
 
 impl TriMesh {
@@ -55,7 +65,8 @@ impl TriMesh {
     ///
     /// * [`MeshError::IndexOutOfRange`] — triangle references a missing vertex.
     /// * [`MeshError::DegenerateTriangle`] — triangle repeats a vertex.
-    /// * [`MeshError::NonManifoldEdge`] — edge shared by 3+ triangles.
+    /// * [`MeshError::NonManifoldEdge`] — edge shared by 3+ triangles
+    ///   (of several, the one whose third triangle comes first).
     pub fn new(vertices: Vec<Point>, triangles: Vec<[usize; 3]>) -> Result<Self, MeshError> {
         let n = vertices.len();
         let mut tris = Vec::with_capacity(triangles.len());
@@ -80,41 +91,73 @@ impl TriMesh {
             }
         }
 
-        let mut edge_tris: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        let mut vertex_tris: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // Vertex → triangles: a counting sort in triangle order.
+        let tri_start = csr_offsets(n, tris.iter().flatten().copied());
+        let mut vertex_tris = vec![0; tri_start[n]];
+        let mut fill = tri_start[..n].to_vec();
         for (ti, t) in tris.iter().enumerate() {
-            for k in 0..3 {
-                let a = t[k];
-                let b = t[(k + 1) % 3];
-                let key = (a.min(b), a.max(b));
-                let entry = edge_tris.entry(key).or_default();
-                entry.push(ti);
-                if entry.len() > 2 {
-                    return Err(MeshError::NonManifoldEdge { edge: key });
-                }
-                vertex_tris[a].push(ti);
+            for &v in t {
+                vertex_tris[fill[v]] = ti;
+                fill[v] += 1;
             }
         }
-        for v in vertex_tris.iter_mut() {
-            v.sort_unstable();
-            v.dedup();
+
+        // Edges by smaller endpoint `lo`: its triangles hold every
+        // half-edge with `lo` as the smaller end. Keyed by the larger end
+        // and by `3·triangle + slot` (its place in triangle order), each
+        // run of one larger end is an edge, its triangles ascending.
+        let mut edges = Vec::with_capacity(n + tris.len());
+        let mut edge_tris = Vec::with_capacity(n + tris.len());
+        // The edge whose third triangle comes first, with that key.
+        let mut non_manifold: Option<(usize, (usize, usize))> = None;
+        let mut half: Vec<(usize, usize)> = Vec::new();
+        for lo in 0..n {
+            half.clear();
+            for &ti in &vertex_tris[tri_start[lo]..tri_start[lo + 1]] {
+                let t = tris[ti];
+                for k in 0..3 {
+                    let (a, b) = (t[k], t[(k + 1) % 3]);
+                    if a.min(b) == lo {
+                        half.push((a.max(b), 3 * ti + k));
+                    }
+                }
+            }
+            half.sort_unstable();
+            for run in half.chunk_by(|x, y| x.0 == y.0) {
+                let edge = (lo, run[0].0);
+                if let Some(&(_, third)) = run.get(2) {
+                    if non_manifold.is_none_or(|(first, _)| third < first) {
+                        non_manifold = Some((third, edge));
+                    }
+                }
+                edges.push(edge);
+                edge_tris.push([run[0].1 / 3, run.get(1).map_or(NO_TRIANGLE, |h| h.1 / 3)]);
+            }
+        }
+        if let Some((_, edge)) = non_manifold {
+            return Err(MeshError::NonManifoldEdge { edge });
         }
 
-        let mut neighbors: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(a, b) in edge_tris.keys() {
-            neighbors[a].push(b);
-            neighbors[b].push(a);
-        }
-        for nb in neighbors.iter_mut() {
-            nb.sort_unstable();
-            nb.dedup();
+        // Neighbours: filled in edge order, each vertex's list is its
+        // smaller neighbours ascending, then its larger ones ascending.
+        let neighbor_start = csr_offsets(n, edges.iter().flat_map(|&(a, b)| [a, b]));
+        let mut neighbors = vec![0; neighbor_start[n]];
+        let mut fill = neighbor_start[..n].to_vec();
+        for &(a, b) in &edges {
+            neighbors[fill[a]] = b;
+            fill[a] += 1;
+            neighbors[fill[b]] = a;
+            fill[b] += 1;
         }
 
         Ok(TriMesh {
             vertices,
             triangles: tris,
+            edges,
             edge_tris,
+            tri_start,
             vertex_tris,
+            neighbor_start,
             neighbors,
         })
     }
@@ -156,7 +199,7 @@ impl TriMesh {
     /// Number of undirected edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.edge_tris.len()
+        self.edges.len()
     }
 
     /// The geometric triangle of triangle index `t`.
@@ -176,7 +219,7 @@ impl TriMesh {
     /// Panics when `v` is out of range.
     #[inline]
     pub fn vertex_neighbors(&self, v: usize) -> &[usize] {
-        &self.neighbors[v]
+        &self.neighbors[self.neighbor_start[v]..self.neighbor_start[v + 1]]
     }
 
     /// Triangle indices incident to vertex `v`.
@@ -186,22 +229,32 @@ impl TriMesh {
     /// Panics when `v` is out of range.
     #[inline]
     pub fn vertex_triangles(&self, v: usize) -> &[usize] {
-        &self.vertex_tris[v]
+        &self.vertex_tris[self.tri_start[v]..self.tri_start[v + 1]]
     }
 
     /// Triangle indices incident to the undirected edge `(a, b)`.
     ///
     /// Returns an empty slice when the edge is not in the mesh.
     pub fn edge_triangles(&self, a: usize, b: usize) -> &[usize] {
-        self.edge_tris
-            .get(&(a.min(b), a.max(b)))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        match self.edges.binary_search(&(a.min(b), a.max(b))) {
+            Ok(e) => self.incident(e),
+            Err(_) => &[],
+        }
     }
 
-    /// All undirected edges `(a, b)` with `a < b`.
+    /// The triangles incident to edge number `e`.
+    fn incident(&self, e: usize) -> &[usize] {
+        let tris = &self.edge_tris[e];
+        if tris[1] == NO_TRIANGLE {
+            &tris[..1]
+        } else {
+            tris
+        }
+    }
+
+    /// All undirected edges `(a, b)` with `a < b`, in ascending order.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.edge_tris.keys().copied()
+        self.edges.iter().copied()
     }
 
     /// Is `(a, b)` a boundary edge (incident to exactly one triangle)?
@@ -211,7 +264,7 @@ impl TriMesh {
 
     /// Is `v` on the mesh boundary (incident to a boundary edge)?
     pub fn is_boundary_vertex(&self, v: usize) -> bool {
-        self.neighbors[v]
+        self.vertex_neighbors(v)
             .iter()
             .any(|&u| self.is_boundary_edge(v, u))
     }
@@ -222,73 +275,73 @@ impl TriMesh {
     /// and every hole loop runs clockwise. Loops are returned with the
     /// outer loop first (the loop whose polygonal signed area is largest).
     pub fn boundary_loops(&self) -> Vec<Vec<usize>> {
-        // Directed boundary half-edges: (a, b) from a CCW triangle whose
-        // opposite (b, a) is missing. A vertex may have several outgoing
-        // boundary half-edges (pinch vertices), so traversal marks
-        // *edges* visited, not vertices.
-        let mut outgoing: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for t in &self.triangles {
-            for k in 0..3 {
-                let a = t[k];
-                let b = t[(k + 1) % 3];
-                if self.is_boundary_edge(a, b) {
-                    outgoing.entry(a).or_default().push(b);
+        // Directed boundary half-edges: a boundary edge runs the way its
+        // one CCW triangle runs it. Sorted, each vertex's outgoing
+        // half-edges are one run. A vertex may have several (pinch
+        // vertices), so traversal marks *half-edges* visited, not
+        // vertices.
+        let mut half: Vec<(usize, usize)> = self
+            .edges
+            .iter()
+            .zip(&self.edge_tris)
+            .filter(|(_, tris)| tris[1] == NO_TRIANGLE)
+            .map(|(&(a, b), tris)| {
+                let t = self.triangles[tris[0]];
+                if (0..3).any(|k| t[k] == a && t[(k + 1) % 3] == b) {
+                    (a, b)
+                } else {
+                    (b, a)
+                }
+            })
+            .collect();
+        half.sort_unstable();
+
+        let mut visited = vec![false; half.len()];
+        let mut loops: Vec<Vec<usize>> = Vec::new();
+        for first in 0..half.len() {
+            if visited[first] {
+                continue;
+            }
+            let start = half[first].0;
+            let mut cycle = vec![start];
+            let mut edge = first;
+            loop {
+                visited[edge] = true;
+                let cur = half[edge].1;
+                if cur == start {
+                    break;
+                }
+                cycle.push(cur);
+                // Take the first unvisited outgoing half-edge; there is
+                // none at a dangling boundary (non-manifold input).
+                let from = half.partition_point(|h| h.0 < cur);
+                let next = (from..half.len())
+                    .take_while(|&h| half[h].0 == cur)
+                    .find(|&h| !visited[h]);
+                match next {
+                    Some(h) => edge = h,
+                    None => break,
                 }
             }
-        }
-        for v in outgoing.values_mut() {
-            v.sort_unstable();
-        }
-
-        let mut visited: std::collections::BTreeSet<(usize, usize)> =
-            std::collections::BTreeSet::new();
-        let mut loops: Vec<Vec<usize>> = Vec::new();
-        let mut starts: Vec<usize> = outgoing.keys().copied().collect();
-        starts.sort_unstable();
-        for start in starts {
-            let nexts = outgoing[&start].clone();
-            for &first in &nexts {
-                if visited.contains(&(start, first)) {
-                    continue;
-                }
-                let mut cycle = vec![start];
-                let mut edge = (start, first);
-                loop {
-                    visited.insert(edge);
-                    let cur = edge.1;
-                    if cur == start {
-                        break;
-                    }
-                    cycle.push(cur);
-                    // Pick the first unvisited outgoing half-edge.
-                    let Some(cands) = outgoing.get(&cur) else {
-                        break; // dangling boundary (non-manifold input)
-                    };
-                    match cands.iter().find(|&&b| !visited.contains(&(cur, b))) {
-                        Some(&b) => edge = (cur, b),
-                        None => break,
-                    }
-                }
-                if cycle.len() >= 3 {
-                    loops.push(cycle);
-                }
+            if cycle.len() >= 3 {
+                loops.push(cycle);
             }
         }
 
         // Outer loop first: largest absolute signed area.
-        loops.sort_by(|a, b| {
-            let area = |l: &Vec<usize>| -> f64 {
-                let mut s = 0.0;
-                for i in 0..l.len() {
-                    let p = self.vertices[l[i]];
-                    let q = self.vertices[l[(i + 1) % l.len()]];
-                    s += p.x * q.y - q.x * p.y;
-                }
-                (0.5 * s).abs()
-            };
-            area(b).total_cmp(&area(a))
-        });
-        loops
+        let area = |l: &[usize]| -> f64 {
+            let mut s = 0.0;
+            for i in 0..l.len() {
+                let p = self.vertices[l[i]];
+                let q = self.vertices[l[(i + 1) % l.len()]];
+                s += p.x * q.y - q.x * p.y;
+            }
+            (0.5 * s).abs()
+        };
+        let mut by_area: Vec<(f64, Vec<usize>)> =
+            loops.into_iter().map(|l| (area(&l), l)).collect();
+        by_area.sort_by(|a, b| b.0.total_cmp(&a.0));
+        by_area.into_iter().map(|(_, l)| l).collect()
     }
 
     /// Euler characteristic `V - E + F` (counting only triangles as faces).
@@ -322,11 +375,27 @@ impl TriMesh {
         TriMesh {
             vertices: positions,
             triangles: self.triangles.clone(),
+            edges: self.edges.clone(),
             edge_tris: self.edge_tris.clone(),
+            tri_start: self.tri_start.clone(),
             vertex_tris: self.vertex_tris.clone(),
+            neighbor_start: self.neighbor_start.clone(),
             neighbors: self.neighbors.clone(),
         }
     }
+}
+
+/// CSR offsets of `n` buckets: bucket `v` holds the items numbered
+/// `start[v]..start[v + 1]`, given each item's bucket.
+fn csr_offsets(n: usize, buckets: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut start = vec![0; n + 1];
+    for b in buckets {
+        start[b + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    start
 }
 
 #[cfg(test)]

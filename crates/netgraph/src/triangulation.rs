@@ -66,26 +66,29 @@ pub fn extract_triangulation(positions: &[Point], range: f64) -> Result<TriMesh,
 
     // Largest edge-connected component of the kept triangles.
     let mut uf = crate::UnionFind::new(dt.num_triangles());
-    let kept_set: std::collections::BTreeSet<usize> = kept.iter().copied().collect();
+    let mut is_kept = vec![false; dt.num_triangles()];
+    for &t in &kept {
+        is_kept[t] = true;
+    }
     for &t in &kept {
         let [a, b, c] = dt.triangles()[t];
         for (u, v) in [(a, b), (b, c), (c, a)] {
             for &other in dt.edge_triangles(u, v) {
-                if other != t && kept_set.contains(&other) {
+                if other != t && is_kept[other] {
                     uf.union(t, other);
                 }
             }
         }
     }
+    // The first component to reach the largest count wins.
     let mut best_root = uf.find(kept[0]);
     let mut best_count = 0usize;
-    let mut counts: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
+    let mut counts = vec![0usize; dt.num_triangles()];
     for &t in &kept {
         let r = uf.find(t);
-        let c = counts.entry(r).or_insert(0);
-        *c += 1;
-        if *c > best_count {
-            best_count = *c;
+        counts[r] += 1;
+        if counts[r] > best_count {
+            best_count = counts[r];
             best_root = r;
         }
     }
@@ -101,7 +104,7 @@ pub fn extract_triangulation(positions: &[Point], range: f64) -> Result<TriMesh,
     // loops sharing the vertex). Clean them by keeping only the largest
     // fan at every pinched vertex, then re-select the largest
     // edge-connected component, iterating until stable.
-    let tris = remove_pinches(positions.len(), tris);
+    let tris = remove_pinches(positions, tris)?;
 
     TriMesh::new(positions.to_vec(), tris)
 }
@@ -111,7 +114,11 @@ pub fn extract_triangulation(positions: &[Point], range: f64) -> Result<TriMesh,
 /// Repeats (removals can create new pinches or disconnect the mesh)
 /// until the triangle set is stable, keeping the largest edge-connected
 /// component at each round.
-fn remove_pinches(num_vertices: usize, mut tris: Vec<[usize; 3]>) -> Vec<[usize; 3]> {
+fn remove_pinches(
+    positions: &[Point],
+    mut tris: Vec<[usize; 3]>,
+) -> Result<Vec<[usize; 3]>, MeshError> {
+    let num_vertices = positions.len();
     loop {
         let mut changed = false;
 
@@ -190,32 +197,29 @@ fn remove_pinches(num_vertices: usize, mut tris: Vec<[usize; 3]>) -> Vec<[usize;
 
         // Largest edge-connected component of what remains.
         if !tris.is_empty() {
+            // Join each triangle to the first holder of each of its
+            // edges, in triangle order (the union order fixes the roots).
+            let mesh = TriMesh::new(positions.to_vec(), tris.clone())?;
             let mut uf = crate::UnionFind::new(tris.len());
-            let mut by_edge: std::collections::BTreeMap<(usize, usize), usize> =
-                std::collections::BTreeMap::new();
             for (ti, t) in tris.iter().enumerate() {
                 for k in 0..3 {
-                    let a = t[k];
-                    let b = t[(k + 1) % 3];
-                    let key = (a.min(b), a.max(b));
-                    if let Some(&other) = by_edge.get(&key) {
-                        uf.union(ti, other);
-                    } else {
-                        by_edge.insert(key, ti);
+                    let first = mesh.edge_triangles(t[k], t[(k + 1) % 3])[0];
+                    if first != ti {
+                        uf.union(ti, first);
                     }
                 }
             }
             if uf.num_sets() > 1 {
-                let mut counts: std::collections::BTreeMap<usize, usize> =
-                    std::collections::BTreeMap::new();
-                #[allow(clippy::needless_range_loop)] // union-find needs the index
+                let mut counts = vec![0usize; tris.len()];
                 for ti in 0..tris.len() {
-                    *counts.entry(uf.find(ti)).or_insert(0) += 1;
+                    counts[uf.find(ti)] += 1;
                 }
+                // The largest count; among equal counts the largest root.
                 let best = counts
                     .iter()
+                    .enumerate()
                     .max_by_key(|&(_, &c)| c)
-                    .map(|(&r, _)| r)
+                    .map(|(r, _)| r)
                     .unwrap_or(0);
                 let before = tris.len();
                 let mut filtered = Vec::with_capacity(before);
@@ -233,7 +237,7 @@ fn remove_pinches(num_vertices: usize, mut tris: Vec<[usize; 3]>) -> Vec<[usize;
         }
 
         if !changed {
-            return tris;
+            return Ok(tris);
         }
     }
 }

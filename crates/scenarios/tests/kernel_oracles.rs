@@ -1,22 +1,27 @@
 //! The march's geometry kernels against the loops they replaced, on every
 //! scenario's fields of interest: row-sweep region sampling against
 //! per-point containment, the circumcircle-indexed Delaunay against the
-//! per-point triangle scan, the adjacency-free connectivity test against
-//! a built unit-disk graph, and Lloyd's tile-batched assignment, centroid
-//! clamp and guarded step against the brute-force scan and the exact
-//! polygon tests.
+//! per-point triangle scan, the flat mesh adjacency against the ordered
+//! maps, the adjacency-free connectivity test against a built unit-disk
+//! graph, and Lloyd's tile-batched assignment, centroid clamp and guarded
+//! step against the brute-force scan and the exact polygon tests.
 
 use anr_coverage::{
     deploy_exactly, run_lloyd, triangular_lattice, Density, GridPartition, LloydConfig,
 };
 use anr_geom::{Point, PolygonWithHoles, Segment};
-use anr_mesh::{delaunay, FoiMesher};
-use anr_netgraph::UnitDiskGraph;
+use anr_harmonic::fill_holes;
+use anr_mesh::{delaunay, FoiMesher, TriMesh};
+use anr_netgraph::{extract_triangulation, UnitDiskGraph};
 use anr_scenarios::{build_scenario, Scenario, ScenarioParams};
 
 #[path = "../../mesh/tests/support/delaunay_scan.rs"]
 mod delaunay_scan;
 use delaunay_scan::delaunay_scan;
+
+#[path = "../../mesh/tests/support/trimesh_map.rs"]
+mod trimesh_map;
+use trimesh_map::assert_matches_map;
 
 const SIZES: [usize; 2] = [144, 1296];
 
@@ -182,6 +187,55 @@ fn indexed_delaunay_matches_the_scan_on_every_scenario() {
                 delaunay_scan(pts).map(|m| (m.vertices().to_vec(), m.triangles().to_vec()));
             assert!(indexed.is_ok(), "scenario {} {what}", s.id);
             assert_eq!(indexed, scanned, "scenario {} {what}", s.id);
+        }
+    }
+}
+
+#[test]
+fn indexed_delaunay_matches_the_scan_at_the_large_march_size() {
+    // Scenario 1 at 3025 robots, the benchmark's large march: 7452
+    // mesher points inserted boundary first, so wide circles span the
+    // interior until the grid rows fill in.
+    let n = 3025;
+    let s = build_scenario(
+        1,
+        &ScenarioParams {
+            robots: n,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let (_, mesh) = pitch_and_mesh_spacing(&s.m2, n);
+    let m2_input = FoiMesher::new(mesh).points(&s.m2);
+    assert_eq!(m2_input.len(), 7452);
+    let robots = coverage_positions(&s.m1, n);
+    for (what, pts) in [("M2 mesh input", &m2_input), ("robots", &robots)] {
+        let indexed = delaunay(pts).map(|m| (m.vertices().to_vec(), m.triangles().to_vec()));
+        let scanned = delaunay_scan(pts).map(|m| (m.vertices().to_vec(), m.triangles().to_vec()));
+        assert!(indexed.is_ok(), "{what}");
+        assert_eq!(indexed, scanned, "{what}");
+    }
+}
+
+#[test]
+fn flat_mesh_adjacency_matches_the_maps_on_every_scenario() {
+    let n = 1296;
+    for s in scenarios() {
+        let (_, spacing) = pitch_and_mesh_spacing(&s.m2, n);
+        let mesher = FoiMesher::new(spacing);
+        let dt = delaunay(&mesher.points(&s.m2)).unwrap();
+        let foi = mesher.mesh(&s.m2).unwrap();
+        let t = extract_triangulation(&coverage_positions(&s.m1, n), s.range).unwrap();
+        let meshes: [(&str, TriMesh); 5] = [
+            ("M2 Delaunay", dt),
+            ("M2 filled", fill_holes(foi.mesh()).unwrap().mesh().clone()),
+            ("M2 mesh", foi.into_mesh()),
+            ("T filled", fill_holes(&t).unwrap().mesh().clone()),
+            ("T", t),
+        ];
+        for (what, m) in meshes {
+            let what = format!("scenario {} {what}", s.id);
+            assert!(assert_matches_map(m.vertices(), m.triangles(), &what));
         }
     }
 }

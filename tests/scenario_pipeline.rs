@@ -3,7 +3,7 @@
 
 use anr_marching::coverage::{covered_fraction, GridPartition};
 use anr_marching::march::{
-    direct_translation, hungarian_direct, march, MarchConfig, MarchProblem, Method,
+    direct_translation, hungarian_direct, march, MarchConfig, MarchError, MarchProblem, Method,
 };
 use anr_marching::netgraph::UnitDiskGraph;
 use anr_marching::scenarios::{build_scenario, ScenarioParams};
@@ -176,5 +176,33 @@ fn separation_sweep_converges_to_hungarian() {
     assert!(
         ratios[2] < 1.05,
         "at 100× separation the ratio is ~1: {ratios:?}"
+    );
+}
+
+#[test]
+fn connectivity_lost_debug_names_the_metrics_not_the_outcome() {
+    // Scenario 3 at separation 50 loses connectivity under method (b).
+    let s = build_scenario(
+        3,
+        &ScenarioParams {
+            separation_ranges: 50.0,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let p = MarchProblem::with_lattice_deployment(s.m1, s.m2, s.robots, s.range).unwrap();
+    let err = march(&p, Method::MinMovingDistance, &MarchConfig::default()).unwrap_err();
+    let MarchError::ConnectivityLost(outcome) = &err else {
+        panic!("expected ConnectivityLost, got {err}");
+    };
+    let intervals = &outcome.metrics.disconnected_intervals;
+    assert!(!intervals.is_empty());
+    let text = format!("{err:?}");
+    assert!(text.len() < 1024, "{} bytes: {text}", text.len());
+    assert!(text.starts_with("ConnectivityLost"), "{text}");
+    assert!(text.contains(&format!("{intervals:?}")), "{text}");
+    assert!(
+        text.contains(&format!("violations: {}", outcome.metrics.violations.len())),
+        "{text}"
     );
 }
